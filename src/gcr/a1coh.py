@@ -38,55 +38,38 @@ import functools
 import itertools
 from collections import Counter
 
-from .modrep import a1_tilting_weights
+from .modrep import (
+    a1_tilting_weights,
+    a1_top_weight,
+    a1_weyl_weights,
+    char_tensor,
+    donkin_split,
+    peel_characters,
+)
 
 
 # -- characters ---------------------------------------------------------------
 
 def chi_coeffs(weights) -> Counter:
     """Expansion of a weight multiset into Weyl characters chi(n)."""
-    remaining = Counter(weights)
-    out: Counter = Counter()
-    while True:
-        remaining = Counter({w: c for w, c in remaining.items() if c})
-        if not remaining:
-            return out
-        top = max(remaining)
-        mult = remaining[top]
-        if top < 0 or mult < 0:
-            raise ArithmeticError("weight multiset is not a sum of Weyl characters")
-        out[top] += mult
-        for w in range(top, -top - 1, -2):
-            remaining[w] -= mult
+    return peel_characters(weights, a1_top_weight, a1_weyl_weights)
+
+
+def _tilting_summands(char, p: int) -> tuple:
+    """Indecomposable tilting summands ((n, mult), ...) of a tilting module
+    with the given character."""
+    return tuple(sorted(peel_characters(
+        char, a1_top_weight, lambda n: a1_tilting_weights(n, p)).items()))
 
 
 @functools.lru_cache(maxsize=None)
 def tilting_product(ms: tuple, p: int) -> tuple:
     """Indecomposable tilting summands of a product of tiltings at a single
     twist: ``(x) T(m)`` for m in ms, as sorted ((n, mult), ...)."""
-    weights = [0]
+    char = Counter({0: 1})
     for m in ms:
-        tw = a1_tilting_weights(m, p)
-        weights = [a + b for a in weights for b in tw]
-    remaining = Counter(weights)
-    out: Counter = Counter()
-    while True:
-        remaining = Counter({w: c for w, c in remaining.items() if c})
-        if not remaining:
-            return tuple(sorted(out.items()))
-        top = max(remaining)
-        mult = remaining[top]
-        if top < 0 or mult < 0:
-            raise ArithmeticError("product of tiltings with non-tilting character")
-        out[top] += mult
-        for w in a1_tilting_weights(top, p):
-            remaining[w] -= mult
-
-
-def _donkin_split(n: int, p: int) -> tuple[int, int]:
-    """n = a + p*b with p - 1 <= a <= 2p - 2 (requires n > 2p - 2)."""
-    a = (p - 1) + (n - (p - 1)) % p
-    return a, (n - a) // p
+        char = char_tensor(char, Counter(a1_tilting_weights(m, p)))
+    return _tilting_summands(char, p)
 
 
 def _strip(factors) -> tuple:
@@ -121,7 +104,7 @@ def _h1_term(factors: tuple, p: int) -> int:
         elif n <= 2 * p - 3:
             continue
         else:
-            a, b = _donkin_split(n, p)
+            a, b = donkin_split(n, p)
             rewritten = ((a, 0), (b, 1)) + tuple((m, t + 1) for m, t in higher)
             total += mult * _h1_term(rewritten, p)
     return total
@@ -171,7 +154,7 @@ def _hom_tilt_twisted(d: int, nfactors: tuple, p: int) -> int:
         return _inv(nfactors, p)
     if d <= 2 * p - 3:
         return 0
-    a, b = _donkin_split(d, p)
+    a, b = donkin_split(d, p)
     return _hom_tilt_twisted(a, tuple(sorted(((b, 0),) + nfactors)), p)
 
 
@@ -185,11 +168,11 @@ def h1_dim(terms, p: int) -> int:
 
 def term_char(term, p: int) -> Counter:
     """Weight character of a single term."""
-    weights = [0]
+    char = Counter({0: 1})
     for m, t in term:
-        tw = [w * p ** t for w in a1_tilting_weights(m, p)]
-        weights = [a + b for a in weights for b in tw]
-    return Counter(weights)
+        char = char_tensor(char, Counter(w * p ** t
+                                         for w in a1_tilting_weights(m, p)))
+    return char
 
 
 def terms_char(terms, p: int) -> Counter:
@@ -240,27 +223,11 @@ def _tilt_power(m: int, shape: str, k: int, p: int) -> tuple:
         alt2 = Counter(ws[i] + ws[j] for i, j in itertools.combinations(idx, 2))
         alt3 = Counter(sum(ws[i] for i in c)
                        for c in itertools.combinations(idx, 3))
-        char: Counter = Counter()
-        for w, c in alt2.items():
-            for v in ws:
-                char[w + v] += c
-        char.subtract(alt3)
-        weights = list(char.elements())
+        weights = char_tensor(alt2, Counter(ws))
+        weights.subtract(alt3)
     else:
         raise ValueError(shape)
-    remaining = Counter(weights)
-    out: Counter = Counter()
-    while True:
-        remaining = Counter({w: c for w, c in remaining.items() if c})
-        if not remaining:
-            return tuple(sorted(out.items()))
-        top = max(remaining)
-        mult = remaining[top]
-        if top < 0 or mult < 0:
-            raise ArithmeticError("symmetrized power with non-tilting character")
-        out[top] += mult
-        for w in a1_tilting_weights(top, p):
-            remaining[w] -= mult
+    return _tilting_summands(weights, p)
 
 
 def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:

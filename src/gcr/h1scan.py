@@ -26,6 +26,7 @@ from .a1coh import h1_dim, sum_power, terms_char
 from .modrep import (
     ModExpr,
     a1_comp_factors,
+    char_tensor,
     g2_comp_factors,
     g2_h1_irreducible,
     h1_irreducible,
@@ -641,9 +642,7 @@ def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
             if x_type == "G2":
                 parts = [factor_restriction_g2(c, t, w, p, a)
                          for c, t, w, a in zip(combo, types, weights, assign)]
-                char = None
-                for _, piece in parts:
-                    char = piece if char is None else _char_tensor(char, piece)
+                char = functools.reduce(char_tensor, (piece for _, piece in parts))
                 positives = char_h1_factors(char, p)
                 if not positives:
                     continue
@@ -670,20 +669,6 @@ def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
             rep.classes += printed_classes
             rep.class_units.append(_class_unit(types, combo, p, assign))
     return rep
-
-
-def _wsum(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def _char_tensor(a: Counter, b: Counter) -> Counter:
-    out: Counter = Counter()
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            out[_wsum(w1, w2)] += c1 * c2
-    return out
 
 
 @dataclass

@@ -142,10 +142,66 @@ def weyl_dim(name: str, lam: tuple[int, ...]) -> int:
     return sum(freudenthal(name, lam).values())
 
 
+# -- peeling characters -------------------------------------------------------
+
+def peel_characters(char, top_weight, top_char) -> Counter:
+    """Write a character as a nonnegative sum of the characters of its top
+    weights.  ``char`` is a weight multiset (an iterable of weights or a
+    Counter); ``top_weight(remaining)`` picks the weight to remove next from
+    the remaining weights, or None when none qualifies; ``top_char(lam)``
+    lists the weights, with repetition, of the character headed by lam.
+    Returns lam -> multiplicity.  Raises ArithmeticError naming the leftover
+    weight when a multiplicity goes negative or no weight qualifies."""
+    remaining = Counter(char)
+    out: Counter = Counter()
+    while True:
+        for w, c in remaining.items():
+            if c < 0:
+                raise ArithmeticError(
+                    f"weight {w} is left with multiplicity {c}: the character "
+                    "is not a nonnegative sum")
+        remaining = +remaining
+        if not remaining:
+            return out
+        top = top_weight(remaining)
+        if top is None:
+            raise ArithmeticError(
+                f"leftover weight {max(remaining)} heads no character")
+        mult = remaining[top]
+        out[top] += mult
+        for w in top_char(top):
+            remaining[w] -= mult
+
+
+def a1_top_weight(weights):
+    """The highest rank-one weight, or None when it is negative."""
+    top = max(weights)
+    return top if top >= 0 else None
+
+
 # -- rank-one characters -----------------------------------------------------
 
 def a1_weyl_weights(m: int) -> list[int]:
     return list(range(m, -m - 1, -2))
+
+
+def _base_p_digits(m: int, p: int) -> list[int]:
+    """Base-p digits of m >= 0, least significant first."""
+    digits = []
+    while True:
+        m, d = divmod(m, p)
+        digits.append(d)
+        if m == 0:
+            return digits
+
+
+def donkin_split(m: int, p: int) -> tuple[int, int]:
+    """(a, b) with m = a + p*b and p - 1 <= a <= 2p - 2, for m >= p - 1, so
+    that T(m) = T(a) (x) T(b)^[1]."""
+    if m < p - 1:
+        raise ValueError(f"no Donkin split of {m} at p={p}: needs m >= p - 1")
+    a = (p - 1) + (m - (p - 1)) % p
+    return a, (m - a) // p
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,15 +210,8 @@ def a1_simple_weights(m: int, p: int) -> tuple[int, ...]:
     digits of m."""
     if m < 0:
         raise ValueError
-    digits = []
-    q = m
-    while True:
-        digits.append(q % p)
-        q //= p
-        if q == 0:
-            break
     weights = [0]
-    for i, d in enumerate(digits):
+    for i, d in enumerate(_base_p_digits(m, p)):
         weights = [w + (d - 2 * k) * p ** i for w in weights for k in range(d + 1)]
     return tuple(sorted(weights, reverse=True))
 
@@ -175,32 +224,18 @@ def a1_tilting_weights(m: int, p: int) -> tuple[int, ...]:
     if m <= 2 * p - 2:
         return tuple(sorted(a1_weyl_weights(m) + a1_weyl_weights(2 * p - 2 - m),
                             reverse=True))
-    m1, m0 = divmod(m, p)
-    if m0 < p - 1:
-        m1 -= 1
-        m0 += p
-    out = [p * a + b
-           for a in a1_tilting_weights(m1, p)
-           for b in a1_tilting_weights(m0, p)]
+    a, b = donkin_split(m, p)
+    out = [p * x + y
+           for x in a1_tilting_weights(b, p)
+           for y in a1_tilting_weights(a, p)]
     return tuple(sorted(out, reverse=True))
 
 
 def a1_comp_factors(weights, p: int) -> Counter:
     """Composition factor multiset of any module with the given T-weights,
     by greedy removal of simple characters from the top."""
-    remaining = Counter(weights)
-    out: Counter = Counter()
-    while True:
-        remaining = Counter({w: c for w, c in remaining.items() if c})
-        if not remaining:
-            return out
-        top = max(remaining)
-        if top < 0 or min(remaining.values()) < 0:
-            raise ArithmeticError("weights are not a nonnegative sum of simple characters")
-        mult = remaining[top]
-        out[top] += mult
-        for w in a1_simple_weights(top, p):
-            remaining[w] -= mult
+    return peel_characters(weights, a1_top_weight,
+                           lambda n: a1_simple_weights(n, p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,32 +285,6 @@ def h1_irreducible(lam: int, p: int) -> bool:
     while lam % p == 0:
         lam //= p
     return lam == 2 * p - 2
-
-
-def h2_irreducible(lam: int, p: int) -> bool:
-    """Whether H^2(L(lam)) is nonzero: lam = p^s r with r one of 2p,
-    2p^2-2p-2, or (2p-2)(1 + p^e) for e >= 1."""
-
-    def base_case(r: int) -> bool:
-        if r in (2 * p, 2 * p * p - 2 * p - 2):
-            return True
-        if r % (2 * p - 2):
-            return False
-        q = r // (2 * p - 2) - 1
-        e = 0
-        while q > 1 and q % p == 0:
-            q //= p
-            e += 1
-        return q == 1 and e >= 1
-
-    if lam <= 0:
-        return False
-    while True:
-        if base_case(lam):
-            return True
-        if lam % p:
-            return False
-        lam //= p
 
 
 # -- rank-one modules with explicit operators --------------------------------
@@ -338,15 +347,8 @@ def weyl_module(m: int, p: int) -> A1Module:
 
 def simple_module(m: int, p: int) -> A1Module:
     """L(m) as a twisted tensor product over the base-p digits."""
-    digits = []
-    q = m
-    while True:
-        digits.append(q % p)
-        q //= p
-        if q == 0:
-            break
     out = None
-    for i, d in enumerate(digits):
+    for i, d in enumerate(_base_p_digits(m, p)):
         piece = twist(weyl_module(d, p), i) if i else weyl_module(d, p)
         out = piece if out is None else tensor(out, piece)
     return out
@@ -503,22 +505,22 @@ def tilting_module(m: int, p: int, _seed: int = 0) -> A1Module:
     if m <= p - 1:
         return weyl_module(m, p)
     if m > 2 * p - 2:
-        m1, m0 = divmod(m, p)
-        if m0 < p - 1:
-            m1 -= 1
-            m0 += p
-        return tensor(twist(tilting_module(m1, p), 1), tilting_module(m0, p))
+        a, b = donkin_split(m, p)
+        return tensor(twist(tilting_module(b, p), 1), tilting_module(a, p))
     # p <= m <= 2p-2: split off the summand of St (x) L(m-p+1) containing
     # the highest weight, via a random element of the commutant
     big = tensor(weyl_module(p - 1, p), weyl_module(m - p + 1, p))
     want = Counter(a1_tilting_weights(m, p))
+    top_rows = [i for i, w in enumerate(big.weights) if w == m]
+    if len(top_rows) != 1:
+        raise ArithmeticError(
+            f"T({m}) at p={p}: the weight {m} has multiplicity "
+            f"{len(top_rows)} in St (x) L({m - p + 1}), not 1")
     comm = _commutant_basis(big)
     rng = np.random.default_rng(12345 + m + 100 * p + _seed)
     for attempt in range(60):
         coeffs = rng.integers(0, p, size=len(comm))
         psi = sum(int(c) * b for c, b in zip(coeffs, comm)) % p
-        top_rows = [i for i, w in enumerate(big.weights) if w == m]
-        assert len(top_rows) == 1
         for lam in range(p):
             mat = _mat_power_mod((psi - lam * np.eye(big.dim, dtype=np.int64)) % p,
                                  big.dim, p)
@@ -590,41 +592,6 @@ def h1_module_a1(mod: A1Module) -> int:
     return z - (v0 - v0u)
 
 
-# -- weight multiset combinatorics -------------------------------------------
-
-def spin_weights(natural_half: list[int]) -> tuple[Counter, Counter]:
-    """Half-spin weight multisets of D_n restricted along a rank-one (or
-    torus) cocharacter, from the n weights a_1..a_n whose pairs +-a_i make
-    up the natural module.  Returns (even sign pattern, odd sign pattern)
-    multisets."""
-    n = len(natural_half)
-    even: Counter = Counter()
-    odd: Counter = Counter()
-    for signs in itertools.product((1, -1), repeat=n):
-        s = sum(sg * a for sg, a in zip(signs, natural_half))
-        if s % 2:
-            raise ArithmeticError("half-spin weight not integral")
-        if signs.count(-1) % 2 == 0:
-            even[s // 2] += 1
-        else:
-            odd[s // 2] += 1
-    return even, odd
-
-
-def alt_weights(weights: list[int], k: int) -> Counter:
-    out: Counter = Counter()
-    for combo in itertools.combinations(range(len(weights)), k):
-        out[sum(weights[i] for i in combo)] += 1
-    return out
-
-
-def sym_weights(weights: list[int], k: int) -> Counter:
-    out: Counter = Counter()
-    for combo in itertools.combinations_with_replacement(range(len(weights)), k):
-        out[sum(weights[i] for i in combo)] += 1
-    return out
-
-
 # -- G2 characters at p = 7 --------------------------------------------------
 
 G2_SIMPLE_DIMS = {(0, 0): 1, (1, 0): 7, (0, 1): 14, (2, 0): 26, (1, 1): 38, (3, 0): 77}
@@ -659,22 +626,16 @@ def _g2_root_coords(mu: tuple[int, int]) -> tuple[int, int]:
     return (2 * mu[0] + 3 * mu[1], mu[0] + 2 * mu[1])
 
 
+def _g2_top_weight(weights):
+    """The dominant weight of greatest height, or None."""
+    return max((w for w in weights if w[0] >= 0 and w[1] >= 0),
+               key=lambda w: (sum(_g2_root_coords(w)), w), default=None)
+
+
 def g2_comp_factors(char: Counter, p: int = 7) -> Counter:
     """Composition factors of a G2-module given by its character."""
-    remaining = Counter(char)
-    out: Counter = Counter()
-    while True:
-        remaining = Counter({w: c for w, c in remaining.items() if c})
-        if not remaining:
-            return out
-        dominant = [w for w in remaining if w[0] >= 0 and w[1] >= 0]
-        if not dominant or min(remaining.values()) < 0:
-            raise ArithmeticError("character is not a nonnegative sum of simples")
-        top = max(dominant, key=lambda w: (sum(_g2_root_coords(w)), w))
-        mult = remaining[top]
-        out[top] += mult
-        for w, c in g2_simple_char(top, p).items():
-            remaining[w] -= mult * c
+    return peel_characters(char, _g2_top_weight,
+                           lambda lam: g2_simple_char(lam, p).elements())
 
 
 @functools.lru_cache(maxsize=None)
@@ -942,6 +903,15 @@ def _wadd(a, b):
     return a + b
 
 
+def char_tensor(a: Counter, b: Counter) -> Counter:
+    """Character of the tensor product of modules with characters a and b."""
+    out: Counter = Counter()
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[_wadd(w1, w2)] += c1 * c2
+    return out
+
+
 def _wneg(a):
     if isinstance(a, tuple):
         return tuple(-x for x in a)
@@ -1047,11 +1017,18 @@ def spin_halves_from_char(char: Counter, n: int) -> tuple[Counter, Counter]:
     a = _spin_half_list(char)
     if len(a) != n:
         raise ArithmeticError(f"action has {len(a)} weight pairs, not {n}")
+    return spin_weights(a)
+
+
+def spin_weights(natural_half: list) -> tuple[Counter, Counter]:
+    """Half-spin weight multisets of D_n, from the n weights a_1..a_n whose
+    pairs +-a_i make up the natural module: the half-sums of the signed a_i,
+    split into (even, odd) number of minus signs."""
     even: Counter = Counter()
     odd: Counter = Counter()
-    for signs in itertools.product((1, -1), repeat=n):
+    for signs in itertools.product((1, -1), repeat=len(natural_half)):
         tot = None
-        for sg, w in zip(signs, a):
+        for sg, w in zip(signs, natural_half):
             piece = w if sg == 1 else _wneg(w)
             tot = piece if tot is None else _wadd(tot, piece)
         vec = tot if isinstance(tot, tuple) else (tot,)
@@ -1073,16 +1050,8 @@ def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> C
             out.update(module_weights(t, p, subst))
         return out
     if e.kind == "tensor":
-        out = Counter({None: 1})
-        for t in e.parts:
-            piece = module_weights(t, p, subst)
-            nxt: Counter = Counter()
-            for w1, c1 in out.items():
-                for w2, c2 in piece.items():
-                    key = w2 if w1 is None else _wadd(w1, w2)
-                    nxt[key] += c1 * c2
-            out = nxt
-        return out
+        return functools.reduce(char_tensor, (module_weights(t, p, subst)
+                                              for t in e.parts))
     if e.kind == "dual":
         return Counter({_wneg(w): c
                         for w, c in module_weights(e.part, p, subst).items()})

@@ -72,7 +72,10 @@ def _order_component(nodes: list[int], adj) -> tuple[int, ...]:
         out = list(reversed(long)) + [fork] + sorted([arms[0][0], arms[1][0]])
         return tuple(out)
     # type E: node 2 is the length-1 arm, nodes 1,3 the length-2 arm
-    assert len(arms[0]) == 1 and len(arms[1]) == 2
+    if len(arms[0]) != 1 or len(arms[1]) != 2:
+        raise ArithmeticError(
+            f"Levi component on nodes {nodes} has arms of lengths "
+            f"{[len(a) for a in arms]}: neither type D nor type E")
     short, mid, long = arms
     out = [mid[1], short[0], mid[0], fork] + long
     return tuple(out)
@@ -155,7 +158,11 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
             raise ArithmeticError("level summand is not a single string module")
         high = highs[0]
         gen = lows[0]
-        assert gen == members[0]
+        if gen != members[0]:
+            raise ArithmeticError(
+                f"Levi {levi}: level summand's lowest root "
+                f"{rs.format_root(gen)} is not its least root "
+                f"{rs.format_root(members[0])}")
         hw = {
             nodes: tuple(rs.pairing(high, rs.simple(i)) for i in nodes)
             for nodes in comps_nodes

@@ -1,360 +1,13 @@
-"""Coefficient rings for the group calculus.
+"""Dense linear algebra over the prime field GF(p).
 
-Three rings share one small protocol (zero, one, add, sub, mul, neg,
-is_zero): the prime field, sparse multivariate Laurent polynomials over it,
-and extension fields GF(p^e).  Matrices over any of these are kept in the
-sparse {column: {row: entry}} layout used throughout, with dense numpy
-arrays reserved for GF(p) elimination, which is where the real linear
-algebra happens.
+Matrices are numpy int64 arrays with entries reduced mod p.  Row reduction
+is the only elimination routine; rank and kernels are read off from it.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import re
-
 import numpy as np
 
-
-class GFp:
-    """Prime field; elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def from_int(self, n):
-        return n % self.p
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class PolyRing:
-    """Sparse polynomials over GF(p) in named variables, Laurent exponents
-    allowed.  Elements are dicts {exponent tuple: coefficient}, zero is {}.
-
-    frobenius() raises every coefficient to the p^r power, which over GF(p)
-    is exponent scaling.  A cap on absolute exponents guards against runaway
-    twisting; exceeding it raises OverflowError.
-    """
-
-    def __init__(self, p: int, names: tuple[str, ...], max_exp: int | None = None):
-        self.p = p
-        self.names = tuple(names)
-        self.n = len(self.names)
-        self.max_exp = max_exp if max_exp is not None else p ** 3 * (p - 1)
-        self.zero = {}
-        self.one = {(0,) * self.n: 1 % p}
-
-    def gen(self, name: str):
-        i = self.names.index(name)
-        e = [0] * self.n
-        e[i] = 1
-        return {tuple(e): 1 % self.p}
-
-    def const(self, c: int):
-        c %= self.p
-        return {(0,) * self.n: c} if c else {}
-
-    def _check(self, exps):
-        if any(abs(e) > self.max_exp for e in exps):
-            raise OverflowError(f"exponent beyond cap {self.max_exp}")
-        return exps
-
-    def add(self, a, b):
-        out = dict(a)
-        for e, c in b.items():
-            v = (out.get(e, 0) + c) % self.p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return out
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return {e: (-c) % self.p for e, c in a.items()}
-
-    def mul(self, a, b):
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = self._check(tuple(x + y for x, y in zip(ea, eb)))
-                v = (out.get(e, 0) + ca * cb) % self.p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return out
-
-    def scalar_mul(self, c: int, a):
-        c %= self.p
-        if not c:
-            return {}
-        return {e: (c * v) % self.p for e, v in a.items()}
-
-    def is_zero(self, a):
-        return not a
-
-    def frobenius(self, a, r: int = 1):
-        q = self.p ** r
-        return {self._check(tuple(x * q for x in e)): c for e, c in a.items()}
-
-    def pow(self, a, n: int):
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def degree(self, a):
-        if not a:
-            return -1
-        return max(sum(e) for e in a)
-
-    def evaluate(self, a, ring, point: dict):
-        """Evaluate in another ring; point maps variable names to ring
-        elements.  Negative exponents need invertible values (ExtField or
-        GFp only)."""
-        total = ring.zero
-        for e, c in a.items():
-            term = ring.from_int(c)
-            for name, k in zip(self.names, e):
-                if k == 0:
-                    continue
-                v = point[name]
-                if k < 0:
-                    v = ring.inv(v)
-                    k = -k
-                for _ in range(k):
-                    term = ring.mul(term, v)
-            total = ring.add(total, term)
-        return total
-
-    def format(self, a) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for e in sorted(a, key=lambda t: (sum(t), t)):
-            c = a[e]
-            vars_part = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.names, e) if k
-            )
-            if not vars_part:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(vars_part)
-            else:
-                parts.append(f"{c}*{vars_part}")
-        return " + ".join(parts)
-
-    def parse(self, s: str):
-        """Parse sums of signed monomials like "-k*l*c^5 + 2c^4"."""
-        s = s.replace(" ", "").replace("^-", "^~")
-        if not s:
-            raise ValueError("empty polynomial")
-        out = self.zero
-        for sign, body in re.findall(r"([+-]?)([^+-]+)", s):
-            body = body.replace("^~", "^-")
-            if not body:
-                raise ValueError(f"bad polynomial {s!r}")
-            coeff = -1 if sign == "-" else 1
-            rest = body
-            m = re.match(r"(\d+)(?![\d^])", rest)
-            if m:
-                coeff *= int(m.group(1))
-                rest = rest[m.end():].lstrip("*")
-            term = self.const(coeff)
-            while rest:
-                m = re.match(r"([A-Za-z_]\w*?)(?:\^(-?\d+))?(?:\*|$|(?=[A-Za-z_]))", rest)
-                if not m:
-                    raise ValueError(f"bad monomial {body!r}")
-                name, exp = m.group(1), int(m.group(2) or 1)
-                if name not in self.names:
-                    raise ValueError(f"unknown variable {name!r}")
-                i = self.names.index(name)
-                e = [0] * self.n
-                e[i] = exp
-                term = self.mul(term, {tuple(e): 1})
-                rest = rest[m.end():]
-            out = self.add(out, term)
-        return out
-
-    def from_int(self, n):
-        return self.const(n)
-
-
-class ExtField:
-    """GF(p^e) with elements as length-e int tuples over a fixed irreducible
-    modulus x^e - (lower terms).  Supports e in {1, 2, 3}."""
-
-    def __init__(self, p: int, e: int):
-        self.p = p
-        self.e = e
-        self.zero = (0,) * e
-        self.one = tuple([1 % p] + [0] * (e - 1))
-        self.modulus = self._find_modulus()
-        # reduction rows: x^k for k in [e, 2e-2] in the basis
-        self._red = self._reduction_rows()
-        self._xmat = self._mult_by_x_matrix()
-
-    def _find_modulus(self):
-        p, e = self.p, self.e
-        if e == 1:
-            return (0,)
-        for tail in itertools.product(range(p), repeat=e):
-            # candidate x^e + tail[e-1] x^{e-1} + ... + tail[0]
-            if tail[0] == 0:
-                continue
-            has_root = any(
-                (pow(x, e, p) + sum(tail[i] * pow(x, i, p) for i in range(e))) % p == 0
-                for x in range(p)
-            )
-            if not has_root:
-                if e == 2:
-                    return tail
-                # cubic with no root is irreducible
-                if e == 3:
-                    return tail
-        raise ArithmeticError("no modulus found")
-
-    def _reduction_rows(self):
-        p, e = self.p, self.e
-        if e == 1:
-            return []
-        rows = []
-        # x^e = -modulus tail
-        cur = [(-c) % p for c in self.modulus]
-        rows.append(tuple(cur))
-        for _ in range(e - 2):
-            nxt = [0] * e
-            for i, c in enumerate(cur[:-1]):
-                nxt[i + 1] = c
-            top = cur[-1]
-            for i in range(e):
-                nxt[i] = (nxt[i] + top * rows[0][i]) % p
-            rows.append(tuple(nxt))
-            cur = nxt
-        return rows
-
-    def _mult_by_x_matrix(self):
-        e = self.e
-        m = np.zeros((e, e), dtype=np.int64)
-        for j in range(e):
-            if j + 1 < e:
-                m[j + 1, j] = 1
-            else:
-                for i in range(e):
-                    m[i, j] = self._red[0][i]
-        return m % self.p
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        p, e = self.p, self.e
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:e]]
-        for k in range(e, 2 * e - 1):
-            c = conv[k] % p
-            if c:
-                row = self._red[k - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def pow(self, a, n: int):
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def inv(self, a):
-        if all(x == 0 for x in a):
-            raise ZeroDivisionError
-        return self.pow(a, self.p ** self.e - 2)
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def from_int(self, n):
-        return tuple([n % self.p] + [0] * (self.e - 1))
-
-    def random(self, rng):
-        return tuple(rng.randrange(self.p) for _ in range(self.e))
-
-    def random_nonzero(self, rng):
-        while True:
-            a = self.random(rng)
-            if not self.is_zero(a):
-                return a
-
-    def elements(self):
-        for t in itertools.product(range(self.p), repeat=self.e):
-            yield t
-
-    def block_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix over GF(p^e), shape (n, m, e), as an (n e, m e) matrix
-        over GF(p) via the regular representation."""
-        xk = np.eye(self.e, dtype=np.int64)
-        out = np.zeros((a.shape[0] * self.e, a.shape[1] * self.e), dtype=np.int64)
-        for i in range(self.e):
-            out = (out + np.kron(a[:, :, i], xk)) % self.p
-            xk = (xk @ self._xmat) % self.p
-        return out
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.e})"
-
-
-def default_ext(p: int) -> ExtField:
-    """Smallest extension with at least 50 elements, for sampling."""
-    e = 1
-    while p ** e < 50:
-        e += 1
-    return ExtField(p, e)
-
-
-# -- dense GF(p) linear algebra ---------------------------------------------
 
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
@@ -401,67 +54,3 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
         for i, pc in enumerate(piv):
             basis[k, pc] = (-int(r[i, c])) % p
     return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a x = b mod p, or None."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, piv = rref(aug, p)
-    if a.shape[1] in piv:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = r[i, a.shape[1]]
-    return x
-
-
-def ext_rank(field: ExtField, a: np.ndarray) -> int:
-    """Rank of a matrix over GF(p^e) given as shape (n, m, e)."""
-    if a.size == 0:
-        return 0
-    r = rank(field.block_matrix(a), field.p)
-    if r % field.e:
-        raise ArithmeticError("blocked rank not divisible by extension degree")
-    return r // field.e
-
-
-# -- generic sparse matrices over a ring ------------------------------------
-
-def sparse_mul(ring, a: dict, b: dict) -> dict:
-    """Product of sparse {col: {row: entry}} matrices over any ring."""
-    out: dict = {}
-    for j, col in b.items():
-        acc: dict = {}
-        for mid, c in col.items():
-            for r, c2 in a.get(mid, {}).items():
-                cur = acc.get(r, ring.zero)
-                acc[r] = ring.add(cur, ring.mul(c2, c))
-        acc = {r: v for r, v in acc.items() if not ring.is_zero(v)}
-        if acc:
-            out[j] = acc
-    return out
-
-
-def sparse_identity(n: int, ring) -> dict:
-    return {j: {j: ring.one} for j in range(n)}
-
-
-def sparse_eq(ring, a: dict, b: dict) -> bool:
-    cols = set(a) | set(b)
-    for j in cols:
-        ca, cb = a.get(j, {}), b.get(j, {})
-        for r in set(ca) | set(cb):
-            x = ca.get(r, ring.zero)
-            y = cb.get(r, ring.zero)
-            if not ring.is_zero(ring.sub(x, y)):
-                return False
-    return True
-
-
-def sparse_from_int_matrix(m: dict, ring) -> dict:
-    return {
-        j: {r: ring.from_int(v) for r, v in col.items() if not ring.is_zero(ring.from_int(v))}
-        for j, col in m.items()
-    }

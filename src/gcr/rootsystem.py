@@ -1,6 +1,6 @@
 """Root systems of the classical and exceptional types, with the combinatorics
-used everywhere else in this package: positive roots in a fixed total order,
-reflections and Weyl words, heights, and parabolic levels.
+used everywhere else in this package: positive roots in a fixed total order
+by height, reflections and Weyl words, and parabolic levels.
 
 Roots are coefficient tuples with respect to the simple roots, numbered
 1..rank in the standard (Bourbaki) ordering.  All public functions accept and
@@ -152,16 +152,10 @@ class RootSystem:
                 total += ci * cj * self._norms[j] * self.cartan[i][j]
         return total
 
-    def height(self, r: Root) -> int:
-        return sum(r)
-
     def level(self, r: Root, levi: Iterable[int]) -> int:
         """Sum of coefficients outside the Levi subset (1-based indices)."""
         inside = set(levi)
         return sum(c for i, c in enumerate(r, start=1) if i not in inside)
-
-    def level_and_height(self, r: Root, levi: Iterable[int]) -> tuple[int, int]:
-        return self.level(r, levi), self.height(r)
 
     def highest_root(self) -> Root:
         return self.positive[-1]
@@ -178,24 +172,6 @@ class RootSystem:
         for i in word:
             r = self.reflect(r, i)
         return r
-
-    def is_root_sum(self, a: Root, b: Root) -> Root | None:
-        s = tuple(x + y for x, y in zip(a, b))
-        return s if s in self._all else None
-
-    def root_string(self, a: Root, b: Root) -> tuple[int, int]:
-        """(p, q) with b - p*a ... b + q*a the full a-string through b."""
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in self._all:
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        q = 0
-        cur = tuple(x + y for x, y in zip(b, a))
-        while cur in self._all:
-            q += 1
-            cur = tuple(x + y for x, y in zip(cur, a))
-        return p, q
 
     # -- formatting ---------------------------------------------------------
 

@@ -16,7 +16,6 @@ from gcr.modrep import (
     a1_tilting_weights,
     a1_weyl_factors,
     a1_weyl_weights,
-    alt_weights,
     direct_sum,
     dual,
     freudenthal,
@@ -28,13 +27,13 @@ from gcr.modrep import (
     g2_weyl_char,
     h1_irreducible,
     h1_module_a1,
-    h2_irreducible,
     a1_jantzen_character,
     format_module,
     m_alt,
     m_dualweyl,
     m_simple,
     m_spin,
+    m_sym,
     m_tilt,
     module_comp_factors,
     module_dim,
@@ -46,9 +45,9 @@ from gcr.modrep import (
     module_weights,
     parse_module,
     spin_chars,
+    spin_halves_from_char,
     simple_module,
     spin_weights,
-    sym_weights,
     tensor,
     tilting_module,
     trivial_module,
@@ -170,19 +169,6 @@ def test_h1_predicate():
     assert not h1_irreducible(24, 7)
 
 
-def test_h2_predicate():
-    assert h2_irreducible(10, 5)     # 2p
-    assert h2_irreducible(50, 5)     # 2p * p
-    assert h2_irreducible(38, 5)     # 2p^2 - 2p - 2
-    assert h2_irreducible(48, 5)     # (2p-2)(1 + p)
-    assert h2_irreducible(208, 5)    # (2p-2)(1 + p^2)
-    assert not h2_irreducible(8, 5)
-    assert not h2_irreducible(40, 5)
-    assert h2_irreducible(14, 7)
-    assert h2_irreducible(82, 7)
-    assert not h2_irreducible(12, 7)
-
-
 # -- explicit rank-one modules ------------------------------------------------
 
 def test_weyl_module_operators():
@@ -279,16 +265,18 @@ def test_spin_weights_small_case():
 
 
 def test_spin_weights_counts():
-    ev, od = spin_weights([4, 2, 0, 2, 0])
+    # natural module of D5 with weights +-4, +-2, +-0, +-2, +-0
+    ev, od = spin_halves_from_char(Counter({4: 1, -4: 1, 2: 2, -2: 2, 0: 4}), 5)
     assert sum(ev.values()) == 16
     assert sum(od.values()) == 16
 
 
 def test_alt_sym_weights():
-    ws = [3, 1, -1, -3]
-    assert alt_weights(ws, 2) == Counter({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
-    assert sum(sym_weights(ws, 2).values()) == 10
-    assert sym_weights(ws, 2)[6] == 1
+    # L(3) at p = 5 has weights 3, 1, -1, -3
+    assert module_weights(m_alt(m_simple(3), 2), 5) == \
+        Counter({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
+    assert sum(module_weights(m_sym(m_simple(3), 2), 5).values()) == 10
+    assert module_weights(m_sym(m_simple(3), 2), 5)[6] == 1
 
 
 # -- G2 at p = 7 --------------------------------------------------------------
