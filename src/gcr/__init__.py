@@ -6,6 +6,7 @@ E6, E7 and E8 at p = 5 and 7.  The modules cover root systems, the levels
 of standard parabolics and their Levi summands, rank-one and G2 characters
 with explicit rank-one operators, exact H^1 of twisted tilting products,
 the candidate scan, and the diff of a scan against the golden tables.
+`chevalley` builds integral Chevalley structure constants; no table uses it.
 """
 
 __version__ = "0.1.0"

@@ -173,6 +173,24 @@ class RootSystem:
             r = self.reflect(r, i)
         return r
 
+    def is_root_sum(self, a: Root, b: Root) -> Root | None:
+        s = tuple(x + y for x, y in zip(a, b))
+        return s if s in self._all else None
+
+    def root_string(self, a: Root, b: Root) -> tuple[int, int]:
+        """(p, q) with b - p*a ... b + q*a the full a-string through b."""
+        p = 0
+        cur = tuple(x - y for x, y in zip(b, a))
+        while cur in self._all:
+            p += 1
+            cur = tuple(x - y for x, y in zip(cur, a))
+        q = 0
+        cur = tuple(x + y for x, y in zip(b, a))
+        while cur in self._all:
+            q += 1
+            cur = tuple(x + y for x, y in zip(cur, a))
+        return p, q
+
     # -- formatting ---------------------------------------------------------
 
     def format_root(self, r: Root) -> str:

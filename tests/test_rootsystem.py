@@ -221,6 +221,16 @@ def test_weyl_word_swaps_e6_alpha6():
     assert rs.apply_word(word, target) == a6
 
 
+def test_root_string_g2():
+    rs = build_root_system("G2")
+    a1, a2 = rs.simple(1), rs.simple(2)
+    assert rs.root_string(a1, a2) == (0, 3)
+    assert rs.root_string(a2, a1) == (0, 1)
+    assert rs.is_root_sum(a1, a2) == (1, 1)
+    assert rs.is_root_sum((3, 1), (0, 1)) == (3, 2)
+    assert rs.is_root_sum((3, 2), a1) is None
+
+
 def test_parse_and_format_roundtrip():
     rs = build_root_system("E7")
     for r in rs.roots():
