@@ -625,6 +625,16 @@ def _class_unit(types, combo, p, assign):
     return tuple(unit)
 
 
+@functools.cache
+def _level_h1_memo() -> dict:
+    """Level H^1 of A1 candidates, shared by every parabolic: maps
+    ((factor types, candidate descriptors, class indices, p), summand
+    weights) to dim H^1.  Descriptors are distinct within a factor type, so
+    they stand for the candidates; ``_level_h1_memo.cache_clear()`` drops
+    the table."""
+    return {}
+
+
 def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
     rep = CandidateReport(
         levi_type="+".join(types), x_type=x_type,
@@ -636,8 +646,11 @@ def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
         printed_classes = 1
     assign_lists = [factor_assignments(c, t, p)
                     for c, t in zip(combo, types)]
-    for assign in itertools.product(*assign_lists):
+    memo = _level_h1_memo()
+    class_keys = itertools.product(*(range(len(a)) for a in assign_lists))
+    for assign, classes in zip(itertools.product(*assign_lists), class_keys):
         class_flagged = False
+        prefix = (tuple(types), rep.actions, classes, p)
         for lvl, weights in summands:
             if x_type == "G2":
                 parts = [factor_restriction_g2(c, t, w, p, a)
@@ -653,11 +666,14 @@ def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
                     continue
                 hit = (lvl, positives)
             else:
-                level = Counter({(): 1})
-                for c, t, w, a in zip(combo, types, weights, assign):
-                    level = _terms_tensor(
-                        level, factor_restriction_terms(c, t, w, p, a))
-                h1 = h1_dim(level, p)
+                key = (prefix, weights)
+                h1 = memo.get(key)
+                if h1 is None:
+                    level = Counter({(): 1})
+                    for c, t, w, a in zip(combo, types, weights, assign):
+                        level = _terms_tensor(
+                            level, factor_restriction_terms(c, t, w, p, a))
+                    h1 = memo[key] = h1_dim(level, p)
                 if not h1:
                     continue
                 hit = (lvl, h1)

@@ -38,7 +38,7 @@ def _weight_data(name: str):
     gram = [[inv[k][i] * rs._norms[i] for k in range(n)] for i in range(n)]
     pos = []
     for r in rs.positive:
-        omega = tuple(rs.pairing(r, rs.simple(i + 1)) for i in range(n))
+        omega = tuple(rs.pairing_index(r, i) for i in range(n))
         pos.append((omega, r))
     return rs, gram, pos
 
@@ -989,7 +989,15 @@ def _spin_half_list(char: Counter):
     """The n weights a_1..a_n with the natural module's weights ±a_i: the
     canonical-positive weights with multiplicity plus half the zero
     multiplicity.  Raises if the character is not that of an orthogonal
-    action."""
+    action.  A rank-one composition factor of odd highest weight carries
+    only a symplectic form, so in an orthogonal module it occurs an even
+    number of times; mod 2 that is the same as even Weyl coefficients on
+    the odd weights (the two bases differ by a unitriangular matrix)."""
+    odd = Counter({w: c for w, c in char.items() if isinstance(w, int) and w % 2})
+    if any(c % 2 for c in peel_characters(odd, a1_top_weight, a1_weyl_weights).values()):
+        raise ArithmeticError(
+            "an odd-weight (symplectic) factor has odd multiplicity: "
+            "the action is not orthogonal")
     zero = None
     a = []
     for w, c in char.items():
@@ -997,8 +1005,6 @@ def _spin_half_list(char: Counter):
         if all(x == 0 for x in vec):
             zero = c
             continue
-        if isinstance(w, int) and w % 2:
-            raise ArithmeticError("odd weights: the action is not orthogonal")
         if next(x for x in vec if x) > 0:
             if char.get(_wneg(w), 0) != c:
                 raise ArithmeticError("character is not symmetric: not orthogonal")

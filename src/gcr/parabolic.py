@@ -9,6 +9,8 @@ read off from root strings through J.
 
 from __future__ import annotations
 
+import functools
+
 from .rootsystem import Root, RootSystem
 
 
@@ -125,58 +127,85 @@ def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root
     return out
 
 
+@functools.cache
+def _root_sums(rs: RootSystem) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Sums of positive roots by index: up[i][j] = k when root i + root j
+    = root k, and down[k][j] = i for the same triple."""
+    n = len(rs.positive)
+    up: list[dict[int, int]] = [{} for _ in range(n)]
+    down: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, a in enumerate(rs.positive):
+        for j, b in enumerate(rs.positive):
+            k = rs.index.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                up[i][j] = k
+                down[k][j] = i
+    return up, down
+
+
+@functools.cache
+def _levi_root_indices(rs: RootSystem, levi: tuple[int, ...]) -> frozenset[int]:
+    """Indices of the positive roots of the Levi (level 0)."""
+    return frozenset(i for i, r in enumerate(rs.positive) if rs.level(r, levi) == 0)
+
+
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:
     """Split one level into Levi summands.
 
     Roots are connected when they differ by a root with support in the
-    Levi.  Each summand reports its generator (least root in the total
-    order), its highest weight as pairings against the Levi simple roots
-    grouped by component, and its root list."""
+    Levi.  The search runs on root indices: the cached tables ``up`` and
+    ``down`` of ``_root_sums`` give root i plus or minus root j as an index,
+    and the Levi's roots are a cached index set.  Each summand reports its
+    generator (least root in the total order), its highest weight as
+    pairings against the Levi simple roots grouped by component, and its
+    root list."""
     comps_nodes = levi_components(rs, levi)
-    pool = set(roots)
+    up, down = _root_sums(rs)
+    levi_idx = _levi_root_indices(rs, levi)
+    pool = {rs.index[r] for r in roots}
     out = []
-    levi_roots = [r for r in rs.positive if rs.level(r, levi) == 0]
     while pool:
-        seed = min(pool, key=lambda r: rs.index[r])
+        seed = min(pool)
         comp = {seed}
         frontier = [seed]
+        highs, lows = [], []
         while frontier:
             cur = frontier.pop()
-            for lr in levi_roots:
-                for cand in (tuple(a + b for a, b in zip(cur, lr)),
-                             tuple(a - b for a, b in zip(cur, lr))):
-                    if cand in pool and cand not in comp:
-                        comp.add(cand)
-                        frontier.append(cand)
+            # a neighbour through a Levi root lies in the pool exactly when
+            # it lies in this summand
+            ups = [k for j, k in up[cur].items() if j in levi_idx and k in pool]
+            downs = [k for j, k in down[cur].items() if j in levi_idx and k in pool]
+            if not ups:
+                highs.append(cur)
+            if not downs:
+                lows.append(cur)
+            for k in ups + downs:
+                if k not in comp:
+                    comp.add(k)
+                    frontier.append(k)
         pool -= comp
-        members = sorted(comp, key=lambda r: rs.index[r])
-        highs = [m for m in members
-                 if not any(tuple(a + b for a, b in zip(m, lr)) in comp for lr in levi_roots)]
-        lows = [m for m in members
-                if not any(tuple(a - b for a, b in zip(m, lr)) in comp for lr in levi_roots)]
+        members = sorted(comp)
         if len(highs) != 1 or len(lows) != 1:
             raise ArithmeticError("level summand is not a single string module")
-        high = highs[0]
-        gen = lows[0]
-        if gen != members[0]:
+        high = rs.positive[highs[0]]
+        if lows[0] != members[0]:
             raise ArithmeticError(
                 f"Levi {levi}: level summand's lowest root "
-                f"{rs.format_root(gen)} is not its least root "
-                f"{rs.format_root(members[0])}")
+                f"{rs.format_root(rs.positive[lows[0]])} is not its least root "
+                f"{rs.format_root(rs.positive[members[0]])}")
         hw = {
-            nodes: tuple(rs.pairing(high, rs.simple(i)) for i in nodes)
+            nodes: tuple(rs.pairing_index(high, i - 1) for i in nodes)
             for nodes in comps_nodes
         }
         if any(v < 0 for w in hw.values() for v in w):
             raise ArithmeticError("summand high weight not dominant")
         out.append({
-            "generator": gen,
+            "generator": rs.positive[members[0]],
             "high_root": high,
             "high_weight": hw,
-            "roots": members,
+            "roots": [rs.positive[m] for m in members],
             "dim": len(members),
         })
-    out.sort(key=lambda d: rs.index[d["generator"]])
     return out
 
 
@@ -230,7 +259,7 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
             seen: dict[tuple, int] = {}
             for r in s["roots"]:
                 key = tuple(
-                    tuple(rs.pairing(r, rs.simple(i)) for i in c) for c in comps
+                    tuple(rs.pairing_index(r, i - 1) for i in c) for c in comps
                 )
                 seen[key] = seen.get(key, 0) + 1
             expect: dict[tuple, int] = {(): 1}

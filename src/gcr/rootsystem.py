@@ -70,6 +70,10 @@ class RootSystem:
         self.kind, self.rank = parse_type(name)
         self.cartan = cartan_matrix(name)
         self._norms = _root_norms(self.kind, self.rank)
+        # 3 * (alpha_i, alpha_j) = 3 * d_j * A[i][j]: integral, since the
+        # norms d_j are 1 or 1/3
+        self._gram3 = [[int(3 * self._norms[j] * self.cartan[i][j])
+                        for j in range(self.rank)] for i in range(self.rank)]
         self.positive: list[Root] = self._closure()
         self.index = {r: i for i, r in enumerate(self.positive)}
         self._all = frozenset(self.positive) | frozenset(self._neg(r) for r in self.positive)
@@ -132,25 +136,20 @@ class RootSystem:
 
     def pairing(self, r: Root, alpha: Root) -> int:
         """<r, alpha-check> for any root alpha, via the invariant form."""
-        num = self.form(r, alpha) * 2
-        den = self.form(alpha, alpha)
-        val = Fraction(num, 1) / den
-        if val.denominator != 1:
-            raise ValueError("non-integral pairing")
-        return int(val)
+        num = 2 * self._form3(r, alpha)
+        den = self._form3(alpha, alpha)
+        if num % den:
+            raise ValueError(f"non-integral pairing of {r} with {alpha}")
+        return num // den
 
     def form(self, a: Root, b: Root) -> Fraction:
         """W-invariant symmetric form, long roots of norm 2."""
-        total = Fraction(0)
-        for i, ci in enumerate(a):
-            if not ci:
-                continue
-            for j, cj in enumerate(b):
-                if not cj:
-                    continue
-                # (alpha_i, alpha_j) = d_j * A[i][j]  (= d_i * A[j][i])
-                total += ci * cj * self._norms[j] * self.cartan[i][j]
-        return total
+        return Fraction(self._form3(a, b), 3)
+
+    def _form3(self, a: Root, b: Root) -> int:
+        """Three times the invariant form: an integer."""
+        return sum(ci * cj * g for ci, row in zip(a, self._gram3) if ci
+                   for cj, g in zip(b, row))
 
     def level(self, r: Root, levi: Iterable[int]) -> int:
         """Sum of coefficients outside the Levi subset (1-based indices)."""

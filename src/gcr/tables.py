@@ -233,9 +233,12 @@ def _frame_match(golden_insts, engine_reps, p, pos):
 
 
 def diff_badx(group: str, p: int, tmax: int = 2,
-              scan: ScanResult | None = None) -> TableDiff:
-    """Diff the computed scan of (group, p) against the golden table."""
-    data = load_badx(group, p)
+              scan: ScanResult | None = None,
+              data: dict | None = None) -> TableDiff:
+    """Diff the computed scan of (group, p) against the golden table, or
+    against ``data`` in the golden table's format when given."""
+    if data is None:
+        data = load_badx(group, p)
     golden = expand_rows(data, tmax)
     if scan is None:
         scan = scan_group(group, p, tmax)

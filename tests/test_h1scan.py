@@ -26,11 +26,14 @@ from gcr.h1scan import (
     e6_factor_candidates,
     e7_factor_candidates,
     factor_candidates,
+    _level_h1_memo,
     g2_factor_candidate,
     scan_group,
     scan_parabolic,
     spin_half_terms,
 )
+from gcr.parabolic import component_type, levi_components
+from gcr.rootsystem import build_root_system
 from gcr.tables import canon_factor, diff_badx, expand_rows, load_badx
 
 
@@ -261,6 +264,42 @@ def test_scan_group_results_frozen():
     assert len(e8.rows) == 23
 
 
+def _factor_types():
+    """Simple factor types of every Levi of E8 (which contain those of E6
+    and E7)."""
+    rs = build_root_system("E8")
+    nodes = range(1, rs.rank + 1)
+    return sorted({component_type(rs, c)
+                   for k in range(1, rs.rank)
+                   for levi in itertools.combinations(nodes, k)
+                   for c in levi_components(rs, levi)})
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_candidate_descriptors_distinct(p):
+    """The level H^1 memo keys candidates by descriptor."""
+    types = _factor_types()
+    assert {"A1", "A7", "D4", "D7", "E6", "E7"} <= set(types)
+    for t in types:
+        descs = [c.descriptor for c in factor_candidates(t, p, 2)]
+        assert len(set(descs)) == len(descs), (t, p)
+    assert len(factor_candidates("E7", 7, 2)) == 384
+
+
+def _scan_fingerprint(result):
+    return {k: (r.classes, r.hits, r.class_units) for k, r in result.rows.items()}
+
+
+def test_level_h1_memo_does_not_leak_across_p():
+    _level_h1_memo.cache_clear()
+    scan_group("E7", 7)
+    warm = _scan_fingerprint(scan_group("E7", 5))
+    _level_h1_memo.cache_clear()
+    cold = _scan_fingerprint(scan_group("E7", 5))
+    assert warm == cold
+    assert len(cold) == 51
+
+
 # -- golden tables ------------------------------------------------------------
 
 def test_canon_factor_forms():
@@ -341,12 +380,8 @@ def test_diff_detects_tampering():
     """A deliberately damaged golden table must fail the diff."""
     data = load_badx("E6", 5)
     data["rows"][0]["classes"] = 7
-    scan = scan_group("E6", 5)
-    from gcr.tables import GoldenInstance, TableDiff  # noqa: F401
-    import gcr.tables as tables
-
-    golden = expand_rows(data)
-    engine = dict(scan.rows)
-    bad = [g for g in golden if g.classes == 7]
-    assert bad and all(g.key in engine for g in bad)
-    assert all(engine[g.key].classes != 7 for g in bad)
+    d = diff_badx("E6", 5, data=data)
+    bad = [r for r in d.rows if r.status == "mismatch"]
+    assert bad and all(r.expected_classes == 7 for r in bad)
+    assert d.ok is False
+    assert diff_badx("E6", 5).ok

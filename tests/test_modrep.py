@@ -271,6 +271,23 @@ def test_spin_weights_counts():
     assert sum(od.values()) == 16
 
 
+def test_spin_halves_accept_odd_weight_pairs():
+    # L(1) + L(1) carries an invariant symmetric form: weights +-1 twice
+    assert spin_halves_from_char(Counter({1: 2, -1: 2}), 2) == \
+        (Counter({1: 1, -1: 1}), Counter({0: 2}))
+    # L(3) + L(3): the symplectic factor occurs twice
+    ev, od = spin_halves_from_char(Counter({3: 2, 1: 2, -1: 2, -3: 2}), 4)
+    assert sum(ev.values()) == sum(od.values()) == 8
+
+
+def test_spin_halves_reject_odd_count_of_odd_pairs():
+    # one pair +-1 beside a zero pair: every half-sum is a half-integer
+    with pytest.raises(ArithmeticError):
+        spin_halves_from_char(Counter({1: 1, -1: 1, 0: 2}), 2)
+    with pytest.raises(ArithmeticError):
+        spin_halves_from_char(Counter({3: 1, -3: 1, 2: 2, -2: 2}), 3)
+
+
 def test_alt_sym_weights():
     # L(3) at p = 5 has weights 3, 1, -1, -3
     assert module_weights(m_alt(m_simple(3), 2), 5) == \

@@ -196,3 +196,13 @@ def test_random_levi_verifies(name, levi_set):
     if len(levi) == rs.rank:
         levi = levi[:-1]
     verify_levels(rs, levi)
+
+
+def test_decompose_rejects_non_string_summand():
+    # the A1 x A1 Levi of A3 acts on level one as 2 (x) 2; without its top
+    # root the remaining three roots have two highest roots
+    rs = build_root_system("A3")
+    level = radical_levels(rs, (1, 3))[1]
+    assert len(decompose_level(rs, (1, 3), level)) == 1
+    with pytest.raises(ArithmeticError, match="single string module"):
+        decompose_level(rs, (1, 3), [r for r in level if r != (1, 1, 1)])

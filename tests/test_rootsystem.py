@@ -246,3 +246,23 @@ def test_random_words_preserve_form(data):
     image = rs.apply_word(word, r)
     assert image in rs._all
     assert rs.form(image, image) == rs.form(r, r)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "G2", "E6", "E8"])
+def test_pairing_is_integral_and_matches_cartan(name):
+    # <r, alpha_i-check> through the invariant form equals the Cartan sum
+    rs = build_root_system(name)
+    for r in rs.roots():
+        for i in range(1, rs.rank + 1):
+            val = rs.pairing(r, rs.simple(i))
+            assert type(val) is int
+            assert val == rs.pairing_index(r, i - 1)
+        for a in rs.positive:
+            assert type(rs.pairing(r, a)) is int
+
+
+def test_pairing_rejects_non_integral():
+    rs = build_root_system("A2")
+    # (a1, 2a1 + 2a2) = 2 and (2a1 + 2a2)^2 = 8: the pairing is 1/2
+    with pytest.raises(ValueError):
+        rs.pairing((1, 0), (2, 2))
