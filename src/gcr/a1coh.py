@@ -35,7 +35,6 @@ factors restrict within the same representation.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 
 from .modrep import (
@@ -45,6 +44,7 @@ from .modrep import (
     char_tensor,
     donkin_split,
     peel_characters,
+    power_char,
 )
 
 
@@ -211,23 +211,7 @@ def _tilt_power(m: int, shape: str, k: int, p: int) -> tuple:
     by the given symmetrizer; exact for k < p."""
     if k >= p:
         raise NotImplementedError("power not smaller than the characteristic")
-    ws = a1_tilting_weights(m, p)
-    idx = range(len(ws))
-    if shape == "alt":
-        weights = [sum(ws[i] for i in c) for c in itertools.combinations(idx, k)]
-    elif shape == "sym":
-        weights = [sum(ws[i] for i in c)
-                   for c in itertools.combinations_with_replacement(idx, k)]
-    elif shape == "s21":
-        # ch S_(2,1)(V) = ch(V) * ch(alt^2 V) - ch(alt^3 V)
-        alt2 = Counter(ws[i] + ws[j] for i, j in itertools.combinations(idx, 2))
-        alt3 = Counter(sum(ws[i] for i in c)
-                       for c in itertools.combinations(idx, 3))
-        weights = char_tensor(alt2, Counter(ws))
-        weights.subtract(alt3)
-    else:
-        raise ValueError(shape)
-    return _tilting_summands(weights, p)
+    return _tilting_summands(power_char(a1_tilting_weights(m, p), shape, k), p)
 
 
 def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:

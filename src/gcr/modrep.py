@@ -309,10 +309,9 @@ class A1Module:
             self._check_shift(m, -2 * a)
 
     def _check_shift(self, m, shift):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if m[i, j] and self.weights[i] != self.weights[j] + shift:
-                    raise ArithmeticError("operator does not shift weights correctly")
+        w = np.array(self.weights)
+        if np.any((m != 0) & (w[:, None] != w[None, :] + shift)):
+            raise ArithmeticError("operator does not shift weights correctly")
 
     def x_plus(self, t: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=np.int64)
@@ -451,44 +450,6 @@ def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
                     {a: restrict(m) for a, m in mod.F.items()})
 
 
-def _commutant_basis(mod: A1Module) -> list[np.ndarray]:
-    """Basis of the algebra of matrices commuting with all operators and
-    preserving weights."""
-    p = mod.p
-    n = mod.dim
-    slots = [(i, j) for i in range(n) for j in range(n)
-             if mod.weights[i] == mod.weights[j]]
-    cols = {s: k for k, s in enumerate(slots)}
-    rows = []
-    ops = list(mod.E.values()) + list(mod.F.values())
-    for op in ops:
-        comm_rows: dict[tuple[int, int], dict[int, int]] = {}
-        for (i, j), k in cols.items():
-            # d/dX of (op X - X op)[r, c] contributions
-            for r in range(n):
-                if op[r, i]:
-                    comm_rows.setdefault((r, j), {})[k] = \
-                        (comm_rows.setdefault((r, j), {}).get(k, 0) + int(op[r, i])) % p
-            for c in range(n):
-                if op[j, c]:
-                    comm_rows.setdefault((i, c), {})[k] = \
-                        (comm_rows.setdefault((i, c), {}).get(k, 0) - int(op[j, c])) % p
-        for entry in comm_rows.values():
-            row = np.zeros(len(slots), dtype=np.int64)
-            for k, v in entry.items():
-                row[k] = v
-            rows.append(row)
-    mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(slots)), dtype=np.int64)
-    basis = nullspace(mat, p)
-    out = []
-    for vec in basis:
-        m = np.zeros((n, n), dtype=np.int64)
-        for (i, j), k in cols.items():
-            m[i, j] = vec[k]
-        out.append(m)
-    return out
-
-
 def _mat_power_mod(m: np.ndarray, n: int, p: int) -> np.ndarray:
     out = np.eye(m.shape[0], dtype=np.int64)
     base = m % p
@@ -500,39 +461,34 @@ def _mat_power_mod(m: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
-def tilting_module(m: int, p: int, _seed: int = 0) -> A1Module:
-    """The indecomposable tilting module T(m) with explicit operators."""
+def tilting_module(m: int, p: int) -> A1Module:
+    """The indecomposable tilting module T(m) with explicit operators.
+
+    Below p, T(m) = W(m); above 2p - 2, T(m) = T(b)^[1] (x) T(a) by Donkin's
+    split.  For p <= m <= 2p - 2, T(m) is a summand of St (x) L(k) with
+    k = m - p + 1, cut out by Omega = H^2 + 2H + 4 F_1 E_1, twice the
+    Casimir: it is integral and central, so it commutes with every divided
+    power, and it acts on W(n) by (n + 1)^2 - 1.  St (x) L(k) is tilting with
+    Weyl sections W(p - 1 + k - 2j), j = 0..k, and p + k - 2j = +-k mod p
+    only for j = 0 and j = k, the sections W(m) and W(2p - 2 - m).  So the
+    generalised eigenspace of Omega for (m + 1)^2 - 1 is a tilting summand
+    with the character of T(m), hence T(m)."""
     if m <= p - 1:
         return weyl_module(m, p)
     if m > 2 * p - 2:
         a, b = donkin_split(m, p)
         return tensor(twist(tilting_module(b, p), 1), tilting_module(a, p))
-    # p <= m <= 2p-2: split off the summand of St (x) L(m-p+1) containing
-    # the highest weight, via a random element of the commutant
     big = tensor(weyl_module(p - 1, p), weyl_module(m - p + 1, p))
-    want = Counter(a1_tilting_weights(m, p))
-    top_rows = [i for i, w in enumerate(big.weights) if w == m]
-    if len(top_rows) != 1:
+    h = np.array(big.weights, dtype=np.int64)
+    omega = np.diag(h * h + 2 * h) + 4 * (big.F[1] @ big.E[1])
+    shifted = (omega - ((m + 1) ** 2 - 1) * np.eye(big.dim, dtype=np.int64)) % p
+    sub = _submodule_restriction(
+        big, nullspace(_mat_power_mod(shifted, big.dim, p), p).T)
+    if Counter(sub.weights) != Counter(a1_tilting_weights(m, p)):
         raise ArithmeticError(
-            f"T({m}) at p={p}: the weight {m} has multiplicity "
-            f"{len(top_rows)} in St (x) L({m - p + 1}), not 1")
-    comm = _commutant_basis(big)
-    rng = np.random.default_rng(12345 + m + 100 * p + _seed)
-    for attempt in range(60):
-        coeffs = rng.integers(0, p, size=len(comm))
-        psi = sum(int(c) * b for c, b in zip(coeffs, comm)) % p
-        for lam in range(p):
-            mat = _mat_power_mod((psi - lam * np.eye(big.dim, dtype=np.int64)) % p,
-                                 big.dim, p)
-            ker = nullspace(mat, p)
-            if ker.size and any(v[top_rows[0]] for v in ker):
-                if ker.shape[0] != sum(want.values()):
-                    break
-                sub = _submodule_restriction(big, ker.T)
-                if Counter(sub.weights) == want:
-                    return sub
-                break
-    raise ArithmeticError("tilting summand extraction failed")
+            f"T({m}) at p={p}: the Casimir eigenspace of St (x) L({m - p + 1}) "
+            "does not have the tilting character")
+    return sub
 
 
 # -- first cohomology from explicit operators --------------------------------
@@ -912,6 +868,25 @@ def char_tensor(a: Counter, b: Counter) -> Counter:
     return out
 
 
+def power_char(elems, kind: str, k: int) -> Counter:
+    """Character of the k-th alternating ("alt") or symmetric ("sym") power,
+    or of the Schur functor S_(2,1) ("s21", k = 3), of a module whose weights,
+    with repetition, are elems.  Weights combine by position, so repeated
+    weights count as distinct basis vectors."""
+    if kind == "s21" and k == 3:
+        # ch S_(2,1)(V) = ch(V) * ch(alt^2 V) - ch(alt^3 V)
+        out = char_tensor(power_char(elems, "alt", 2), Counter(elems))
+        out.subtract(power_char(elems, "alt", 3))
+        return out
+    if kind == "alt":
+        combos = itertools.combinations(elems, k)
+    elif kind == "sym":
+        combos = itertools.combinations_with_replacement(elems, k)
+    else:
+        raise ValueError(f"no {kind} power of degree {k}")
+    return Counter(functools.reduce(_wadd, combo) for combo in combos)
+
+
 def _wneg(a):
     if isinstance(a, tuple):
         return tuple(-x for x in a)
@@ -1062,16 +1037,8 @@ def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> C
         return Counter({_wneg(w): c
                         for w, c in module_weights(e.part, p, subst).items()})
     if e.kind in ("alt", "sym"):
-        elems = list(module_weights(e.part, p, subst).elements())
-        combos = (itertools.combinations if e.kind == "alt"
-                  else itertools.combinations_with_replacement)
-        out = Counter()
-        for combo in combos(range(len(elems)), e.k):
-            total = None
-            for i in combo:
-                total = elems[i] if total is None else _wadd(total, elems[i])
-            out[total] += 1
-        return out
+        return power_char(list(module_weights(e.part, p, subst).elements()),
+                          e.kind, e.k)
     if e.kind == "spin":
         even, _ = spin_halves_from_char(module_weights(e.part, p, subst), e.n)
         return even

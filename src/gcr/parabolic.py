@@ -117,11 +117,18 @@ def _walk_chain(start: int, nodes: list[int], adj) -> tuple[int, ...]:
         out.append(nxt[0])
 
 
+@functools.cache
+def _root_levels(rs: RootSystem, levi: tuple[int, ...]) -> tuple[int, ...]:
+    """Level of every positive root, by index, for P_levi: the sum of its
+    coefficients outside the Levi."""
+    outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
+    return tuple(sum(r[i] for i in outside) for r in rs.positive)
+
+
 def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root]]:
     """Roots of the unipotent radical of P_levi, grouped by level."""
     out: dict[int, list[Root]] = {}
-    for r in rs.positive:
-        lvl = rs.level(r, levi)
+    for r, lvl in zip(rs.positive, _root_levels(rs, levi)):
         if lvl > 0:
             out.setdefault(lvl, []).append(r)
     return out
@@ -146,7 +153,7 @@ def _root_sums(rs: RootSystem) -> tuple[list[dict[int, int]], list[dict[int, int
 @functools.cache
 def _levi_root_indices(rs: RootSystem, levi: tuple[int, ...]) -> frozenset[int]:
     """Indices of the positive roots of the Levi (level 0)."""
-    return frozenset(i for i, r in enumerate(rs.positive) if rs.level(r, levi) == 0)
+    return frozenset(i for i, lvl in enumerate(_root_levels(rs, levi)) if lvl == 0)
 
 
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:

@@ -29,7 +29,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .modrep import parse_module, format_module, module_twists, module_weights
+from .modrep import (parse_module, format_module, module_subst, module_twists,
+                     module_weights)
 from .h1scan import (ScanResult, scan_group, canonical_action,
                      spin_half_terms, _char_fp, _nontrivial_twists)
 from .a1coh import terms_char
@@ -45,7 +46,6 @@ def load_badx(group: str, p: int) -> dict:
 
 # -- parametric row expansion --------------------------------------------------
 
-_TWIST_RE = re.compile(r"\[([^\]]+)\]")
 _CHAIN_RE = re.compile(r"^((?:[A-G][1-9])+)\((.+)\)$")
 _VAR_RE = re.compile(r"\b([rstu])\b")
 
@@ -57,13 +57,6 @@ def _step(u, *vals):
                for a, b in itertools.permutations(vals, 2))
 
 
-def _subst(text: str, params: dict) -> str:
-    def repl(m):
-        val = eval(m.group(1), {"__builtins__": {}}, dict(params))
-        return f"[{val}]"
-    return _TWIST_RE.sub(repl, text)
-
-
 @dataclass(frozen=True)
 class GoldenFactor:
     descriptor: str
@@ -71,21 +64,23 @@ class GoldenFactor:
     exprs: tuple = ()              # parsed module expressions (canonical)
 
 
-def canon_factor(text: str, tmax: int) -> GoldenFactor | None:
-    """Canonicalise one factor-action string; None if a twist leaves the
-    window."""
+def canon_factor(text: str, tmax: int,
+                 subst: dict[str, int] | None = None) -> GoldenFactor | None:
+    """Canonicalise one factor-action string, with its symbolic twists
+    resolved by subst; None if a twist leaves the window."""
     if text == "max F4" or text.startswith("("):
         return GoldenFactor(text, "g2")
     m = _CHAIN_RE.match(text)
     if m:
         name = m.group(1)
         slots = [s.strip() for s in m.group(2).split(",")]
-        exprs = [canonical_action(parse_module(s)) for s in slots]
+        exprs = [canonical_action(module_subst(parse_module(s), subst))
+                 for s in slots]
         if any(t > tmax or t < 0 for e in exprs for t in module_twists(e)):
             return None
         desc = f"{name}({', '.join(format_module(e) for e in exprs)})"
         return GoldenFactor(desc, "chain", tuple(exprs))
-    e = canonical_action(parse_module(text))
+    e = canonical_action(module_subst(parse_module(text), subst))
     if any(t > tmax or t < 0 for t in module_twists(e)):
         return None
     return GoldenFactor(format_module(e), "module", (e,))
@@ -121,7 +116,7 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
                 continue
             factors = []
             for f in row["factors"]:
-                cf = canon_factor(_subst(f, params), tmax)
+                cf = canon_factor(f, tmax, params)
                 if cf is None:
                     break
                 factors.append(cf)

@@ -199,24 +199,33 @@ def test_module_constructors_consistent():
     assert Counter(d.weights) == Counter(t.weights)
 
 
-@pytest.mark.parametrize("m,p", [(8, 5), (12, 7), (20, 7), (6, 5), (10, 7)])
+# T(20) at p = 7 goes through Donkin's split; every m in [p, 2p - 2] is cut
+# out of St (x) L(m - p + 1) by the Casimir
+@pytest.mark.parametrize("m,p", [(20, 7)] + [(m, p) for p in (5, 7)
+                                             for m in range(p, 2 * p - 1)])
 def test_tilting_module_extraction(m, p):
     mod = tilting_module(m, p)
     assert Counter(mod.weights) == Counter(a1_tilting_weights(m, p))
 
 
 def test_one_param_group_law():
-    mod = tilting_module(8, 5)
-    p = 5
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        t, u = int(rng.integers(0, p)), int(rng.integers(0, p))
-        lhs = mod.x_plus((t + u) % p)
-        rhs = mod.x_plus(t) @ mod.x_plus(u) % p
-        assert np.array_equal(lhs, rhs)
-        lhs = mod.x_minus((t + u) % p)
-        rhs = mod.x_minus(t) @ mod.x_minus(u) % p
-        assert np.array_equal(lhs, rhs)
+    # x_+(t + u) = x_+(t) x_+(u) for every pair in GF(p)^2, likewise x_-
+    for m, p in ((8, 5), (12, 7)):
+        mod = tilting_module(m, p)
+        for t in range(p):
+            for u in range(p):
+                for x in (mod.x_plus, mod.x_minus):
+                    assert np.array_equal(x((t + u) % p), x(t) @ x(u) % p), (m, p, t, u)
+
+
+def test_module_rejects_wrong_weight_shift():
+    # E_1 must raise the weight by 2: from -1 to 1, never from 1 to -1
+    good = A1Module(5, [1, -1], {1: [[0, 1], [0, 0]]}, {1: [[0, 0], [1, 0]]})
+    assert good.dim == 2
+    with pytest.raises(ArithmeticError):
+        A1Module(5, [1, -1], {1: [[0, 0], [1, 0]]}, {})
+    with pytest.raises(ArithmeticError):
+        A1Module(5, [1, -1], {}, {1: [[0, 1], [0, 0]]})
 
 
 # -- H^1 from explicit operators ---------------------------------------------
