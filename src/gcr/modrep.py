@@ -15,127 +15,67 @@ import itertools
 import math
 import re
 from collections import Counter
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .rings import nullspace, rank, rref
-from .rootsystem import RootSystem, build_root_system
-
-F = Fraction
+from .rootsystem import build_root_system
 
 
 # -- Freudenthal weight multiplicities ---------------------------------------
 
-@functools.cache
-def _weight_data(name: str):
-    rs = build_root_system(name)
-    n = rs.rank
-    # inner products of fundamental weights: (w_i, w_k) = (M^-1)[k][i] d_i
-    # where M[j][i] = <alpha_j, alpha_i-check> and d_i = (alpha_i, alpha_i)/2
-    m = [[F(rs.cartan[j][i]) for i in range(n)] for j in range(n)]
-    inv = _mat_inv(m)
-    gram = [[inv[k][i] * rs._norms[i] for k in range(n)] for i in range(n)]
-    pos = []
-    for r in rs.positive:
-        omega = tuple(rs.pairing_index(r, i) for i in range(n))
-        pos.append((omega, r))
-    return rs, gram, pos
-
-
-def _mat_inv(m):
-    n = len(m)
-    aug = [row[:] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def _wform(gram, a, b):
-    return sum(gram[i][k] * a[i] * b[k] for i in range(len(a)) for k in range(len(b)))
-
-
-def _root_wform(name, mu, root_pair):
-    # (mu, alpha) with mu in fundamental-weight coordinates and alpha a root
-    rs = build_root_system(name)
-    omega, r = root_pair
-    return sum(F(mu[j]) * r[j] * rs._norms[j] for j in range(len(mu)))
-
-
-@functools.cache
-def _inv_cartan_t(name: str):
-    rs = build_root_system(name)
-    n = rs.rank
-    # lam = A^T c for lam in weight coordinates, c in root coordinates
-    at = [[F(rs.cartan[j][i]) for j in range(n)] for i in range(n)]
-    return _mat_inv(at)
-
-
-def _root_coords(name: str, vec: tuple[int, ...]):
-    inv = _inv_cartan_t(name)
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in inv)
-
-
 @functools.lru_cache(maxsize=None)
 def freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the irreducible characteristic-zero module
-    with highest weight lam (fundamental-weight coordinates)."""
-    rs, gram, pos = _weight_data(name)
+    with highest weight lam (fundamental-weight coordinates), by Freudenthal's
+    formula (Humphreys, §22.3).  Each weight mu = lam - sum c_i alpha_i carries
+    its depth c, so on the root system's Gram matrix g scaled by 3 every term
+    is an integer: 3(omega_i, alpha_j) = delta_ij g[i][i]/2, and
+    3((lam+rho)^2 - (mu+rho)^2) = sum c_i (lam_i+1) g[i][i] - 3(c, c).
+    Root strings through weights are unbroken, so mu - alpha_j is a weight
+    exactly when the alpha_j-string runs more than -mu_j steps above mu, and
+    the terms mu + k alpha of the formula stop at the first non-weight."""
+    rs = build_root_system(name)
     n = rs.rank
     if any(x < 0 for x in lam):
         raise ValueError("highest weight must be dominant")
-    lam_rho = tuple(x + 1 for x in lam)
-    c_lam = _wform(gram, lam_rho, lam_rho)
+    half = [rs._gram3[i][i] // 2 for i in range(n)]
+    # per positive root alpha: its weight, the vector 3(omega_j, alpha) and
+    # 3(alpha, alpha)
+    pos = [(tuple(rs.pairing_index(r, i) for i in range(n)),
+            tuple(h * c for h, c in zip(half, r)), rs._form3(r, r))
+           for r in rs.positive]
+    # (lam_i + 1) g[i][i], the first term of the scaled denominator
+    lam_rho = [2 * h * (x + 1) for h, x in zip(half, lam)]
     mult: dict[tuple[int, ...], int] = {lam: 1}
+    depth = {lam: (0,) * n}
     frontier = [lam]
-    simples = [tuple(rs.cartan[j][i] for i in range(n)) for j in range(n)]
     while frontier:
-        nxt: set[tuple[int, ...]] = set()
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
         for w in frontier:
-            for s in simples:
-                cand = tuple(a - b for a, b in zip(w, s))
-                if cand not in mult:
-                    nxt.add(cand)
-        frontier = []
-        for mu in sorted(nxt):
-            depth = _root_coords(name, tuple(a - b for a, b in zip(lam, mu)))
-            if any(c < 0 or c.denominator != 1 for c in depth):
-                continue
-            total = F(0)
-            for omega, r in pos:
-                # k is capped by how far mu + k alpha can stay under lam
-                kmax = min(depth[j] / r[j] for j in range(n) if r[j] > 0)
-                for k in range(1, int(kmax) + 1):
-                    up = tuple(a + k * b for a, b in zip(mu, omega))
-                    m_up = mult.get(up, 0)
-                    if m_up:
-                        total += m_up * (_root_wform(name, mu, (omega, r))
-                                         + k * _wform_root_root(name, (omega, r)))
-            mu_rho = tuple(x + 1 for x in mu)
-            denom = c_lam - _wform(gram, mu_rho, mu_rho)
-            if denom == 0:
-                continue
-            val = 2 * total / denom
-            if val.denominator != 1:
-                raise ArithmeticError("Freudenthal gave a non-integer")
-            if val > 0:
-                mult[mu] = int(val)
-                frontier.append(mu)
+            c = depth[w]
+            for j, s in enumerate(rs.cartan):
+                t = 1 - w[j]
+                if t <= 0 or tuple(a + t * b for a, b in zip(w, s)) in mult:
+                    mu = tuple(a - b for a, b in zip(w, s))
+                    nxt[mu] = c[:j] + (c[j] + 1,) + c[j + 1:]
+        frontier = sorted(nxt)
+        for mu in frontier:
+            c = depth[mu] = nxt[mu]
+            total = 0
+            for omega, r_half, r_norm in pos:
+                mu_r = sum(a * b for a, b in zip(mu, r_half))
+                up, k = tuple(a + b for a, b in zip(mu, omega)), 1
+                while up in mult:
+                    total += mult[up] * (mu_r + k * r_norm)
+                    up, k = tuple(a + b for a, b in zip(up, omega)), k + 1
+            denom = sum(a * b for a, b in zip(c, lam_rho)) - rs._form3(c, c)
+            val, rem = divmod(2 * total, denom)
+            if rem or val <= 0:
+                raise ArithmeticError(f"Freudenthal gave {2 * total}/{denom} at {mu}")
+            mult[mu] = val
     return mult
-
-
-@functools.cache
-def _wform_root_root(name, root_pair):
-    rs = build_root_system(name)
-    _, r = root_pair
-    return rs.form(r, r)
 
 
 def weyl_dim(name: str, lam: tuple[int, ...]) -> int:
@@ -299,14 +239,14 @@ class A1Module:
         self.p = p
         self.weights = list(weights)
         self.dim = len(weights)
-        self.E = {a: np.asarray(m, dtype=np.int64) % p for a, m in E.items()
-                  if np.any(np.asarray(m) % p)}
-        self.F = {a: np.asarray(m, dtype=np.int64) % p for a, m in F_.items()
-                  if np.any(np.asarray(m) % p)}
-        for a, m in self.E.items():
-            self._check_shift(m, 2 * a)
-        for a, m in self.F.items():
-            self._check_shift(m, -2 * a)
+        self.E: dict[int, np.ndarray] = {}
+        self.F: dict[int, np.ndarray] = {}
+        for ops, store, sign in ((E, self.E, 1), (F_, self.F, -1)):
+            for a, m in ops.items():
+                m = np.asarray(m, dtype=np.int64) % p
+                if m.any():
+                    self._check_shift(m, 2 * sign * a)
+                    store[a] = m
 
     def _check_shift(self, m, shift):
         w = np.array(self.weights)
@@ -358,27 +298,20 @@ def trivial_module(p: int) -> A1Module:
 
 
 def tensor(a: A1Module, b: A1Module) -> A1Module:
-    p = a.p
     weights = [wa + wb for wa in a.weights for wb in b.weights]
     ia = np.eye(a.dim, dtype=np.int64)
     ib = np.eye(b.dim, dtype=np.int64)
-    ea = dict(a.E); ea[0] = ia
-    eb = dict(b.E); eb[0] = ib
-    fa = dict(a.F); fa[0] = ia
-    fb = dict(b.F); fb[0] = ib
-    E: dict[int, np.ndarray] = {}
-    Fm: dict[int, np.ndarray] = {}
-    for i, mi in ea.items():
-        for j, mj in eb.items():
-            if i + j == 0:
-                continue
-            E[i + j] = (E.get(i + j, 0) + np.kron(mi, mj)) % p
-    for i, mi in fa.items():
-        for j, mj in fb.items():
-            if i + j == 0:
-                continue
-            Fm[i + j] = (Fm.get(i + j, 0) + np.kron(mi, mj)) % p
-    return A1Module(p, weights, E, Fm)
+    ops = []
+    for xa, xb in ((a.E, b.E), (a.F, b.F)):
+        # entries are below p, so the int64 sums of products cannot overflow;
+        # A1Module reduces them mod p once
+        out: dict[int, np.ndarray] = {}
+        for i, mi in (*xa.items(), (0, ia)):
+            for j, mj in (*xb.items(), (0, ib)):
+                if i + j:
+                    out[i + j] = out.get(i + j, 0) + np.kron(mi, mj)
+        ops.append(out)
+    return A1Module(a.p, weights, *ops)
 
 
 def twist(a: A1Module, r: int) -> A1Module:
@@ -629,6 +562,7 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 
 # -- module expressions ------------------------------------------------------
 
+@dataclass(frozen=True)
 class ModExpr:
     """Formal module expression: sums of tensor products of (possibly
     twisted) simples, Weyl modules and tiltings, closed under duals,
@@ -638,17 +572,13 @@ class ModExpr:
     nonnegative integers or symbols (r, s, ...) with an optional offset,
     resolved by a substitution at evaluation time."""
 
-    def __init__(self, kind: str, **kw):
-        self.kind = kind
-        self.__dict__.update(kw)
-
-    def __eq__(self, other):
-        return isinstance(other, ModExpr) and self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash((self.kind, tuple(sorted(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in self.__dict__.items() if k != "kind"))))
+    kind: str
+    weight: int | tuple[int, int] | None = None
+    twist: int | tuple[str, int] | None = None
+    part: ModExpr | None = None
+    k: int | None = None
+    n: int | None = None
+    parts: tuple[ModExpr, ...] = ()
 
     def __repr__(self):
         return f"ModExpr({format_module(self)!r})"
@@ -680,10 +610,10 @@ def m_spin(n: int, part: ModExpr) -> ModExpr:
     return ModExpr("spin", n=n, part=part)
 
 def m_tensor(*parts) -> ModExpr:
-    return ModExpr("tensor", parts=list(parts))
+    return ModExpr("tensor", parts=parts)
 
 def m_sum(*parts) -> ModExpr:
-    return ModExpr("sum", parts=list(parts))
+    return ModExpr("sum", parts=parts)
 
 
 _TWIST_SYMBOLS = "rstuvw"
@@ -902,14 +832,10 @@ def _wscale(a, q):
 def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
     if e.kind in ("sum", "tensor"):
-        return ModExpr(e.kind, parts=[module_subst(t, subst) for t in e.parts])
-    if e.kind == "dual":
-        return m_dual(module_subst(e.part, subst))
-    if e.kind in ("alt", "sym"):
-        return ModExpr(e.kind, part=module_subst(e.part, subst), k=e.k)
-    if e.kind == "spin":
-        return m_spin(e.n, module_subst(e.part, subst))
-    return ModExpr(e.kind, weight=e.weight, twist=_twist_value(e.twist, subst))
+        return replace(e, parts=tuple(module_subst(t, subst) for t in e.parts))
+    if e.part is not None:
+        return replace(e, part=module_subst(e.part, subst))
+    return replace(e, twist=_twist_value(e.twist, subst))
 
 
 def module_twists(e: ModExpr) -> list[int]:
@@ -924,18 +850,14 @@ def module_twists(e: ModExpr) -> list[int]:
 def module_twist_shift(e: ModExpr, d: int) -> ModExpr:
     """Shift every atom twist by d (twists must be concrete)."""
     if e.kind in ("sum", "tensor"):
-        return ModExpr(e.kind, parts=[module_twist_shift(t, d) for t in e.parts])
-    if e.kind == "dual":
-        return m_dual(module_twist_shift(e.part, d))
-    if e.kind in ("alt", "sym"):
-        return ModExpr(e.kind, part=module_twist_shift(e.part, d), k=e.k)
-    if e.kind == "spin":
-        return m_spin(e.n, module_twist_shift(e.part, d))
+        return replace(e, parts=tuple(module_twist_shift(t, d) for t in e.parts))
+    if e.part is not None:
+        return replace(e, part=module_twist_shift(e.part, d))
     if not isinstance(e.twist, int):
         raise ValueError("cannot shift a symbolic twist")
     if e.twist + d < 0:
         raise ValueError("twist shift went negative")
-    return ModExpr(e.kind, weight=e.weight, twist=e.twist + d)
+    return replace(e, twist=e.twist + d)
 
 
 def _atom_char(e: ModExpr, p: int, subst) -> Counter:

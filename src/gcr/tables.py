@@ -22,8 +22,10 @@ uniform relabelling of the three 8-dimensional nodes.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,6 +57,40 @@ def _step(u, *vals):
     successor (the adjacency condition used by one parametric row)."""
     return any(u == a and b == a + 1
                for a, b in itertools.permutations(vals, 2))
+
+
+_CONSTRAINT_OPS = {ast.Add: operator.add, ast.Mult: operator.mul,
+                   ast.Eq: operator.eq, ast.NotEq: operator.ne}
+
+
+def _constraint(text: str, ref: str):
+    """One row constraint as a predicate on the swept twist values.  It may
+    use twist names, integers, +, *, one == or != and calls of step; anything
+    else raises ValueError naming the row."""
+    bad = ValueError(f"row {ref}: unsupported constraint {text!r}")
+
+    def value(node, params):
+        if isinstance(node, ast.Name) and node.id in params:
+            return params[node.id]
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.BinOp) and type(node.op) in _CONSTRAINT_OPS:
+            return _CONSTRAINT_OPS[type(node.op)](value(node.left, params),
+                                                  value(node.right, params))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _CONSTRAINT_OPS):
+            return _CONSTRAINT_OPS[type(node.ops[0])](
+                value(node.left, params), value(node.comparators[0], params))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "step" and not node.keywords):
+            return _step(*(value(a, params) for a in node.args))
+        raise bad
+
+    try:
+        body = ast.parse(text, mode="eval").body
+    except SyntaxError:
+        raise bad from None
+    return lambda params: value(body, params)
 
 
 @dataclass(frozen=True)
@@ -108,11 +144,10 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
         x = row.get("x", "A1")
         text = " ".join(row["factors"]) + " " + " ".join(row.get("constraints", ()))
         letters = sorted(set(_VAR_RE.findall(text)))
+        constraints = [_constraint(c, row["ref"]) for c in row.get("constraints", ())]
         for combo in itertools.product(range(tmax + 1), repeat=len(letters)):
             params = dict(zip(letters, combo))
-            ns = {"step": _step, **params}
-            if not all(eval(c, {"__builtins__": {}}, dict(ns))
-                       for c in row.get("constraints", ())):
+            if not all(c(params) for c in constraints):
                 continue
             factors = []
             for f in row["factors"]:

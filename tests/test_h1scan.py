@@ -2,7 +2,10 @@
 the spin-half restriction rules, and the full parabolic level scans against
 the golden classification tables."""
 
+import dataclasses
 import itertools
+import json
+import re
 from collections import Counter
 
 import pytest
@@ -34,7 +37,8 @@ from gcr.h1scan import (
 )
 from gcr.parabolic import component_type, levi_components
 from gcr.rootsystem import build_root_system
-from gcr.tables import canon_factor, diff_badx, expand_rows, load_badx
+from gcr.tables import (canon_factor, diff_badx, diff_to_json, expand_rows,
+                        load_badx, render_diff)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -144,6 +148,19 @@ def test_a_type_action_contents():
     # A2: only the untwisted/twisted adjoint-natural
     descs2 = {action_descriptor(e) for e in a_type_actions(2, 5, 2)}
     assert descs2 == {"2", "2[1]", "2[2]"}
+
+
+def test_cached_actions_are_immutable():
+    """The enumerators are cached and hand out the same expressions to every
+    caller, so no caller may change one."""
+    action = next(e for e in a_type_actions(3, 5, 2) if e.kind == "tensor")
+    before = action_descriptor(action)
+    assert isinstance(action.parts, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.parts = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.parts[0].weight = 2
+    assert action_descriptor(action) == before
 
 
 def test_a5_and_a6_windows():
@@ -330,6 +347,15 @@ def test_expand_respects_constraints():
     }
 
 
+@pytest.mark.parametrize("constraint", ["r**s==0", "__import__('os')"])
+def test_expand_rejects_malformed_constraint(constraint):
+    data = load_badx("E8", 7)
+    row = next(r for r in data["rows"] if r.get("constraints"))
+    row["constraints"] = [constraint]
+    with pytest.raises(ValueError, match=re.escape(row["ref"])):
+        expand_rows(data)
+
+
 EXPECTED_EXTRAS = {
     ("E6", 5): set(),
     ("E7", 5): set(),
@@ -385,3 +411,15 @@ def test_diff_detects_tampering():
     assert bad and all(r.expected_classes == 7 for r in bad)
     assert d.ok is False
     assert diff_badx("E6", 5).ok
+
+
+def test_diff_renderers():
+    d = diff_badx("E8", 7)
+    out = diff_to_json(d)
+    assert json.loads(json.dumps(out)) == out
+    assert Counter(r["status"] for r in out["rows"]) == {"match": 18, "extra": 5}
+    assert out["ok"] is True
+    lines = render_diff(d).splitlines()
+    assert d.pruned_nonrows
+    assert len(lines) == 1 + len(d.rows) + len(d.pruned_nonrows)
+    assert sum("[pruned  ]" in line for line in lines) == len(d.pruned_nonrows)

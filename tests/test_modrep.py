@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from gcr.modrep import (
     weyl_module,
 )
 from gcr.rings import rank
+from gcr.rootsystem import build_root_system
 
 
 # -- characteristic-zero weight multiplicities --------------------------------
@@ -99,6 +101,32 @@ def test_freudenthal_rejects_nondominant():
 def test_weyl_dim_a1_series():
     for m in range(8):
         assert weyl_dim("A1", (m,)) == m + 1
+
+
+# every Levi factor type the scans meet, and G2
+LEVI_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"D{n}" for n in range(4, 8)]
+              + ["E6", "E7", "G2"])
+
+
+@pytest.mark.parametrize("name", LEVI_TYPES)
+def test_fundamental_characters_weyl_dimension_and_symmetry(name):
+    """Checks of Freudenthal's output that share none of its arithmetic:
+    Weyl's product formula prod (lam + rho, alpha)/(rho, alpha) over the
+    positive roots, with (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2,
+    and invariance of the weight multiset under every simple reflection."""
+    rs = build_root_system(name)
+    for i in range(rs.rank):
+        lam = tuple(int(i == j) for j in range(rs.rank))
+        mults = freudenthal(name, lam)
+        dim = Fraction(1)
+        for r in rs.positive:
+            dim *= Fraction(sum((x + 1) * c * d for x, c, d in zip(lam, r, rs._norms)),
+                            sum(c * d for c, d in zip(r, rs._norms)))
+        assert sum(mults.values()) == dim, lam
+        for j, alpha in enumerate(rs.cartan):
+            reflected = {tuple(a - mu[j] * b for a, b in zip(mu, alpha)): m
+                         for mu, m in mults.items()}
+            assert reflected == mults, (lam, j)
 
 
 # -- rank-one characters ------------------------------------------------------

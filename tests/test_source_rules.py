@@ -1,7 +1,8 @@
 """Source rules for the package: no `assert` statement (``python -O``
-strips them, so an invariant checked by one is not checked at all) and no
+strips them, so an invariant checked by one is not checked at all), no
 random-number generator (results rest on exact arithmetic, not on sampling
-or seeded retries)."""
+or seeded retries) and no `eval` or `exec` (data strings are parsed against
+a grammar, never run as code)."""
 
 import ast
 import re
@@ -27,3 +28,12 @@ def test_no_assert_or_random(path):
     assert not asserts, f"{path.name}: assert statements at lines {asserts}"
     rngs = [text.count("\n", 0, m.start()) + 1 for m in RANDOM.finditer(text)]
     assert not rngs, f"{path.name}: random-number generator at lines {rngs}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_eval_or_exec(path):
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("eval", "exec")]
+    assert not calls, f"{path.name}: eval or exec called at lines {calls}"
