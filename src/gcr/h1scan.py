@@ -576,15 +576,23 @@ def _ordered_components(rs: RootSystem, levi):
 
 @functools.lru_cache(maxsize=None)
 def _summand_weights(name: str, levi: tuple[int, ...]):
+    """Factor types; distinct summand weights with their live (non-trivial)
+    factor indices; (level, weight index) per summand in order.  Trivial
+    summands are dropped: X is reductive, so H^1(X, k) = 0."""
     rs = build_root_system(name)
     typed = _ordered_components(rs, levi)
     comps = [c for _, c in typed]
     types = [t for t, _ in typed]
+    ids: dict[tuple, int] = {}
     out = []
     for lvl, roots in radical_levels(rs, levi).items():
         for s in decompose_level(rs, levi, roots):
-            out.append((lvl, tuple(s["high_weight"][c] for c in comps)))
-    return types, out
+            weights = tuple(s["high_weight"][c] for c in comps)
+            if any(any(w) for w in weights):
+                out.append((lvl, ids.setdefault(weights, len(ids))))
+    distinct = [(weights, tuple(k for k, w in enumerate(weights) if any(w)))
+                for weights in ids]
+    return types, distinct, out
 
 
 def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
@@ -592,21 +600,21 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     """Evaluate every built-in candidate subgroup against the levels of one
     standard parabolic.  Candidates whose minimal Frobenius twist is positive
     are skipped (they repeat an untwisted candidate)."""
-    types, summands = _summand_weights(name, levi)
+    types, distinct, summands = _summand_weights(name, levi)
     if not types:
         return []
     reports = []
     if p == 7 and len(types) == 1:
         cand = g2_factor_candidate(types[0])
         if cand is not None:
-            reports.append(_evaluate(types, (cand,), "G2", summands, p))
+            reports.append(_evaluate(types, (cand,), "G2", distinct, summands, p))
     per_factor = [factor_candidates(t, p, tmax) for t in types]
     if all(per_factor):
         for combo in itertools.product(*per_factor):
             twists = [t for c in combo for t in c.twists]
             if min(twists) != 0:
                 continue
-            reports.append(_evaluate(types, combo, "A1", summands, p))
+            reports.append(_evaluate(types, combo, "A1", distinct, summands, p))
     return reports
 
 
@@ -627,59 +635,75 @@ def _class_unit(types, combo, p, assign):
 
 @functools.cache
 def _level_h1_memo() -> dict:
-    """Level H^1 of A1 candidates, shared by every parabolic: maps
-    ((factor types, candidate descriptors, class indices, p), summand
-    weights) to dim H^1.  Descriptors are distinct within a factor type, so
-    they stand for the candidates; ``_level_h1_memo.cache_clear()`` drops
-    the table."""
+    """Level H^1 of A1 candidates, shared by every parabolic: maps (p,
+    ((factor type, candidate descriptor, class index, summand weight) per
+    live factor)) to dim H^1; trivial factors drop out of the product.
+    Descriptors are distinct within a factor type, so they stand for the
+    candidates; ``_level_h1_memo.cache_clear()`` drops the table."""
     return {}
 
 
-def _evaluate(types, combo, x_type, summands, p) -> CandidateReport:
+def _g2_outcome(combo, types, weights, p, assign):
+    """(tilting?, H^1-positive composition factors) of one summand under a
+    G2 candidate, or None when no composition factor carries H^1."""
+    parts = [factor_restriction_g2(c, t, w, p, a)
+             for c, t, w, a in zip(combo, types, weights, assign)]
+    char = functools.reduce(char_tensor, (piece for _, piece in parts))
+    positives = char_h1_factors(char, p)
+    if not positives:
+        return None
+    whole = (parts[0][0] if len(parts) == 1
+             else m_tensor(*(e for e, _ in parts)))
+    return module_is_tilting(whole, p), positives
+
+
+def _a1_outcome(combo, types, weights, live, p, assign, classes, memo):
+    """dim H^1 of one summand under one class of an A1 candidate: the
+    tensor product of its restrictions to the live factors."""
+    key = (p, tuple((types[k], combo[k].descriptor, classes[k], weights[k])
+                    for k in live))
+    if key not in memo:
+        level = Counter({(): 1})
+        for k in live:
+            level = _terms_tensor(level, factor_restriction_terms(
+                combo[k], types[k], weights[k], p, assign[k]))
+        memo[key] = h1_dim(level, p)
+    return memo[key]
+
+
+def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
+    """Each class's outcome is worked out once per distinct summand weight;
+    the summands are walked in order only when some outcome is positive."""
     rep = CandidateReport(
         levi_type="+".join(types), x_type=x_type,
         actions=tuple(c.descriptor for c in combo),
         classes=0, flagged=False)
-    if x_type == "G2" and any(t == "D7" for t in types):
-        printed_classes = 2
-    else:
-        printed_classes = 1
+    printed_classes = 2 if x_type == "G2" and "D7" in types else 1
     assign_lists = [factor_assignments(c, t, p)
                     for c, t in zip(combo, types)]
     memo = _level_h1_memo()
     class_keys = itertools.product(*(range(len(a)) for a in assign_lists))
     for assign, classes in zip(itertools.product(*assign_lists), class_keys):
+        if x_type == "G2":
+            outcomes = [_g2_outcome(combo, types, w, p, assign)
+                        for w, _ in distinct]
+        else:
+            outcomes = [_a1_outcome(combo, types, w, live, p, assign, classes, memo)
+                        for w, live in distinct]
+        if not any(outcomes):
+            continue
         class_flagged = False
-        prefix = (tuple(types), rep.actions, classes, p)
-        for lvl, weights in summands:
-            if x_type == "G2":
-                parts = [factor_restriction_g2(c, t, w, p, a)
-                         for c, t, w, a in zip(combo, types, weights, assign)]
-                char = functools.reduce(char_tensor, (piece for _, piece in parts))
-                positives = char_h1_factors(char, p)
-                if not positives:
+        for lvl, k in summands:
+            outcome = outcomes[k]
+            if x_type == "G2" and outcome:
+                tilting, outcome = outcome
+                if tilting:
+                    rep.pruned.append((lvl, outcome))
                     continue
-                whole = (parts[0][0] if len(parts) == 1
-                         else m_tensor(*(e for e, _ in parts)))
-                if module_is_tilting(whole, p):
-                    rep.pruned.append((lvl, positives))
-                    continue
-                hit = (lvl, positives)
-            else:
-                key = (prefix, weights)
-                h1 = memo.get(key)
-                if h1 is None:
-                    level = Counter({(): 1})
-                    for c, t, w, a in zip(combo, types, weights, assign):
-                        level = _terms_tensor(
-                            level, factor_restriction_terms(c, t, w, p, a))
-                    h1 = memo[key] = h1_dim(level, p)
-                if not h1:
-                    continue
-                hit = (lvl, h1)
-            class_flagged = True
-            if hit not in rep.hits:
-                rep.hits.append(hit)
+            if outcome:
+                class_flagged = True
+                if (lvl, outcome) not in rep.hits:
+                    rep.hits.append((lvl, outcome))
         if class_flagged:
             rep.flagged = True
             rep.classes += printed_classes

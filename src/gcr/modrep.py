@@ -619,8 +619,9 @@ def m_sum(*parts) -> ModExpr:
 _TWIST_SYMBOLS = "rstuvw"
 
 _TOKEN = re.compile(
-    r"(x|\+|\(|\)|\[|\]|;|\*|Alt|Sym|Spin|T(?=\()|W(?=\()|D\d+"
-    r"|\d+|[rstuvw](?:\+\d+)?)")
+    r"(x|\+|\(|\)|\[|\]|;|\*|Alt|Sym|Spin|T(?=\()|W(?=\()|D[0-9]+"
+    r"|[0-9]+|[rstuvw](?:\+[0-9]+)?)")
+_MAX_DEPTH = 50     # deepest bracket nesting that parse_module accepts
 
 
 def _tokenize(s: str) -> list[str]:
@@ -630,15 +631,17 @@ def _tokenize(s: str) -> list[str]:
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            raise ValueError(f"cannot tokenize module expression at {s[pos:]!r}")
+            raise ValueError(f"cannot tokenize module expression {s!r} "
+                             f"at {s[pos:]!r}")
         toks.append(m.group(0))
         pos = m.end()
     return toks
 
 
 class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
 
     def peek(self):
@@ -646,8 +649,10 @@ class _Parser:
 
     def take(self, want=None):
         tok = self.peek()
-        if tok is None or (want is not None and tok != want):
-            raise ValueError(f"expected {want!r}, found {tok!r}")
+        if tok is None:
+            raise ValueError(f"unexpected end of module expression {self.text!r}")
+        if want is not None and tok != want:
+            raise ValueError(f"expected {want!r}, found {tok!r} in {self.text!r}")
         self.i += 1
         return tok
 
@@ -687,7 +692,8 @@ class _Parser:
             self.take("(")
             dn = self.take()
             if not dn.startswith("D"):
-                raise ValueError(f"Spin needs a D-type rank, found {dn!r}")
+                raise ValueError(f"Spin needs a D-type rank, found {dn!r} "
+                                 f"in {self.text!r}")
             self.take(";")
             inner = self.expr()
             self.take(")")
@@ -710,7 +716,7 @@ class _Parser:
             a = int(tok)
             ctor = m_simple
         else:
-            raise ValueError(f"unexpected token {tok!r}")
+            raise ValueError(f"unexpected token {tok!r} in {self.text!r}")
         tw = 0
         if self.peek() == "[":
             self.take()
@@ -721,7 +727,7 @@ class _Parser:
                 sym, _, off = t.partition("+")
                 tw = (sym, int(off or 0))
             else:
-                raise ValueError(f"bad twist {t!r}")
+                raise ValueError(f"bad twist {t!r} in {self.text!r}")
             self.take("]")
         return ctor(a, tw)
 
@@ -730,7 +736,10 @@ def parse_module(s: str) -> ModExpr:
     """Parse the module text grammar: "3 x 1[1] + T(8) + 0", "W(5)*",
     "Spin(D5; 4+4[r])", "Alt(2; 2 x 1[s])" (x or the tensor sign both
     work; twists may be numbers or symbols like r, s+1)."""
-    parser = _Parser(_tokenize(s))
+    parser = _Parser(s)
+    depths = itertools.accumulate((t == "(") - (t == ")") for t in parser.toks)
+    if max(depths, default=0) > _MAX_DEPTH:
+        raise ValueError(f"module expression nested deeper than {_MAX_DEPTH}: {s!r}")
     e = parser.expr()
     if parser.peek() is not None:
         raise ValueError(f"trailing tokens in {s!r}: {parser.toks[parser.i:]}")

@@ -3,20 +3,29 @@
 For a subset J of simple roots, the radical of the standard parabolic P_J
 has root set {positive roots with a coefficient outside J}, graded by the
 level (sum of those outside coefficients).  Each level is a module for the
-derived Levi; its weight spaces are root spaces, so the module structure is
-read off from root strings through J.
+derived Levi; its weight spaces are root spaces.  The roots of a level with
+given coefficients outside J form a shape, and each shape is an irreducible
+Levi module whose highest weight is that of its highest root (Azad, Barry
+and Seitz, Comm. Algebra 18 (1990)), so a level is the sum of its shapes.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 from .rootsystem import Root, RootSystem
 
 
 def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of the sub-Dynkin diagram on the 1-based nodes
-    in levi, each ordered in the standard numbering of its type."""
+    in levi, each ordered in the standard numbering of its type: a new list
+    on every call, computed once per (rs, levi)."""
+    return list(_levi_components(rs, levi))
+
+
+@functools.cache
+def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     nodes = sorted(set(levi))
     adj = {i: [] for i in nodes}
     for i in nodes:
@@ -40,7 +49,7 @@ def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ..
             k += 1
         comps.append(_order_component(sorted(comp), adj))
     comps.sort(key=lambda c: c[0])
-    return comps
+    return tuple(comps)
 
 
 def _order_component(nodes: list[int], adj) -> tuple[int, ...]:
@@ -117,98 +126,56 @@ def _walk_chain(start: int, nodes: list[int], adj) -> tuple[int, ...]:
         out.append(nxt[0])
 
 
-@functools.cache
-def _root_levels(rs: RootSystem, levi: tuple[int, ...]) -> tuple[int, ...]:
-    """Level of every positive root, by index, for P_levi: the sum of its
-    coefficients outside the Levi."""
-    outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
-    return tuple(sum(r[i] for i in outside) for r in rs.positive)
-
-
 def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root]]:
     """Roots of the unipotent radical of P_levi, grouped by level."""
     out: dict[int, list[Root]] = {}
-    for r, lvl in zip(rs.positive, _root_levels(rs, levi)):
+    for r, lvl in zip(rs.positive, _root_shapes(rs, levi)[0]):
         if lvl > 0:
             out.setdefault(lvl, []).append(r)
     return out
 
 
 @functools.cache
-def _root_sums(rs: RootSystem) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Sums of positive roots by index: up[i][j] = k when root i + root j
-    = root k, and down[k][j] = i for the same triple."""
-    n = len(rs.positive)
-    up: list[dict[int, int]] = [{} for _ in range(n)]
-    down: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, a in enumerate(rs.positive):
-        for j, b in enumerate(rs.positive):
-            k = rs.index.get(tuple(x + y for x, y in zip(a, b)))
-            if k is not None:
-                up[i][j] = k
-                down[k][j] = i
-    return up, down
-
-
-@functools.cache
-def _levi_root_indices(rs: RootSystem, levi: tuple[int, ...]) -> frozenset[int]:
-    """Indices of the positive roots of the Levi (level 0)."""
-    return frozenset(i for i, lvl in enumerate(_root_levels(rs, levi)) if lvl == 0)
+def _root_shapes(rs: RootSystem, levi: tuple[int, ...]):
+    """Level and shape of every positive root, by index, for P_levi, and the
+    number of roots of each shape.  The level is the sum of the root's
+    coefficients outside the Levi; two roots share a shape, a small id,
+    exactly when those coefficients agree."""
+    outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
+    coeffs = [tuple(r[i] for i in outside) for r in rs.positive]
+    ids: dict[tuple[int, ...], int] = {}
+    shape = tuple(ids.setdefault(c, len(ids)) for c in coeffs)
+    return tuple(map(sum, coeffs)), shape, Counter(shape)
 
 
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:
-    """Split one level into Levi summands.
-
-    Roots are connected when they differ by a root with support in the
-    Levi.  The search runs on root indices: the cached tables ``up`` and
-    ``down`` of ``_root_sums`` give root i plus or minus root j as an index,
-    and the Levi's roots are a cached index set.  Each summand reports its
-    generator (least root in the total order), its highest weight as
-    pairings against the Levi simple roots grouped by component, and its
-    root list."""
+    """Split one level into Levi summands, one per shape (Azad, Barry and
+    Seitz, "On the structure of parabolic subgroups", Comm. Algebra 18
+    (1990)), in the order of their least roots.  Each reports its generator
+    (least root in the total order), its highest root, whose pairings
+    against the Levi simple roots, grouped by component, are its highest
+    weight, and its root list.  Roots that are not a union of whole shapes
+    raise ``ArithmeticError``; ``verify_levels`` checks every summand
+    against its character."""
     comps_nodes = levi_components(rs, levi)
-    up, down = _root_sums(rs)
-    levi_idx = _levi_root_indices(rs, levi)
-    pool = {rs.index[r] for r in roots}
+    _, shape, size = _root_shapes(rs, levi)
+    groups: dict[int, list[int]] = {}
+    for i in sorted({rs.index[r] for r in roots}):
+        groups.setdefault(shape[i], []).append(i)
     out = []
-    while pool:
-        seed = min(pool)
-        comp = {seed}
-        frontier = [seed]
-        highs, lows = [], []
-        while frontier:
-            cur = frontier.pop()
-            # a neighbour through a Levi root lies in the pool exactly when
-            # it lies in this summand
-            ups = [k for j, k in up[cur].items() if j in levi_idx and k in pool]
-            downs = [k for j, k in down[cur].items() if j in levi_idx and k in pool]
-            if not ups:
-                highs.append(cur)
-            if not downs:
-                lows.append(cur)
-            for k in ups + downs:
-                if k not in comp:
-                    comp.add(k)
-                    frontier.append(k)
-        pool -= comp
-        members = sorted(comp)
-        if len(highs) != 1 or len(lows) != 1:
-            raise ArithmeticError("level summand is not a single string module")
-        high = rs.positive[highs[0]]
-        if lows[0] != members[0]:
+    for s, members in groups.items():
+        if len(members) != size[s]:
             raise ArithmeticError(
-                f"Levi {levi}: level summand's lowest root "
-                f"{rs.format_root(rs.positive[lows[0]])} is not its least root "
-                f"{rs.format_root(rs.positive[members[0]])}")
-        hw = {
-            nodes: tuple(rs.pairing_index(high, i - 1) for i in nodes)
-            for nodes in comps_nodes
-        }
+                f"Levi {levi}: {len(members)} of {size[s]} roots of a shape: "
+                f"level summand is not a single string module")
+        high = members[-1]
+        hw = {nodes: tuple(rs.pairings[high][i - 1] for i in nodes)
+              for nodes in comps_nodes}
         if any(v < 0 for w in hw.values() for v in w):
             raise ArithmeticError("summand high weight not dominant")
         out.append({
             "generator": rs.positive[members[0]],
-            "high_root": high,
+            "high_root": rs.positive[high],
             "high_weight": hw,
             "roots": [rs.positive[m] for m in members],
             "dim": len(members),
@@ -263,12 +230,8 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
     checked = 0
     for lvl, roots in radical_levels(rs, levi).items():
         for s in decompose_level(rs, levi, roots):
-            seen: dict[tuple, int] = {}
-            for r in s["roots"]:
-                key = tuple(
-                    tuple(rs.pairing_index(r, i - 1) for i in c) for c in comps
-                )
-                seen[key] = seen.get(key, 0) + 1
+            seen = Counter(tuple(tuple(rs.pairings[rs.index[r]][i - 1] for i in c)
+                                 for c in comps) for r in s["roots"])
             expect: dict[tuple, int] = {(): 1}
             for c, t in zip(comps, types):
                 part = freudenthal(t, s["high_weight"][c])

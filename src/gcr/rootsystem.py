@@ -76,6 +76,9 @@ class RootSystem:
                         for j in range(self.rank)] for i in range(self.rank)]
         self.positive: list[Root] = self._closure()
         self.index = {r: i for i, r in enumerate(self.positive)}
+        # pairings[i][j] = <positive root i, alpha_{j+1}-check>
+        self.pairings = [tuple(self.pairing_index(r, j) for j in range(self.rank))
+                         for r in self.positive]
         self._all = frozenset(self.positive) | frozenset(self._neg(r) for r in self.positive)
 
     # -- construction ------------------------------------------------------
@@ -198,17 +201,17 @@ class RootSystem:
         return "".join(str(c) for c in r)
 
     def parse_root(self, s: str) -> Root:
-        s = s.strip()
-        neg = s.startswith("-")
-        if neg:
-            s = s[1:]
-        if len(s) != self.rank or not s.isdigit():
+        """Inverse of ``format_root``: rank ASCII digits, optionally after a
+        minus sign."""
+        text = s.strip()
+        digits = text[1:] if text.startswith("-") else text
+        if len(digits) != self.rank or not all("0" <= ch <= "9" for ch in digits):
             raise ValueError(f"bad root string {s!r} for rank {self.rank}")
-        r = tuple(int(ch) for ch in s)
-        if neg:
+        r = tuple(int(ch) for ch in digits)
+        if text.startswith("-"):
             r = self._neg(r)
         if r not in self._all:
-            raise ValueError(f"{s} is not a root of {self.name}")
+            raise ValueError(f"{s!r} is not a root of {self.name}")
         return r
 
 

@@ -28,14 +28,21 @@ from gcr.h1scan import (
     d_type_actions,
     e6_factor_candidates,
     e7_factor_candidates,
+    factor_assignments,
     factor_candidates,
+    factor_restriction_terms,
+    _a1_outcome,
     _level_h1_memo,
+    _ordered_components,
+    _summand_weights,
+    _terms_tensor,
     g2_factor_candidate,
     scan_group,
     scan_parabolic,
     spin_half_terms,
 )
-from gcr.parabolic import component_type, levi_components
+from gcr.parabolic import (component_type, decompose_level, levi_components,
+                           radical_levels)
 from gcr.rootsystem import build_root_system
 from gcr.tables import (canon_factor, diff_badx, diff_to_json, expand_rows,
                         load_badx, render_diff)
@@ -315,6 +322,54 @@ def test_level_h1_memo_does_not_leak_across_p():
     cold = _scan_fingerprint(scan_group("E7", 5))
     assert warm == cold
     assert len(cold) == 51
+
+
+def test_level_h1_memo_is_sound_on_e6_p5():
+    """After a full E6/p=5 scan, the memoised H^1 of every A1 candidate,
+    class and non-trivial level summand equals H^1 of the tensor product of
+    the restrictions to all Levi factors, trivial ones included, computed
+    without the memo; summands trivial on every factor, which the scan
+    drops, carry no H^1."""
+    p = 5
+    _level_h1_memo.cache_clear()
+    scan_group("E6", p)
+    memo = _level_h1_memo()
+    rs = build_root_system("E6")
+    checked = positive = 0
+    for k in range(1, rs.rank):
+        for levi in itertools.combinations(range(1, rs.rank + 1), k):
+            types, distinct, _ = _summand_weights("E6", levi)
+            comps = [c for _, c in _ordered_components(rs, levi)]
+            every = {tuple(s["high_weight"][c] for c in comps)
+                     for roots in radical_levels(rs, levi).values()
+                     for s in decompose_level(rs, levi, roots)}
+            live = dict(distinct)
+            assert set(live) == {w for w in every if any(map(any, w))}
+            for combo in itertools.product(
+                    *(factor_candidates(t, p, 2) for t in types)):
+                if min(t for c in combo for t in c.twists) != 0:
+                    continue
+                assigns = [factor_assignments(c, t, p)
+                           for c, t in zip(combo, types)]
+                for classes in itertools.product(
+                        *(range(len(a)) for a in assigns)):
+                    assign = [a[i] for a, i in zip(assigns, classes)]
+                    for weights in every:
+                        level = Counter({(): 1})
+                        for c, t, w, a in zip(combo, types, weights, assign):
+                            level = _terms_tensor(
+                                level, factor_restriction_terms(c, t, w, p, a))
+                        full = h1_dim(level, p)
+                        if weights not in live:
+                            assert full == 0, (levi, weights)
+                            continue
+                        scanned = _a1_outcome(combo, types, weights,
+                                              live[weights], p, assign,
+                                              classes, memo)
+                        assert scanned == full, (levi, combo, classes, weights)
+                        checked += 1
+                        positive += full > 0
+    assert (checked, positive) == (2049, 26)
 
 
 # -- golden tables ------------------------------------------------------------

@@ -31,6 +31,12 @@ def test_components_split_and_order():
     assert [component_type(rs, c) for c in comps] == ["A2", "A2"]
 
 
+def test_levi_components_returns_a_new_list():
+    rs = _rs("E6")
+    levi_components(rs, (1, 3, 5, 6)).append((2,))
+    assert levi_components(rs, (1, 3, 5, 6)) == [(1, 3), (5, 6)]
+
+
 def test_component_d_type_ordering():
     rs = _rs("E7")
     comps = levi_components(rs, (2, 3, 4, 5, 6, 7))
@@ -157,6 +163,10 @@ def test_borel_levels_are_lines():
 
 # -- character comparison across every parabolic ------------------------------
 
+# level summands over all proper standard parabolics
+SUMMAND_TOTALS = {"E6": 712, "E7": 2400, "E8": 8864}
+
+
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
 def test_every_summand_matches_its_character(name):
     rs = _rs(name)
@@ -165,7 +175,7 @@ def test_every_summand_matches_its_character(name):
     for k in range(rs.rank):
         for levi in itertools.combinations(nodes, k):
             checked += verify_levels(rs, levi)
-    assert checked > 0
+    assert checked == SUMMAND_TOTALS[name]
 
 
 def test_verify_counts_summands():

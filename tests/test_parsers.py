@@ -1,0 +1,113 @@
+"""Property tests of the two text parsers: module expressions
+(``parse_module``/``format_module``) and roots (``parse_root``/
+``format_root``).  Valid input round-trips; any other text raises
+``ValueError`` and nothing else."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcr.modrep import (
+    m_alt,
+    m_dual,
+    m_simple,
+    m_spin,
+    m_sum,
+    m_sym,
+    m_tensor,
+    m_tilt,
+    m_weyl,
+    format_module,
+    parse_module,
+)
+from gcr.rootsystem import build_root_system
+
+# -- module expressions -------------------------------------------------------
+
+_twists = st.one_of(
+    st.integers(0, 12),
+    st.tuples(st.sampled_from("rstuvw"), st.integers(0, 3)),
+)
+_atoms = st.builds(
+    lambda ctor, w, tw: ctor(w, tw),
+    st.sampled_from([m_simple, m_tilt, m_weyl]), st.integers(0, 40), _twists)
+
+
+def _compound(inner):
+    parts = st.lists(inner, min_size=2, max_size=3)
+    return st.one_of(
+        parts.map(lambda ps: m_tensor(*ps)),
+        parts.map(lambda ps: m_sum(*ps)),
+        inner.map(m_dual),
+        st.builds(m_alt, inner, st.integers(1, 4)),
+        st.builds(m_sym, inner, st.integers(1, 4)),
+        st.builds(m_spin, st.integers(3, 9), inner),
+    )
+
+
+_exprs = st.recursive(_atoms, _compound, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_module_expressions_roundtrip(e):
+    text = format_module(e)
+    assert parse_module(text) == e
+    assert format_module(parse_module(text)) == text
+
+
+# pieces of the grammar, so that random text reaches deep into the parser
+_TOKENS = ["x", "+", "(", ")", "[", "]", ";", "*", "Alt", "Sym", "Spin", "T",
+           "W", "D5", "0", "1", "12", "r", "s+1", " ", "⊗", "१", ","]
+
+
+def _rejects_with_value_error_only(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)))
+def test_module_parser_raises_only_value_error(text):
+    _rejects_with_value_error_only(parse_module, text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(" * 400 + "1" + ")" * 400, "nested deeper"),
+    ("Alt(1;" * 400 + "1" + ")" * 400, "nested deeper"),
+    ("1[", "unexpected end of module expression '1\\['"),
+    ("T(", "unexpected end of module expression 'T\\('"),
+    ("", "unexpected end of module expression ''"),
+    ("१[२]", "cannot tokenize module expression '१\\[२\\]'"),
+], ids=["deep-brackets", "deep-alt", "open-twist", "open-tilting", "empty",
+        "devanagari-digits"])
+def test_module_parser_regressions(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_module(text)
+
+
+# -- roots --------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_every_root_roundtrips(name):
+    rs = build_root_system(name)
+    for r in rs.roots():
+        assert rs.parse_root(rs.format_root(r)) == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["E6", "E7", "E8"]),
+       st.one_of(st.text(max_size=12),
+                 st.text(alphabet="-0123456789१२ ", max_size=10)))
+def test_root_parser_raises_only_value_error(name, text):
+    _rejects_with_value_error_only(build_root_system(name).parse_root, text)
+
+
+@pytest.mark.parametrize("text", ["१००००0", "१00000", "-१00000", "1000००"],
+                         ids=["all", "lead", "negative", "tail"])
+def test_root_parser_rejects_non_ascii_digits(text):
+    with pytest.raises(ValueError, match="bad root string"):
+        build_root_system("E6").parse_root(text)
