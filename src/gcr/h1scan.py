@@ -317,8 +317,10 @@ def g2_factor_candidate(type_name: str) -> FactorCandidate | None:
     return FactorCandidate(desc, (0,), "g2", expr=e)
 
 
+@functools.lru_cache(maxsize=None)
 def factor_candidates(type_name: str, p: int, tmax: int) -> tuple[FactorCandidate, ...]:
-    """All built-in irreducible rank-one actions for one simple factor."""
+    """All built-in irreducible rank-one actions for one simple factor; the
+    candidates are frozen, so one tuple serves every call."""
     fam, rank = type_name[0], int(type_name[1:])
     if fam == "A":
         return tuple(_module_candidate(e) for e in a_type_actions(rank, p, tmax))
@@ -362,6 +364,18 @@ def _expr_terms(e: ModExpr) -> Counter:
             return Counter({(): 1})
         return Counter({((e.weight, e.twist),): 1})
     raise NotImplementedError(f"no term form for {e.kind!r} expressions")
+
+
+@functools.lru_cache(maxsize=None)
+def _frozen_terms(e: ModExpr) -> tuple:
+    """_expr_terms as (term, count) pairs, built once per expression; a
+    tuple, so no caller can change the shared value."""
+    return tuple(_expr_terms(e).items())
+
+
+def _natural_terms(cand: FactorCandidate) -> Counter:
+    """A fresh Counter of the terms of the candidate's natural module."""
+    return Counter(dict(_frozen_terms(cand.expr)))
 
 
 def _terms_tensor(a: Counter, b: Counter) -> Counter:
@@ -496,16 +510,16 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
         if cand.chain[0] == "A1D6":
             a = cand.chain[1][0]
             tensor_part = _terms_tensor(Counter({((1, a),): 1}),
-                                        _expr_terms(cand.expr))
+                                        _natural_terms(cand))
             return tensor_part + assignment[1]
-        return _expr_terms(cand.expr)
+        return _natural_terms(cand)
     if fam == "A":
         k = min(pos, rank + 1 - pos)
-        nat = _expr_terms(cand.expr)
+        nat = _natural_terms(cand)
         return nat if k == 1 else sum_power(nat, "alt", k, p)
     if fam == "D":
         if pos == 1:
-            return _expr_terms(cand.expr)
+            return _natural_terms(cand)
         if pos in (rank - 1, rank):
             return assignment[pos - rank + 1]
         raise NotImplementedError(f"no restriction rule for D{rank} weight {weight}")

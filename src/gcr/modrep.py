@@ -230,28 +230,52 @@ def h1_irreducible(lam: int, p: int) -> bool:
 # -- rank-one modules with explicit operators --------------------------------
 
 class A1Module:
-    """Module for the rank-one group: T-weights per basis vector plus
-    divided-power operator matrices E[a], F[a] over GF(p), so that
-    x_+(t) = sum_a t^a E[a] and x_-(t) = sum_a t^a F[a]."""
+    """Module for the rank-one group: T-weights per basis vector plus the
+    divided-power operators E[a], F[a] over GF(p), so that
+    x_+(t) = sum_a t^a E[a] and x_-(t) = sum_a t^a F[a].
 
-    def __init__(self, p: int, weights: list[int], E: dict[int, np.ndarray],
-                 F_: dict[int, np.ndarray]):
+    E[a] raises a weight by 2a and F[a] lowers it by 2a, so few entries are
+    nonzero.  ``entries`` is the pair (E, F) of dicts that keep each operator
+    as its nonzero entries (rows, cols, values mod p), at distinct
+    positions.  The constructor takes, per degree a, a matrix (an array or
+    nested lists) or such an entry triple (a tuple); it reduces mod p, drops
+    zeros and checks the weight shift of every nonzero entry.
+    ``E`` and ``F`` are dense views, built on first use."""
+
+    def __init__(self, p: int, weights: list[int], E: dict, F_: dict):
         self.p = p
         self.weights = list(weights)
         self.dim = len(weights)
-        self.E: dict[int, np.ndarray] = {}
-        self.F: dict[int, np.ndarray] = {}
-        for ops, store, sign in ((E, self.E, 1), (F_, self.F, -1)):
+        w = np.array(self.weights, dtype=np.int64)
+        self.entries: tuple[dict, dict] = ({}, {})
+        for ops, store, sign in ((E, self.entries[0], 1), (F_, self.entries[1], -1)):
             for a, m in ops.items():
-                m = np.asarray(m, dtype=np.int64) % p
-                if m.any():
-                    self._check_shift(m, 2 * sign * a)
-                    store[a] = m
+                if not isinstance(m, tuple):
+                    m = np.asarray(m, dtype=np.int64)
+                    nz = np.nonzero(m)
+                    m = (*nz, m[nz])
+                r, c, v = (np.asarray(x, dtype=np.int64) for x in m)
+                keep = v % p != 0
+                if keep.any():
+                    r, c, v = r[keep], c[keep], v[keep] % p
+                    if np.any(w[r] - w[c] != 2 * sign * a):
+                        raise ArithmeticError("operator does not shift weights correctly")
+                    store[a] = (r, c, v)
 
-    def _check_shift(self, m, shift):
-        w = np.array(self.weights)
-        if np.any((m != 0) & (w[:, None] != w[None, :] + shift)):
-            raise ArithmeticError("operator does not shift weights correctly")
+    def _dense(self, which: int) -> dict[int, np.ndarray]:
+        out = {}
+        for a, (r, c, v) in self.entries[which].items():
+            out[a] = np.zeros((self.dim, self.dim), dtype=np.int64)
+            out[a][r, c] = v
+        return out
+
+    @functools.cached_property
+    def E(self) -> dict[int, np.ndarray]:
+        return self._dense(0)
+
+    @functools.cached_property
+    def F(self) -> dict[int, np.ndarray]:
+        return self._dense(1)
 
     def x_plus(self, t: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=np.int64)
@@ -267,20 +291,15 @@ class A1Module:
 
 
 def weyl_module(m: int, p: int) -> A1Module:
-    """W(m) on divided-power basis v_0 .. v_m, v_i of weight m - 2i."""
+    """W(m) on divided-power basis v_0 .. v_m, v_i of weight m - 2i:
+    E_k v_i = binom(m - i + k, k) v_{i-k} and F_k v_{i-k} = binom(i, k) v_i."""
     weights = [m - 2 * i for i in range(m + 1)]
-    E: dict[int, np.ndarray] = {}
-    Fm: dict[int, np.ndarray] = {}
+    E: dict[int, tuple] = {}
+    Fm: dict[int, tuple] = {}
     for k in range(1, m + 1):
-        e = np.zeros((m + 1, m + 1), dtype=np.int64)
-        f = np.zeros((m + 1, m + 1), dtype=np.int64)
-        for i in range(m + 1):
-            if i - k >= 0:
-                e[i - k, i] = math.comb(m - i + k, k) % p
-            if i + k <= m:
-                f[i + k, i] = math.comb(i + k, k) % p
-        E[k] = e
-        Fm[k] = f
+        i = np.arange(k, m + 1)
+        E[k] = (i - k, i, [math.comb(m - j + k, k) % p for j in range(k, m + 1)])
+        Fm[k] = (i, i - k, [math.comb(j, k) % p for j in range(k, m + 1)])
     return A1Module(p, weights, E, Fm)
 
 
@@ -297,90 +316,84 @@ def trivial_module(p: int) -> A1Module:
     return weyl_module(0, p)
 
 
+def _joined(pieces: dict[int, list]) -> dict[int, tuple]:
+    """Concatenate the entry triples collected per degree."""
+    return {k: tuple(map(np.concatenate, zip(*ps))) for k, ps in pieces.items()}
+
+
 def tensor(a: A1Module, b: A1Module) -> A1Module:
+    """a (x) b on the basis u_i (x) v_j at index i * b.dim + j.  Degree k of
+    an operator is the sum over i + j = k of degree i on a times degree j on
+    b, degree 0 being the identity.  An entry's weight shift fixes its
+    degree in each factor, so the products never share a position."""
     weights = [wa + wb for wa in a.weights for wb in b.weights]
-    ia = np.eye(a.dim, dtype=np.int64)
-    ib = np.eye(b.dim, dtype=np.int64)
+    ia, ib = (np.arange(n) for n in (a.dim, b.dim))
     ops = []
-    for xa, xb in ((a.E, b.E), (a.F, b.F)):
-        # entries are below p, so the int64 sums of products cannot overflow;
-        # A1Module reduces them mod p once
-        out: dict[int, np.ndarray] = {}
-        for i, mi in (*xa.items(), (0, ia)):
-            for j, mj in (*xb.items(), (0, ib)):
+    for xa, xb in zip(a.entries, b.entries):
+        pieces: dict[int, list] = {}
+        for i, (ra, ca, va) in (*xa.items(), (0, (ia, ia, np.ones_like(ia)))):
+            for j, (rb, cb, vb) in (*xb.items(), (0, (ib, ib, np.ones_like(ib)))):
                 if i + j:
-                    out[i + j] = out.get(i + j, 0) + np.kron(mi, mj)
-        ops.append(out)
+                    pieces.setdefault(i + j, []).append(
+                        ((ra[:, None] * b.dim + rb).ravel(),
+                         (ca[:, None] * b.dim + cb).ravel(), np.outer(va, vb).ravel()))
+        ops.append(_joined(pieces))
     return A1Module(a.p, weights, *ops)
 
 
 def twist(a: A1Module, r: int) -> A1Module:
     q = a.p ** r
-    return A1Module(
-        a.p,
-        [w * q for w in a.weights],
-        {k * q: m for k, m in a.E.items()},
-        {k * q: m for k, m in a.F.items()},
-    )
+    return A1Module(a.p, [w * q for w in a.weights],
+                    *({k * q: e for k, e in ops.items()} for ops in a.entries))
 
 
 def dual(a: A1Module) -> A1Module:
-    return A1Module(
-        a.p,
-        [-w for w in a.weights],
-        {k: ((-1) ** k * m.T) % a.p for k, m in a.E.items()},
-        {k: ((-1) ** k * m.T) % a.p for k, m in a.F.items()},
-    )
+    return A1Module(a.p, [-w for w in a.weights],
+                    *({k: (c, r, (-1) ** k * v) for k, (r, c, v) in ops.items()}
+                      for ops in a.entries))
 
 
 def direct_sum(*mods: A1Module) -> A1Module:
-    p = mods[0].p
-    weights = [w for m in mods for w in m.weights]
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    E: dict[int, np.ndarray] = {}
-    Fm: dict[int, np.ndarray] = {}
-    for which, store in (("E", E), ("F", Fm)):
-        keys = {k for m in mods for k in getattr(m, which)}
-        for k in keys:
-            big = np.zeros((total, total), dtype=np.int64)
-            off = 0
-            for m in mods:
-                blk = getattr(m, which).get(k)
-                if blk is not None:
-                    big[off:off + m.dim, off:off + m.dim] = blk
-                off += m.dim
-            store[k] = big
-    return A1Module(p, weights, E, Fm)
+    pieces: tuple[dict, dict] = ({}, {})
+    off = 0
+    for m in mods:
+        for store, ops in zip(pieces, m.entries):
+            for k, (r, c, v) in ops.items():
+                store.setdefault(k, []).append((r + off, c + off, v))
+        off += m.dim
+    return A1Module(mods[0].p, [w for m in mods for w in m.weights],
+                    *map(_joined, pieces))
 
 
 def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
-    """Restrict to the submodule spanned by the columns of basis."""
+    """Restrict to the submodule spanned by the independent columns of basis.
+
+    The pivot rows S of rref(basis.T) form an invertible block B_S, so each
+    operator M restricts to X = B_S^-1 (M basis)_S if basis X = M basis."""
     p = mod.p
+    basis = np.asarray(basis, dtype=np.int64) % p
     cols = basis.shape[1]
-
-    # express images in the basis: solve basis @ X = M @ basis
-    def restrict(m):
-        target = (m @ basis) % p
-        aug = np.concatenate([basis, target], axis=1)
-        r, pivots = rref(aug, p)
-        if any(c >= cols for c in pivots):
+    w = np.array(mod.weights, dtype=np.int64)[:, None]
+    weights = np.where(basis != 0, w, w.min() - 1).max(axis=0)
+    if np.any(weights != np.where(basis != 0, w, w.max() + 1).min(axis=0)):
+        raise ArithmeticError("basis vector mixes weights")
+    keys = [(which, a) for which, ops in enumerate(mod.entries) for a in ops]
+    images = []
+    for which, a in keys:
+        r, c, v = mod.entries[which][a]
+        images.append(np.zeros_like(basis))
+        np.add.at(images[-1], r, v[:, None] * basis[c])
+    rows = rref(basis.T, p)[1]
+    if len(rows) < cols:
+        raise ArithmeticError("basis vectors are dependent")
+    solved = rref(np.concatenate([basis[rows]] + [m[rows] for m in images], axis=1), p)[0]
+    out: tuple[dict, dict] = ({}, {})
+    for k, ((which, a), image) in enumerate(zip(keys, images)):
+        x = solved[:, (k + 1) * cols:(k + 2) * cols]
+        if np.any((basis @ x - image) % p):
             raise ArithmeticError("not a submodule")
-        x = np.zeros((cols, cols), dtype=np.int64)
-        for i, c in enumerate(pivots):
-            x[c] = r[i, cols:]
-        return x
-
-    weights = []
-    for j in range(cols):
-        nz = np.nonzero(basis[:, j])[0]
-        ws = {mod.weights[i] for i in nz}
-        if len(ws) != 1:
-            raise ArithmeticError("basis vector mixes weights")
-        weights.append(ws.pop())
-    return A1Module(p, weights,
-                    {a: restrict(m) for a, m in mod.E.items()},
-                    {a: restrict(m) for a, m in mod.F.items()})
+        out[which][a] = x
+    return A1Module(p, weights.tolist(), *out)
 
 
 def _mat_power_mod(m: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -426,6 +439,16 @@ def tilting_module(m: int, p: int) -> A1Module:
 
 # -- first cohomology from explicit operators --------------------------------
 
+def _binom_mod(n: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
+    """binom(n, k) mod p elementwise for 0 <= k <= n, by Lucas' theorem."""
+    digits = np.array([[math.comb(i, j) % p for j in range(p)] for i in range(p)])
+    out = np.ones_like(n)
+    while n.any():
+        out = out * digits[n % p, k % p] % p
+        n, k = n // p, k // p
+    return out
+
+
 def h1_module_a1(mod: A1Module) -> int:
     """dim H^1 of the rank-one group acting on mod.
 
@@ -435,50 +458,32 @@ def h1_module_a1(mod: A1Module) -> int:
     binom(a+b, a) v_{a+b} = E_a v_b for all a, b >= 1.  Coboundaries come
     from weight-zero vectors modulo invariants."""
     p = mod.p
-    blocks: dict[int, list[int]] = {}
-    for i, w in enumerate(mod.weights):
-        if w > 0 and w % 2 == 0:
-            blocks.setdefault(w // 2, []).append(i)
-    ds = sorted(blocks)
-    if not ds:
-        z = 0
-    else:
-        offs = {}
-        total = 0
-        for d in ds:
-            offs[d] = total
-            total += len(blocks[d])
-        rows = []
-        dmax = max(ds)
-        for a in range(1, dmax + 1):
-            # b runs over every positive degree, not just the nonempty
-            # blocks: an empty block means v_b = 0, which still forces
-            # binom(a+b, a) v_{a+b} = 0
-            for b in range(1, dmax + 1):
-                s = a + b
-                ea = mod.E.get(a)
-                src = blocks.get(b, [])
-                for i in blocks.get(s, []):
-                    row = np.zeros(total, dtype=np.int64)
-                    row[offs[s] + blocks[s].index(i)] = math.comb(s, a) % p
-                    if ea is not None:
-                        for kj, j in enumerate(src):
-                            row[offs[b] + kj] = (row[offs[b] + kj] - int(ea[i, j])) % p
-                    if row.any():
-                        rows.append(row)
-        mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, total), dtype=np.int64)
-        z = total - rank(mat, p)
-    zero_idx = [i for i, w in enumerate(mod.weights) if w == 0]
-    v0 = len(zero_idx)
-    if v0:
-        stacked = []
-        for a, ea in mod.E.items():
-            stacked.append(ea[:, zero_idx])
-        smat = np.concatenate(stacked, axis=0) if stacked else np.zeros((0, v0), dtype=np.int64)
-        v0u = v0 - rank(smat, p)
-    else:
-        v0u = 0
-    return z - (v0 - v0u)
+    w = np.array(mod.weights, dtype=np.int64)
+    # one unknown per basis vector of weight 2s > 0, and one relation per such
+    # vector and 1 <= a < s: its coordinate in binom(s, a) v_s - E_a v_{s-a};
+    # an empty v_b still forces binom(a+b, a) v_{a+b} = 0
+    pos = (w > 0) & (w % 2 == 0)
+    var = np.cumsum(pos) - 1
+    s = w[pos] // 2
+    start = np.cumsum(s - 1) - (s - 1)
+    own = np.repeat(np.arange(s.size), s - 1)
+    mat = np.zeros((own.size, s.size), dtype=np.int64)
+    mat[np.arange(own.size), own] = _binom_mod(
+        s[own], np.arange(own.size) - start[own] + 1, p)
+    # all E entries at once: an entry's degree is half its weight shift
+    none = np.zeros(0, dtype=np.int64)
+    r, c, v = map(np.concatenate, zip((none, none, none), *mod.entries[0].values()))
+    keep = pos[r] & pos[c]
+    rk, ck = r[keep], c[keep]
+    mat[start[var[rk]] + (w[rk] - w[ck]) // 2 - 1, var[ck]] -= v[keep]
+    z = s.size - rank(mat[(mat % p).any(axis=1)], p)
+    # coboundaries modulo invariants: the rank of E on the weight-zero
+    # vectors; E_a lands in weight 2a, so the degrees fill disjoint rows
+    zero = w == 0
+    smat = np.zeros((mod.dim, zero.sum()), dtype=np.int64)
+    keep = zero[c]
+    smat[r[keep], (np.cumsum(zero) - 1)[c[keep]]] = v[keep]
+    return z - rank(smat, p)
 
 
 # -- G2 characters at p = 7 --------------------------------------------------
@@ -656,6 +661,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def number(self) -> int:
+        tok = self.take()
+        if not tok.isdigit():
+            raise ValueError(f"expected a number, found {tok!r} in {self.text!r}")
+        return int(tok)
+
     def expr(self) -> ModExpr:
         terms = [self.term()]
         while self.peek() == "+":
@@ -682,7 +693,7 @@ class _Parser:
         if tok in ("Alt", "Sym"):
             self.take()
             self.take("(")
-            k = int(self.take())
+            k = self.number()
             self.take(";")
             inner = self.expr()
             self.take(")")
@@ -709,7 +720,7 @@ class _Parser:
         tok = self.take()
         if tok in ("T", "W"):
             self.take("(")
-            a = int(self.take())
+            a = self.number()
             self.take(")")
             ctor = m_tilt if tok == "T" else m_weyl
         elif tok.isdigit():

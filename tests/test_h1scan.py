@@ -196,6 +196,17 @@ def test_factor_candidates_min_twist_zero_exists():
     assert any(min(c.twists) == 0 for c in cands)
 
 
+def test_shared_candidates_and_terms_stay_unchanged():
+    # candidates are built once per (type, p, tmax); a caller that changes a
+    # restriction it was handed does not change the next caller's
+    cands = factor_candidates("A3", 5, 2)
+    assert factor_candidates("A3", 5, 2) is cands
+    first = factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None)
+    want = Counter(first)
+    first[((99, 0),)] += 1
+    assert factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None) == want
+
+
 def test_g2_candidates():
     assert g2_factor_candidate("A6").descriptor == "(1,0)"
     assert g2_factor_candidate("D7").descriptor == "(0,1)"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
+    _submodule_restriction,
     a1_comp_factors,
     a1_simple_weights,
     a1_tilting_weights,
@@ -254,6 +255,79 @@ def test_module_rejects_wrong_weight_shift():
         A1Module(5, [1, -1], {1: [[0, 0], [1, 0]]}, {})
     with pytest.raises(ArithmeticError):
         A1Module(5, [1, -1], {}, {1: [[0, 1], [0, 0]]})
+
+
+def test_module_rejects_wrong_weight_shift_in_entry_form():
+    # the same operators as (rows, cols, values) triples
+    good = A1Module(5, [1, -1], {1: ([0], [1], [1])}, {1: ([1], [0], [1])})
+    assert np.array_equal(good.E[1], [[0, 1], [0, 0]])
+    assert np.array_equal(good.F[1], [[0, 0], [1, 0]])
+    with pytest.raises(ArithmeticError):
+        A1Module(5, [1, -1], {1: ([1], [0], [1])}, {})
+    with pytest.raises(ArithmeticError):
+        A1Module(5, [1, -1], {}, {1: ([0], [1], [1])})
+    # an entry that vanishes mod p is dropped before the shift check
+    assert A1Module(5, [1, -1], {1: ([1], [0], [5])}, {}).E == {}
+
+
+def _kron_tensor_ops(a, b):
+    """The operators of a (x) b, degree by degree, as dense sums of np.kron
+    of the factors' divided powers (degree 0 being the identity)."""
+    out = []
+    for xa, xb in ((a.E, b.E), (a.F, b.F)):
+        ops = {}
+        for i, mi in (*xa.items(), (0, np.eye(a.dim, dtype=np.int64))):
+            for j, mj in (*xb.items(), (0, np.eye(b.dim, dtype=np.int64))):
+                if i + j:
+                    ops[i + j] = (ops.get(i + j, 0) + np.kron(mi, mj)) % a.p
+        out.append({k: m for k, m in ops.items() if m.any()})
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_tensor_matches_kron_reference(p):
+    factors = [weyl_module(3, p), tilting_module(p, p),
+               twist(tilting_module(2, p), 1), dual(weyl_module(p + 1, p))]
+    for a in factors:
+        for b in factors:
+            t = tensor(a, b)
+            assert t.weights == [wa + wb for wa in a.weights for wb in b.weights]
+            for got, want in zip((t.E, t.F), _kron_tensor_ops(a, b)):
+                assert got.keys() == want.keys()
+                for k in want:
+                    assert np.array_equal(got[k], want[k]), (a.weights, b.weights, k)
+
+
+def test_group_law_on_tensor_dual_and_sum():
+    p = 5
+    a, b = tilting_module(6, p), twist(weyl_module(2, p), 1)
+    for mod in (tensor(a, b), dual(a), direct_sum(a, b, trivial_module(p))):
+        for t in range(p):
+            for u in range(p):
+                for x in (mod.x_plus, mod.x_minus):
+                    assert np.array_equal(x((t + u) % p), x(t) @ x(u) % p), (t, u)
+
+
+def test_dual_is_signed_transpose():
+    p = 5
+    a = tilting_module(6, p)
+    d = dual(a)
+    assert d.weights == [-w for w in a.weights]
+    for ops, dops in ((a.E, d.E), (a.F, d.F)):
+        assert ops.keys() == dops.keys()
+        for k, m in ops.items():
+            assert np.array_equal(dops[k], (-1) ** k * m.T % p), k
+
+
+def test_submodule_restriction_errors():
+    w2 = weyl_module(2, 5)
+    # F_1 moves the top vector v_0 of W(2) to v_1
+    with pytest.raises(ArithmeticError, match="not a submodule"):
+        _submodule_restriction(w2, np.array([[1], [0], [0]]))
+    with pytest.raises(ArithmeticError, match="basis vector mixes weights"):
+        _submodule_restriction(w2, np.array([[1], [1], [0]]))
+    with pytest.raises(ArithmeticError, match="basis vectors are dependent"):
+        _submodule_restriction(w2, np.array([[1, 2], [0, 0], [0, 0]]))
 
 
 # -- H^1 from explicit operators ---------------------------------------------

@@ -82,8 +82,10 @@ def test_module_parser_raises_only_value_error(text):
     ("T(", "unexpected end of module expression 'T\\('"),
     ("", "unexpected end of module expression ''"),
     ("१[२]", "cannot tokenize module expression '१\\[२\\]'"),
+    ("Alt(x;1)", "expected a number, found 'x' in 'Alt\\(x;1\\)'"),
+    ("T(r)", "expected a number, found 'r' in 'T\\(r\\)'"),
 ], ids=["deep-brackets", "deep-alt", "open-twist", "open-tilting", "empty",
-        "devanagari-digits"])
+        "devanagari-digits", "alt-symbol-exponent", "tilting-symbol-weight"])
 def test_module_parser_regressions(text, message):
     with pytest.raises(ValueError, match=message):
         parse_module(text)
