@@ -1,4 +1,4 @@
-"""Integral Chevalley bases: structure constants, brackets, adjoint matrices.
+"""Integral Chevalley bases: structure constants and Lie brackets.
 
 Signs follow a deterministic convention: for each non-simple positive root
 the extraspecial pair (the special pair whose first member is least in the
@@ -6,17 +6,12 @@ root-system total order) gets a positive constant, and every other constant
 is forced from those by the standard length-weighted identities on triples
 and quadruples of roots summing to zero.  The resulting table satisfies the
 Jacobi identity; tests verify this directly.
-
-An external table in "alpha beta N" line format can be loaded instead, to
-reproduce the conventions of other computer algebra systems constant for
-constant.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable
 
 from .rootsystem import Root, RootSystem, build_root_system
 
@@ -34,12 +29,12 @@ def _neg(a: Root) -> Root:
 class ConstantTable:
     """Structure constants N_{a,b} and derived data for one root system."""
 
-    def __init__(self, rs: RootSystem, pos_pairs: dict[tuple[Root, Root], int] | None = None):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
         self.npos = len(rs.positive)
         self.dim = 2 * self.npos + rs.rank
         self._n_memo: dict[tuple[Root, Root], int] = {}
-        self._n_pos = pos_pairs if pos_pairs is not None else self._build_positive_pairs()
+        self._n_pos = self._build_positive_pairs()
 
     # -- construction of the positive special-pair table -------------------
 
@@ -59,7 +54,10 @@ class ConstantTable:
                     pairs.append((alpha, beta))
             pairs.sort(key=lambda ab: rs.index[ab[0]])
             a1, b1 = pairs[0]
-            p, _ = rs.root_string(a1, b1)
+            # N = p + 1, with b1 - p*a1 the bottom of the a1-string through b1
+            p, cur = 0, tuple(b - a for b, a in zip(b1, a1))
+            while cur in rs._all:
+                p, cur = p + 1, tuple(c - a for c, a in zip(cur, a1))
             table[(a1, b1)] = p + 1
             gg = rs.form(gamma, gamma)
             for xi, eta in pairs[1:]:
@@ -159,7 +157,7 @@ class ConstantTable:
                     out[kz] = out.get(kz, 0) + cx * cy * cz
         return {k: v for k, v in out.items() if v}
 
-    # -- basis layout and adjoint matrices ----------------------------------
+    # -- basis layout -------------------------------------------------------
 
     def basis_keys(self) -> list:
         rs = self.rs
@@ -168,185 +166,10 @@ class ConstantTable:
         keys += [("e", _neg(r)) for r in rs.positive]
         return keys
 
-    @functools.cached_property
-    def basis_index(self) -> dict:
-        return {k: i for i, k in enumerate(self.basis_keys())}
-
-    @functools.lru_cache(maxsize=None)
-    def ad_divided_powers(self, gamma: Root) -> tuple[dict, ...]:
-        """Sparse integer matrices of (ad e_gamma)^k / k! for k = 0, 1, ...
-        until zero, as {column: {row: int}}."""
-        idx = self.basis_index
-        keys = self.basis_keys()
-        # (ad e)^1
-        ad1: dict[int, dict[int, Fraction]] = {}
-        for j, k in enumerate(keys):
-            col = {}
-            for kz, cz in self.bracket_basis(("e", gamma), k).items():
-                col[idx[kz]] = F(cz)
-            if col:
-                ad1[j] = col
-        powers = [ad1]
-        k = 1
-        while powers[-1]:
-            k += 1
-            prev = powers[-1]
-            nxt: dict[int, dict[int, Fraction]] = {}
-            for j, col in prev.items():
-                acc: dict[int, Fraction] = {}
-                for mid, c in col.items():
-                    for row, c2 in ad1.get(mid, {}).items():
-                        acc[row] = acc.get(row, F(0)) + c * c2
-                acc = {r: v / k for r, v in acc.items() if v}
-                if acc:
-                    nxt[j] = acc
-            powers.append(nxt)
-        out = []
-        ident = {j: {j: 1} for j in range(self.dim)}
-        out.append(ident)
-        for mat in powers[:-1]:
-            m_int = {}
-            for j, col in mat.items():
-                col_int = {}
-                for r, v in col.items():
-                    if v.denominator != 1:
-                        raise ArithmeticError("divided power not integral")
-                    col_int[r] = int(v)
-                m_int[j] = col_int
-            out.append(m_int)
-        return tuple(out)
-
-    def eta(self, alpha: Root, gamma: Root) -> int:
-        """Sign in n_alpha(1) e_gamma n_alpha(1)^{-1} = eta * e_{s_alpha gamma}."""
-        mat = self.adjoint_root_elem_int(alpha, 1)
-        m2 = self.adjoint_root_elem_int(_neg(alpha), -1)
-        mat = _int_sparse_mul(mat, _int_sparse_mul(m2, self.adjoint_root_elem_int(alpha, 1)))
-        j = self.basis_index[("e", gamma)]
-        k = self.rs.pairing(gamma, alpha)
-        refl = tuple(g - k * a for g, a in zip(gamma, alpha))
-        col = mat.get(j, {})
-        i = self.basis_index[("e", refl)]
-        if set(col) != {i}:
-            raise ArithmeticError("Weyl conjugate of root vector not a root vector")
-        return col[i]
-
-    def adjoint_root_elem_int(self, gamma: Root, c: int) -> dict:
-        """Integer adjoint matrix of x_gamma(c), sparse {col: {row: int}}."""
-        powers = self.ad_divided_powers(gamma)
-        out: dict[int, dict[int, int]] = {}
-        ck = 1
-        for k, mat in enumerate(powers):
-            if k:
-                ck *= c
-            for j, col in mat.items():
-                dst = out.setdefault(j, {})
-                for r, v in col.items():
-                    dst[r] = dst.get(r, 0) + ck * v
-        return {j: {r: v for r, v in col.items() if v} for j, col in out.items()}
-
-    # -- Chevalley commutator formula ---------------------------------------
-
-    @functools.lru_cache(maxsize=None)
-    def commutator_coeffs(self, alpha: Root, beta: Root) -> tuple[tuple[int, int, Root, int], ...]:
-        """Coefficients C_ij in the swap identity
-
-            x_beta(u) x_alpha(t)
-              = x_alpha(t) x_beta(u) * prod x_{i*alpha+j*beta}(C_ij (-t)^i u^j)
-
-        with the product over i, j > 0 such that i*alpha + j*beta is a root,
-        in order of increasing i + j (terms of equal i + j commute).
-        Entries are (i, j, i*alpha + j*beta, C_ij)."""
-        rs = self.rs
-        out = []
-        for i, j in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (3, 2), (2, 3)):
-            r = tuple(i * a + j * b for a, b in zip(alpha, beta))
-            if r not in rs._all:
-                continue
-            if (i, j) == (1, 1):
-                c = F(self.N(alpha, beta))
-            elif j == 1:
-                c = self._m_coeff(alpha, beta, i)
-            elif i == 1:
-                c = (-1) ** j * self._m_coeff(beta, alpha, j)
-            elif (i, j) == (3, 2):
-                c = self._m_coeff(_add(alpha, beta), alpha, 2) / 3
-            elif (i, j) == (2, 3):
-                c = self._m_coeff(_add(alpha, beta), beta, 2) * F(-2, 3)
-            if c.denominator != 1:
-                raise ArithmeticError("non-integral commutator coefficient")
-            if c:
-                out.append((i, j, r, int(c)))
-        return tuple(out)
-
-    def _m_coeff(self, alpha: Root, beta: Root, i: int) -> Fraction:
-        num = 1
-        cur = beta
-        for _ in range(i):
-            num *= self.N(alpha, cur)
-            cur = _add(cur, alpha)
-        fact = 1
-        for k in range(2, i + 1):
-            fact *= k
-        return F(num, fact)
-
-    # -- import/export ------------------------------------------------------
-
-    def export_lines(self) -> str:
-        rs = self.rs
-        lines = []
-        for (a, b), n in sorted(self._n_pos.items(), key=lambda kv: (rs.index[kv[0][0]], rs.index[kv[0][1]])):
-            lines.append(f"{rs.format_root(a)} {rs.format_root(b)} {n}")
-        return "\n".join(lines) + "\n"
-
-
-def _int_sparse_mul(a: dict, b: dict) -> dict:
-    """(a @ b) for sparse {col: {row: int}} matrices."""
-    out: dict[int, dict[int, int]] = {}
-    for j, col in b.items():
-        acc: dict[int, int] = {}
-        for mid, c in col.items():
-            for r, c2 in a.get(mid, {}).items():
-                acc[r] = acc.get(r, 0) + c * c2
-        acc = {r: v for r, v in acc.items() if v}
-        if acc:
-            out[j] = acc
-    return out
-
 
 @functools.cache
 def build_constants(name: str) -> ConstantTable:
     return ConstantTable(build_root_system(name))
-
-
-def load_constants(name: str, text: str) -> ConstantTable:
-    """Build a table from explicit "alpha beta N" lines for positive special
-    pairs (alpha before beta in the total order).  Pairs not listed keep no
-    value, so the lines must cover every special pair; consistency is the
-    caller's responsibility and is checked by the Jacobi suite."""
-    rs = build_root_system(name)
-    pairs: dict[tuple[Root, Root], int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        sa, sb, sn = line.split()
-        a, b = rs.parse_root(sa), rs.parse_root(sb)
-        if rs.index[a] >= rs.index[b]:
-            raise ValueError(f"pair {sa} {sb} not in total order")
-        pairs[(a, b)] = int(sn)
-    expected = set()
-    for gamma in rs.positive:
-        for alpha in rs.positive:
-            if rs.index[alpha] >= rs.index[gamma]:
-                break
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if beta in rs.index and rs.index[alpha] < rs.index[beta]:
-                expected.add((alpha, beta))
-    if set(pairs) != expected:
-        missing = expected - set(pairs)
-        extra = set(pairs) - expected
-        raise ValueError(f"constants file mismatch: {len(missing)} missing, {len(extra)} extra pairs")
-    return ConstantTable(rs, pairs)
 
 
 def jacobi_defect(table: ConstantTable, keys) -> dict:

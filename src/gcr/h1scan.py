@@ -41,7 +41,6 @@ from .modrep import (
     module_twists,
     module_weights,
     parse_module,
-    spin_halves_from_char,
 )
 from .parabolic import (
     component_type,
@@ -266,29 +265,28 @@ def _chain_candidate(name: str, shapes, twists, v_expr: ModExpr) -> FactorCandid
                            chain=(name, tuple(parts)))
 
 
-@functools.lru_cache(maxsize=None)
-def e6_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
+def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
+    """One candidate per chain and admissible twist choice, its module the
+    chain's template with the slot twists substituted."""
     out = []
-    for name, shapes, rule, template in _E6_CHAINS:
+    for name, shapes, rule, template in chains:
         for combo in _chain_twist_choices(shapes, rule, p, tmax):
             flat = [t for tw in combo for t in tw]
-            subst = dict(zip(_SLOT_NAMES, flat))
-            v27 = module_subst(parse_module(template), subst)
-            out.append(_chain_candidate(name, shapes, combo, v27))
-    return tuple(out)
+            module = module_subst(parse_module(template), dict(zip(_SLOT_NAMES, flat)))
+            out.append(_chain_candidate(name, shapes, combo, module))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def e6_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
+    return tuple(_candidates_from_chains(_E6_CHAINS, p, tmax))
 
 
 @functools.lru_cache(maxsize=None)
 def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
     if p != 7:
         return ()
-    out = []
-    for name, shapes, rule, template in _E7_CHAINS:
-        for combo in _chain_twist_choices(shapes, rule, p, tmax):
-            flat = [t for tw in combo for t in tw]
-            subst = dict(zip(_SLOT_NAMES, flat))
-            v56 = module_subst(parse_module(template), subst)
-            out.append(_chain_candidate(name, shapes, combo, v56))
+    out = _candidates_from_chains(_E7_CHAINS, p, tmax)
     # rank-one subgroups of the A1 D6 subsystem: second slot runs over the
     # D6 table, and the 56-dimensional module restricts as
     # 1[a] x M plus a half-spin of M

@@ -39,7 +39,7 @@ def freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     rs = build_root_system(name)
     n = rs.rank
     if any(x < 0 for x in lam):
-        raise ValueError("highest weight must be dominant")
+        raise ValueError(f"highest weight {lam} of {rs.name} must be dominant")
     half = [rs._gram3[i][i] // 2 for i in range(n)]
     # per positive root alpha: its weight, the vector 3(omega_j, alpha) and
     # 3(alpha, alpha)
@@ -149,7 +149,7 @@ def a1_simple_weights(m: int, p: int) -> tuple[int, ...]:
     """Weights of L(m) via the twisted tensor factorisation over the base-p
     digits of m."""
     if m < 0:
-        raise ValueError
+        raise ValueError(f"highest weight {m} of L(m) at p={p} must be dominant")
     weights = [0]
     for i, d in enumerate(_base_p_digits(m, p)):
         weights = [w + (d - 2 * k) * p ** i for w in weights for k in range(d + 1)]
@@ -891,8 +891,8 @@ def _atom_char(e: ModExpr, p: int, subst) -> Counter:
         else:
             base = g2_weyl_char(e.weight)
         return Counter({_wscale(w, q): c for w, c in base.items()})
-    if any(x < 0 for x in ((e.weight,) if isinstance(e.weight, int) else e.weight)):
-        raise ValueError("highest weight must be dominant")
+    if e.weight < 0:
+        raise ValueError(f"highest weight {e.weight} at p={p} must be dominant")
     if e.kind == "simple":
         base = Counter(a1_simple_weights(e.weight, p))
     elif e.kind == "tilt":
@@ -1014,7 +1014,6 @@ def _power_basis(d: int, k: int, p: int, sign: bool) -> np.ndarray:
             val = 1
             if sign:
                 # parity of the permutation
-                val = 1
                 pe = list(perm)
                 for i in range(k):
                     while pe[i] != i:

@@ -1,9 +1,8 @@
 """Structure-constant table checks.
 
 The Jacobi identity is the ground truth for the whole table (it pins every
-sign once the extraspecial values are fixed), and the adjoint matrices give
-an independent check of the commutator-formula coefficients: both sides of
-the swap identity are multiplied out as integer matrices.
+sign once the extraspecial values are fixed); the magnitudes are checked
+against root-string lengths and the brackets against sl2-triples.
 """
 
 import itertools
@@ -11,17 +10,20 @@ import random
 
 import pytest
 
-from gcr.chevalley import (
-    ConstantTable,
-    _int_sparse_mul,
-    build_constants,
-    jacobi_defect,
-    load_constants,
-)
-from gcr.rootsystem import build_root_system
+from gcr.chevalley import build_constants, jacobi_defect
 
 SMALL = ["A2", "G2", "A3", "D4"]
 BIG = ["E6", "E7", "E8"]
+
+
+def _string_below(rs, a, b):
+    """p with b - p*a the bottom of the a-string through b."""
+    p = 0
+    cur = tuple(x - y for x, y in zip(b, a))
+    while cur in rs._all:
+        p += 1
+        cur = tuple(x - y for x, y in zip(cur, a))
+    return p
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -72,7 +74,7 @@ def test_extraspecial_values_positive(name):
                 first = (alpha, beta)
                 break
         assert first is not None
-        p, _ = rs.root_string(*first)
+        p = _string_below(rs, *first)
         assert t.N(*first) == p + 1 > 0
 
 
@@ -86,42 +88,8 @@ def test_magnitudes():
         for b in rs._all:
             if tuple(x + y for x, y in zip(a, b)) in rs._all:
                 n = t.N(a, b)
-                p, _ = rs.root_string(a, b)
+                p = _string_below(rs, a, b)
                 assert abs(n) == p + 1 <= 3
-
-
-@pytest.mark.parametrize("name,trials", [("A2", 60), ("G2", 250), ("E6", 120)])
-def test_commutator_swap_identity(name, trials):
-    t = build_constants(name)
-    rs = t.rs
-    allr = sorted(rs._all, key=lambda r: (sum(r), r))
-    pairs = [(a, b) for a in allr for b in allr
-             if tuple(x + y for x, y in zip(a, b)) in rs._all]
-    rng = random.Random(17)
-    for _ in range(trials):
-        a, b = rng.choice(pairs)
-        tv, uv = rng.randint(-3, 3), rng.randint(-3, 3)
-        Xa = t.adjoint_root_elem_int(a, tv)
-        Xb = t.adjoint_root_elem_int(b, uv)
-        lhs = _int_sparse_mul(Xb, Xa)
-        rhs = _int_sparse_mul(Xa, Xb)
-        for i, j, r, c in t.commutator_coeffs(a, b):
-            rhs = _int_sparse_mul(rhs, t.adjoint_root_elem_int(r, c * (-tv) ** i * uv ** j))
-        assert lhs == rhs
-
-
-@pytest.mark.parametrize("name", ["G2", "D4", "E8"])
-def test_adjoint_unipotent(name):
-    t = build_constants(name)
-    rs = t.rs
-    ident = {j: {j: 1} for j in range(t.dim)}
-    rng = random.Random(5)
-    for r in rng.sample(sorted(rs._all), 8):
-        powers = t.ad_divided_powers(r)
-        assert len(powers) - 1 <= 3
-        x = t.adjoint_root_elem_int(r, 4)
-        y = t.adjoint_root_elem_int(r, -4)
-        assert _int_sparse_mul(x, y) == ident
 
 
 @pytest.mark.parametrize("name", ["G2", "E6"])
@@ -133,44 +101,3 @@ def test_sl2_triples(name):
         h = t.bracket(e, f)
         assert t.bracket(h, e) == {("e", r): 2}
         assert t.bracket(h, f) == {("e", tuple(-x for x in r)): -2}
-
-
-def test_eta_signs():
-    t = build_constants("E6")
-    rs = t.rs
-    rng = random.Random(9)
-    for _ in range(40):
-        alpha = rng.choice(rs.positive)
-        gamma = rng.choice(sorted(rs._all))
-        assert t.eta(alpha, gamma) in (1, -1)
-
-
-def test_export_load_roundtrip():
-    t = build_constants("E6")
-    text = t.export_lines()
-    t2 = load_constants("E6", text)
-    assert t2._n_pos == t._n_pos
-
-
-def test_load_alternative_convention_satisfies_jacobi():
-    # rescaling e_r by eps(r) = (-1)^(coefficient of the first simple root)
-    # is a Lie algebra automorphism, so the flipped table is also valid
-    t = build_constants("D4")
-    rs = t.rs
-    eps = lambda r: (-1) ** (r[0] % 2)
-    lines = []
-    for (a, b), n in t._n_pos.items():
-        s = tuple(x + y for x, y in zip(a, b))
-        lines.append(f"{rs.format_root(a)} {rs.format_root(b)} {eps(a) * eps(b) * eps(s) * n}")
-    t2 = load_constants("D4", "\n".join(lines))
-    keys = t2.basis_keys()
-    for tri in itertools.combinations(keys, 3):
-        assert jacobi_defect(t2, tri) == {}
-
-
-def test_load_rejects_incomplete():
-    t = build_constants("A3")
-    lines = t.export_lines().splitlines()
-    assert len(lines) > 1
-    with pytest.raises(ValueError):
-        load_constants("A3", "\n".join(lines[:-1]))

@@ -99,6 +99,16 @@ def test_freudenthal_rejects_nondominant():
         freudenthal("G2", (-1, 0))
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: freudenthal("E6", (0, 0, -2, 0, 0, 0)), r"\(0, 0, -2, 0, 0, 0\) of E6"),
+    (lambda: a1_simple_weights(-3, 7), r"-3 of L\(m\) at p=7"),
+    (lambda: module_weights(m_simple(-4), 5), r"-4 at p=5"),
+], ids=["freudenthal", "a1_simple_weights", "atom_char"])
+def test_nondominant_weight_errors_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_weyl_dim_a1_series():
     for m in range(8):
         assert weyl_dim("A1", (m,)) == m + 1
