@@ -122,6 +122,9 @@ def a1_top_weight(weights):
 # -- rank-one characters -----------------------------------------------------
 
 def a1_weyl_weights(m: int) -> list[int]:
+    """Weights of W(m); also the dominance check of ``a1_tilting_weights``."""
+    if m < 0:
+        raise ValueError(f"highest weight {m} must be dominant")
     return list(range(m, -m - 1, -2))
 
 

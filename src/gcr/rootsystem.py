@@ -10,6 +10,7 @@ return plain tuples of ints.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,8 +41,12 @@ def cartan_matrix(name: str) -> list[list[int]]:
 
 
 def parse_type(name: str) -> tuple[str, int]:
-    name = name.strip()
-    kind, rank = name[0].upper(), int(name[1:])
+    """(kind, rank) of a type name: A, D, E or G in either case, then ASCII
+    digits, with surrounding whitespace allowed."""
+    m = re.fullmatch(r"\s*([ADEG])([0-9]+)\s*", name, re.IGNORECASE)
+    if m is None:
+        raise ValueError(f"unsupported type {name!r}")
+    kind, rank = m[1].upper(), int(m[2])
     if kind == "A" and rank >= 1:
         return kind, rank
     if kind == "D" and rank >= 3:
@@ -50,7 +55,7 @@ def parse_type(name: str) -> tuple[str, int]:
         return kind, rank
     if kind == "G" and rank == 2:
         return kind, rank
-    raise ValueError(f"unsupported type {name}")
+    raise ValueError(f"unsupported type {name!r}")
 
 
 # Root lengths: d[i] = (alpha_i, alpha_i)/2 relative to long roots of norm 2.
@@ -66,8 +71,8 @@ class RootSystem:
     recursion, sorted by (height, coefficient tuple)."""
 
     def __init__(self, name: str):
-        self.name = name[0].upper() + name[1:]
         self.kind, self.rank = parse_type(name)
+        self.name = f"{self.kind}{self.rank}"
         self.cartan = cartan_matrix(name)
         self._norms = _root_norms(self.kind, self.rank)
         # 3 * (alpha_i, alpha_j) = 3 * d_j * A[i][j]: integral, since the

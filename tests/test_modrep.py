@@ -103,7 +103,10 @@ def test_freudenthal_rejects_nondominant():
     (lambda: freudenthal("E6", (0, 0, -2, 0, 0, 0)), r"\(0, 0, -2, 0, 0, 0\) of E6"),
     (lambda: a1_simple_weights(-3, 7), r"-3 of L\(m\) at p=7"),
     (lambda: module_weights(m_simple(-4), 5), r"-4 at p=5"),
-], ids=["freudenthal", "a1_simple_weights", "atom_char"])
+    (lambda: a1_weyl_weights(-2), r"weight -2 must"),
+    (lambda: a1_tilting_weights(-3, 5), r"weight -3 must"),
+], ids=["freudenthal", "a1_simple_weights", "atom_char", "a1_weyl_weights",
+        "a1_tilting_weights"])
 def test_nondominant_weight_errors_name_the_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

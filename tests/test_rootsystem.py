@@ -1,12 +1,13 @@
 """Root-system construction checked against independent Euclidean models."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcr.rootsystem import build_root_system
+from gcr.rootsystem import build_root_system, parse_type
 
 F = Fraction
 
@@ -256,3 +257,16 @@ def test_pairing_rejects_non_integral():
     # (a1, 2a1 + 2a2) = 2 and (2a1 + 2a2)^2 = 8: the pairing is 1/2
     with pytest.raises(ValueError):
         rs.pairing((1, 0), (2, 2))
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("", None), ("E", None), ("E0_6", None), ("E+6", None),
+    ("E\u0666", None),                   # Arabic-Indic six
+    (" e6 ", "E6"),
+])
+def test_parse_type_is_strict(name, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            parse_type(name)
+    else:
+        assert build_root_system(name).name == expected

@@ -2,8 +2,9 @@
 strips them, so an invariant checked by one is not checked at all), no
 random-number generator (results rest on exact arithmetic, not on sampling
 or seeded retries), no `eval` or `exec` (data strings are parsed against
-a grammar, never run as code), no unused top-level import, and every
-console script declared in ``pyproject.toml`` resolves to a callable."""
+a grammar, never run as code), no unused top-level import, no module that
+the table diff cannot reach through relative imports, and every console
+script declared in ``pyproject.toml`` resolves to a callable."""
 
 import ast
 import importlib
@@ -55,6 +56,22 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_module_reachable_from_tables():
+    # gcr.tables holds diff_badx, the end of every table result; follow its
+    # `from .x import ...` lines, function-local ones included
+    by_name = {path.stem: path for path in SOURCES}
+    reached, todo = set(), ["tables"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(node.module for node in ast.walk(ast.parse(by_name[name].read_text()))
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
+    orphans = sorted(f"{name}.py" for name in by_name.keys() - reached - {"__init__"})
+    assert not orphans, f"modules no table result imports: {orphans}"
 
 
 def test_console_scripts_resolve():
