@@ -25,13 +25,19 @@ from .rootsystem import build_root_system
 
 # -- Freudenthal weight multiplicities ---------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the irreducible characteristic-zero module
     with highest weight lam (fundamental-weight coordinates), by Freudenthal's
-    formula (Humphreys, §22.3).  Each weight mu = lam - sum c_i alpha_i carries
-    its depth c, so on the root system's Gram matrix g scaled by 3 every term
-    is an integer: 3(omega_i, alpha_j) = delta_ij g[i][i]/2, and
+    formula (Humphreys, §22.3), cached once per type and weight whatever the
+    spelling of the type name."""
+    return _freudenthal(build_root_system(name).name, tuple(lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """``freudenthal`` on a canonical type name.  Each weight
+    mu = lam - sum c_i alpha_i carries its depth c, so on the root system's
+    Gram matrix g scaled by 3 every term is an integer: 3(omega_i, alpha_j) = delta_ij g[i][i]/2, and
     3((lam+rho)^2 - (mu+rho)^2) = sum c_i (lam_i+1) g[i][i] - 3(c, c).
     Root strings through weights are unbroken, so mu - alpha_j is a weight
     exactly when the alpha_j-string runs more than -mu_j steps above mu, and
@@ -238,38 +244,59 @@ class A1Module:
     x_+(t) = sum_a t^a E[a] and x_-(t) = sum_a t^a F[a].
 
     E[a] raises a weight by 2a and F[a] lowers it by 2a, so few entries are
-    nonzero.  ``entries`` is the pair (E, F) of dicts that keep each operator
-    as its nonzero entries (rows, cols, values mod p), at distinct
-    positions.  The constructor takes, per degree a, a matrix (an array or
-    nested lists) or such an entry triple (a tuple); it reduces mod p, drops
-    zeros and checks the weight shift of every nonzero entry.
-    ``E`` and ``F`` are dense views, built on first use."""
+    nonzero.  ``entries`` is the pair (E, F), each kind kept over all its
+    degrees as one triple (rows, cols, values mod p) of nonzero entries at
+    distinct positions; an entry's degree is half its weight shift.  The
+    constructor takes, per kind, such a flat triple (a tuple), or a dict
+    from degree a to a matrix (an array or nested lists) or an entry triple.
+    It reduces mod p, drops zeros and checks every nonzero entry's weight
+    shift: +-2a for a dict, positive and even in the operator's direction
+    for a flat triple.  ``E`` and ``F`` are dense dicts per degree, built on
+    first use."""
 
-    def __init__(self, p: int, weights: list[int], E: dict, F_: dict):
+    def __init__(self, p: int, weights: list[int], E: dict | tuple, F_: dict | tuple):
         self.p = p
         self.weights = list(weights)
         self.dim = len(weights)
         w = np.array(self.weights, dtype=np.int64)
-        self.entries: tuple[dict, dict] = ({}, {})
-        for ops, store, sign in ((E, self.entries[0], 1), (F_, self.entries[1], -1)):
+        self.entries = tuple(self._flat(ops, w, sign, name)
+                             for ops, sign, name in ((E, 1, "E"), (F_, -1, "F")))
+
+    def _flat(self, ops, w: np.ndarray, sign: int, name: str) -> tuple:
+        """One kind's nonzero entries mod p as a flat triple, shifts checked."""
+        if not isinstance(ops, tuple):
+            parts = [(np.zeros(0, dtype=np.int64),) * 4]
             for a, m in ops.items():
                 if not isinstance(m, tuple):
                     m = np.asarray(m, dtype=np.int64)
-                    nz = np.nonzero(m)
-                    m = (*nz, m[nz])
-                r, c, v = (np.asarray(x, dtype=np.int64) for x in m)
-                keep = v % p != 0
-                if keep.any():
-                    r, c, v = r[keep], c[keep], v[keep] % p
-                    if np.any(w[r] - w[c] != 2 * sign * a):
-                        raise ArithmeticError("operator does not shift weights correctly")
-                    store[a] = (r, c, v)
+                    m = (*np.nonzero(m), m[np.nonzero(m)])
+                parts.append((*m, np.full(len(m[2]), 2 * a)))
+            ops = map(np.concatenate, zip(*parts))
+        r, c, v, *want = (np.asarray(x, dtype=np.int64) for x in ops)
+        keep = v % self.p != 0
+        r, c, v = r[keep], c[keep], v[keep] % self.p
+        shift = sign * (w[r] - w[c])
+        want = want[0][keep] if want else None
+        bad = (shift <= 0) | (shift % 2 == 1) if want is None else shift != want
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            expected = (f"{'+-'[sign < 0]}2a with a >= 1" if want is None
+                        else f"{sign * want[i]:+d}")
+            raise ArithmeticError(
+                f"operator does not shift weights correctly: {name} entry "
+                f"({r[i]}, {c[i]}) maps weight {w[c[i]]} to {w[r[i]]}, "
+                f"expected a shift of {expected}")
+        return r, c, v
 
     def _dense(self, which: int) -> dict[int, np.ndarray]:
+        r, c, v = self.entries[which]
+        w = np.array(self.weights, dtype=np.int64)
+        deg = np.abs(w[r] - w[c]) // 2
         out = {}
-        for a, (r, c, v) in self.entries[which].items():
+        for a in np.unique(deg).tolist():
+            at = deg == a
             out[a] = np.zeros((self.dim, self.dim), dtype=np.int64)
-            out[a][r, c] = v
+            out[a][r[at], c[at]] = v[at]
         return out
 
     @functools.cached_property
@@ -280,30 +307,27 @@ class A1Module:
     def F(self) -> dict[int, np.ndarray]:
         return self._dense(1)
 
-    def x_plus(self, t: int) -> np.ndarray:
+    def _exp(self, ops: dict[int, np.ndarray], t: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=np.int64)
-        for a, m in self.E.items():
+        for a, m in ops.items():
             out = (out + pow(t, a, self.p) * m) % self.p
         return out
 
+    def x_plus(self, t: int) -> np.ndarray:
+        return self._exp(self.E, t)
+
     def x_minus(self, t: int) -> np.ndarray:
-        out = np.eye(self.dim, dtype=np.int64)
-        for a, m in self.F.items():
-            out = (out + pow(t, a, self.p) * m) % self.p
-        return out
+        return self._exp(self.F, t)
 
 
 def weyl_module(m: int, p: int) -> A1Module:
     """W(m) on divided-power basis v_0 .. v_m, v_i of weight m - 2i:
     E_k v_i = binom(m - i + k, k) v_{i-k} and F_k v_{i-k} = binom(i, k) v_i."""
-    weights = [m - 2 * i for i in range(m + 1)]
-    E: dict[int, tuple] = {}
-    Fm: dict[int, tuple] = {}
-    for k in range(1, m + 1):
-        i = np.arange(k, m + 1)
-        E[k] = (i - k, i, [math.comb(m - j + k, k) % p for j in range(k, m + 1)])
-        Fm[k] = (i, i - k, [math.comb(j, k) % p for j in range(k, m + 1)])
-    return A1Module(p, weights, E, Fm)
+    lo, hi = np.triu_indices(m + 1, 1)
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    return A1Module(p, [m - 2 * i for i in range(m + 1)],
+                    (lo, hi, [math.comb(m - j, i - j) % p for j, i in pairs]),
+                    (hi, lo, [math.comb(i, i - j) % p for j, i in pairs]))
 
 
 def simple_module(m: int, p: int) -> A1Module:
@@ -319,53 +343,51 @@ def trivial_module(p: int) -> A1Module:
     return weyl_module(0, p)
 
 
-def _joined(pieces: dict[int, list]) -> dict[int, tuple]:
-    """Concatenate the entry triples collected per degree."""
-    return {k: tuple(map(np.concatenate, zip(*ps))) for k, ps in pieces.items()}
+def _with_identity(entries: tuple, dim: int) -> tuple:
+    """An entry triple with the identity appended as degree 0."""
+    i = np.arange(dim)
+    return tuple(map(np.concatenate, zip(entries, (i, i, np.ones_like(i)))))
 
 
 def tensor(a: A1Module, b: A1Module) -> A1Module:
-    """a (x) b on the basis u_i (x) v_j at index i * b.dim + j.  Degree k of
-    an operator is the sum over i + j = k of degree i on a times degree j on
-    b, degree 0 being the identity.  An entry's weight shift fixes its
-    degree in each factor, so the products never share a position."""
+    """a (x) b on the basis u_i (x) v_j at index i * b.dim + j.  Each factor's
+    entries, with its identity appended as degree 0, are multiplied pairwise,
+    and the identity (x) identity block is dropped.  An entry's weight shift
+    fixes its degree in each factor, so the products never share a
+    position."""
     weights = [wa + wb for wa in a.weights for wb in b.weights]
-    ia, ib = (np.arange(n) for n in (a.dim, b.dim))
     ops = []
     for xa, xb in zip(a.entries, b.entries):
-        pieces: dict[int, list] = {}
-        for i, (ra, ca, va) in (*xa.items(), (0, (ia, ia, np.ones_like(ia)))):
-            for j, (rb, cb, vb) in (*xb.items(), (0, (ib, ib, np.ones_like(ib)))):
-                if i + j:
-                    pieces.setdefault(i + j, []).append(
-                        ((ra[:, None] * b.dim + rb).ravel(),
-                         (ca[:, None] * b.dim + cb).ravel(), np.outer(va, vb).ravel()))
-        ops.append(_joined(pieces))
+        (ra, ca, va), (rb, cb, vb) = _with_identity(xa, a.dim), _with_identity(xb, b.dim)
+        keep = np.ones((ra.size, rb.size), dtype=bool)
+        keep[xa[0].size:, xb[0].size:] = False
+        ops.append(((ra[:, None] * b.dim + rb)[keep],
+                    (ca[:, None] * b.dim + cb)[keep], np.outer(va, vb)[keep]))
     return A1Module(a.p, weights, *ops)
 
 
 def twist(a: A1Module, r: int) -> A1Module:
     q = a.p ** r
-    return A1Module(a.p, [w * q for w in a.weights],
-                    *({k * q: e for k, e in ops.items()} for ops in a.entries))
+    return A1Module(a.p, [w * q for w in a.weights], *a.entries)
 
 
 def dual(a: A1Module) -> A1Module:
-    return A1Module(a.p, [-w for w in a.weights],
-                    *({k: (c, r, (-1) ** k * v) for k, (r, c, v) in ops.items()}
-                      for ops in a.entries))
+    """Negated weights; each entry transposed, with the sign (-1)^degree."""
+    w = np.array(a.weights, dtype=np.int64)
+    return A1Module(a.p, (-w).tolist(),
+                    *((c, r, np.where((w[r] - w[c]) // 2 % 2, -v, v))
+                      for r, c, v in a.entries))
 
 
 def direct_sum(*mods: A1Module) -> A1Module:
-    pieces: tuple[dict, dict] = ({}, {})
+    ops: tuple[list, list] = ([], [])
     off = 0
     for m in mods:
-        for store, ops in zip(pieces, m.entries):
-            for k, (r, c, v) in ops.items():
-                store.setdefault(k, []).append((r + off, c + off, v))
+        for store, (r, c, v) in zip(ops, m.entries):
+            store.append((r + off, c + off, v))
         off += m.dim
     return A1Module(mods[0].p, [w for m in mods for w in m.weights],
-                    *map(_joined, pieces))
+                    *(tuple(map(np.concatenate, zip(*s))) for s in ops))
 
 
 def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
@@ -376,26 +398,34 @@ def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
     p = mod.p
     basis = np.asarray(basis, dtype=np.int64) % p
     cols = basis.shape[1]
-    w = np.array(mod.weights, dtype=np.int64)[:, None]
-    weights = np.where(basis != 0, w, w.min() - 1).max(axis=0)
-    if np.any(weights != np.where(basis != 0, w, w.max() + 1).min(axis=0)):
-        raise ArithmeticError("basis vector mixes weights")
-    keys = [(which, a) for which, ops in enumerate(mod.entries) for a in ops]
-    images = []
-    for which, a in keys:
-        r, c, v = mod.entries[which][a]
-        images.append(np.zeros_like(basis))
-        np.add.at(images[-1], r, v[:, None] * basis[c])
+    w, nz = np.array(mod.weights, dtype=np.int64), basis != 0
+    weights = np.where(nz, w[:, None], w.min() - 1).max(axis=0)
+    mixed = np.flatnonzero(weights != np.where(nz, w[:, None], w.max() + 1).min(axis=0))
+    if mixed.size:
+        raise ArithmeticError(f"basis vector mixes weights: column {mixed[0]} has "
+                              f"weights {sorted(set(w[nz[:, mixed[0]]].tolist()))}")
+    keys, images = [], []
+    for which, (r, c, v) in enumerate(mod.entries):
+        degs, at = np.unique(np.abs(w[r] - w[c]) // 2, return_inverse=True)
+        image = np.zeros((degs.size, mod.dim, cols), dtype=np.int64)
+        np.add.at(image, (at, r), v[:, None] * basis[c])
+        keys += [(which, a) for a in degs.tolist()]
+        images.append(image)
+    images = np.concatenate(images)
     rows = rref(basis.T, p)[1]
     if len(rows) < cols:
         raise ArithmeticError("basis vectors are dependent")
-    solved = rref(np.concatenate([basis[rows]] + [m[rows] for m in images], axis=1), p)[0]
-    out: tuple[dict, dict] = ({}, {})
-    for k, ((which, a), image) in enumerate(zip(keys, images)):
-        x = solved[:, (k + 1) * cols:(k + 2) * cols]
-        if np.any((basis @ x - image) % p):
-            raise ArithmeticError("not a submodule")
-        out[which][a] = x
+    solved = rref(np.concatenate([basis[rows], *images[:, rows]], axis=1), p)[0]
+    x = solved[:, cols:].reshape(cols, len(keys), cols).transpose(1, 0, 2)
+    bad = np.flatnonzero(((basis @ x - images) % p).any(axis=(1, 2)))
+    if bad.size:
+        which, a = keys[bad[0]]
+        raise ArithmeticError(
+            f"not a submodule: {'EF'[which]}_{a} maps the span outside itself")
+    out = []
+    for sel in np.split(x, [sum(kind == 0 for kind, _ in keys)]):
+        at, i, j = np.nonzero(sel)
+        out.append((i, j, sel[at, i, j]))
     return A1Module(p, weights.tolist(), *out)
 
 
@@ -474,8 +504,7 @@ def h1_module_a1(mod: A1Module) -> int:
     mat[np.arange(own.size), own] = _binom_mod(
         s[own], np.arange(own.size) - start[own] + 1, p)
     # all E entries at once: an entry's degree is half its weight shift
-    none = np.zeros(0, dtype=np.int64)
-    r, c, v = map(np.concatenate, zip((none, none, none), *mod.entries[0].values()))
+    r, c, v = mod.entries[0]
     keep = pos[r] & pos[c]
     rk, ck = r[keep], c[keep]
     mat[start[var[rk]] + (w[rk] - w[ck]) // 2 - 1, var[ck]] -= v[keep]

@@ -198,4 +198,11 @@ class RootSystem:
 
 @functools.cache
 def build_root_system(name: str) -> RootSystem:
-    return RootSystem(name)
+    """The root system of a type name; every spelling of one type, such as
+    " e6 " and "E6", gives the same cached object."""
+    return _root_system(*parse_type(name))
+
+
+@functools.cache
+def _root_system(kind: str, rank: int) -> RootSystem:
+    return RootSystem(f"{kind}{rank}")

@@ -1,6 +1,7 @@
 """Modular representation calculus for rank-one groups and G2."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -264,9 +265,12 @@ def test_module_rejects_wrong_weight_shift():
     # E_1 must raise the weight by 2: from -1 to 1, never from 1 to -1
     good = A1Module(5, [1, -1], {1: [[0, 1], [0, 0]]}, {1: [[0, 0], [1, 0]]})
     assert good.dim == 2
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "operator does not shift weights correctly: E entry (1, 0) maps "
+            "weight 1 to -1, expected a shift of +2")):
         A1Module(5, [1, -1], {1: [[0, 0], [1, 0]]}, {})
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "F entry (0, 1) maps weight -1 to 1, expected a shift of -2")):
         A1Module(5, [1, -1], {}, {1: [[0, 1], [0, 0]]})
 
 
@@ -281,6 +285,57 @@ def test_module_rejects_wrong_weight_shift_in_entry_form():
         A1Module(5, [1, -1], {}, {1: ([0], [1], [1])})
     # an entry that vanishes mod p is dropped before the shift check
     assert A1Module(5, [1, -1], {1: ([1], [0], [5])}, {}).E == {}
+
+
+def test_dict_and_flat_input_agree():
+    # per-degree matrices, per-degree triples and one flat triple per kind,
+    # listing the same entries in the same order, give the same module
+    p = 5
+    t = tilting_module(6, p)
+    flat, triples = [], []
+    for ops in (t.E, t.F):
+        nz = {a: (*np.nonzero(m), m[np.nonzero(m)]) for a, m in ops.items()}
+        triples.append(nz)
+        flat.append(tuple(map(np.concatenate, zip(*nz.values()))))
+    mods = [A1Module(p, t.weights, t.E, t.F), A1Module(p, t.weights, *triples),
+            A1Module(p, t.weights, *flat)]
+    for mod in mods[1:]:
+        for got, want in zip(mod.entries, mods[0].entries):
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+        for got, want in ((mod.E, t.E), (mod.F, t.F)):
+            assert got.keys() == want.keys()
+            for k in want:
+                assert np.array_equal(got[k], want[k]), k
+
+
+@pytest.mark.parametrize("weights,E,F", [
+    ([1, -1], ([0], [0], [1]), ([], [], [])),      # zero shift
+    ([1, 0], ([0], [1], [1]), ([], [], [])),       # odd shift
+    ([1, -1], ([1], [0], [1]), ([], [], [])),      # E lowering
+    ([1, -1], ([], [], []), ([0], [1], [1])),      # F raising
+], ids=["zero", "odd", "E-down", "F-up"])
+def test_flat_input_rejects_bad_shift(weights, E, F):
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "operator does not shift weights correctly: ")):
+        A1Module(5, weights, E, F)
+
+
+def _same_module(x, y):
+    assert x.weights == y.weights
+    for got, want in ((x.E, y.E), (x.F, y.F)):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dual_and_twist_compose(p):
+    # the factors of test_tensor_matches_kron_reference
+    for mod in (weyl_module(3, p), tilting_module(p, p),
+                twist(tilting_module(2, p), 1), dual(weyl_module(p + 1, p))):
+        _same_module(dual(dual(mod)), mod)
+        _same_module(twist(twist(mod, 1), 1), twist(mod, 2))
 
 
 def _kron_tensor_ops(a, b):
@@ -339,6 +394,14 @@ def test_submodule_restriction_errors():
         _submodule_restriction(w2, np.array([[1], [0], [0]]))
     with pytest.raises(ArithmeticError, match="basis vector mixes weights"):
         _submodule_restriction(w2, np.array([[1], [1], [0]]))
+    # the errors name the operator and degree, or the mixed column
+    with pytest.raises(ArithmeticError, match="not a submodule: F_1 "):
+        _submodule_restriction(w2, np.array([[1], [0], [0]]))
+    with pytest.raises(ArithmeticError, match="not a submodule: E_1 "):
+        _submodule_restriction(w2, np.array([[0], [0], [1]]))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "column 1 has weights [-2, 2]")):
+        _submodule_restriction(w2, np.array([[0, 1], [1, 0], [0, 1]]))
     with pytest.raises(ArithmeticError, match="basis vectors are dependent"):
         _submodule_restriction(w2, np.array([[1, 2], [0, 0], [0, 0]]))
 

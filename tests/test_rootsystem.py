@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcr import modrep
 from gcr.rootsystem import build_root_system, parse_type
 
 F = Fraction
@@ -270,3 +271,12 @@ def test_parse_type_is_strict(name, expected):
             parse_type(name)
     else:
         assert build_root_system(name).name == expected
+
+
+def test_type_name_spellings_share_one_cache_entry():
+    assert build_root_system(" e6 ") is build_root_system("E6")
+    # a weight no other test asks for, so its first spelling is a miss
+    before = modrep._freudenthal.cache_info().misses
+    first = modrep.freudenthal("a2", (3, 4))
+    assert modrep.freudenthal(" A2 ", (3, 4)) is first
+    assert modrep._freudenthal.cache_info().misses - before == 1
