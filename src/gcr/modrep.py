@@ -35,53 +35,67 @@ def freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 @functools.lru_cache(maxsize=None)
 def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """``freudenthal`` on a canonical type name.  Each weight
-    mu = lam - sum c_i alpha_i carries its depth c, so on the root system's
-    Gram matrix g scaled by 3 every term is an integer: 3(omega_i, alpha_j) = delta_ij g[i][i]/2, and
+    """``freudenthal`` on a canonical type name.  The formula runs at the
+    dominant weights only, in order of depth, and the W-orbits are filled in
+    at the end (Moody and Patera, Bull. AMS 7, 1982); the dominant weights
+    below lam are reached from lam by subtracting positive roots (Stembridge,
+    Adv. Math. 134, 1998).  Each mu = lam - sum c_i alpha_i carries its depth
+    c, so on the root system's Gram matrix g scaled by 3 every term is an
+    integer: 3(omega_i, alpha_j) = delta_ij g[i][i]/2, and
     3((lam+rho)^2 - (mu+rho)^2) = sum c_i (lam_i+1) g[i][i] - 3(c, c).
-    Root strings through weights are unbroken, so mu - alpha_j is a weight
-    exactly when the alpha_j-string runs more than -mu_j steps above mu, and
-    the terms mu + k alpha of the formula stop at the first non-weight."""
+    The term at mu + k alpha takes the multiplicity of its dominant conjugate,
+    found earlier; root strings through weights are unbroken, so the terms
+    stop at the first one whose conjugate is not below lam."""
     rs = build_root_system(name)
     n = rs.rank
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight {lam} of {rs.name} must be dominant")
     half = [rs._gram3[i][i] // 2 for i in range(n)]
-    # per positive root alpha: its weight, the vector 3(omega_j, alpha) and
-    # 3(alpha, alpha)
-    pos = [(tuple(rs.pairing_index(r, i) for i in range(n)),
+    # per positive root alpha: its weight, its root coordinates, the vector
+    # 3(omega_j, alpha) and 3(alpha, alpha)
+    pos = [(tuple(rs.pairing_index(r, i) for i in range(n)), r,
             tuple(h * c for h, c in zip(half, r)), rs._form3(r, r))
            for r in rs.positive]
     # (lam_i + 1) g[i][i], the first term of the scaled denominator
     lam_rho = [2 * h * (x + 1) for h, x in zip(half, lam)]
+
+    def dominant(w):
+        while (j := next((j for j, x in enumerate(w) if x < 0), None)) is not None:
+            w = tuple(a - w[j] * b for a, b in zip(w, rs.cartan[j]))
+        return w
+
+    depth, found = {lam: (0,) * n}, [lam]
+    for w in found:
+        for omega, r, _, _ in pos:
+            mu = tuple(a - b for a, b in zip(w, omega))
+            if min(mu) >= 0 and mu not in depth:
+                depth[mu] = tuple(a + b for a, b in zip(depth[w], r))
+                found.append(mu)
     mult: dict[tuple[int, ...], int] = {lam: 1}
-    depth = {lam: (0,) * n}
-    frontier = [lam]
-    while frontier:
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for w in frontier:
-            c = depth[w]
-            for j, s in enumerate(rs.cartan):
-                t = 1 - w[j]
-                if t <= 0 or tuple(a + t * b for a, b in zip(w, s)) in mult:
-                    mu = tuple(a - b for a, b in zip(w, s))
-                    nxt[mu] = c[:j] + (c[j] + 1,) + c[j + 1:]
-        frontier = sorted(nxt)
-        for mu in frontier:
-            c = depth[mu] = nxt[mu]
-            total = 0
-            for omega, r_half, r_norm in pos:
-                mu_r = sum(a * b for a, b in zip(mu, r_half))
-                up, k = tuple(a + b for a, b in zip(mu, omega)), 1
-                while up in mult:
-                    total += mult[up] * (mu_r + k * r_norm)
-                    up, k = tuple(a + b for a, b in zip(up, omega)), k + 1
-            denom = sum(a * b for a, b in zip(c, lam_rho)) - rs._form3(c, c)
-            val, rem = divmod(2 * total, denom)
-            if rem or val <= 0:
-                raise ArithmeticError(f"Freudenthal gave {2 * total}/{denom} at {mu}")
-            mult[mu] = val
-    return mult
+    for mu in sorted(found[1:], key=lambda w: sum(depth[w])):
+        c, total = depth[mu], 0
+        for omega, _, r_half, r_norm in pos:
+            mu_r = sum(a * b for a, b in zip(mu, r_half))
+            up, k = tuple(a + b for a, b in zip(mu, omega)), 1
+            while (top := dominant(up)) in mult:
+                total += mult[top] * (mu_r + k * r_norm)
+                up, k = tuple(a + b for a, b in zip(up, omega)), k + 1
+        denom = sum(a * b for a, b in zip(c, lam_rho)) - rs._form3(c, c)
+        val, rem = divmod(2 * total, denom)
+        if rem or val <= 0:
+            raise ArithmeticError(f"Freudenthal gave {2 * total}/{denom} at {mu}")
+        mult[mu] = val
+    out: dict[tuple[int, ...], int] = {}
+    for mu, m in mult.items():
+        orbit = [mu]
+        out[mu] = m
+        for w in orbit:  # the lowering reflections reach the whole orbit
+            for j in (j for j, x in enumerate(w) if x > 0):
+                v = tuple(a - w[j] * b for a, b in zip(w, rs.cartan[j]))
+                if v not in out:
+                    out[v] = m
+                    orbit.append(v)
+    return out
 
 
 def weyl_dim(name: str, lam: tuple[int, ...]) -> int:
@@ -252,7 +266,7 @@ class A1Module:
     It reduces mod p, drops zeros and checks every nonzero entry's weight
     shift: +-2a for a dict, positive and even in the operator's direction
     for a flat triple.  ``E`` and ``F`` are dense dicts per degree, built on
-    first use."""
+    first use.  Every array is read-only: ``tilting_module`` shares modules."""
 
     def __init__(self, p: int, weights: list[int], E: dict | tuple, F_: dict | tuple):
         self.p = p
@@ -286,6 +300,8 @@ class A1Module:
                 f"operator does not shift weights correctly: {name} entry "
                 f"({r[i]}, {c[i]}) maps weight {w[c[i]]} to {w[r[i]]}, "
                 f"expected a shift of {expected}")
+        for x in (r, c, v):
+            x.setflags(write=False)
         return r, c, v
 
     def _dense(self, which: int) -> dict[int, np.ndarray]:
@@ -293,10 +309,11 @@ class A1Module:
         w = np.array(self.weights, dtype=np.int64)
         deg = np.abs(w[r] - w[c]) // 2
         out = {}
-        for a in np.unique(deg).tolist():
+        for a in sorted(set(deg.tolist())):
             at = deg == a
             out[a] = np.zeros((self.dim, self.dim), dtype=np.int64)
             out[a][r[at], c[at]] = v[at]
+            out[a].setflags(write=False)
         return out
 
     @functools.cached_property
@@ -440,8 +457,9 @@ def _mat_power_mod(m: np.ndarray, n: int, p: int) -> np.ndarray:
     return out
 
 
+@functools.cache
 def tilting_module(m: int, p: int) -> A1Module:
-    """The indecomposable tilting module T(m) with explicit operators.
+    """Indecomposable tilting T(m) with explicit operators, cached per (m, p).
 
     Below p, T(m) = W(m); above 2p - 2, T(m) = T(b)^[1] (x) T(a) by Donkin's
     split.  For p <= m <= 2p - 2, T(m) is a summand of St (x) L(k) with

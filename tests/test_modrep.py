@@ -1,15 +1,20 @@
 """Modular representation calculus for rank-one groups and G2."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freudenthal_reference import freudenthal_all_weights
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
@@ -60,6 +65,8 @@ from gcr.modrep import (
 )
 from gcr.rings import rank
 from gcr.rootsystem import build_root_system
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- characteristic-zero weight multiplicities --------------------------------
@@ -142,6 +149,22 @@ def test_fundamental_characters_weyl_dimension_and_symmetry(name):
             reflected = {tuple(a - mu[j] * b for a, b in zip(mu, alpha)): m
                          for mu, m in mults.items()}
             assert reflected == mults, (lam, j)
+
+
+# every fundamental weight of the Levi types but E7's omega_3, omega_4
+# (365,750-dimensional) and omega_5, which take the reference about 18 s
+REFERENCE_CASES = [(name, tuple(int(i == j) for j in range(rank)))
+                   for name in LEVI_TYPES
+                   for rank in [build_root_system(name).rank]
+                   for i in range(rank) if name != "E7" or i not in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("name,lam", REFERENCE_CASES, ids=[
+    f"{name}-omega{lam.index(1) + 1}" for name, lam in REFERENCE_CASES])
+def test_freudenthal_matches_all_weight_reference(name, lam):
+    """The dominant-weight recursion against Freudenthal's formula at every
+    weight, which fills no orbit and enumerates no dominant weight."""
+    assert freudenthal(name, lam) == freudenthal_all_weights(name, lam)
 
 
 # -- rank-one characters ------------------------------------------------------
@@ -249,6 +272,31 @@ def test_module_constructors_consistent():
 def test_tilting_module_extraction(m, p):
     mod = tilting_module(m, p)
     assert Counter(mod.weights) == Counter(a1_tilting_weights(m, p))
+
+
+def test_tilting_module_is_shared_and_read_only():
+    t = tilting_module(12, 7)
+    assert tilting_module(12, 7) is t
+    for x in (*t.entries[0], *t.entries[1], t.E[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1
+    # builders copy, so a module made from a shared one is its own
+    u = twist(t, 1)
+    assert all(x is not y for x, y in zip(u.entries[0], t.entries[0]))
+
+
+def test_explicit_operators_import_nothing_more():
+    # under numpy 2.4 a bare np.unique imports numpy.ma (0.04 s) on its first
+    # call; building and solving modules imports nothing beyond gcr.modrep
+    code = ("import sys\n"
+            "from gcr.modrep import h1_module_a1, tensor, tilting_module, twist\n"
+            "before = set(sys.modules)\n"
+            "h1_module_a1(tensor(tilting_module(12, 7), twist(tilting_module(6, 7), 1)))\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
 
 
 def test_one_param_group_law():
