@@ -201,45 +201,6 @@ def a1_comp_factors(weights, p: int) -> Counter:
                            lambda n: a1_simple_weights(n, p))
 
 
-@functools.lru_cache(maxsize=None)
-def a1_jantzen_character(m: int, p: int) -> Counter:
-    """Net character of the Jantzen filtration layers of W(m): the signed sum
-    of Weyl characters at the reflected weights 2kp - m - 2 for 0 < kp < m+1,
-    each weighted by 1 + v_p(k)."""
-    total: Counter = Counter()
-    k = 1
-    while k * p < m + 1:
-        nu, q = 1, k
-        while q % p == 0:
-            nu += 1
-            q //= p
-        mu = 2 * k * p - m - 2
-        if mu >= 0:
-            for w in a1_weyl_weights(mu):
-                total[w] += nu
-        elif mu <= -2:
-            for w in a1_weyl_weights(-mu - 2):
-                total[w] -= nu
-        k += 1
-    return Counter({w: c for w, c in total.items() if c})
-
-
-@functools.lru_cache(maxsize=None)
-def a1_weyl_factors(m: int, p: int) -> Counter:
-    """Composition factors of W(m).  The radical factors are read off the
-    Jantzen character, which counts each with multiplicity equal to the
-    number of filtration layers containing it; rank-one Weyl modules are
-    multiplicity-free, so the factor multiset is the head plus the support
-    of that decomposition."""
-    jz = a1_jantzen_character(m, p)
-    if any(c < 0 for c in jz.values()):
-        raise ArithmeticError("Jantzen character has a negative multiplicity")
-    layered = a1_comp_factors(list(jz.elements()), p)
-    out = Counter({mu: 1 for mu in layered})
-    out[m] += 1
-    return out
-
-
 def h1_irreducible(lam: int, p: int) -> bool:
     """Whether H^1 of the rank-one group with coefficients in L(lam) is
     nonzero: lam = (2p-2) p^s."""
@@ -263,15 +224,16 @@ class A1Module:
     distinct positions; an entry's degree is half its weight shift.  The
     constructor takes, per kind, such a flat triple (a tuple), or a dict
     from degree a to a matrix (an array or nested lists) or an entry triple.
-    It reduces mod p, drops zeros and checks every nonzero entry's weight
-    shift: +-2a for a dict, positive and even in the operator's direction
-    for a flat triple.  ``E`` and ``F`` are dense dicts per degree, built on
-    first use.  Every array is read-only: ``tilting_module`` shares modules."""
+    It rejects entries outside the module, reduces mod p, drops zeros and
+    checks every nonzero entry's weight shift: +-2a for a dict, positive and
+    even in the operator's direction for a flat triple.  ``E`` and ``F`` are
+    dense dicts per degree, built on first use.  ``weights`` is a tuple and
+    every array is read-only: ``tilting_module`` shares modules."""
 
-    def __init__(self, p: int, weights: list[int], E: dict | tuple, F_: dict | tuple):
+    def __init__(self, p: int, weights, E: dict | tuple, F_: dict | tuple):
         self.p = p
-        self.weights = list(weights)
-        self.dim = len(weights)
+        self.weights = tuple(weights)
+        self.dim = len(self.weights)
         w = np.array(self.weights, dtype=np.int64)
         self.entries = tuple(self._flat(ops, w, sign, name)
                              for ops, sign, name in ((E, 1, "E"), (F_, -1, "F")))
@@ -287,6 +249,11 @@ class A1Module:
                 parts.append((*m, np.full(len(m[2]), 2 * a)))
             ops = map(np.concatenate, zip(*parts))
         r, c, v, *want = (np.asarray(x, dtype=np.int64) for x in ops)
+        outside = (np.minimum(r, c) < 0) | (np.maximum(r, c) >= self.dim)
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise ValueError(f"{name} entry ({r[i]}, {c[i]}) lies outside a "
+                             f"module of dim {self.dim}")
         keep = v % self.p != 0
         r, c, v = r[keep], c[keep], v[keep] % self.p
         shift = sign * (w[r] - w[c])
@@ -324,18 +291,6 @@ class A1Module:
     def F(self) -> dict[int, np.ndarray]:
         return self._dense(1)
 
-    def _exp(self, ops: dict[int, np.ndarray], t: int) -> np.ndarray:
-        out = np.eye(self.dim, dtype=np.int64)
-        for a, m in ops.items():
-            out = (out + pow(t, a, self.p) * m) % self.p
-        return out
-
-    def x_plus(self, t: int) -> np.ndarray:
-        return self._exp(self.E, t)
-
-    def x_minus(self, t: int) -> np.ndarray:
-        return self._exp(self.F, t)
-
 
 def weyl_module(m: int, p: int) -> A1Module:
     """W(m) on divided-power basis v_0 .. v_m, v_i of weight m - 2i:
@@ -354,10 +309,6 @@ def simple_module(m: int, p: int) -> A1Module:
         piece = twist(weyl_module(d, p), i) if i else weyl_module(d, p)
         out = piece if out is None else tensor(out, piece)
     return out
-
-
-def trivial_module(p: int) -> A1Module:
-    return weyl_module(0, p)
 
 
 def _with_identity(entries: tuple, dim: int) -> tuple:
@@ -599,20 +550,15 @@ def g2_tilting_char(lam: tuple[int, int], p: int = 7) -> Counter:
     return ch
 
 
-def g2_h1_simples(p: int = 7) -> set[tuple[int, int]]:
-    """Restricted simple G2-modules with nonzero H^1 at p = 7: only L(20),
-    where W(20) = 20|00 gives the nonsplit extension."""
-    return {(2, 0)}
-
-
 def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
-    """H^1 flag for a tabulated simple G2-module; weights outside the table
-    raise rather than silently report zero."""
+    """H^1 flag for a tabulated simple G2-module at p = 7: nonzero only for
+    L(20), where W(20) = 20|00 gives the nonsplit extension.  Weights outside
+    the table raise rather than silently report zero."""
     if p != 7:
         raise NotImplementedError("G2 characters are tabulated for p = 7 only")
     if lam not in G2_SIMPLE_DIMS:
         raise NotImplementedError(f"H^1 for G2 weight {lam} not tabulated")
-    return lam in g2_h1_simples(p)
+    return lam == (2, 0)
 
 
 # -- module expressions ------------------------------------------------------
@@ -647,10 +593,6 @@ def m_tilt(a, r=0) -> ModExpr:
 
 def m_weyl(a, r=0) -> ModExpr:
     return ModExpr("weyl", weight=a, twist=r)
-
-def m_dualweyl(a, r=0) -> ModExpr:
-    # the induced module: for rank one this is the dual Weyl module
-    return m_dual(m_weyl(a, r))
 
 def m_dual(part: ModExpr) -> ModExpr:
     return ModExpr("dual", part=part)
@@ -917,19 +859,6 @@ def module_twists(e: ModExpr) -> list[int]:
     return [_twist_value(e.twist, None) if not isinstance(e.twist, int) else e.twist]
 
 
-def module_twist_shift(e: ModExpr, d: int) -> ModExpr:
-    """Shift every atom twist by d (twists must be concrete)."""
-    if e.kind in ("sum", "tensor"):
-        return replace(e, parts=tuple(module_twist_shift(t, d) for t in e.parts))
-    if e.part is not None:
-        return replace(e, part=module_twist_shift(e.part, d))
-    if not isinstance(e.twist, int):
-        raise ValueError("cannot shift a symbolic twist")
-    if e.twist + d < 0:
-        raise ValueError("twist shift went negative")
-    return replace(e, twist=e.twist + d)
-
-
 def _atom_char(e: ModExpr, p: int, subst) -> Counter:
     tw = _twist_value(e.twist, subst)
     q = p ** tw
@@ -1037,14 +966,6 @@ def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> C
     return _atom_char(e, p, subst)
 
 
-def spin_chars(e: ModExpr, p: int,
-               subst: dict[str, int] | None = None) -> tuple[Counter, Counter]:
-    """Both half-spin characters for a Spin expression."""
-    if e.kind != "spin":
-        raise ValueError("spin_chars wants a Spin expression")
-    return spin_halves_from_char(module_weights(e.part, p, subst), e.n)
-
-
 def _power_basis(d: int, k: int, p: int, sign: bool) -> np.ndarray:
     """Basis of the image of the (anti)symmetrizer inside the k-th tensor
     power of a d-dimensional space, as columns over GF(p)."""
@@ -1135,16 +1056,3 @@ def module_is_tilting(e: ModExpr, p: int) -> bool:
         # the tabulated weights with W = T = L
         return e.weight in _G2_SIMPLE_TILTING
     return e.weight <= p - 1
-
-
-def module_comp_factors(e: ModExpr, p: int,
-                        subst: dict[str, int] | None = None) -> Counter:
-    """Composition factor multiset of the expression's character."""
-    char = module_weights(e, p, subst)
-    if any(isinstance(w, tuple) for w in char):
-        return g2_comp_factors(char, p)
-    return a1_comp_factors(list(char.elements()), p)
-
-
-def module_dim(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> int:
-    return sum(module_weights(e, p, subst).values())

@@ -183,36 +183,6 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
     return out
 
 
-def level_report(rs: RootSystem, levi: tuple[int, ...]) -> dict:
-    """JSON-ready summary of the whole radical filtration."""
-    levels = radical_levels(rs, levi)
-    comps = levi_components(rs, levi)
-    report = {
-        "levi": sorted(levi),
-        "levi_type": [
-            {"nodes": list(c), "type": component_type(rs, c)} for c in comps
-        ],
-        "radical_dim": sum(len(v) for v in levels.values()),
-        "levels": {},
-    }
-    for lvl in sorted(levels):
-        summands = decompose_level(rs, levi, levels[lvl])
-        report["levels"][str(lvl)] = [
-            {
-                "generator": rs.format_root(s["generator"]),
-                "high_root": rs.format_root(s["high_root"]),
-                "high_weight": {
-                    "+".join(str(n) for n in nodes): list(w)
-                    for nodes, w in s["high_weight"].items()
-                },
-                "dim": s["dim"],
-                "roots": [rs.format_root(r) for r in s["roots"]],
-            }
-            for s in summands
-        ]
-    return report
-
-
 def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
     """Check every level summand against the character of the irreducible
     module it claims to be.

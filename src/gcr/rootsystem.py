@@ -1,6 +1,6 @@
 """Root systems of the classical and exceptional types, with the combinatorics
 used everywhere else in this package: positive roots in a fixed total order
-by height, reflections and Weyl words, and parabolic levels.
+by height, Cartan pairings, the invariant form, and parabolic levels.
 
 Roots are coefficient tuples with respect to the simple roots, numbered
 1..rank in the standard (Bourbaki) ordering.  All public functions accept and
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Root = tuple[int, ...]
 
@@ -84,7 +84,6 @@ class RootSystem:
         # pairings[i][j] = <positive root i, alpha_{j+1}-check>
         self.pairings = [tuple(self.pairing_index(r, j) for j in range(self.rank))
                          for r in self.positive]
-        self._all = frozenset(self.positive) | frozenset(self._neg(r) for r in self.positive)
 
     # -- construction ------------------------------------------------------
 
@@ -113,10 +112,6 @@ class RootSystem:
             frontier = nxt
         return sorted(roots, key=lambda r: (sum(r), r))
 
-    @staticmethod
-    def _neg(r: Root) -> Root:
-        return tuple(-c for c in r)
-
     def _add_simple(self, r: Root, i: int) -> Root:
         return tuple(c + (j == i) for j, c in enumerate(r))
 
@@ -124,13 +119,6 @@ class RootSystem:
         return tuple(c - (j == i) for j, c in enumerate(r))
 
     # -- basic queries ------------------------------------------------------
-
-    def roots(self) -> list[Root]:
-        return list(self.positive) + [self._neg(r) for r in self.positive]
-
-    def simple(self, i: int) -> Root:
-        """i is 1-based."""
-        return tuple(int(j == i - 1) for j in range(self.rank))
 
     def pairing_index(self, r: Root, i: int) -> int:
         """<r, alpha_{i+1}-check> for 0-based i."""
@@ -158,42 +146,12 @@ class RootSystem:
         inside = set(levi)
         return sum(c for i, c in enumerate(r, start=1) if i not in inside)
 
-    def highest_root(self) -> Root:
-        return self.positive[-1]
-
-    # -- reflections and Weyl words -----------------------------------------
-
-    def reflect(self, r: Root, i: int) -> Root:
-        """Simple reflection s_i (1-based) applied to r."""
-        k = self.pairing_index(r, i - 1)
-        return tuple(c - k * (j == i - 1) for j, c in enumerate(r))
-
-    def apply_word(self, word: Sequence[int], r: Root) -> Root:
-        """Apply a Weyl word left-to-right: the leftmost letter acts first."""
-        for i in word:
-            r = self.reflect(r, i)
-        return r
-
     # -- formatting ---------------------------------------------------------
 
     def format_root(self, r: Root) -> str:
         if all(c <= 0 for c in r) and any(r):
             return "-" + "".join(str(-c) for c in r)
         return "".join(str(c) for c in r)
-
-    def parse_root(self, s: str) -> Root:
-        """Inverse of ``format_root``: rank ASCII digits, optionally after a
-        minus sign."""
-        text = s.strip()
-        digits = text[1:] if text.startswith("-") else text
-        if len(digits) != self.rank or not all("0" <= ch <= "9" for ch in digits):
-            raise ValueError(f"bad root string {s!r} for rank {self.rank}")
-        r = tuple(int(ch) for ch in digits)
-        if text.startswith("-"):
-            r = self._neg(r)
-        if r not in self._all:
-            raise ValueError(f"{s!r} is not a root of {self.name}")
-        return r
 
 
 @functools.cache

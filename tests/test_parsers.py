@@ -1,6 +1,5 @@
-"""Property tests of the two text parsers: module expressions
-(``parse_module``/``format_module``) and roots (``parse_root``/
-``format_root``).  Valid input round-trips; any other text raises
+"""Property tests of the module-expression parser (``parse_module``/
+``format_module``): valid input round-trips; any other text raises
 ``ValueError`` and nothing else."""
 
 import pytest
@@ -20,7 +19,6 @@ from gcr.modrep import (
     format_module,
     parse_module,
 )
-from gcr.rootsystem import build_root_system
 
 # -- module expressions -------------------------------------------------------
 
@@ -90,26 +88,3 @@ def test_module_parser_regressions(text, message):
     with pytest.raises(ValueError, match=message):
         parse_module(text)
 
-
-# -- roots --------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
-def test_every_root_roundtrips(name):
-    rs = build_root_system(name)
-    for r in rs.roots():
-        assert rs.parse_root(rs.format_root(r)) == r
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["E6", "E7", "E8"]),
-       st.one_of(st.text(max_size=12),
-                 st.text(alphabet="-0123456789१२ ", max_size=10)))
-def test_root_parser_raises_only_value_error(name, text):
-    _rejects_with_value_error_only(build_root_system(name).parse_root, text)
-
-
-@pytest.mark.parametrize("text", ["१००००0", "१00000", "-१00000", "1000००"],
-                         ids=["all", "lead", "negative", "tail"])
-def test_root_parser_rejects_non_ascii_digits(text):
-    with pytest.raises(ValueError, match="bad root string"):
-        build_root_system("E6").parse_root(text)

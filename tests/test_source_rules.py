@@ -3,11 +3,14 @@ strips them, so an invariant checked by one is not checked at all), no
 random-number generator (results rest on exact arithmetic, not on sampling
 or seeded retries), no `eval` or `exec` (data strings are parsed against
 a grammar, never run as code), no unused top-level import, no module that
-the table diff cannot reach through relative imports, and every console
+the table diff cannot reach through relative imports, no function or method
+that no table result, cross-check or benchmark entry point reaches (helpers
+that only check the package live in ``tests/oracles.py``), and every console
 script declared in ``pyproject.toml`` resolves to a callable."""
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -72,6 +75,105 @@ def test_every_module_reachable_from_tables():
                     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
     orphans = sorted(f"{name}.py" for name in by_name.keys() - reached - {"__init__"})
     assert not orphans, f"modules no table result imports: {orphans}"
+
+
+# the functions a table result, a cross-check or the benchmark starts from,
+# as (module, qualified name); every leaf of the tracer's TRACED joins them
+ROOTS = (
+    ("h1scan", "scan_group"),
+    ("tables", "diff_badx"),
+    ("tables", "render_diff"),
+    ("tables", "diff_to_json"),
+    ("parabolic", "verify_levels"),
+    ("modrep", "module_matrices"),
+    ("modrep", "tilting_module"),
+    ("modrep", "twist"),
+    ("modrep", "h1_module_a1"),
+    ("modrep", "freudenthal"),
+    ("modrep", "weyl_dim"),
+    # the independent level computation that the level tests compare the
+    # parabolic layer's shape table against
+    ("rootsystem", "RootSystem.level"),
+)
+
+
+def _traced_roots() -> tuple:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tuple(tracer.TRACED)
+
+
+def unreachable(sources: dict[str, str], roots) -> list[str]:
+    """``module.qualname`` of every top-level function and non-dunder method
+    in ``sources`` (module name -> text) that no root reaches.
+
+    Module-level statements run on import, so they are walked from the start.
+    A walked body reaches a top-level function or a class by a name or an
+    attribute, and a method by an attribute only: a bare name such as
+    ``roots`` is as often a local variable.  Reaching a class walks its class
+    body, dunder methods included."""
+    by_name: dict[str, list[str]] = {}    # reached by a name or an attribute
+    by_attr: dict[str, list[str]] = {}    # reached by an attribute only
+    bodies: dict[str, list[ast.AST]] = {"": []}    # "": import-time code
+    checked = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            qual = f"{module}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef):
+                by_name.setdefault(node.name, []).append(qual)
+                bodies[qual] = [node]
+                checked.append(qual)
+            elif isinstance(node, ast.ClassDef):
+                by_name.setdefault(node.name, []).append(qual)
+                bodies[qual] = node.bases + node.decorator_list
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        by_attr.setdefault(item.name, []).append(f"{qual}.{item.name}")
+                        bodies[f"{qual}.{item.name}"] = [item]
+                        checked.append(f"{qual}.{item.name}")
+                    else:
+                        bodies[qual].append(item)
+            else:
+                bodies[""].append(node)
+    todo = [f"{module}.{name}" for module, name in roots]
+    missing = sorted(set(todo) - set(checked))
+    assert not missing, f"roots that name no function or method: {missing}"
+    reached: set[str] = set()
+    todo.append("")
+    while todo:
+        qual = todo.pop()
+        if qual in reached:
+            continue
+        reached.add(qual)
+        for node in (n for body in bodies[qual] for n in ast.walk(body)):
+            if isinstance(node, ast.Name):
+                todo += by_name.get(node.id, [])
+            elif isinstance(node, ast.Attribute):
+                todo += by_name.get(node.attr, []) + by_attr.get(node.attr, [])
+    return sorted(set(checked) - reached)
+
+
+def _sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in SOURCES}
+
+
+def test_every_function_reachable():
+    orphans = unreachable(_sources(), ROOTS + _traced_roots())
+    assert not orphans, f"functions no result, check or benchmark reaches: {orphans}"
+
+
+def test_reachability_rule_names_planted_orphans():
+    sources = _sources()
+    sources["planted"] = ("def stray_function():\n    return 1\n\n\n"
+                          "class Stray:\n    def stray_method(self):\n        return 2\n")
+    sources["rootsystem"] += ("\n\ndef stray_root_helper(rs):\n"
+                              "    return rs.positive[0]\n")
+    assert unreachable(sources, ROOTS + _traced_roots()) == [
+        "planted.Stray.stray_method", "planted.stray_function",
+        "rootsystem.stray_root_helper"]
 
 
 def test_console_scripts_resolve():
