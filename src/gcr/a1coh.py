@@ -166,6 +166,17 @@ def h1_dim(terms, p: int) -> int:
     return sum(_h1_term(tuple(t), p) for t in terms)
 
 
+def terms_tensor(a, b, out: Counter | None = None) -> Counter:
+    """Tensor product of two sums of terms, added into out when given."""
+    if out is None:
+        out = Counter()
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            key = tuple(sorted(ta + tb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
 def term_char(term, p: int) -> Counter:
     """Weight character of a single term."""
     char = Counter({0: 1})
@@ -239,11 +250,8 @@ def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:
     head, rest = term[:1], term[1:]
     out = Counter()
     for (sh_a, ka), (sh_b, kb) in _POWER_SPLIT[(shape, k)]:
-        pa = _term_power(head, sh_a, ka, p)
-        pb = _term_power(rest, sh_b, kb, p)
-        for ta, ca in pa.items():
-            for tb, cb in pb.items():
-                out[tuple(sorted(ta + tb))] += ca * cb
+        terms_tensor(_term_power(head, sh_a, ka, p),
+                     _term_power(rest, sh_b, kb, p), out)
     return out
 
 
@@ -259,13 +267,7 @@ def sum_power(terms, shape: str, k: int, p: int) -> Counter:
         new_degrees = [Counter() for _ in range(k + 1)]
         for j in range(0, k + 1):
             piece = _term_power(tuple(term), shape, j, p)
-            if not piece:
-                continue
             for i in range(0, k + 1 - j):
-                if not per_degree[i]:
-                    continue
-                for ta, ca in per_degree[i].items():
-                    for tb, cb in piece.items():
-                        new_degrees[i + j][tuple(sorted(ta + tb))] += ca * cb
+                terms_tensor(per_degree[i], piece, new_degrees[i + j])
         per_degree = new_degrees
     return per_degree[k]

@@ -22,14 +22,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .a1coh import h1_dim, sum_power, terms_char
+from .a1coh import h1_dim, sum_power, terms_char, terms_tensor
 from .modrep import (
     ModExpr,
-    a1_comp_factors,
     char_tensor,
     g2_comp_factors,
     g2_h1_irreducible,
-    h1_irreducible,
     format_module,
     m_alt,
     m_simple,
@@ -41,6 +39,7 @@ from .modrep import (
     module_twists,
     module_weights,
     parse_module,
+    spin_halves_from_char,
 )
 from .parabolic import (
     component_type,
@@ -93,13 +92,15 @@ def _tensor_shapes(weights: tuple[int, ...], tmax: int):
             else m_simple(weights[0], tw[0])
 
 
-_A_SHAPES = {
-    2: [(1,)],
-    3: [(2,)],
-    4: [(3,), (1, 1)],
-    5: [(4,)],
-    6: [(5,), (2, 1)],
-    7: [(6,)],
+# per rank, the patterns of an action on the natural module: the weights
+# of each tensor-product term, () for a trivial summand
+_A_PATTERNS = {
+    1: [[(1,)]],
+    2: [[(2,)]],
+    3: [[(3,)], [(1, 1)]],
+    4: [[(4,)]],
+    5: [[(5,)], [(2, 1)]],
+    6: [[(6,)]],
 }
 
 _D_PATTERNS = {
@@ -120,39 +121,14 @@ _D_PATTERNS = {
 }
 
 
-def _shape_ok(weights, p: int) -> bool:
-    return all(w <= p - 1 for w in weights)
-
-
-@functools.lru_cache(maxsize=None)
-def a_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
-    """Irreducible rank-one actions on the natural module of A_rank, from the
-    built-in table (no entries exist above rank 6)."""
-    out = []
-    seen = set()
-    for shape in _A_SHAPES.get(rank + 1, []):
-        if not _shape_ok(shape, p):
-            continue
-        for e in _tensor_shapes(shape, tmax):
-            c = canonical_action(e)
-            d = format_module(c)
-            if d not in seen:
-                seen.add(d)
-                out.append(c)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def d_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
-    """Orthogonal irreducible rank-one actions on the natural module of
-    D_rank: sums of pairwise distinct self-dual terms from the built-in
-    patterns."""
-    out = []
-    seen = set()
-    for pattern in _D_PATTERNS.get(rank, []):
+def _actions(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
+    """Every action the patterns give with restricted weights and twists up
+    to tmax, as sums of pairwise distinct terms, once per descriptor."""
+    out: dict[str, ModExpr] = {}
+    for pattern in patterns:
         live = [shape for shape in pattern if shape]
         trivial = len(live) < len(pattern)
-        if any(not _shape_ok(s, p) for s in live):
+        if any(w > p - 1 for shape in live for w in shape):
             continue
         for combo in itertools.product(*(_tensor_shapes(s, tmax) for s in live)):
             terms = [canonical_action(t) for t in combo]
@@ -161,68 +137,52 @@ def d_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
                 continue
             full = list(terms) + ([m_simple(0)] if trivial else [])
             c = canonical_action(full[0] if len(full) == 1 else m_sum(*full))
-            d = format_module(c)
-            if d not in seen:
-                seen.add(d)
-                out.append(c)
-    return tuple(out)
+            out.setdefault(format_module(c), c)
+    return tuple(out.values())
+
+
+@functools.lru_cache(maxsize=None)
+def a_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
+    """Irreducible rank-one actions on the natural module of A_rank, from the
+    built-in table (no entries exist above rank 6)."""
+    return _actions(_A_PATTERNS.get(rank, []), p, tmax)
+
+
+@functools.lru_cache(maxsize=None)
+def d_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
+    """Orthogonal irreducible rank-one actions on the natural module of
+    D_rank: sums of pairwise distinct self-dual terms from the built-in
+    patterns."""
+    return _actions(_D_PATTERNS.get(rank, []), p, tmax)
 
 
 # restriction rules for the 27-dimensional module under the built-in chains
-# through E6, keyed by chain name: (slot shapes, constraints, template with
-# slot twists a, b, c)
+# through E6: (chain name, slots, twist rule, template).  Each slot is the
+# module text of the action on one chain factor, with twist symbols r, s, t
+# that the template shares; the rule, a predicate on the symbols, keeps the
+# admissible twist choices, and None keeps them all
 
 _E6_CHAINS = [
-    ("A1A5", ("1", "5"), "all", "1[r] x 5[s] + T(8)[s] + 0"),
-    ("A2G2", ("2", "6"), "distinct", "4[r] + 2[r] x 6[s] + 0"),
-    ("A1A5", ("1", "2x1"), "all", "1[r] x 2[s] x 1[t] + 4[s] + 2[s] x 2[t] + 0"),
-    ("A2A2A2", ("2", "2", "2"), "pairwise", "2[r] x 2[s] + 2[r] x 2[t] + 2[s] x 2[t]"),
+    ("A1A5", ("1[r]", "5[s]"), None, "1[r] x 5[s] + T(8)[s] + 0"),
+    ("A2G2", ("2[r]", "6[s]"), lambda r, s: r != s, "4[r] + 2[r] x 6[s] + 0"),
+    ("A1A5", ("1[r]", "2[s] x 1[t]"), lambda r, s, t: s != t,
+     "1[r] x 2[s] x 1[t] + 4[s] + 2[s] x 2[t] + 0"),
+    # the three slots carry the same weight, so order them
+    ("A2A2A2", ("2[r]", "2[s]", "2[t]"), lambda r, s, t: r < s < t,
+     "2[r] x 2[s] + 2[r] x 2[t] + 2[s] x 2[t]"),
 ]
 
 # the same for the 56-dimensional module through E7 (p = 7 only); the A1D6
 # chain is handled separately since its second slot ranges over the D6 table
 
 _E7_CHAINS = [
-    ("A1A1", ("1", "1"), "distinct", "6[r] x 3[s] + 4[r] x 1[s] + 2[r] x 5[s]"),
-    ("A1G2", ("1", "6"), "distinct", "3[r] x 6[s] + 1[r] x T(10)[s]"),
-    ("G2C3", ("6", "5"), "distinct", "6[r] x 5[s] + T(9)[s]"),
-    ("G2C3", ("6", "2x1"), "mid-free", "6[r] x 2[s] x 1[t] + 4[s] x 1[t] + 3[t]"),
+    ("A1A1", ("1[r]", "1[s]"), lambda r, s: r != s,
+     "6[r] x 3[s] + 4[r] x 1[s] + 2[r] x 5[s]"),
+    ("A1G2", ("1[r]", "6[s]"), lambda r, s: r != s, "3[r] x 6[s] + 1[r] x T(10)[s]"),
+    ("G2C3", ("6[r]", "5[s]"), lambda r, s: r != s, "6[r] x 5[s] + T(9)[s]"),
+    ("G2C3", ("6[r]", "2[s] x 1[t]"), lambda r, s, t: s not in (r, t),
+     "6[r] x 2[s] x 1[t] + 4[s] x 1[t] + 3[t]"),
 ]
-
-_SLOT_NAMES = "rst"
-
-
-def _chain_slot_exprs(shapes, twists):
-    out = []
-    for shape, t in zip(shapes, twists):
-        if shape == "2x1":
-            out.append(m_tensor(m_simple(2, t[0]), m_simple(1, t[1])))
-        else:
-            out.append(m_simple(int(shape), t[0]))
-    return out
-
-
-def _chain_twist_choices(shapes, rule, p, tmax):
-    slots = []
-    for shape in shapes:
-        if shape == "2x1":
-            slots.append([(a, b) for a in range(tmax + 1)
-                          for b in range(tmax + 1) if a != b])
-        else:
-            if int(shape) > p - 1:
-                return
-            slots.append([(a,) for a in range(tmax + 1)])
-    for combo in itertools.product(*slots):
-        lead = [c[0] for c in combo]
-        if rule == "distinct" and lead[0] == lead[1]:
-            continue
-        if rule == "pairwise":
-            # the three slots carry the same weight, so order them
-            if len(set(lead)) != 3 or lead != sorted(lead):
-                continue
-        if rule == "mid-free" and combo[1][0] in (lead[0], combo[1][1]):
-            continue
-        yield combo
 
 
 # -- factor candidates ---------------------------------------------------------
@@ -254,26 +214,29 @@ def _module_candidate(e: ModExpr) -> FactorCandidate:
                            "module", expr=e)
 
 
-def _chain_candidate(name: str, shapes, twists, v_expr: ModExpr) -> FactorCandidate:
-    parts = []
-    for shape, t in zip(shapes, twists):
-        slot = _chain_slot_exprs((shape,), (t,))[0]
-        parts.append(format_module(slot))
-    desc = f"{name}({', '.join(parts)})"
-    flat = tuple(t for tw in twists for t in tw)
-    return FactorCandidate(desc, flat, "chain", expr=v_expr,
-                           chain=(name, tuple(parts)))
-
-
 def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
     """One candidate per chain and admissible twist choice, its module the
-    chain's template with the slot twists substituted."""
+    chain's template with the slot twists substituted; a chain with a slot
+    weight above p - 1 has none.  Twist choices run over the symbols in
+    alphabetical order, the first slowest."""
     out = []
-    for name, shapes, rule, template in chains:
-        for combo in _chain_twist_choices(shapes, rule, p, tmax):
-            flat = [t for tw in combo for t in tw]
-            module = module_subst(parse_module(template), dict(zip(_SLOT_NAMES, flat)))
-            out.append(_chain_candidate(name, shapes, combo, module))
+    for name, slots, rule, template in chains:
+        exprs = [parse_module(slot) for slot in slots]
+        atoms = [a for e in exprs for a in (e.parts if e.kind == "tensor" else (e,))]
+        if any(a.weight > p - 1 for a in atoms):
+            continue
+        symbols = sorted({a.twist[0] for a in atoms})
+        for values in itertools.product(range(tmax + 1), repeat=len(symbols)):
+            subst = dict(zip(symbols, values))
+            if rule is not None and not rule(**subst):
+                continue
+            parts = [module_subst(e, subst) for e in exprs]
+            texts = tuple(format_module(e) for e in parts)
+            out.append(FactorCandidate(
+                f"{name}({', '.join(texts)})",
+                tuple(t for e in parts for t in module_twists(e)), "chain",
+                expr=module_subst(parse_module(template), subst),
+                chain=(name, texts)))
     return out
 
 
@@ -292,7 +255,7 @@ def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
     # 1[a] x M plus a half-spin of M
     for a in range(tmax + 1):
         for m in d_type_actions(6, p, tmax):
-            desc = f"A1D6(1{f'[{a}]' if a else ''}, {format_module(m)})"
+            desc = f"A1D6({format_module(m_simple(1, a))}, {format_module(m)})"
             flat = (a, *_nontrivial_twists(m))
             out.append(FactorCandidate(desc, flat, "chain",
                                        expr=m, chain=("A1D6", (a,))))
@@ -333,13 +296,28 @@ def factor_candidates(type_name: str, p: int, tmax: int) -> tuple[FactorCandidat
 
 # -- restriction of a summand weight through a factor candidate ----------------
 
-def _fundamental_position(weight: tuple[int, ...]) -> int | None:
+def _node(type_name: str, weight: tuple[int, ...]):
+    """Which module of the factor a summand weight names: None for the
+    trivial module; "natural" for the natural module, the 27 of E6 (weight
+    1 or 6) or the 56 of E7 (weight 7); ("alt", k) for the k-th alternating
+    power of the natural module of type A; ("spin", i) for the half-spin
+    module on node rank - 1 + i of type D.  Any other weight has no
+    restriction rule."""
+    fam, rank = type_name[0], int(type_name[1:])
     nz = [i for i, x in enumerate(weight) if x]
     if not nz:
         return None
     if len(nz) > 1 or weight[nz[0]] != 1:
         raise NotImplementedError(f"summand weight {weight} is not fundamental")
-    return nz[0] + 1
+    pos = nz[0] + 1
+    if fam == "A":
+        k = min(pos, rank + 1 - pos)
+        return "natural" if k == 1 else ("alt", k)
+    if (type_name, pos) in (("E6", 1), ("E6", 6), ("E7", 7)) or (fam, pos) == ("D", 1):
+        return "natural"
+    if fam == "D" and pos in (rank - 1, rank):
+        return ("spin", pos - rank + 1)
+    raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
 
 
 def _expr_terms(e: ModExpr) -> Counter:
@@ -355,7 +333,7 @@ def _expr_terms(e: ModExpr) -> Counter:
     if e.kind == "tensor":
         out = Counter({(): 1})
         for part in e.parts:
-            out = _terms_tensor(out, _expr_terms(part))
+            out = terms_tensor(out, _expr_terms(part))
         return out
     if e.kind in ("simple", "tilt"):
         if e.weight == 0:
@@ -374,14 +352,6 @@ def _frozen_terms(e: ModExpr) -> tuple:
 def _natural_terms(cand: FactorCandidate) -> Counter:
     """A fresh Counter of the terms of the candidate's natural module."""
     return Counter(dict(_frozen_terms(cand.expr)))
-
-
-def _terms_tensor(a: Counter, b: Counter) -> Counter:
-    out: Counter = Counter()
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            out[tuple(sorted(ta + tb))] += ca * cb
-    return out
 
 
 def _summand_piece(e: ModExpr):
@@ -478,15 +448,11 @@ def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
         h0, h1 = spin_half_terms(expr, p)
         return [(h0, h1)] if h0 == h1 else [(h0, h1), (h1, h0)]
     if cand.kind == "g2" and fam == "D":
-        # triality-fixed subgroup of D4: every eight-dimensional node
-        # restricts like the natural module; on D7 both half-spins have
-        # the same composition factors (the classes differ only in module
-        # structure, which the character-level scan does not see)
-        if type_name == "D4":
-            c = module_weights(expr, p)
-        else:
-            c = module_weights(m_sum(m_simple((1, 1)), m_simple((2, 0))), p)
-        return [(c, c)]
+        # one class: on D4 the triality-fixed subgroup, whose three
+        # eight-dimensional nodes restrict alike; on D7 the classes differ
+        # only in module structure, which the character-level scan does
+        # not see
+        return [spin_halves_from_char(module_weights(expr, p), int(type_name[1:]))]
     return [None]
 
 
@@ -497,66 +463,39 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
     restricted to one class of a rank-one candidate subgroup.  The
     assignment fixes which half-spin restriction sits on which of the two
     spin nodes."""
-    fam, rank = type_name[0], int(type_name[1:])
-    pos = _fundamental_position(weight)
-    if pos is None:
+    node = _node(type_name, weight)
+    if node is None:
         return Counter({(): 1})
-    if cand.kind == "chain":
-        ok = (fam == "E") and (pos in (1, 6) if rank == 6 else pos == 7)
-        if not ok:
-            raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
-        if cand.chain[0] == "A1D6":
+    if node == "natural":
+        if cand.kind == "chain" and cand.chain[0] == "A1D6":
             a = cand.chain[1][0]
-            tensor_part = _terms_tensor(Counter({((1, a),): 1}),
-                                        _natural_terms(cand))
-            return tensor_part + assignment[1]
+            return terms_tensor(Counter({((1, a),): 1}), _natural_terms(cand),
+                                Counter(assignment[1]))
         return _natural_terms(cand)
-    if fam == "A":
-        k = min(pos, rank + 1 - pos)
-        nat = _natural_terms(cand)
-        return nat if k == 1 else sum_power(nat, "alt", k, p)
-    if fam == "D":
-        if pos == 1:
-            return _natural_terms(cand)
-        if pos in (rank - 1, rank):
-            return assignment[pos - rank + 1]
-        raise NotImplementedError(f"no restriction rule for D{rank} weight {weight}")
-    raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
+    kind, i = node
+    if kind == "alt":
+        return sum_power(_natural_terms(cand), "alt", i, p)
+    return assignment[i]
 
 
 def factor_restriction_g2(cand: FactorCandidate, type_name: str,
                           weight: tuple[int, ...], p: int, assignment):
     """(expression for pruning, character) for a G2 candidate."""
-    fam, rank = type_name[0], int(type_name[1:])
-    pos = _fundamental_position(weight)
-    if pos is None:
+    node = _node(type_name, weight)
+    if node is None:
         e = m_simple((0, 0))
-        return e, module_weights(e, p)
-    e = cand.expr
-    if fam == "A":
-        k = min(pos, rank + 1 - pos)
-        out = e if k == 1 else m_alt(e, k)
-        return out, module_weights(out, p)
-    if fam == "D":
-        if pos == 1:
-            return e, module_weights(e, p)
-        if pos in (rank - 1, rank):
-            return m_spin(rank, e), assignment[pos - rank + 1]
-        raise NotImplementedError(f"no restriction rule for D{rank} weight {weight}")
-    if fam == "E":
-        if pos in (1, rank):
-            return e, module_weights(e, p)
-        raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
-    raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
+    elif node == "natural":
+        e = cand.expr
+    elif node[0] == "alt":
+        e = m_alt(cand.expr, node[1])
+    else:
+        return m_spin(int(type_name[1:]), cand.expr), assignment[node[1]]
+    return e, module_weights(e, p)
 
 
 def char_h1_factors(char: Counter, p: int) -> list:
-    """Composition factors of the character with nonzero H^1."""
-    if any(isinstance(w, tuple) for w in char):
-        factors = g2_comp_factors(char, p)
-        return [w for w in factors if g2_h1_irreducible(w, p)]
-    factors = a1_comp_factors(list(char.elements()), p)
-    return [w for w in factors if h1_irreducible(w, p)]
+    """G2 composition factors of the character with nonzero H^1."""
+    return [w for w in g2_comp_factors(char, p) if g2_h1_irreducible(w, p)]
 
 
 # -- the scan ------------------------------------------------------------------
@@ -630,11 +569,11 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     return reports
 
 
-def _class_unit(types, combo, p, assign):
+def _class_unit(combo, p, assign):
     """Invariant description of one class: per factor, either None or the
     ordered triple of characters on the natural and the two spin nodes."""
     unit = []
-    for t, c, a in zip(types, combo, assign):
+    for c, a in zip(combo, assign):
         if a is None:
             unit.append(None)
         else:
@@ -677,7 +616,7 @@ def _a1_outcome(combo, types, weights, live, p, assign, classes, memo):
     if key not in memo:
         level = Counter({(): 1})
         for k in live:
-            level = _terms_tensor(level, factor_restriction_terms(
+            level = terms_tensor(level, factor_restriction_terms(
                 combo[k], types[k], weights[k], p, assign[k]))
         memo[key] = h1_dim(level, p)
     return memo[key]
@@ -719,7 +658,7 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
         if class_flagged:
             rep.flagged = True
             rep.classes += printed_classes
-            rep.class_units.append(_class_unit(types, combo, p, assign))
+            rep.class_units.append(_class_unit(combo, p, assign))
     return rep
 
 

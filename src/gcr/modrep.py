@@ -194,23 +194,6 @@ def a1_tilting_weights(m: int, p: int) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def a1_comp_factors(weights, p: int) -> Counter:
-    """Composition factor multiset of any module with the given T-weights,
-    by greedy removal of simple characters from the top."""
-    return peel_characters(weights, a1_top_weight,
-                           lambda n: a1_simple_weights(n, p))
-
-
-def h1_irreducible(lam: int, p: int) -> bool:
-    """Whether H^1 of the rank-one group with coefficients in L(lam) is
-    nonzero: lam = (2p-2) p^s."""
-    if lam <= 0:
-        return False
-    while lam % p == 0:
-        lam //= p
-    return lam == 2 * p - 2
-
-
 # -- rank-one modules with explicit operators --------------------------------
 
 class A1Module:

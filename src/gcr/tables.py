@@ -31,11 +31,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .modrep import (parse_module, format_module, module_subst, module_twists,
-                     module_weights)
-from .h1scan import (ScanResult, scan_group, canonical_action,
-                     spin_half_terms, _char_fp, _nontrivial_twists)
-from .a1coh import terms_char
+from .modrep import parse_module, format_module, module_subst, module_twists
+from .h1scan import (ScanResult, scan_group, canonical_action, factor_assignments,
+                     _class_unit, _module_candidate, _nontrivial_twists)
 
 
 # -- golden data loading -------------------------------------------------------
@@ -208,18 +206,16 @@ def _d4_positions(levi: str) -> list[int]:
 
 
 def _golden_units(inst: GoldenInstance, pos: int, p: int):
-    """Class signatures of a golden instance: (other-action tuple, ordered
-    triple of characters on the natural and the two half-spin nodes)."""
-    expr = inst.factors[pos].exprs[0]
-    nat = _char_fp(module_weights(expr, p))
-    h0, h1 = spin_half_terms(expr, p)
-    f0, f1 = _char_fp(terms_char(h0, p)), _char_fp(terms_char(h1, p))
+    """Class signatures of a golden instance, as the scan writes them for
+    its own classes: (other-action tuple, ordered triple of characters on
+    the natural and the two half-spin nodes).  None when the table's class
+    count is not the scan's."""
+    cand = _module_candidate(inst.factors[pos].exprs[0])
+    assigns = factor_assignments(cand, "D4", p)
+    if len(assigns) != inst.classes:
+        return None
     others = inst.actions[:pos] + inst.actions[pos + 1:]
-    if inst.classes == 2 and f0 != f1:
-        return [(others, (nat, f0, f1)), (others, (nat, f1, f0))]
-    if inst.classes == 1 and f0 == f1:
-        return [(others, (nat, f0, f1))]
-    return None
+    return [(others, _class_unit((cand,), p, (a,))[0]) for a in assigns]
 
 
 def _engine_units(rep, pos: int):

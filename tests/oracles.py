@@ -6,14 +6,15 @@ uses them, so they live with the tests.
 - the full root set, the simple roots and the simple reflections of a root
   system, for the Euclidean-model and Weyl-invariance tests
 - the composition factors and the dimension of a module expression's
-  character
+  character, and the H^1 criterion for a simple rank-one module
 """
 
 from collections import Counter
 
 import numpy as np
 
-from gcr.modrep import A1Module, ModExpr, a1_comp_factors, g2_comp_factors, module_weights
+from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
+                        g2_comp_factors, module_weights, peel_characters)
 from gcr.rootsystem import Root, RootSystem
 
 
@@ -55,6 +56,23 @@ def reflect(rs: RootSystem, r: Root, i: int) -> Root:
 
 
 # -- module expressions -------------------------------------------------------
+
+def a1_comp_factors(weights, p: int) -> Counter:
+    """Composition factor multiset of any module with the given T-weights,
+    by greedy removal of simple characters from the top."""
+    return peel_characters(weights, a1_top_weight,
+                           lambda n: a1_simple_weights(n, p))
+
+
+def h1_irreducible(lam: int, p: int) -> bool:
+    """Whether H^1 of the rank-one group with coefficients in L(lam) is
+    nonzero: lam = (2p-2) p^s."""
+    if lam <= 0:
+        return False
+    while lam % p == 0:
+        lam //= p
+    return lam == 2 * p - 2
+
 
 def module_comp_factors(e: ModExpr, p: int,
                         subst: dict[str, int] | None = None) -> Counter:

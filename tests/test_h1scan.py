@@ -10,9 +10,8 @@ from collections import Counter
 
 import pytest
 
-from gcr.a1coh import h1_dim, term_char, terms_char, tilting_product
+from gcr.a1coh import h1_dim, term_char, terms_char, terms_tensor, tilting_product
 from gcr.modrep import (
-    direct_sum,
     h1_module_a1,
     module_weights,
     parse_module,
@@ -20,6 +19,7 @@ from gcr.modrep import (
     tensor,
     tilting_module,
     twist,
+    weyl_dim,
 )
 from gcr.h1scan import (
     a_type_actions,
@@ -30,12 +30,12 @@ from gcr.h1scan import (
     e7_factor_candidates,
     factor_assignments,
     factor_candidates,
+    factor_restriction_g2,
     factor_restriction_terms,
     _a1_outcome,
     _level_h1_memo,
     _ordered_components,
     _summand_weights,
-    _terms_tensor,
     g2_factor_candidate,
     scan_group,
     scan_parabolic,
@@ -215,6 +215,55 @@ def test_g2_candidates():
     assert g2_factor_candidate("A5") is None
 
 
+# (subgroup type, factor type, summand weight, error text or None): one valid
+# weight per node kind (natural, alternating power, half-spin, the 27 of E6,
+# the 56 of E7), then weights with no restriction rule and weights that are
+# not fundamental
+NODE_CASES = [
+    ("A1", "D4", (1, 0, 0, 0), None),
+    ("G2", "D4", (1, 0, 0, 0), None),
+    ("A1", "A6", (0, 1, 0, 0, 0, 0), None),
+    ("G2", "A6", (0, 1, 0, 0, 0, 0), None),
+    ("A1", "D7", (0, 0, 0, 0, 0, 0, 1), None),
+    ("G2", "D7", (0, 0, 0, 0, 0, 1, 0), None),
+    ("A1", "E6", (1, 0, 0, 0, 0, 0), None),
+    ("G2", "E6", (0, 0, 0, 0, 0, 1), None),
+    ("A1", "E7", (0, 0, 0, 0, 0, 0, 1), None),
+] + [(x, t, w, message) for x in ("A1", "G2") for t, w, message in (
+    ("D5", (0, 1, 0, 0, 0), "no restriction rule for D5 weight (0, 1, 0, 0, 0)"),
+    ("E6", (0, 1, 0, 0, 0, 0),
+     "no restriction rule for E6 weight (0, 1, 0, 0, 0, 0)"),
+    ("E7", (1, 0, 0, 0, 0, 0, 0),
+     "no restriction rule for E7 weight (1, 0, 0, 0, 0, 0, 0)"),
+    ("A3", (1, 1, 0), "summand weight (1, 1, 0) is not fundamental"),
+    ("D4", (0, 2, 0, 0), "summand weight (0, 2, 0, 0) is not fundamental"),
+)]
+
+
+@pytest.mark.parametrize("x_type,type_name,weight,message", NODE_CASES)
+def test_node_rule(x_type, type_name, weight, message):
+    """A fundamental weight with a restriction rule restricts, through the
+    last candidate on the factor and its first class, to a module of its
+    Weyl dimension; any other weight raises NotImplementedError naming it.
+    The rule reads only the factor type and the weight, so the error cases
+    all restrict through a D4 candidate."""
+    p = 7
+    if x_type == "G2":
+        restrict = factor_restriction_g2
+        cand = g2_factor_candidate("D4" if message else type_name)
+    else:
+        restrict = factor_restriction_terms
+        cand = factor_candidates("D4" if message else type_name, p, 2)[-1]
+    if message:
+        with pytest.raises(NotImplementedError, match=re.escape(message)):
+            restrict(cand, type_name, weight, p, None)
+        return
+    assign = factor_assignments(cand, type_name, p)[0]
+    out = restrict(cand, type_name, weight, p, assign)
+    char = out[1] if x_type == "G2" else terms_char(out, p)
+    assert sum(char.values()) == weyl_dim(type_name, weight)
+
+
 # -- spin-half restriction rules ----------------------------------------------
 
 @pytest.mark.parametrize("rank,p", [(4, 5), (4, 7), (5, 5), (5, 7),
@@ -368,7 +417,7 @@ def test_level_h1_memo_is_sound_on_e6_p5():
                     for weights in every:
                         level = Counter({(): 1})
                         for c, t, w, a in zip(combo, types, weights, assign):
-                            level = _terms_tensor(
+                            level = terms_tensor(
                                 level, factor_restriction_terms(c, t, w, p, a))
                         full = h1_dim(level, p)
                         if weights not in live:

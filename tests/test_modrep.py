@@ -1,6 +1,5 @@
 """Modular representation calculus for rank-one groups and G2."""
 
-import math
 import os
 import re
 import subprocess
@@ -15,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudenthal_reference import freudenthal_all_weights
-from oracles import module_comp_factors, module_dim, x_minus, x_plus
+from oracles import (a1_comp_factors, h1_irreducible, module_comp_factors,
+                     module_dim, x_minus, x_plus)
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
     _submodule_restriction,
-    a1_comp_factors,
     a1_simple_weights,
     a1_tilting_weights,
     a1_weyl_weights,
@@ -29,10 +28,8 @@ from gcr.modrep import (
     freudenthal,
     g2_comp_factors,
     g2_h1_irreducible,
-    g2_tilting_char,
     g2_simple_char,
     g2_weyl_char,
-    h1_irreducible,
     h1_module_a1,
     format_module,
     m_alt,

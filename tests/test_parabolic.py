@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcr.modrep import freudenthal
 from gcr.parabolic import (
     component_type,
     decompose_level,

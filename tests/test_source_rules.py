@@ -2,11 +2,12 @@
 strips them, so an invariant checked by one is not checked at all), no
 random-number generator (results rest on exact arithmetic, not on sampling
 or seeded retries), no `eval` or `exec` (data strings are parsed against
-a grammar, never run as code), no unused top-level import, no module that
-the table diff cannot reach through relative imports, no function or method
-that no table result, cross-check or benchmark entry point reaches (helpers
-that only check the package live in ``tests/oracles.py``), and every console
-script declared in ``pyproject.toml`` resolves to a callable."""
+a grammar, never run as code), no unused top-level import in the package
+or its tests, no module that the table diff cannot reach through relative
+imports, no function or method that no table result, cross-check or
+benchmark entry point reaches (helpers that only check the package live in
+``tests/oracles.py``), and every console script declared in
+``pyproject.toml`` resolves to a callable."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gcr").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 RANDOM = re.compile(r"\bnp\.random\b|\bnumpy\.random\b|^\s*(import|from)\s+random\b",
                     re.MULTILINE)
@@ -46,7 +48,7 @@ def test_no_eval_or_exec(path):
     assert not calls, f"{path.name}: eval or exec called at lines {calls}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}
