@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -130,8 +131,13 @@ def _actions(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
         trivial = len(live) < len(pattern)
         if any(w > p - 1 for shape in live for w in shape):
             continue
-        for combo in itertools.product(*(_tensor_shapes(s, tmax) for s in live)):
-            terms = [canonical_action(t) for t in combo]
+        # equal shapes sit next to each other in a pattern; their terms are
+        # unordered, so a run of them takes strictly increasing choices
+        runs = [(shape, len(list(run))) for shape, run in itertools.groupby(live)]
+        for picks in itertools.product(*(
+                itertools.combinations(_tensor_shapes(shape, tmax), n)
+                for shape, n in runs)):
+            terms = [canonical_action(t) for pick in picks for t in pick]
             descs = [format_module(t) for t in terms]
             if len(set(descs)) != len(descs):
                 continue
@@ -440,29 +446,45 @@ def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
     """Conjugacy classes of the factor action: a candidate on a D-factor (or
     through a D6 subsystem) splits into a class per ordering of its two
     half-spin restrictions.  Equal halves mean a single class; non-D factors
-    carry no choice."""
+    carry no choice.  Each half is read-only, as sorted (term or weight,
+    multiplicity) pairs, and the list is worked out once per (descriptor,
+    type, p): descriptors are distinct within a factor type."""
+    memo = _assignment_memo()
+    key = (cand.descriptor, type_name, p)
+    if key not in memo:
+        memo[key] = _assignments(cand, type_name, p)
+    return memo[key]
+
+
+@functools.cache
+def _assignment_memo() -> dict:
+    return {}
+
+
+def _assignments(cand: FactorCandidate, type_name: str, p: int):
     fam = type_name[0]
     expr = cand.expr
     if (cand.kind == "module" and fam == "D") or (
             cand.kind == "chain" and cand.chain[0] == "A1D6"):
-        h0, h1 = spin_half_terms(expr, p)
-        return [(h0, h1)] if h0 == h1 else [(h0, h1), (h1, h0)]
+        h0, h1 = map(_char_fp, spin_half_terms(expr, p))
+        return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
     if cand.kind == "g2" and fam == "D":
         # one class: on D4 the triality-fixed subgroup, whose three
         # eight-dimensional nodes restrict alike; on D7 the classes differ
         # only in module structure, which the character-level scan does
         # not see
-        return [spin_halves_from_char(module_weights(expr, p), int(type_name[1:]))]
-    return [None]
+        halves = spin_halves_from_char(module_weights(expr, p), int(type_name[1:]))
+        return (tuple(map(_char_fp, halves)),)
+    return (None,)
 
 
 def factor_restriction_terms(cand: FactorCandidate, type_name: str,
                              weight: tuple[int, ...], p: int,
                              assignment) -> Counter:
     """Terms of the factor's irreducible module of the given high weight,
-    restricted to one class of a rank-one candidate subgroup.  The
-    assignment fixes which half-spin restriction sits on which of the two
-    spin nodes."""
+    restricted to one class of a rank-one candidate subgroup, as a new
+    Counter.  The assignment fixes which half-spin restriction sits on which
+    of the two spin nodes."""
     node = _node(type_name, weight)
     if node is None:
         return Counter({(): 1})
@@ -470,12 +492,12 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
         if cand.kind == "chain" and cand.chain[0] == "A1D6":
             a = cand.chain[1][0]
             return terms_tensor(Counter({((1, a),): 1}), _natural_terms(cand),
-                                Counter(assignment[1]))
+                                Counter(dict(assignment[1])))
         return _natural_terms(cand)
     kind, i = node
     if kind == "alt":
         return sum_power(_natural_terms(cand), "alt", i, p)
-    return assignment[i]
+    return Counter(dict(assignment[i]))
 
 
 def factor_restriction_g2(cand: FactorCandidate, type_name: str,
@@ -489,7 +511,7 @@ def factor_restriction_g2(cand: FactorCandidate, type_name: str,
     elif node[0] == "alt":
         e = m_alt(cand.expr, node[1])
     else:
-        return m_spin(int(type_name[1:]), cand.expr), assignment[node[1]]
+        return m_spin(int(type_name[1:]), cand.expr), Counter(dict(assignment[node[1]]))
     return e, module_weights(e, p)
 
 
@@ -528,19 +550,20 @@ def _ordered_components(rs: RootSystem, levi):
 @functools.lru_cache(maxsize=None)
 def _summand_weights(name: str, levi: tuple[int, ...]):
     """Factor types; distinct summand weights with their live (non-trivial)
-    factor indices; (level, weight index) per summand in order.  Trivial
-    summands are dropped: X is reductive, so H^1(X, k) = 0."""
+    factor indices; (level, weight index) per summand, by level and then
+    least root.  The whole radical is split in one pass.  Trivial summands
+    are dropped: X is reductive, so H^1(X, k) = 0."""
     rs = build_root_system(name)
     typed = _ordered_components(rs, levi)
     comps = [c for _, c in typed]
     types = [t for t, _ in typed]
+    radical = [r for roots in radical_levels(rs, levi).values() for r in roots]
     ids: dict[tuple, int] = {}
     out = []
-    for lvl, roots in radical_levels(rs, levi).items():
-        for s in decompose_level(rs, levi, roots):
-            weights = tuple(s["high_weight"][c] for c in comps)
-            if any(any(w) for w in weights):
-                out.append((lvl, ids.setdefault(weights, len(ids))))
+    for s in sorted(decompose_level(rs, levi, radical), key=operator.itemgetter("level")):
+        weights = tuple(s["high_weight"][c] for c in comps)
+        if any(any(w) for w in weights):
+            out.append((s["level"], ids.setdefault(weights, len(ids))))
     distinct = [(weights, tuple(k for k, w in enumerate(weights) if any(w)))
                 for weights in ids]
     return types, distinct, out
@@ -550,7 +573,10 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
                    tmax: int = 2) -> list[CandidateReport]:
     """Evaluate every built-in candidate subgroup against the levels of one
     standard parabolic.  Candidates whose minimal Frobenius twist is positive
-    are skipped (they repeat an untwisted candidate)."""
+    are skipped (they repeat an untwisted candidate).  Returns the G2 report,
+    flagged or not, since it may carry pruned terms, and the flagged A1
+    reports only, in candidate order: an unflagged A1 report has neither
+    hits nor pruned terms, and ``scan_group`` keeps flagged rows only."""
     types, distinct, summands = _summand_weights(name, levi)
     if not types:
         return []
@@ -561,12 +587,41 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
             reports.append(_evaluate(types, (cand,), "G2", distinct, summands, p))
     per_factor = [factor_candidates(t, p, tmax) for t in types]
     if all(per_factor):
-        for combo in itertools.product(*per_factor):
-            twists = [t for c in combo for t in c.twists]
-            if min(twists) != 0:
-                continue
+        for idx in sorted(_flagging_products(types, per_factor, distinct, p)):
+            combo = tuple(cands[i] for cands, i in zip(per_factor, idx))
             reports.append(_evaluate(types, combo, "A1", distinct, summands, p))
     return reports
+
+
+def _flagging_products(types, per_factor, distinct, p) -> set:
+    """Index tuples of the candidate products, untwisted on some factor,
+    that some class flags.  A summand's H^1 depends only on the candidates
+    and classes of its live factors, so each summand weight walks the
+    product of those alone; a positive one flags every product that
+    extends it.  A walk that covers every factor skips the choices twisted
+    on all of them, which no product reaches, so the memo gets the keys of
+    the untwisted products and no others."""
+    memo = _level_h1_memo()
+    # per factor: (candidate index, (candidate, class index, assignment))
+    choices = [[(i, (c, j, a)) for i, c in enumerate(cands)
+                for j, a in enumerate(factor_assignments(c, t, p))]
+               for cands, t in zip(per_factor, types)]
+    untwisted = [[0 in c.twists for c in cands] for cands in per_factor]
+    flagged = set()
+    for weights, live in distinct:
+        covers = len(live) == len(types)
+        for sub in itertools.product(*(choices[k] for k in live)):
+            fixed = {k: i for k, (i, _) in zip(live, sub)}
+            if covers and not any(untwisted[k][i] for k, i in fixed.items()):
+                continue
+            picks = {k: pick for k, (_, pick) in zip(live, sub)}
+            if not _a1_outcome(types, weights, live, p, picks, memo):
+                continue
+            ranges = [(fixed[k],) if k in fixed else range(len(cands))
+                      for k, cands in enumerate(per_factor)]
+            flagged.update(idx for idx in itertools.product(*ranges)
+                           if any(u[i] for u, i in zip(untwisted, idx)))
+    return flagged
 
 
 def _class_unit(combo, p, assign):
@@ -577,10 +632,9 @@ def _class_unit(combo, p, assign):
         if a is None:
             unit.append(None)
         else:
-            nat = module_weights(c.expr, p)
-            halves = [terms_char(h, p) if c.kind != "g2" else h for h in a]
-            unit.append((_char_fp(nat),
-                         _char_fp(halves[0]), _char_fp(halves[1])))
+            halves = [h if c.kind == "g2" else _char_fp(terms_char(Counter(dict(h)), p))
+                      for h in a]
+            unit.append((_char_fp(module_weights(c.expr, p)), *halves))
     return tuple(unit)
 
 
@@ -608,18 +662,30 @@ def _g2_outcome(combo, types, weights, p, assign):
     return module_is_tilting(whole, p), positives
 
 
-def _a1_outcome(combo, types, weights, live, p, assign, classes, memo):
+def _a1_outcome(types, weights, live, p, picks, memo):
     """dim H^1 of one summand under one class of an A1 candidate: the
-    tensor product of its restrictions to the live factors."""
-    key = (p, tuple((types[k], combo[k].descriptor, classes[k], weights[k])
+    tensor product of its restrictions to the live factors.  picks[k] is
+    the (candidate, class index, half-spin assignment) on factor k.  Each
+    restriction is kept, as read-only (term, count) pairs, per (p, factor
+    type, candidate descriptor, class index, weight): one part of the key."""
+    key = (p, tuple((types[k], picks[k][0].descriptor, picks[k][1], weights[k])
                     for k in live))
     if key not in memo:
+        restrictions = _restriction_memo()
         level = Counter({(): 1})
-        for k in live:
-            level = terms_tensor(level, factor_restriction_terms(
-                combo[k], types[k], weights[k], p, assign[k]))
+        for k, part in zip(live, key[1]):
+            if (p, part) not in restrictions:
+                cand, _, assignment = picks[k]
+                restrictions[p, part] = tuple(factor_restriction_terms(
+                    cand, types[k], weights[k], p, assignment).items())
+            level = terms_tensor(level, dict(restrictions[p, part]))
         memo[key] = h1_dim(level, p)
     return memo[key]
+
+
+@functools.cache
+def _restriction_memo() -> dict:
+    return {}
 
 
 def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
@@ -639,7 +705,8 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
             outcomes = [_g2_outcome(combo, types, w, p, assign)
                         for w, _ in distinct]
         else:
-            outcomes = [_a1_outcome(combo, types, w, live, p, assign, classes, memo)
+            picks = tuple(zip(combo, classes, assign))
+            outcomes = [_a1_outcome(types, w, live, p, picks, memo)
                         for w, live in distinct]
         if not any(outcomes):
             continue

@@ -12,6 +12,7 @@ and Seitz, Comm. Algebra 18 (1990)), so a level is the sum of its shapes.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 
 from .rootsystem import Root, RootSystem
@@ -142,23 +143,28 @@ def _root_shapes(rs: RootSystem, levi: tuple[int, ...]):
     coefficients outside the Levi; two roots share a shape, a small id,
     exactly when those coefficients agree."""
     outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
-    coeffs = [tuple(r[i] for i in outside) for r in rs.positive]
-    ids: dict[tuple[int, ...], int] = {}
-    shape = tuple(ids.setdefault(c, len(ids)) for c in coeffs)
-    return tuple(map(sum, coeffs)), shape, Counter(shape)
+    # one outside node gives each root a single coefficient, not a tuple;
+    # none (P = G) gives each root the empty tuple
+    coeffs = (list(map(operator.itemgetter(*outside), rs.positive)) if outside
+              else [()] * len(rs.positive))
+    ids = {c: k for k, c in enumerate(dict.fromkeys(coeffs))}
+    shape = tuple(map(ids.__getitem__, coeffs))
+    level = tuple(coeffs) if len(outside) == 1 else tuple(map(sum, coeffs))
+    return level, shape, Counter(shape)
 
 
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:
-    """Split one level into Levi summands, one per shape (Azad, Barry and
-    Seitz, "On the structure of parabolic subgroups", Comm. Algebra 18
-    (1990)), in the order of their least roots.  Each reports its generator
-    (least root in the total order), its highest root, whose pairings
-    against the Levi simple roots, grouped by component, are its highest
-    weight, and its root list.  Roots that are not a union of whole shapes
-    raise ``ArithmeticError``; ``verify_levels`` checks every summand
-    against its character."""
+    """Split radical roots into Levi summands, one per shape (Azad, Barry
+    and Seitz, "On the structure of parabolic subgroups", Comm. Algebra 18
+    (1990)), in the order of their least roots.  The roots may be one level
+    or any union of whole shapes, such as the whole radical.  Each summand
+    reports its level, its generator (least root in the total order), its
+    highest root, whose pairings against the Levi simple roots, grouped by
+    component, are its highest weight, and its root list.  Roots that are
+    not a union of whole shapes raise ``ArithmeticError``;
+    ``verify_levels`` checks every summand against its character."""
     comps_nodes = levi_components(rs, levi)
-    _, shape, size = _root_shapes(rs, levi)
+    level, shape, size = _root_shapes(rs, levi)
     groups: dict[int, list[int]] = {}
     for i in sorted({rs.index[r] for r in roots}):
         groups.setdefault(shape[i], []).append(i)
@@ -174,6 +180,7 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
         if any(v < 0 for w in hw.values() for v in w):
             raise ArithmeticError("summand high weight not dominant")
         out.append({
+            "level": level[members[0]],
             "generator": rs.positive[members[0]],
             "high_root": rs.positive[high],
             "high_weight": hw,
@@ -197,22 +204,21 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
 
     comps = levi_components(rs, levi)
     types = [component_type(rs, c) for c in comps]
-    checked = 0
-    for lvl, roots in radical_levels(rs, levi).items():
-        for s in decompose_level(rs, levi, roots):
-            seen = Counter(tuple(tuple(rs.pairings[rs.index[r]][i - 1] for i in c)
-                                 for c in comps) for r in s["roots"])
-            expect: dict[tuple, int] = {(): 1}
-            for c, t in zip(comps, types):
-                part = freudenthal(t, s["high_weight"][c])
-                expect = {
-                    key + (w,): m0 * m
-                    for key, m0 in expect.items()
-                    for w, m in part.items()
-                }
-            if seen != expect:
-                raise ArithmeticError(
-                    f"level {lvl} summand at {rs.format_root(s['generator'])} "
-                    f"does not match its character")
-            checked += 1
-    return checked
+    radical = [r for roots in radical_levels(rs, levi).values() for r in roots]
+    summands = decompose_level(rs, levi, radical)
+    for s in summands:
+        seen = Counter(tuple(tuple(rs.pairings[rs.index[r]][i - 1] for i in c)
+                             for c in comps) for r in s["roots"])
+        expect: dict[tuple, int] = {(): 1}
+        for c, t in zip(comps, types):
+            part = freudenthal(t, s["high_weight"][c])
+            expect = {
+                key + (w,): m0 * m
+                for key, m0 in expect.items()
+                for w, m in part.items()
+            }
+        if seen != expect:
+            raise ArithmeticError(
+                f"level {s['level']} summand at {rs.format_root(s['generator'])} "
+                f"does not match its character")
+    return len(summands)

@@ -7,14 +7,24 @@ uses them, so they live with the tests.
   system, for the Euclidean-model and Weyl-invariance tests
 - the composition factors and the dimension of a module expression's
   character, and the H^1 criterion for a simple rank-one module
+- the candidate scan done the long way: every action a pattern gives, by
+  the full product of its terms' choices with duplicates dropped, and the
+  A1 report of every candidate product of a parabolic, class by class,
+  with H^1 worked out on every factor and no memo
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
 
+from gcr.a1coh import h1_dim, terms_tensor
+from gcr.h1scan import (_class_unit, _summand_weights, _tensor_shapes,
+                        canonical_action, factor_assignments,
+                        factor_candidates, factor_restriction_terms)
 from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
-                        g2_comp_factors, module_weights, peel_characters)
+                        format_module, g2_comp_factors, m_simple, m_sum,
+                        module_weights, peel_characters)
 from gcr.rootsystem import Root, RootSystem
 
 
@@ -85,3 +95,59 @@ def module_comp_factors(e: ModExpr, p: int,
 
 def module_dim(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> int:
     return sum(module_weights(e, p, subst).values())
+
+
+# -- the candidate scan --------------------------------------------------------
+
+def actions_by_product(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
+    """Every action the patterns give, from the full product of each
+    term's choices, keeping the first expression per descriptor."""
+    out: dict[str, ModExpr] = {}
+    for pattern in patterns:
+        live = [shape for shape in pattern if shape]
+        trivial = len(live) < len(pattern)
+        if any(w > p - 1 for shape in live for w in shape):
+            continue
+        for combo in itertools.product(*(_tensor_shapes(s, tmax) for s in live)):
+            terms = [canonical_action(t) for t in combo]
+            descs = [format_module(t) for t in terms]
+            if len(set(descs)) != len(descs):
+                continue
+            full = list(terms) + ([m_simple(0)] if trivial else [])
+            c = canonical_action(full[0] if len(full) == 1 else m_sum(*full))
+            out.setdefault(format_module(c), c)
+    return tuple(out.values())
+
+
+def a1_reports_by_product(name: str, levi: tuple[int, ...], p: int,
+                          tmax: int = 2) -> list[tuple]:
+    """(actions, flagged classes, hits, class units) of every A1 candidate
+    product on one parabolic that is untwisted on some factor, flagged or
+    not, in product order.  Each class's H^1 on each distinct summand
+    weight is that of the tensor product of the restrictions to every
+    factor, trivial ones included; nothing is memoised."""
+    types, distinct, summands = _summand_weights(name, levi)
+    per_factor = [factor_candidates(t, p, tmax) for t in types]
+    out = []
+    if not types or not all(per_factor):
+        return out
+    for combo in itertools.product(*per_factor):
+        if min(t for c in combo for t in c.twists) != 0:
+            continue
+        classes, hits, units = 0, [], []
+        assigns = [factor_assignments(c, t, p) for c, t in zip(combo, types)]
+        for assign in itertools.product(*assigns):
+            outcomes = []
+            for weights, _ in distinct:
+                level = Counter({(): 1})
+                for c, t, w, a in zip(combo, types, weights, assign):
+                    level = terms_tensor(level, factor_restriction_terms(c, t, w, p, a))
+                outcomes.append(h1_dim(level, p))
+            for lvl, k in summands:
+                if outcomes[k] and (lvl, outcomes[k]) not in hits:
+                    hits.append((lvl, outcomes[k]))
+            if any(outcomes):
+                classes += 1
+                units.append(_class_unit(combo, p, assign))
+        out.append((tuple(c.descriptor for c in combo), classes, hits, units))
+    return out

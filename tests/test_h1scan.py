@@ -12,6 +12,7 @@ import pytest
 
 from gcr.a1coh import h1_dim, term_char, terms_char, terms_tensor, tilting_product
 from gcr.modrep import (
+    format_module,
     h1_module_a1,
     module_weights,
     parse_module,
@@ -22,6 +23,8 @@ from gcr.modrep import (
     weyl_dim,
 )
 from gcr.h1scan import (
+    _A_PATTERNS,
+    _D_PATTERNS,
     a_type_actions,
     action_descriptor,
     canonical_action,
@@ -46,6 +49,7 @@ from gcr.parabolic import (component_type, decompose_level, levi_components,
 from gcr.rootsystem import build_root_system
 from gcr.tables import (canon_factor, diff_badx, diff_to_json, expand_rows,
                         load_badx, render_diff)
+from oracles import a1_reports_by_product, actions_by_product
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -146,6 +150,21 @@ def test_action_counts_frozen():
     assert len(e6_factor_candidates(7, 2)) == 34
     assert len(e7_factor_candidates(5, 2)) == 0
     assert len(e7_factor_candidates(7, 2)) == 384
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("tmax", [2, 3])
+def test_actions_match_product_oracle(p, tmax):
+    """A run of equal shapes in a pattern takes strictly increasing term
+    choices; that gives the same actions, in the same order, as the full
+    product with duplicates dropped."""
+    cases = [(a_type_actions, rank, _A_PATTERNS[rank]) for rank in _A_PATTERNS]
+    cases += [(d_type_actions, rank, _D_PATTERNS[rank]) for rank in _D_PATTERNS]
+    for actions, rank, patterns in cases:
+        got = actions(rank, p, tmax)
+        want = actions_by_product(patterns, p, tmax)
+        assert [format_module(e) for e in got] == [format_module(e) for e in want]
+        assert got == want
 
 
 def test_a_type_action_contents():
@@ -334,6 +353,38 @@ def test_scan_e6_d4_parabolic_p5():
     assert flagged[("A1", ("4 + 2[1]",))].classes == 1
 
 
+@pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5)])
+def test_scan_parabolic_flags_what_every_product_flags(group, p):
+    """On every parabolic, the A1 reports of the live-factor walk are the
+    flagged ones of the exhaustive product, in the same order and with the
+    same actions, class counts, hits and class units; no unflagged A1
+    report comes back."""
+    rs = build_root_system(group)
+    flagged = 0
+    for k in range(rs.rank):
+        for levi in itertools.combinations(range(1, rs.rank + 1), k):
+            got = [r for r in scan_parabolic(group, levi, p) if r.x_type == "A1"]
+            assert all(r.flagged for r in got), levi
+            want = [r for r in a1_reports_by_product(group, levi, p) if r[1]]
+            assert [(r.actions, r.classes, r.hits, r.class_units)
+                    for r in got] == want, levi
+            flagged += len(want)
+    assert flagged == {"E6": 22, "E7": 95}[group]
+
+
+def test_level_h1_memo_keys_pinned():
+    """Each table's scan looks up level H^1 once per live sub-assignment of
+    its untwisted candidate products: a walk that evaluated any other key
+    would grow the memo."""
+    sizes = []
+    for group, p in [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)]:
+        _level_h1_memo.cache_clear()
+        scan_group(group, p)
+        memo = _level_h1_memo()
+        sizes.append((len(memo), sum(v > 0 for v in memo.values())))
+    assert sizes == [(295, 15), (984, 36), (1080, 2), (3285, 27)]
+
+
 def test_scan_group_results_frozen():
     assert len(scan_group("E6", 5).rows) == 8
     assert len(scan_group("E7", 7).rows) == 3
@@ -423,9 +474,9 @@ def test_level_h1_memo_is_sound_on_e6_p5():
                         if weights not in live:
                             assert full == 0, (levi, weights)
                             continue
-                        scanned = _a1_outcome(combo, types, weights,
-                                              live[weights], p, assign,
-                                              classes, memo)
+                        scanned = _a1_outcome(
+                            types, weights, live[weights], p,
+                            tuple(zip(combo, classes, assign)), memo)
                         assert scanned == full, (levi, combo, classes, weights)
                         checked += 1
                         positive += full > 0

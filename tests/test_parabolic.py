@@ -181,6 +181,8 @@ def test_verify_counts_summands():
     rs = _rs("E6")
     assert verify_levels(rs, ()) == 36
     assert verify_levels(rs, (1, 3, 4, 5, 6)) == 2
+    # P = G: no radical, nothing to check
+    assert verify_levels(rs, (1, 2, 3, 4, 5, 6)) == 0
 
 
 @given(st.sampled_from(["E6", "E7"]),
