@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from .a1coh import h1_dim, sum_power, terms_char, terms_tensor
 from .modrep import (
     ModExpr,
-    char_tensor,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
@@ -650,16 +649,15 @@ def _level_h1_memo() -> dict:
 
 def _g2_outcome(combo, types, weights, p, assign):
     """(tilting?, H^1-positive composition factors) of one summand under a
-    G2 candidate, or None when no composition factor carries H^1."""
-    parts = [factor_restriction_g2(c, t, w, p, a)
-             for c, t, w, a in zip(combo, types, weights, assign)]
-    char = functools.reduce(char_tensor, (piece for _, piece in parts))
+    G2 candidate, or None when no composition factor carries H^1.  The
+    Levi has one factor: ``scan_parabolic`` builds G2 candidates for no
+    other."""
+    (c,), (t,), (w,), (a,) = combo, types, weights, assign
+    e, char = factor_restriction_g2(c, t, w, p, a)
     positives = char_h1_factors(char, p)
     if not positives:
         return None
-    whole = (parts[0][0] if len(parts) == 1
-             else m_tensor(*(e for e, _ in parts)))
-    return module_is_tilting(whole, p), positives
+    return module_is_tilting(e, p), positives
 
 
 def _a1_outcome(types, weights, live, p, picks, memo):

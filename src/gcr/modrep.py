@@ -205,15 +205,15 @@ class A1Module:
     nonzero.  ``entries`` is the pair (E, F), each kind kept over all its
     degrees as one triple (rows, cols, values mod p) of nonzero entries at
     distinct positions; an entry's degree is half its weight shift.  The
-    constructor takes, per kind, such a flat triple (a tuple), or a dict
-    from degree a to a matrix (an array or nested lists) or an entry triple.
-    It rejects entries outside the module, reduces mod p, drops zeros and
-    checks every nonzero entry's weight shift: +-2a for a dict, positive and
-    even in the operator's direction for a flat triple.  ``E`` and ``F`` are
-    dense dicts per degree, built on first use.  ``weights`` is a tuple and
-    every array is read-only: ``tilting_module`` shares modules."""
+    constructor takes, per kind, such a triple as a tuple, and raises
+    ``TypeError`` on anything else.  It rejects entries outside the module,
+    reduces mod p, drops zeros and checks that every nonzero entry shifts
+    its weight by a positive even amount in the operator's direction.  ``E``
+    and ``F`` are dense dicts per degree, built on first use.  ``weights``
+    is a tuple and every array is read-only: ``tilting_module`` shares
+    modules."""
 
-    def __init__(self, p: int, weights, E: dict | tuple, F_: dict | tuple):
+    def __init__(self, p: int, weights, E: tuple, F_: tuple):
         self.p = p
         self.weights = tuple(weights)
         self.dim = len(self.weights)
@@ -224,14 +224,9 @@ class A1Module:
     def _flat(self, ops, w: np.ndarray, sign: int, name: str) -> tuple:
         """One kind's nonzero entries mod p as a flat triple, shifts checked."""
         if not isinstance(ops, tuple):
-            parts = [(np.zeros(0, dtype=np.int64),) * 4]
-            for a, m in ops.items():
-                if not isinstance(m, tuple):
-                    m = np.asarray(m, dtype=np.int64)
-                    m = (*np.nonzero(m), m[np.nonzero(m)])
-                parts.append((*m, np.full(len(m[2]), 2 * a)))
-            ops = map(np.concatenate, zip(*parts))
-        r, c, v, *want = (np.asarray(x, dtype=np.int64) for x in ops)
+            raise TypeError(f"{name} must be a (rows, cols, values) tuple, "
+                            f"not {type(ops).__name__}")
+        r, c, v = (np.asarray(x, dtype=np.int64) for x in ops)
         outside = (np.minimum(r, c) < 0) | (np.maximum(r, c) >= self.dim)
         if outside.any():
             i = np.flatnonzero(outside)[0]
@@ -240,16 +235,13 @@ class A1Module:
         keep = v % self.p != 0
         r, c, v = r[keep], c[keep], v[keep] % self.p
         shift = sign * (w[r] - w[c])
-        want = want[0][keep] if want else None
-        bad = (shift <= 0) | (shift % 2 == 1) if want is None else shift != want
+        bad = (shift <= 0) | (shift % 2 == 1)
         if bad.any():
             i = np.flatnonzero(bad)[0]
-            expected = (f"{'+-'[sign < 0]}2a with a >= 1" if want is None
-                        else f"{sign * want[i]:+d}")
             raise ArithmeticError(
                 f"operator does not shift weights correctly: {name} entry "
                 f"({r[i]}, {c[i]}) maps weight {w[c[i]]} to {w[r[i]]}, "
-                f"expected a shift of {expected}")
+                f"expected a shift of {'+-'[sign < 0]}2a with a >= 1")
         for x in (r, c, v):
             x.setflags(write=False)
         return r, c, v
@@ -320,14 +312,6 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
 def twist(a: A1Module, r: int) -> A1Module:
     q = a.p ** r
     return A1Module(a.p, [w * q for w in a.weights], *a.entries)
-
-
-def dual(a: A1Module) -> A1Module:
-    """Negated weights; each entry transposed, with the sign (-1)^degree."""
-    w = np.array(a.weights, dtype=np.int64)
-    return A1Module(a.p, (-w).tolist(),
-                    *((c, r, np.where((w[r] - w[c]) // 2 % 2, -v, v))
-                      for r, c, v in a.entries))
 
 
 def direct_sum(*mods: A1Module) -> A1Module:
@@ -516,23 +500,6 @@ def g2_comp_factors(char: Counter, p: int = 7) -> Counter:
                            lambda lam: g2_simple_char(lam, p).elements())
 
 
-@functools.lru_cache(maxsize=None)
-def g2_tilting_char(lam: tuple[int, int], p: int = 7) -> Counter:
-    """Characters of the indecomposable G2 tilting modules at p = 7 for the
-    tabulated weights.  T(20) = 00|20|00 and T(11) = 20|(11+00)|20; the other
-    four weights have W = T = L."""
-    if p != 7:
-        raise NotImplementedError("G2 characters are tabulated for p = 7 only")
-    if lam not in G2_SIMPLE_DIMS:
-        raise NotImplementedError(f"tilting G2 character for {lam} not tabulated")
-    ch = Counter(g2_weyl_char(lam))
-    if lam == (2, 0):
-        ch.update(g2_weyl_char((0, 0)))
-    elif lam == (1, 1):
-        ch.update(g2_weyl_char((2, 0)))
-    return ch
-
-
 def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
     """H^1 flag for a tabulated simple G2-module at p = 7: nonzero only for
     L(20), where W(20) = 20|00 gives the nonsplit extension.  Weights outside
@@ -549,8 +516,8 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 @dataclass(frozen=True)
 class ModExpr:
     """Formal module expression: sums of tensor products of (possibly
-    twisted) simples, Weyl modules and tiltings, closed under duals,
-    alternating and symmetric powers, and half-spin restriction.
+    twisted) simples and tiltings, closed under alternating powers and
+    half-spin restriction.
 
     Weights are integers for the rank-one group or pairs for G2; twists are
     nonnegative integers or symbols (r, s, ...) with an optional offset,
@@ -574,17 +541,8 @@ def m_simple(a, r=0) -> ModExpr:
 def m_tilt(a, r=0) -> ModExpr:
     return ModExpr("tilt", weight=a, twist=r)
 
-def m_weyl(a, r=0) -> ModExpr:
-    return ModExpr("weyl", weight=a, twist=r)
-
-def m_dual(part: ModExpr) -> ModExpr:
-    return ModExpr("dual", part=part)
-
 def m_alt(part: ModExpr, k: int) -> ModExpr:
     return ModExpr("alt", part=part, k=k)
-
-def m_sym(part: ModExpr, k: int) -> ModExpr:
-    return ModExpr("sym", part=part, k=k)
 
 def m_spin(n: int, part: ModExpr) -> ModExpr:
     return ModExpr("spin", n=n, part=part)
@@ -599,19 +557,19 @@ def m_sum(*parts) -> ModExpr:
 _TWIST_SYMBOLS = "rstuvw"
 
 _TOKEN = re.compile(
-    r"(x|\+|\(|\)|\[|\]|;|\*|Alt|Sym|Spin|T(?=\()|W(?=\()|D[0-9]+"
+    r"(x|\+|\(|\)|\[|\]|;|Alt|Spin|T(?=\()|D[0-9]+"
     r"|[0-9]+|[rstuvw](?:\+[0-9]+)?)")
 _MAX_DEPTH = 50     # deepest bracket nesting that parse_module accepts
 
 
-def _tokenize(s: str) -> list[str]:
-    s = s.replace("⊗", "x").replace(" ", "")
+def _tokenize(text: str) -> list[str]:
+    s = text.replace("⊗", "x").replace(" ", "")
     toks = []
     pos = 0
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            raise ValueError(f"cannot tokenize module expression {s!r} "
+            raise ValueError(f"cannot tokenize module expression {text!r} "
                              f"at {s[pos:]!r}")
         toks.append(m.group(0))
         pos = m.end()
@@ -650,29 +608,22 @@ class _Parser:
         return terms[0] if len(terms) == 1 else m_sum(*terms)
 
     def term(self) -> ModExpr:
-        factors = [self.postfixed()]
+        factors = [self.primary()]
         while self.peek() == "x":
             self.take()
-            factors.append(self.postfixed())
+            factors.append(self.primary())
         return factors[0] if len(factors) == 1 else m_tensor(*factors)
-
-    def postfixed(self) -> ModExpr:
-        e = self.primary()
-        while self.peek() == "*":
-            self.take()
-            e = m_dual(e)
-        return e
 
     def primary(self) -> ModExpr:
         tok = self.peek()
-        if tok in ("Alt", "Sym"):
+        if tok == "Alt":
             self.take()
             self.take("(")
             k = self.number()
             self.take(";")
             inner = self.expr()
             self.take(")")
-            return (m_alt if tok == "Alt" else m_sym)(inner, k)
+            return m_alt(inner, k)
         if tok == "Spin":
             self.take()
             self.take("(")
@@ -693,11 +644,11 @@ class _Parser:
 
     def atom(self) -> ModExpr:
         tok = self.take()
-        if tok in ("T", "W"):
+        if tok == "T":
             self.take("(")
             a = self.number()
             self.take(")")
-            ctor = m_tilt if tok == "T" else m_weyl
+            ctor = m_tilt
         elif tok.isdigit():
             a = int(tok)
             ctor = m_simple
@@ -719,7 +670,7 @@ class _Parser:
 
 
 def parse_module(s: str) -> ModExpr:
-    """Parse the module text grammar: "3 x 1[1] + T(8) + 0", "W(5)*",
+    """Parse the module text grammar: "3 x 1[1] + T(8) + 0",
     "Spin(D5; 4+4[r])", "Alt(2; 2 x 1[s])" (x or the tensor sign both
     work; twists may be numbers or symbols like r, s+1)."""
     parser = _Parser(s)
@@ -746,12 +697,8 @@ def _fmt(e: ModExpr, prec: int) -> str:
     if e.kind == "tensor":
         s = " x ".join(_fmt(t, 2) for t in e.parts)
         return f"({s})" if prec > 1 else s
-    if e.kind == "dual":
-        return f"{_fmt(e.part, 2)}*"
     if e.kind == "alt":
         return f"Alt({e.k}; {_fmt(e.part, 0)})"
-    if e.kind == "sym":
-        return f"Sym({e.k}; {_fmt(e.part, 0)})"
     if e.kind == "spin":
         return f"Spin(D{e.n}; {_fmt(e.part, 0)})"
     w = e.weight if isinstance(e.weight, int) else f"({e.weight[0]},{e.weight[1]})"
@@ -760,8 +707,6 @@ def _fmt(e: ModExpr, prec: int) -> str:
         return f"{w}{tw}"
     if e.kind == "tilt":
         return f"T({w}){tw}"
-    if e.kind == "weyl":
-        return f"W({w}){tw}"
     raise ValueError(e.kind)
 
 
@@ -818,12 +763,6 @@ def _wneg(a):
     return -a
 
 
-def _wscale(a, q):
-    if isinstance(a, tuple):
-        return tuple(x * q for x in a)
-    return a * q
-
-
 def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
     if e.kind in ("sum", "tensor"):
@@ -837,31 +776,26 @@ def module_twists(e: ModExpr) -> list[int]:
     """All atom twists in the expression; symbolic twists raise."""
     if e.kind in ("sum", "tensor"):
         return [t for part in e.parts for t in module_twists(part)]
-    if e.kind in ("dual", "alt", "sym", "spin"):
+    if e.kind in ("alt", "spin"):
         return module_twists(e.part)
     return [_twist_value(e.twist, None) if not isinstance(e.twist, int) else e.twist]
 
 
 def _atom_char(e: ModExpr, p: int, subst) -> Counter:
-    tw = _twist_value(e.twist, subst)
-    q = p ** tw
+    q = p ** _twist_value(e.twist, subst)
     if isinstance(e.weight, tuple):
-        if e.kind == "simple":
-            base = g2_simple_char(e.weight, p)
-        elif e.kind == "tilt":
-            base = g2_tilting_char(e.weight, p)
-        else:
-            base = g2_weyl_char(e.weight)
-        return Counter({_wscale(w, q): c for w, c in base.items()})
+        if e.kind != "simple":
+            raise NotImplementedError(f"no G2 character for {format_module(e)}: "
+                                      "only simple G2 atoms are tabulated")
+        return Counter({tuple(x * q for x in w): c
+                        for w, c in g2_simple_char(e.weight, p).items()})
     if e.weight < 0:
         raise ValueError(f"highest weight {e.weight} at p={p} must be dominant")
     if e.kind == "simple":
-        base = Counter(a1_simple_weights(e.weight, p))
-    elif e.kind == "tilt":
-        base = Counter(a1_tilting_weights(e.weight, p))
+        base = a1_simple_weights(e.weight, p)
     else:
-        base = Counter(a1_weyl_weights(e.weight))
-    return Counter({w * q: c for w, c in base.items()})
+        base = a1_tilting_weights(e.weight, p)
+    return Counter(w * q for w in base)
 
 
 def _spin_half_list(char: Counter):
@@ -937,43 +871,33 @@ def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> C
     if e.kind == "tensor":
         return functools.reduce(char_tensor, (module_weights(t, p, subst)
                                               for t in e.parts))
-    if e.kind == "dual":
-        return Counter({_wneg(w): c
-                        for w, c in module_weights(e.part, p, subst).items()})
-    if e.kind in ("alt", "sym"):
+    if e.kind == "alt":
         return power_char(list(module_weights(e.part, p, subst).elements()),
-                          e.kind, e.k)
+                          "alt", e.k)
     if e.kind == "spin":
         even, _ = spin_halves_from_char(module_weights(e.part, p, subst), e.n)
         return even
     return _atom_char(e, p, subst)
 
 
-def _power_basis(d: int, k: int, p: int, sign: bool) -> np.ndarray:
-    """Basis of the image of the (anti)symmetrizer inside the k-th tensor
+def _power_basis(d: int, k: int, p: int) -> np.ndarray:
+    """Basis of the image of the antisymmetrizer inside the k-th tensor
     power of a d-dimensional space, as columns over GF(p)."""
-    combos = (list(itertools.combinations(range(d), k)) if sign
-              else list(itertools.combinations_with_replacement(range(d), k)))
+    combos = list(itertools.combinations(range(d), k))
     basis = np.zeros((d ** k, len(combos)), dtype=np.int64)
     for c, combo in enumerate(combos):
-        seen = set()
         for perm in itertools.permutations(range(k)):
-            arr = tuple(combo[j] for j in perm)
-            if arr in seen:
-                continue
-            seen.add(arr)
             idx = 0
-            for i in arr:
-                idx = idx * d + i
+            for j in perm:
+                idx = idx * d + combo[j]
             val = 1
-            if sign:
-                # parity of the permutation
-                pe = list(perm)
-                for i in range(k):
-                    while pe[i] != i:
-                        j = pe[i]
-                        pe[i], pe[j] = pe[j], pe[i]
-                        val = -val
+            # parity of the permutation
+            pe = list(perm)
+            for i in range(k):
+                while pe[i] != i:
+                    j = pe[i]
+                    pe[i], pe[j] = pe[j], pe[i]
+                    val = -val
             basis[idx, c] = val % p
     return basis
 
@@ -989,17 +913,14 @@ def module_matrices(e: ModExpr, p: int,
         for m in mods[1:]:
             out = tensor(out, m)
         return out
-    if e.kind == "dual":
-        return dual(module_matrices(e.part, p, subst))
-    if e.kind in ("alt", "sym"):
+    if e.kind == "alt":
         if e.k >= p:
             raise NotImplementedError("power exponent must be below p")
         base = module_matrices(e.part, p, subst)
         big = base
         for _ in range(e.k - 1):
             big = tensor(big, base)
-        return _submodule_restriction(big, _power_basis(base.dim, e.k, p,
-                                                        e.kind == "alt"))
+        return _submodule_restriction(big, _power_basis(base.dim, e.k, p))
     if e.kind == "spin":
         raise NotImplementedError("no explicit operators for spin restrictions")
     if isinstance(e.weight, tuple):
@@ -1007,10 +928,8 @@ def module_matrices(e: ModExpr, p: int,
     tw = _twist_value(e.twist, subst)
     if e.kind == "simple":
         base = simple_module(e.weight, p)
-    elif e.kind == "tilt":
-        base = tilting_module(e.weight, p)
     else:
-        base = weyl_module(e.weight, p)
+        base = tilting_module(e.weight, p)
     return twist(base, tw) if tw else base
 
 
@@ -1020,14 +939,12 @@ _G2_SIMPLE_TILTING = {(0, 0), (1, 0), (0, 1), (3, 0)}
 def module_is_tilting(e: ModExpr, p: int) -> bool:
     """Structural sufficient condition for the expression to denote a tilting
     module (hence to have vanishing H^1): untwisted tiltings are closed under
-    sums, tensor products, duals, and alternating/symmetric powers of
-    exponent below p.  A Frobenius twist defeats the argument, so any twisted
-    part returns False."""
+    sums, tensor products and alternating powers of exponent below p.  A
+    Frobenius twist defeats the argument, so any twisted part returns
+    False."""
     if e.kind in ("sum", "tensor"):
         return all(module_is_tilting(t, p) for t in e.parts)
-    if e.kind == "dual":
-        return module_is_tilting(e.part, p)
-    if e.kind in ("alt", "sym"):
+    if e.kind == "alt":
         return e.k < p and module_is_tilting(e.part, p)
     if e.kind == "spin":
         return False

@@ -159,8 +159,8 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
     (1990)), in the order of their least roots.  The roots may be one level
     or any union of whole shapes, such as the whole radical.  Each summand
     reports its level, its generator (least root in the total order), its
-    highest root, whose pairings against the Levi simple roots, grouped by
-    component, are its highest weight, and its root list.  Roots that are
+    highest weight, read from its highest root as the pairings against the
+    Levi simple roots grouped by component, and its root list.  Roots that are
     not a union of whole shapes raise ``ArithmeticError``;
     ``verify_levels`` checks every summand against its character."""
     comps_nodes = levi_components(rs, levi)
@@ -182,7 +182,6 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
         out.append({
             "level": level[members[0]],
             "generator": rs.positive[members[0]],
-            "high_root": rs.positive[high],
             "high_weight": hw,
             "roots": [rs.positive[m] for m in members],
             "dim": len(members),

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .modrep import parse_module, format_module, module_subst, module_twists
-from .h1scan import (ScanResult, scan_group, canonical_action, factor_assignments,
-                     _class_unit, _module_candidate, _nontrivial_twists)
+from .h1scan import (FactorCandidate, ScanResult, scan_group, canonical_action,
+                     factor_assignments, _class_unit, _module_candidate,
+                     _nontrivial_twists)
 
 
 # -- golden data loading -------------------------------------------------------
@@ -91,19 +92,15 @@ def _constraint(text: str, ref: str):
     return lambda params: value(body, params)
 
 
-@dataclass(frozen=True)
-class GoldenFactor:
-    descriptor: str
-    kind: str                      # module | chain | g2
-    exprs: tuple = ()              # parsed module expressions (canonical)
-
-
 def canon_factor(text: str, tmax: int,
-                 subst: dict[str, int] | None = None) -> GoldenFactor | None:
+                 subst: dict[str, int] | None = None) -> FactorCandidate | None:
     """Canonicalise one factor-action string, with its symbolic twists
-    resolved by subst; None if a twist leaves the window."""
+    resolved by subst, into the scan's form of a factor action; None if a
+    twist leaves the window.  A module factor carries its expression; a
+    chain's twists are its slots' non-trivial ones, and a G2 factor has
+    none."""
     if text == "max F4" or text.startswith("("):
-        return GoldenFactor(text, "g2")
+        return FactorCandidate(text, (), "g2")
     m = _CHAIN_RE.match(text)
     if m:
         name = m.group(1)
@@ -113,11 +110,12 @@ def canon_factor(text: str, tmax: int,
         if any(t > tmax or t < 0 for e in exprs for t in module_twists(e)):
             return None
         desc = f"{name}({', '.join(format_module(e) for e in exprs)})"
-        return GoldenFactor(desc, "chain", tuple(exprs))
+        return FactorCandidate(desc, tuple(t for e in exprs
+                                           for t in _nontrivial_twists(e)), "chain")
     e = canonical_action(module_subst(parse_module(text), subst))
     if any(t > tmax or t < 0 for t in module_twists(e)):
         return None
-    return GoldenFactor(format_module(e), "module", (e,))
+    return _module_candidate(e)
 
 
 @dataclass
@@ -127,7 +125,7 @@ class GoldenInstance:
     x: str
     actions: tuple[str, ...]
     classes: int
-    factors: tuple[GoldenFactor, ...]
+    factors: tuple[FactorCandidate, ...]
 
     @property
     def key(self):
@@ -154,8 +152,7 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
                     break
                 factors.append(cf)
             else:
-                nz = [t for cf in factors for e in cf.exprs
-                      for t in _nontrivial_twists(e)]
+                nz = [t for cf in factors for t in cf.twists]
                 if nz and min(nz) != 0:
                     continue
                 inst = GoldenInstance(
@@ -210,7 +207,7 @@ def _golden_units(inst: GoldenInstance, pos: int, p: int):
     its own classes: (other-action tuple, ordered triple of characters on
     the natural and the two half-spin nodes).  None when the table's class
     count is not the scan's."""
-    cand = _module_candidate(inst.factors[pos].exprs[0])
+    cand = inst.factors[pos]
     assigns = factor_assignments(cand, "D4", p)
     if len(assigns) != inst.classes:
         return None

@@ -3,6 +3,8 @@ uses them, so they live with the tests.
 
 - the one-parameter subgroups x_+(t) and x_-(t) of an explicit rank-one
   module, for the group-law tests of its divided powers
+- the dual of an explicit rank-one module, for the H^1 test of W(8)* and
+  as a factor of the tensor-reference tests
 - the full root set, the simple roots and the simple reflections of a root
   system, for the Euclidean-model and Weyl-invariance tests
 - the composition factors and the dimension of a module expression's
@@ -45,6 +47,14 @@ def x_plus(mod: A1Module, t: int) -> np.ndarray:
 def x_minus(mod: A1Module, t: int) -> np.ndarray:
     """x_-(t) = sum_a t^a F[a] over GF(p)."""
     return _exp(mod, mod.F, t)
+
+
+def dual(a: A1Module) -> A1Module:
+    """Negated weights; each entry transposed, with the sign (-1)^degree."""
+    w = np.array(a.weights, dtype=np.int64)
+    return A1Module(a.p, (-w).tolist(),
+                    *((c, r, np.where((w[r] - w[c]) // 2 % 2, -v, v))
+                      for r, c, v in a.entries))
 
 
 # -- root systems -------------------------------------------------------------

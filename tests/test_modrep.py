@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudenthal_reference import freudenthal_all_weights
-from oracles import (a1_comp_factors, h1_irreducible, module_comp_factors,
+from oracles import (a1_comp_factors, dual, h1_irreducible, module_comp_factors,
                      module_dim, x_minus, x_plus)
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
@@ -24,7 +24,6 @@ from gcr.modrep import (
     a1_tilting_weights,
     a1_weyl_weights,
     direct_sum,
-    dual,
     freudenthal,
     g2_comp_factors,
     g2_h1_irreducible,
@@ -35,7 +34,6 @@ from gcr.modrep import (
     m_alt,
     m_simple,
     m_spin,
-    m_sym,
     m_tilt,
     module_is_tilting,
     module_matrices,
@@ -43,6 +41,7 @@ from gcr.modrep import (
     module_twists,
     module_weights,
     parse_module,
+    power_char,
     spin_halves_from_char,
     simple_module,
     spin_weights,
@@ -298,64 +297,56 @@ def test_one_param_group_law():
                                           x(mod, t) @ x(mod, u) % p), (m, p, t, u)
 
 
+NO_ENTRIES = ([], [], [])
+
+
 def test_module_rejects_wrong_weight_shift():
     # E_1 must raise the weight by 2: from -1 to 1, never from 1 to -1
-    good = A1Module(5, [1, -1], {1: [[0, 1], [0, 0]]}, {1: [[0, 0], [1, 0]]})
+    good = A1Module(5, [1, -1], ([0], [1], [1]), ([1], [0], [1]))
     assert good.dim == 2
     with pytest.raises(ArithmeticError, match=re.escape(
             "operator does not shift weights correctly: E entry (1, 0) maps "
-            "weight 1 to -1, expected a shift of +2")):
-        A1Module(5, [1, -1], {1: [[0, 0], [1, 0]]}, {})
+            "weight 1 to -1, expected a shift of +2a with a >= 1")):
+        A1Module(5, [1, -1], ([1], [0], [1]), NO_ENTRIES)
     with pytest.raises(ArithmeticError, match=re.escape(
-            "F entry (0, 1) maps weight -1 to 1, expected a shift of -2")):
-        A1Module(5, [1, -1], {}, {1: [[0, 1], [0, 0]]})
+            "F entry (0, 1) maps weight -1 to 1, expected a shift of -2a "
+            "with a >= 1")):
+        A1Module(5, [1, -1], NO_ENTRIES, ([0], [1], [1]))
 
 
 @pytest.mark.parametrize("E,entry", [
-    ({1: ([-3], [1], [1])}, "(-3, 1)"),
-    ({1: ([0], [3], [1])}, "(0, 3)"),
+    (([-3], [1], [1]), "(-3, 1)"),
+    (([0], [3], [1]), "(0, 3)"),
     (([1], [-1], [1]), "(1, -1)"),
 ], ids=["negative-row", "column-at-dim", "flat-negative-column"])
 def test_module_rejects_entries_outside(E, entry):
     # a negative index would wrap around to the other end of the module
     with pytest.raises(ValueError, match=re.escape(
             f"E entry {entry} lies outside a module of dim 3")):
-        A1Module(5, [2, 0, -2], E, {})
+        A1Module(5, [2, 0, -2], E, NO_ENTRIES)
 
 
 def test_module_rejects_wrong_weight_shift_in_entry_form():
-    # the same operators as (rows, cols, values) triples
-    good = A1Module(5, [1, -1], {1: ([0], [1], [1])}, {1: ([1], [0], [1])})
+    # the dense operators read back from (rows, cols, values) triples
+    good = A1Module(5, [1, -1], ([0], [1], [1]), ([1], [0], [1]))
     assert np.array_equal(good.E[1], [[0, 1], [0, 0]])
     assert np.array_equal(good.F[1], [[0, 0], [1, 0]])
     with pytest.raises(ArithmeticError):
-        A1Module(5, [1, -1], {1: ([1], [0], [1])}, {})
+        A1Module(5, [1, -1], ([1], [0], [1]), NO_ENTRIES)
     with pytest.raises(ArithmeticError):
-        A1Module(5, [1, -1], {}, {1: ([0], [1], [1])})
+        A1Module(5, [1, -1], NO_ENTRIES, ([0], [1], [1]))
     # an entry that vanishes mod p is dropped before the shift check
-    assert A1Module(5, [1, -1], {1: ([1], [0], [5])}, {}).E == {}
+    assert A1Module(5, [1, -1], ([1], [0], [5]), NO_ENTRIES).E == {}
 
 
-def test_dict_and_flat_input_agree():
-    # per-degree matrices, per-degree triples and one flat triple per kind,
-    # listing the same entries in the same order, give the same module
-    p = 5
-    t = tilting_module(6, p)
-    flat, triples = [], []
-    for ops in (t.E, t.F):
-        nz = {a: (*np.nonzero(m), m[np.nonzero(m)]) for a, m in ops.items()}
-        triples.append(nz)
-        flat.append(tuple(map(np.concatenate, zip(*nz.values()))))
-    mods = [A1Module(p, t.weights, t.E, t.F), A1Module(p, t.weights, *triples),
-            A1Module(p, t.weights, *flat)]
-    for mod in mods[1:]:
-        for got, want in zip(mod.entries, mods[0].entries):
-            for x, y in zip(got, want):
-                assert np.array_equal(x, y)
-        for got, want in ((mod.E, t.E), (mod.F, t.F)):
-            assert got.keys() == want.keys()
-            for k in want:
-                assert np.array_equal(got[k], want[k]), k
+@pytest.mark.parametrize("E,F,name", [
+    ({1: [[0, 1], [0, 0]]}, NO_ENTRIES, "E"),
+    (NO_ENTRIES, {1: ([1], [0], [1])}, "F"),
+], ids=["E-matrix-dict", "F-triple-dict"])
+def test_module_rejects_per_degree_dict(E, F, name):
+    with pytest.raises(TypeError, match=re.escape(
+            f"{name} must be a (rows, cols, values) tuple, not dict")):
+        A1Module(5, [1, -1], E, F)
 
 
 @pytest.mark.parametrize("weights,E,F", [
@@ -529,8 +520,8 @@ def test_alt_sym_weights():
     # L(3) at p = 5 has weights 3, 1, -1, -3
     assert module_weights(m_alt(m_simple(3), 2), 5) == \
         Counter({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
-    assert sum(module_weights(m_sym(m_simple(3), 2), 5).values()) == 10
-    assert module_weights(m_sym(m_simple(3), 2), 5)[6] == 1
+    assert sum(power_char([3, 1, -1, -3], "sym", 2).values()) == 10
+    assert power_char([3, 1, -1, -3], "sym", 2)[6] == 1
 
 
 # -- G2 at p = 7 --------------------------------------------------------------
@@ -620,8 +611,8 @@ def test_simple_char_symmetric(m, p):
 # -- extended expression grammar ----------------------------------------------
 
 def test_extended_parse_roundtrip():
-    for s in ["W(5)*", "Spin(D5; 4 + 4[r])", "Alt(2; 2 x 1[s])",
-              "Sym(3; 1[s+1])", "T(8)[r] + 1[s] x 2", "(2 + 0)*",
+    for s in ["Spin(D5; 4 + 4[r])", "Alt(2; 2 x 1[s])",
+              "Alt(3; 1[s+1])", "T(8)[r] + 1[s] x 2", "(2 + 0) x 1[1]",
               "Spin(D7; 6[r] + 2[s] + 2[t] + 0)"]:
         assert format_module(parse_module(s)) == s
 
@@ -667,22 +658,10 @@ def test_spin_errors():
         module_weights(parse_module("Spin(D4; 4 + 4[1])"), 5)  # rank mismatch
 
 
-def test_dual_expressions():
-    # rank-one characters are symmetric, so duals match at character level
-    assert module_weights(parse_module("W(5)*"), 5) == \
-        module_weights(parse_module("W(5)"), 5)
-    # but the module structure flips: W(8) has H^1, its dual does not
-    assert h1_module_a1(module_matrices(parse_module("W(8)*"), 5)) == 0
-    assert h1_module_a1(module_matrices(parse_module("W(8)"), 5)) == 1
-
-
 def test_alt_sym_matrices():
-    alt = module_matrices(parse_module("Alt(2; W(4))"), 5)
+    alt = module_matrices(parse_module("Alt(2; 4)"), 5)
     assert alt.dim == 10
-    assert Counter(alt.weights) == module_weights(parse_module("Alt(2; W(4))"), 5)
-    sym = module_matrices(parse_module("Sym(2; 2)"), 7)
-    assert sym.dim == 6
-    assert Counter(sym.weights) == module_weights(parse_module("Sym(2; 2)"), 7)
+    assert Counter(alt.weights) == module_weights(parse_module("Alt(2; 4)"), 5)
     # alternating square of the natural 4-dimensional module of C2-type is
     # the 6-dimensional orthogonal one; check factors
     assert module_comp_factors(parse_module("Alt(2; 3)"), 5) == \
@@ -693,19 +672,20 @@ def test_tilting_prune_closure():
     assert module_is_tilting(m_alt(m_simple((1, 0)), 3), 7)
     assert not module_is_tilting(m_alt(m_simple(1), 7), 7)  # exponent too big
     assert module_is_tilting(parse_module("T(2) x T(3)"), 5)
-    assert module_is_tilting(parse_module("W(5)*"), 7)      # W(5) = T(5) here
-    assert not module_is_tilting(parse_module("W(5)*"), 5)
+    assert module_is_tilting(parse_module("5"), 7)      # L(5) = T(5) here
+    assert not module_is_tilting(parse_module("5"), 5)
     assert not module_is_tilting(m_spin(5, parse_module("4 + 4")), 5)
-    assert module_is_tilting(m_tilt((2, 0)), 7)
     assert not module_is_tilting(m_simple((2, 0)), 7)
     assert module_is_tilting(m_simple((3, 0)), 7)
 
 
+def test_g2_tilting_atom_has_no_character():
+    with pytest.raises(NotImplementedError, match=re.escape(
+            "no G2 character for T((2,0))")):
+        module_weights(m_tilt((2, 0)), 7)
+
+
 def test_g2_expression_characters():
-    assert module_dim(m_tilt((2, 0)), 7) == 28
-    assert module_dim(m_tilt((1, 1)), 7) == 91
-    assert module_comp_factors(m_tilt((1, 1)), 7) == \
-        Counter({(1, 1): 1, (2, 0): 2, (0, 0): 1})
     # alternating cube of the 7-dimensional module: tilting, with the
     # h1-positive factor 20 inside -- the prune is what kills it
     cube = m_alt(m_simple((1, 0)), 3)

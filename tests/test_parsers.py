@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from gcr.modrep import (
     m_alt,
-    m_dual,
     m_simple,
     m_spin,
     m_sum,
-    m_sym,
     m_tensor,
     m_tilt,
-    m_weyl,
     format_module,
     parse_module,
 )
@@ -28,7 +25,7 @@ _twists = st.one_of(
 )
 _atoms = st.builds(
     lambda ctor, w, tw: ctor(w, tw),
-    st.sampled_from([m_simple, m_tilt, m_weyl]), st.integers(0, 40), _twists)
+    st.sampled_from([m_simple, m_tilt]), st.integers(0, 40), _twists)
 
 
 def _compound(inner):
@@ -36,9 +33,7 @@ def _compound(inner):
     return st.one_of(
         parts.map(lambda ps: m_tensor(*ps)),
         parts.map(lambda ps: m_sum(*ps)),
-        inner.map(m_dual),
         st.builds(m_alt, inner, st.integers(1, 4)),
-        st.builds(m_sym, inner, st.integers(1, 4)),
         st.builds(m_spin, st.integers(3, 9), inner),
     )
 
@@ -54,7 +49,8 @@ def test_module_expressions_roundtrip(e):
     assert format_module(parse_module(text)) == text
 
 
-# pieces of the grammar, so that random text reaches deep into the parser
+# pieces of the grammar, so that random text reaches deep into the parser;
+# "*", "Sym" and "W" are not in it, so text that uses them must be rejected
 _TOKENS = ["x", "+", "(", ")", "[", "]", ";", "*", "Alt", "Sym", "Spin", "T",
            "W", "D5", "0", "1", "12", "r", "s+1", " ", "⊗", "१", ","]
 
@@ -82,8 +78,12 @@ def test_module_parser_raises_only_value_error(text):
     ("१[२]", "cannot tokenize module expression '१\\[२\\]'"),
     ("Alt(x;1)", "expected a number, found 'x' in 'Alt\\(x;1\\)'"),
     ("T(r)", "expected a number, found 'r' in 'T\\(r\\)'"),
+    ("W(5)", "cannot tokenize module expression 'W\\(5\\)'"),
+    ("2*", "cannot tokenize module expression '2\\*'"),
+    ("Sym(2; 1)", "cannot tokenize module expression 'Sym\\(2; 1\\)'"),
 ], ids=["deep-brackets", "deep-alt", "open-twist", "open-tilting", "empty",
-        "devanagari-digits", "alt-symbol-exponent", "tilting-symbol-weight"])
+        "devanagari-digits", "alt-symbol-exponent", "tilting-symbol-weight",
+        "weyl-module", "dual", "symmetric-power"])
 def test_module_parser_regressions(text, message):
     with pytest.raises(ValueError, match=message):
         parse_module(text)
