@@ -27,9 +27,10 @@ such terms, and H^1 of each term can be computed exactly:
   with the Hom- and invariant dimensions computed by the same kind of
   recursion.
 
-The module also provides alternating, symmetric and mixed (2,1) power
-operations on sums of terms, so that fundamental modules of classical
-factors restrict within the same representation.
+The module also provides alternating powers of sums of terms, so that
+fundamental modules of type-A factors restrict within the same
+representation; a power of a product term splits through symmetric and
+mixed (2,1) powers of its factors.
 """
 
 from __future__ import annotations
@@ -232,11 +233,7 @@ def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:
     if k == 1:
         return Counter({term: 1})
     if len(term) == 0:
-        # powers of the trivial module
-        if shape == "alt":
-            return Counter()
-        if shape == "sym":
-            return Counter({(): 1})
+        # only sum_power hands over a trivial term, and alt^k k = 0 for k >= 2
         return Counter()
     if len(term) == 1:
         (m, t), = term
@@ -256,11 +253,11 @@ def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:
 
 
 def sum_power(terms, shape: str, k: int, p: int) -> Counter:
-    """Symmetrized k-th power of a direct sum of terms.  For the alternating
-    power the summands distribute as alt^k(A + B) = sum alt^i A (x) alt^j B,
-    and similarly with symmetric powers throughout for "sym"."""
-    if shape not in ("alt", "sym"):
-        raise ValueError(shape)
+    """Alternating k-th power of a direct sum of terms: the summands
+    distribute as alt^k(A + B) = sum alt^i A (x) alt^j B.  The shape must
+    be "alt"."""
+    if shape != "alt":
+        raise ValueError(f"sum_power takes the alternating shape only, not {shape!r}")
     terms = list(terms.elements()) if isinstance(terms, Counter) else list(terms)
     per_degree: list[Counter] = [Counter({(): 1})] + [Counter() for _ in range(k)]
     for term in terms:

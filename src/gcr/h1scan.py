@@ -501,11 +501,12 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
 
 def factor_restriction_g2(cand: FactorCandidate, type_name: str,
                           weight: tuple[int, ...], p: int, assignment):
-    """(expression for pruning, character) for a G2 candidate."""
+    """(expression for pruning, character) for a G2 candidate.  The scan
+    hands over live weights only, so a trivial one raises ValueError."""
     node = _node(type_name, weight)
     if node is None:
-        e = m_simple((0, 0))
-    elif node == "natural":
+        raise ValueError(f"trivial {type_name} weight {weight} has no G2 restriction")
+    if node == "natural":
         e = cand.expr
     elif node[0] == "alt":
         e = m_alt(cand.expr, node[1])
@@ -586,41 +587,59 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
             reports.append(_evaluate(types, (cand,), "G2", distinct, summands, p))
     per_factor = [factor_candidates(t, p, tmax) for t in types]
     if all(per_factor):
-        for idx in sorted(_flagging_products(types, per_factor, distinct, p)):
+        for idx in sorted(_flagging_products(types, per_factor, distinct, p, tmax)):
             combo = tuple(cands[i] for cands, i in zip(per_factor, idx))
             reports.append(_evaluate(types, combo, "A1", distinct, summands, p))
     return reports
 
 
-def _flagging_products(types, per_factor, distinct, p) -> set:
+def _flagging_products(types, per_factor, distinct, p, tmax) -> set:
     """Index tuples of the candidate products, untwisted on some factor,
     that some class flags.  A summand's H^1 depends only on the candidates
     and classes of its live factors, so each summand weight walks the
     product of those alone; a positive one flags every product that
-    extends it.  A walk that covers every factor skips the choices twisted
-    on all of them, which no product reaches, so the memo gets the keys of
-    the untwisted products and no others."""
-    memo = _level_h1_memo()
-    # per factor: (candidate index, (candidate, class index, assignment))
-    choices = [[(i, (c, j, a)) for i, c in enumerate(cands)
-                for j, a in enumerate(factor_assignments(c, t, p))]
-               for cands, t in zip(per_factor, types)]
+    extends it.  The walk's outcome depends only on its key in the walk
+    table, ``_level_h1_memo().walks``: (p, tmax, covers, ((factor type,
+    summand weight) per live factor)), where (type, p, tmax) fixes the
+    candidate list.  So each key is walked once, on its first lookup, and
+    every Levi that asks again expands the stored positive sub-assignments."""
+    walks = _level_h1_memo().walks
     untwisted = [[0 in c.twists for c in cands] for cands in per_factor]
     flagged = set()
     for weights, live in distinct:
         covers = len(live) == len(types)
-        for sub in itertools.product(*(choices[k] for k in live)):
-            fixed = {k: i for k, (i, _) in zip(live, sub)}
-            if covers and not any(untwisted[k][i] for k, i in fixed.items()):
-                continue
-            picks = {k: pick for k, (_, pick) in zip(live, sub)}
-            if not _a1_outcome(types, weights, live, p, picks, memo):
-                continue
+        key = (p, tmax, covers, tuple((types[k], weights[k]) for k in live))
+        if key not in walks:
+            walks[key] = _positive_subs(types, per_factor, weights, live, p, covers)
+        for sub in walks[key]:
+            fixed = dict(zip(live, sub))
             ranges = [(fixed[k],) if k in fixed else range(len(cands))
                       for k, cands in enumerate(per_factor)]
             flagged.update(idx for idx in itertools.product(*ranges)
                            if any(u[i] for u, i in zip(untwisted, idx)))
     return flagged
+
+
+def _positive_subs(types, per_factor, weights, live, p, covers) -> tuple:
+    """Sorted candidate-index tuples on the live factors that give one
+    summand weight positive H^1 for some class.  A walk that covers every
+    factor skips the choices twisted on all of them, which no product
+    reaches, so the memo gets the keys of the untwisted products and no
+    others."""
+    memo = _level_h1_memo()
+    # per live factor: (candidate index, (candidate, class index, assignment))
+    choices = [[(i, (c, j, a)) for i, c in enumerate(per_factor[k])
+                for j, a in enumerate(factor_assignments(c, types[k], p))]
+               for k in live]
+    positive = set()
+    for sub in itertools.product(*choices):
+        idx = tuple(i for i, _ in sub)
+        if covers and not any(0 in per_factor[k][i].twists for k, i in zip(live, idx)):
+            continue
+        picks = {k: pick for k, (_, pick) in zip(live, sub)}
+        if _a1_outcome(types, weights, live, p, picks, memo):
+            positive.add(idx)
+    return tuple(sorted(positive))
 
 
 def _class_unit(combo, p, assign):
@@ -637,14 +656,26 @@ def _class_unit(combo, p, assign):
     return tuple(unit)
 
 
+class _LevelMemo(dict):
+    """The level-H^1 table, carrying the live-factor walk table as
+    ``walks``."""
+    def __init__(self):
+        super().__init__()
+        self.walks: dict = {}
+
+
 @functools.cache
-def _level_h1_memo() -> dict:
+def _level_h1_memo() -> _LevelMemo:
     """Level H^1 of A1 candidates, shared by every parabolic: maps (p,
     ((factor type, candidate descriptor, class index, summand weight) per
     live factor)) to dim H^1; trivial factors drop out of the product.
     Descriptors are distinct within a factor type, so they stand for the
-    candidates; ``_level_h1_memo.cache_clear()`` drops the table."""
-    return {}
+    candidates.  Its ``walks`` attribute is the table of
+    ``_flagging_products``: (p, tmax, covers, ((factor type, summand
+    weight) per live factor)) to the read-only positive live
+    sub-assignments.  ``len`` counts H^1 keys only, and one
+    ``_level_h1_memo.cache_clear()`` drops both tables."""
+    return _LevelMemo()
 
 
 def _g2_outcome(combo, types, weights, p, assign):

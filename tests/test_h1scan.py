@@ -10,7 +10,9 @@ from collections import Counter
 
 import pytest
 
-from gcr.a1coh import h1_dim, term_char, terms_char, terms_tensor, tilting_product
+from gcr import h1scan
+from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
+                       tilting_product)
 from gcr.modrep import (
     format_module,
     h1_module_a1,
@@ -130,6 +132,16 @@ def test_tilting_product_regroups():
     assert tilting_product((1, 1), 5) == ((0, 1), (2, 1))
     # T(3) (x) T(1) = T(4) + T(2) at p = 5
     assert tilting_product((3, 1), 5) == ((2, 1), (4, 1))
+
+
+def test_sum_power_alternating_only():
+    """alt^2(k + L(1)) = alt^2 k + k (x) L(1) + alt^2 L(1) = L(1) + k at
+    p = 5: the trivial summand's square vanishes.  Any other shape is
+    refused by name."""
+    assert sum_power(Counter({(): 1, ((1, 0),): 1}), "alt", 2, 5) == \
+        Counter({((1, 0),): 1, (): 1})
+    with pytest.raises(ValueError, match="'sym'"):
+        sum_power(Counter({((1, 0),): 1}), "sym", 2, 5)
 
 
 # -- candidate enumeration ----------------------------------------------------
@@ -283,6 +295,14 @@ def test_node_rule(x_type, type_name, weight, message):
     assert sum(char.values()) == weyl_dim(type_name, weight)
 
 
+def test_g2_restriction_rejects_trivial_weight():
+    """The scan restricts live weights only; a trivial one fails loudly,
+    naming the factor type and the weight."""
+    cand = g2_factor_candidate("D4")
+    with pytest.raises(ValueError, match=re.escape("D4 weight (0, 0, 0, 0)")):
+        factor_restriction_g2(cand, "D4", (0, 0, 0, 0), 7, None)
+
+
 # -- spin-half restriction rules ----------------------------------------------
 
 @pytest.mark.parametrize("rank,p", [(4, 5), (4, 7), (5, 5), (5, 7),
@@ -385,6 +405,28 @@ def test_level_h1_memo_keys_pinned():
     assert sizes == [(295, 15), (984, 36), (1080, 2), (3285, 27)]
 
 
+def test_level_h1_lookups_pinned(monkeypatch):
+    """Each live-factor walk runs once per walk key and is reused by every
+    Levi that asks again; losing the reuse multiplies the lookups (1,250,
+    5,000, 4,513 and 17,681 without it)."""
+    calls = 0
+    outcome = h1scan._a1_outcome
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return outcome(*args)
+
+    monkeypatch.setattr(h1scan, "_a1_outcome", spy)
+    counts = []
+    for group, p in [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)]:
+        _level_h1_memo.cache_clear()
+        calls = 0
+        scan_group(group, p)
+        counts.append(calls)
+    assert counts == [415, 1796, 1295, 4015]
+
+
 def test_scan_group_results_frozen():
     assert len(scan_group("E6", 5).rows) == 8
     assert len(scan_group("E7", 7).rows) == 3
@@ -397,6 +439,19 @@ def test_scan_group_results_frozen():
         "E6": 1})
     e8 = scan_group("E8", 7)
     assert len(e8.rows) == 23
+
+
+def test_negative_controls_flag_nothing():
+    """At primes no golden table covers, the scan flags and prunes nothing.
+    For p > 7 every connected reductive subgroup is G-cr (Liebeck and
+    Seitz, Mem. AMS 580, 1996), and the paper lists E6 subgroups that are
+    not G-cr at p = 5 only."""
+    found = {}
+    for group, p in [("E6", 7), ("E6", 11), ("E7", 11), ("E8", 11),
+                     ("E7", 13), ("E8", 13)]:
+        result = scan_group(group, p)
+        found[group, p] = (len(result.rows), len(result.pruned_nonrows))
+    assert found == dict.fromkeys(found, (0, 0))
 
 
 def _factor_types():
@@ -433,6 +488,23 @@ def test_level_h1_memo_does_not_leak_across_p():
     cold = _scan_fingerprint(scan_group("E7", 5))
     assert warm == cold
     assert len(cold) == 51
+
+
+def test_warm_scan_across_tmax_matches_cold():
+    """The walk table keys on tmax: a tmax-3 scan after a tmax-2 one, with
+    both tables kept, equals a cold tmax-3 scan."""
+    def fingerprint(result):
+        rows = {k: (r.classes, r.hits, r.class_units, r.parabolics)
+                for k, r in result.rows.items()}
+        return rows, result.pruned_nonrows
+
+    _level_h1_memo.cache_clear()
+    scan_group("E7", 5, tmax=2)
+    warm = fingerprint(scan_group("E7", 5, tmax=3))
+    _level_h1_memo.cache_clear()
+    cold = fingerprint(scan_group("E7", 5, tmax=3))
+    assert warm == cold
+    assert len(cold[0]) == 77
 
 
 def test_level_h1_memo_is_sound_on_e6_p5():
