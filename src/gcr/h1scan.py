@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from .a1coh import h1_dim, sum_power, terms_char, terms_tensor
 from .modrep import (
     ModExpr,
+    a1_tilting_weights,
+    a1_weyl_weights,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
@@ -39,6 +41,7 @@ from .modrep import (
     module_twists,
     module_weights,
     parse_module,
+    peel_characters,
     spin_halves_from_char,
 )
 from .parabolic import (
@@ -359,52 +362,51 @@ def _natural_terms(cand: FactorCandidate) -> Counter:
     return Counter(dict(_frozen_terms(cand.expr)))
 
 
-def _summand_piece(e: ModExpr):
-    """(weight shape, matching twists) of one orthogonal summand, weights
-    descending and equal-weight twists ascending."""
+def _product_top(weights):
+    """The weight of greatest coordinate sum, or None when it is not
+    dominant: each tilting product's own weights lie below its top."""
+    top = max(weights, key=lambda w: (sum(w), w))
+    return top if min(top, default=0) >= 0 else None
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_spinors(shape: tuple[int, ...], p: int) -> tuple[tuple, ...]:
+    """Spin factors of an orthogonal summand of the given weight shape, one
+    coordinate per atom, as read-only (tilting top, multiplicity) pairs: the
+    spin_weights of its natural character, peeled into products of tilting
+    characters.  An odd-dimensional summand takes one more zero weight and
+    gives its one spin factor, the first of two equal halves; an even one
+    gives both halves.  A tilting module is determined by its character
+    (Jantzen, Representations of Algebraic Groups, II.E.6), so each factor
+    is its peel when it is a tilting product, and the peel raises when the
+    character is no sum of them."""
+    natural = Counter(itertools.product(*map(a1_weyl_weights, shape)))
+    odd = sum(natural.values()) % 2
+    natural[(0,) * len(shape)] += odd
+    halves = spin_halves_from_char(natural, sum(natural.values()) // 2)
+    try:
+        return tuple(tuple(peel_characters(
+            half, _product_top,
+            lambda top: itertools.product(*(a1_tilting_weights(m, p) for m in top))
+        ).items()) for half in halves[:2 - odd])
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the spin character of summand shape {shape} at "
+                              f"p={p} is not a sum of tilting products: {exc}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _summand_spinors(e: ModExpr, p: int) -> tuple[tuple, ...]:
+    """Spin factors of one orthogonal summand as read-only tuples of terms,
+    each repeated by its multiplicity, with the tops placed on the twists
+    of its non-trivial atoms: one factor for an odd-dimensional summand, the
+    two halves for an even-dimensional one."""
     atoms = e.parts if e.kind == "tensor" else [e]
-    pairs = sorted(((a.weight, a.twist) for a in atoms),
-                   key=lambda wt: (-wt[0], wt[1]))
-    pairs = [wt for wt in pairs if wt[0] != 0]
-    return tuple(w for w, _ in pairs), tuple(t for _, t in pairs)
+    pairs = sorted(((a.weight, a.twist) for a in atoms if a.weight), reverse=True)
 
-
-def _piece_spinors(shape, tw):
-    """Spinor factor of one orthogonal summand.  Odd-dimensional summands
-    have a single spin factor; even-dimensional ones contribute a half-spin
-    pair, and the two half-spin modules of the whole group multiply the
-    halves of the pairs with an even (resp. odd) number of minus signs."""
-    if shape == ():
-        return "odd", [()]
-    if shape == (2,):
-        return "odd", [((1, tw[0]),)]
-    if shape == (4,):
-        return "odd", [((3, tw[0]),)]
-    if shape == (6,):
-        return "odd", [((6, tw[0]),), ()]
-    if shape == (2, 2):
-        r, s = tw
-        return "odd", [tuple(sorted(((3, r), (1, s)))),
-                       tuple(sorted(((3, s), (1, r))))]
-    if shape == (1, 1):
-        s, t = tw
-        return "even", ([((1, s),)], [((1, t),)])
-    if shape == (3, 1):
-        r, s = tw
-        return "even", ([tuple(sorted(((3, r), (1, s))))],
-                        [((4, r),), ((2, s),)])
-    if shape == (5, 1):
-        r, s = tw
-        return "even", ([tuple(sorted(((8, r), (1, s)))), ((3, s),)],
-                        [((9, r),), tuple(sorted(((5, r), (2, s))))])
-    if shape == (2, 1, 1):
-        r, s, t = tw
-        plus = [tuple(sorted(((4, r), (1, s)))), ((3, s),),
-                tuple(sorted(((2, r), (2, t), (1, s))))]
-        minus = [tuple(sorted(((4, r), (1, t)))), ((3, t),),
-                 tuple(sorted(((2, r), (2, s), (1, t))))]
-        return "even", (plus, minus)
-    raise NotImplementedError(f"no spinor rule for summand shape {shape}")
+    def place(top):
+        return tuple(sorted((m, t) for m, (_, t) in zip(top, pairs) if m))
+    return tuple(tuple(place(top) for top, c in half for _ in range(c))
+                 for half in _shape_spinors(tuple(w for w, _ in pairs), p))
 
 
 def _tensor_term_lists(lists):
@@ -422,23 +424,25 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
     summands = expr.parts if expr.kind == "sum" else [expr]
     odd, even = [], []
     for s in summands:
-        kind, data = _piece_spinors(*_summand_piece(s))
-        (odd if kind == "odd" else even).append(data)
+        factors = _summand_spinors(s, p)
+        if len(factors) == 1:
+            odd += factors
+        else:
+            even.append(factors)
     if odd:
         if len(odd) % 2:
-            raise ArithmeticError("odd number of odd-dimensional summands")
+            raise ArithmeticError(f"action {format_module(expr)} has an odd number "
+                                  "of odd-dimensional summands")
         mult = 2 ** (len(odd) // 2 - 1)
-        lists = odd + [plus + minus for plus, minus in even]
         half: Counter = Counter()
-        for term in _tensor_term_lists(lists):
+        for term in _tensor_term_lists(odd + [plus + minus for plus, minus in even]):
             half[term] += mult
         return half, half
-    halves = [Counter(), Counter()]
+    halves = (Counter(), Counter())
     for signs in itertools.product((0, 1), repeat=len(even)):
-        target = halves[sum(signs) % 2]
-        for term in _tensor_term_lists([ev[s] for ev, s in zip(even, signs)]):
-            target[term] += 1
-    return halves[0], halves[1]
+        halves[sum(signs) % 2].update(
+            _tensor_term_lists([ev[s] for ev, s in zip(even, signs)]))
+    return halves
 
 
 def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
@@ -465,7 +469,7 @@ def _assignments(cand: FactorCandidate, type_name: str, p: int):
     expr = cand.expr
     if (cand.kind == "module" and fam == "D") or (
             cand.kind == "chain" and cand.chain[0] == "A1D6"):
-        h0, h1 = map(_char_fp, spin_half_terms(expr, p))
+        h0, h1 = sorted(map(_char_fp, spin_half_terms(expr, p)))
         return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
     if cand.kind == "g2" and fam == "D":
         # one class: on D4 the triality-fixed subgroup, whose three
@@ -529,7 +533,8 @@ class CandidateReport:
     actions: tuple[str, ...]
     classes: int                                 # number of flagged classes
     flagged: bool
-    hits: list = field(default_factory=list)     # (level, factor weight)
+    # (level, dim H^1) for A1, (level, H^1-positive G2 factors) for G2
+    hits: list = field(default_factory=list)
     pruned: list = field(default_factory=list)
     parabolics: list = field(default_factory=list)
     class_units: list = field(default_factory=list)

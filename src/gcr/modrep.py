@@ -811,22 +811,17 @@ def _spin_half_list(char: Counter):
         raise ArithmeticError(
             "an odd-weight (symplectic) factor has odd multiplicity: "
             "the action is not orthogonal")
-    zero = None
     a = []
     for w, c in char.items():
         vec = w if isinstance(w, tuple) else (w,)
         if all(x == 0 for x in vec):
-            zero = c
-            continue
-        if next(x for x in vec if x) > 0:
+            if c % 2:
+                raise ArithmeticError("odd zero-weight multiplicity: not orthogonal")
+            a.extend([w] * (c // 2))
+        elif next(x for x in vec if x) > 0:
             if char.get(_wneg(w), 0) != c:
                 raise ArithmeticError("character is not symmetric: not orthogonal")
             a.extend([w] * c)
-    if zero is not None:
-        if zero % 2:
-            raise ArithmeticError("odd zero-weight multiplicity: not orthogonal")
-        z = 0 if not a or isinstance(a[0], int) else (0,) * len(a[0])
-        a.extend([z] * (zero // 2))
     return a
 
 
@@ -843,22 +838,16 @@ def spin_weights(natural_half: list) -> tuple[Counter, Counter]:
     """Half-spin weight multisets of D_n, from the n weights a_1..a_n whose
     pairs +-a_i make up the natural module: the half-sums of the signed a_i,
     split into (even, odd) number of minus signs."""
-    even: Counter = Counter()
-    odd: Counter = Counter()
-    for signs in itertools.product((1, -1), repeat=len(natural_half)):
-        tot = None
-        for sg, w in zip(signs, natural_half):
-            piece = w if sg == 1 else _wneg(w)
-            tot = piece if tot is None else _wadd(tot, piece)
-        vec = tot if isinstance(tot, tuple) else (tot,)
-        if any(x % 2 for x in vec):
+    scalar = not isinstance(natural_half[0], tuple)
+    vecs = [(w,) if scalar else w for w in natural_half]
+    halves = (Counter(), Counter())
+    for signs in itertools.product((1, -1), repeat=len(vecs)):
+        tot = [sum(s * x for s, x in zip(signs, col)) for col in zip(*vecs)]
+        if any(x % 2 for x in tot):
             raise ArithmeticError("half-spin weight not integral")
-        half = tuple(x // 2 for x in vec) if isinstance(tot, tuple) else tot // 2
-        if signs.count(-1) % 2 == 0:
-            even[half] += 1
-        else:
-            odd[half] += 1
-    return even, odd
+        half = tuple(x // 2 for x in tot)
+        halves[signs.count(-1) % 2][half[0] if scalar else half] += 1
+    return halves
 
 
 def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> Counter:
@@ -933,9 +922,6 @@ def module_matrices(e: ModExpr, p: int,
     return twist(base, tw) if tw else base
 
 
-_G2_SIMPLE_TILTING = {(0, 0), (1, 0), (0, 1), (3, 0)}
-
-
 def module_is_tilting(e: ModExpr, p: int) -> bool:
     """Structural sufficient condition for the expression to denote a tilting
     module (hence to have vanishing H^1): untwisted tiltings are closed under
@@ -953,6 +939,6 @@ def module_is_tilting(e: ModExpr, p: int) -> bool:
     if e.kind == "tilt":
         return True
     if isinstance(e.weight, tuple):
-        # the tabulated weights with W = T = L
-        return e.weight in _G2_SIMPLE_TILTING
+        # a simple Weyl module is tilting; untabulated weights raise
+        return g2_simple_char(e.weight, p) == g2_weyl_char(e.weight)
     return e.weight <= p - 1

@@ -22,11 +22,12 @@ def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ..
     """Connected components of the sub-Dynkin diagram on the 1-based nodes
     in levi, each ordered in the standard numbering of its type: a new list
     on every call, computed once per (rs, levi)."""
-    return list(_levi_components(rs, levi))
+    return [nodes for _, nodes in _levi_components(rs, levi)]
 
 
 @functools.cache
-def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(type, ordered nodes) of each component, by least node."""
     nodes = sorted(set(levi))
     adj = {i: [] for i in nodes}
     for i in nodes:
@@ -49,20 +50,23 @@ def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple[int, 
                     comp.append(nb)
             k += 1
         comps.append(_order_component(sorted(comp), adj))
-    comps.sort(key=lambda c: c[0])
+    comps.sort(key=lambda c: c[1][0])
     return tuple(comps)
 
 
-def _order_component(nodes: list[int], adj) -> tuple[int, ...]:
+def _order_component(nodes: list[int], adj) -> tuple[str, tuple[int, ...]]:
+    """The type of one component and its nodes in that type's standard
+    order: a chain is type A, a fork with two one-node arms type D, and one
+    with arms of one and two nodes type E."""
     deg = {i: sum(1 for j in adj[i] if j in nodes) for i in nodes}
     if len(nodes) == 1:
-        return (nodes[0],)
+        return "A1", (nodes[0],)
     forks = [i for i in nodes if deg[i] == 3]
     if not forks:
         # chain; start from the smaller-numbered end
         ends = [i for i in nodes if deg[i] == 1]
         start = min(ends)
-        return _walk_chain(start, nodes, adj)
+        return f"A{len(nodes)}", _walk_chain(start, nodes, adj)
     fork = forks[0]
     arms = []
     for nb in adj[fork]:
@@ -82,7 +86,7 @@ def _order_component(nodes: list[int], adj) -> tuple[int, ...]:
         # type D: long arm first, then fork, then the two leaves
         long = arms[2]
         out = list(reversed(long)) + [fork] + sorted([arms[0][0], arms[1][0]])
-        return tuple(out)
+        return f"D{len(nodes)}", tuple(out)
     # type E: node 2 is the length-1 arm, nodes 1,3 the length-2 arm
     if len(arms[0]) != 1 or len(arms[1]) != 2:
         raise ArithmeticError(
@@ -90,30 +94,16 @@ def _order_component(nodes: list[int], adj) -> tuple[int, ...]:
             f"{[len(a) for a in arms]}: neither type D nor type E")
     short, mid, long = arms
     out = [mid[1], short[0], mid[0], fork] + long
-    return tuple(out)
+    return f"E{len(nodes)}", tuple(out)
 
 
 def component_type(rs: RootSystem, comp: tuple[int, ...]) -> str:
-    deg_three = sum(
-        1 for i in comp
-        if sum(1 for j in comp if j != i and rs.cartan[i - 1][j - 1] != 0) == 3
-    )
-    if deg_three == 0:
-        return f"A{len(comp)}"
-    # ordering already separates D from E: in type E the second node hangs
-    # off the fourth
-    if len(comp) >= 6 and rs.cartan[comp[1] - 1][comp[3] - 1] != 0:
-        return f"E{len(comp)}"
-    # a fork two nodes from the chain end is D; E7/E8 shapes also land here
-    # when the long arm was listed first, so test the E shape directly
-    pos = {n: k for k, n in enumerate(comp)}
-    fork = next(
-        i for i in comp
-        if sum(1 for j in comp if j != i and rs.cartan[i - 1][j - 1] != 0) == 3
-    )
-    if pos[fork] == len(comp) - 3:
-        return f"D{len(comp)}"
-    return f"E{len(comp)}"
+    """Dynkin type of one connected component, as ``levi_components``
+    orders it; nodes that are not one component raise ValueError."""
+    comps = _levi_components(rs, comp)
+    if len(comps) != 1:
+        raise ValueError(f"nodes {comp} of {rs.name} are not one component")
+    return comps[0][0]
 
 
 def _walk_chain(start: int, nodes: list[int], adj) -> tuple[int, ...]:

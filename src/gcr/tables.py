@@ -180,6 +180,11 @@ class DiffRow:
     hits: tuple = ()
     note: str = ""
 
+    @property
+    def levels(self) -> list[int]:
+        """The distinct levels of the hits, ascending."""
+        return sorted({h[0] for h in self.hits})
+
 
 @dataclass
 class TableDiff:
@@ -339,7 +344,7 @@ def render_diff(diff: TableDiff) -> str:
         if r.computed_classes is not None:
             line += f" computed classes={r.computed_classes}"
         if r.hits:
-            line += f" levels={[h[0] for h in r.hits]}"
+            line += f" levels={r.levels}"
         if r.ref:
             line += f"  <{r.ref}>"
         if r.note:
@@ -362,7 +367,7 @@ def diff_to_json(diff: TableDiff) -> dict:
             "actions": list(r.actions),
             "expected_classes": r.expected_classes,
             "computed_classes": r.computed_classes,
-            "levels": sorted({h[0] for h in r.hits}),
+            "levels": r.levels,
             "note": r.note,
         } for r in diff.rows],
         "pruned_nonrows": [{

@@ -13,9 +13,12 @@ uses them, so they live with the tests.
   the full product of its terms' choices with duplicates dropped, and the
   A1 report of every candidate product of a parabolic, class by class,
   with H^1 worked out on every factor and no memo
+- the canonical JSON dump of a table's scan and diff, whose hash pins the
+  whole output of a table
 """
 
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -23,11 +26,13 @@ import numpy as np
 from gcr.a1coh import h1_dim, terms_tensor
 from gcr.h1scan import (_class_unit, _summand_weights, _tensor_shapes,
                         canonical_action, factor_assignments,
-                        factor_candidates, factor_restriction_terms)
+                        factor_candidates, factor_restriction_terms,
+                        scan_group)
 from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
                         format_module, g2_comp_factors, m_simple, m_sum,
                         module_weights, peel_characters)
 from gcr.rootsystem import Root, RootSystem
+from gcr.tables import diff_badx, diff_to_json, render_diff
 
 
 # -- rank-one groups ---------------------------------------------------------
@@ -161,3 +166,22 @@ def a1_reports_by_product(name: str, levi: tuple[int, ...], p: int,
                 units.append(_class_unit(combo, p, assign))
         out.append((tuple(c.descriptor for c in combo), classes, hits, units))
     return out
+
+
+# -- table output ----------------------------------------------------------------
+
+def table_dump(group: str, p: int, tmax: int) -> str:
+    """Canonical JSON of one table's output: every scan row's key, classes,
+    hits, class units, parabolics and pruned levels, by key; the pruned
+    non-rows; and the diff against the golden table, as ``diff_to_json``
+    and as ``render_diff`` text.  Two trees with the same dump give the
+    same table."""
+    scan = scan_group(group, p, tmax)
+    diff = diff_badx(group, p, tmax, scan=scan)
+    return json.dumps({
+        "rows": [[list(key), r.classes, r.hits, r.class_units, r.parabolics,
+                  r.pruned] for key, r in sorted(scan.rows.items())],
+        "pruned_nonrows": scan.pruned_nonrows,
+        "diff": diff_to_json(diff),
+        "text": render_diff(diff),
+    }, sort_keys=True, separators=(",", ":"))

@@ -3,6 +3,7 @@ the spin-half restriction rules, and the full parabolic level scans against
 the golden classification tables."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -49,9 +50,9 @@ from gcr.h1scan import (
 from gcr.parabolic import (component_type, decompose_level, levi_components,
                            radical_levels)
 from gcr.rootsystem import build_root_system
-from gcr.tables import (canon_factor, diff_badx, diff_to_json, expand_rows,
-                        load_badx, render_diff)
-from oracles import a1_reports_by_product, actions_by_product
+from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
+                        expand_rows, load_badx, render_diff)
+from oracles import a1_reports_by_product, actions_by_product, table_dump
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -305,18 +306,72 @@ def test_g2_restriction_rejects_trivial_weight():
 
 # -- spin-half restriction rules ----------------------------------------------
 
-@pytest.mark.parametrize("rank,p", [(4, 5), (4, 7), (5, 5), (5, 7),
-                                    (6, 5), (6, 7), (7, 5), (7, 7)])
+# actions outside the D tables whose halves the derivation also covers
+EXTRA_ORTHOGONAL_ACTIONS = {(5, 11): ["8 + 0"]}
+
+
+@pytest.mark.parametrize("rank,p", itertools.product((4, 5, 6, 7), (5, 7, 11, 13)))
 def test_spin_halves_match_sign_pattern_oracle(rank, p):
-    """The piece-wise spin rules agree with the sign-pattern character
-    computation for every enumerated orthogonal action (517 cases total)."""
-    for e in d_type_actions(rank, p, 2):
+    """The half-spin terms agree with the sign-pattern character
+    computation for every enumerated orthogonal action (517 cases at p = 5
+    and 7) and for the extra actions, as unordered pairs."""
+    extra = [parse_module(text) for text in EXTRA_ORTHOGONAL_ACTIONS.get((rank, p), ())]
+    for e in [*d_type_actions(rank, p, 2), *extra]:
         h0, h1 = spin_half_terms(e, p)
         got = {tuple(sorted(terms_char(h0, p).items())),
                tuple(sorted(terms_char(h1, p).items()))}
         ev, od = spin_halves_from_char(module_weights(e, p), rank)
         want = {tuple(sorted(ev.items())), tuple(sorted(od.items()))}
         assert got == want, action_descriptor(e)
+
+
+# the spin factors of the summand shapes of the D tables at p <= 7, as the
+# hand table gave them: one term sum for an odd-dimensional summand, the two
+# halves for an even one, with the atoms at twists 0, 1, 2 in turn
+SHAPE_SPINORS = {
+    "0": [{(): 1}],
+    "2": [{((1, 0),): 1}],
+    "4": [{((3, 0),): 1}],
+    "6": [{((6, 0),): 1, (): 1}],
+    "2 x 2[1]": [{((1, 1), (3, 0)): 1, ((1, 0), (3, 1)): 1}],
+    "1 x 1[1]": [{((1, 0),): 1}, {((1, 1),): 1}],
+    "3 x 1[1]": [{((1, 1), (3, 0)): 1}, {((4, 0),): 1, ((2, 1),): 1}],
+    "5 x 1[1]": [{((1, 1), (8, 0)): 1, ((3, 1),): 1},
+                 {((9, 0),): 1, ((2, 1), (5, 0)): 1}],
+    "2 x 1[1] x 1[2]": [
+        {((1, 1), (4, 0)): 1, ((3, 1),): 1, ((1, 1), (2, 0), (2, 2)): 1},
+        {((1, 2), (4, 0)): 1, ((3, 2),): 1, ((1, 2), (2, 0), (2, 1)): 1}],
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("text", SHAPE_SPINORS)
+def test_summand_spinors_pinned(text, p):
+    """The derived spin factors of each summand shape are the hand table's,
+    as an unordered pair; at p = 5 a shape with a weight above p - 1 is no
+    action, and its spin character is no sum of tilting products."""
+    e = parse_module(text)
+    if p == 5 and text in ("6", "5 x 1[1]"):
+        with pytest.raises(ArithmeticError, match=re.escape(f"at p={p}")):
+            h1scan._summand_spinors(e, p)
+        return
+    got = h1scan._summand_spinors(e, p)
+    assert {frozenset(Counter(h).items()) for h in got} == \
+        {frozenset(h.items()) for h in SHAPE_SPINORS[text]}
+    assert len(got) == len(SHAPE_SPINORS[text])
+
+
+def test_spin_factor_outside_tilting_products_raises():
+    """L(4) x L(2)^[1] at p = 5: the spin character of the 15-dimensional
+    summand is no sum of tilting products, so the derivation raises, naming
+    the shape and p."""
+    with pytest.raises(ArithmeticError, match=re.escape("shape (4, 2) at p=5")):
+        spin_half_terms(parse_module("4 x 2[1] + 0"), 5)
+
+
+def test_odd_summand_count_names_the_action():
+    with pytest.raises(ArithmeticError, match=re.escape("action 4 + 2 + 0 has")):
+        spin_half_terms(parse_module("4 + 2 + 0"), 5)
 
 
 def test_spin_case_total():
@@ -661,3 +716,30 @@ def test_diff_renderers():
     assert d.pruned_nonrows
     assert len(lines) == 1 + len(d.rows) + len(d.pruned_nonrows)
     assert sum("[pruned  ]" in line for line in lines) == len(d.pruned_nonrows)
+
+
+def test_diff_row_levels_are_distinct_and_ascending():
+    """Both renderers read one definition of a row's levels."""
+    row = DiffRow("extra", "", "D5", "A1", ("4 + 4[1]",), None, 1,
+                  hits=((2, 1), (1, 1), (2, 3)))
+    d = TableDiff("E6", 5, "t", rows=[row])
+    assert row.levels == [1, 2]
+    assert diff_to_json(d)["rows"][0]["levels"] == [1, 2]
+    assert "levels=[1, 2]" in render_diff(d)
+
+
+# SHA-256 of oracles.table_dump at tmax 2: a change that moves any scan row,
+# class unit, hit, parabolic, pruned level or diff line re-pins these and
+# says why
+TABLE_DUMP_SHA256 = {
+    ("E6", 5): "40997d07e1588913b0bcdda0ab74a45d6e970ed485633f9cfb914f3c7398afb7",
+    ("E7", 5): "0a45b247b708c484851906322992d56d4118d5c4d7c7f4d084aebe410c860517",
+    ("E7", 7): "bcc3475045bf3fd37a097573448dcfba73d73bd7d906b17c115aef92071f6847",
+    ("E8", 7): "568bbecfdfab1de798442667e0c4786c9f81cf0051dc657944d65c38c9d2209b",
+}
+
+
+@pytest.mark.parametrize("group,p", TABLE_DUMP_SHA256)
+def test_table_dump_pinned(group, p):
+    dump = table_dump(group, p, 2)
+    assert hashlib.sha256(dump.encode()).hexdigest() == TABLE_DUMP_SHA256[group, p]

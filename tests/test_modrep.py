@@ -675,8 +675,12 @@ def test_tilting_prune_closure():
     assert module_is_tilting(parse_module("5"), 7)      # L(5) = T(5) here
     assert not module_is_tilting(parse_module("5"), 5)
     assert not module_is_tilting(m_spin(5, parse_module("4 + 4")), 5)
-    assert not module_is_tilting(m_simple((2, 0)), 7)
-    assert module_is_tilting(m_simple((3, 0)), 7)
+    # a simple G2 module is tilting when it is its Weyl module; a weight
+    # with no tabulated character raises
+    assert {w for w in G2_SIMPLE_DIMS if module_is_tilting(m_simple(w), 7)} == \
+        {(0, 0), (1, 0), (0, 1), (3, 0)}
+    with pytest.raises(NotImplementedError, match=re.escape("(4, 0)")):
+        module_is_tilting(m_simple((4, 0)), 7)
 
 
 def test_g2_tilting_atom_has_no_character():

@@ -1,6 +1,8 @@
 """Radical filtrations of standard parabolics and their Levi modules."""
 
 import itertools
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,31 @@ def test_component_d4_inside_e6():
     comps = levi_components(rs, (2, 3, 4, 5))
     assert len(comps) == 1
     assert component_type(rs, comps[0]) == "D4"
+
+
+# type counts over the components of every Levi, the full one included, as
+# reading each component's degrees and adjacencies gave them
+TYPE_COUNTS = {
+    "E8": {"A1": 336, "A2": 128, "A3": 56, "A4": 28, "A5": 7, "A6": 4, "A7": 1,
+           "D4": 4, "D5": 6, "D6": 1, "D7": 1, "E6": 2, "E7": 1, "E8": 1},
+    "D7": {"A1": 152, "A2": 52, "A3": 30, "A4": 9, "A5": 3, "A6": 2, "D4": 4,
+           "D5": 2, "D6": 1, "D7": 1},
+}
+
+
+@pytest.mark.parametrize("name", TYPE_COUNTS)
+def test_component_types_over_every_levi(name):
+    rs = _rs(name)
+    counts = Counter(component_type(rs, c)
+                     for k in range(rs.rank + 1)
+                     for levi in itertools.combinations(range(1, rs.rank + 1), k)
+                     for c in levi_components(rs, levi))
+    assert counts == TYPE_COUNTS[name]
+
+
+def test_component_type_rejects_disconnected_nodes():
+    with pytest.raises(ValueError, match=re.escape("nodes (1, 2) of E6")):
+        component_type(_rs("E6"), (1, 2))
 
 
 # -- radical levels -----------------------------------------------------------
