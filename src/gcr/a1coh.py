@@ -27,25 +27,28 @@ such terms, and H^1 of each term can be computed exactly:
   with the Hom- and invariant dimensions computed by the same kind of
   recursion.
 
-The module also provides alternating powers of sums of terms, so that
-fundamental modules of type-A factors restrict within the same
-representation; a power of a product term splits through symmetric and
-mixed (2,1) powers of its factors.
+The module also derives restrictions from characters: a character with one
+coordinate per tilting atom is peeled into products of tilting characters,
+which are then placed on the atoms' twists.  This gives the alternating
+powers of sums of terms, so that fundamental modules of type-A factors
+restrict within the same representation, and the half-spin pieces of
+type-D factors.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 
 from .modrep import (
     a1_tilting_weights,
     a1_top_weight,
     a1_weyl_weights,
+    alt_char,
     char_tensor,
     donkin_split,
     peel_characters,
-    power_char,
 )
 
 
@@ -56,13 +59,6 @@ def chi_coeffs(weights) -> Counter:
     return peel_characters(weights, a1_top_weight, a1_weyl_weights)
 
 
-def _tilting_summands(char, p: int) -> tuple:
-    """Indecomposable tilting summands ((n, mult), ...) of a tilting module
-    with the given character."""
-    return tuple(sorted(peel_characters(
-        char, a1_top_weight, lambda n: a1_tilting_weights(n, p)).items()))
-
-
 @functools.lru_cache(maxsize=None)
 def tilting_product(ms: tuple, p: int) -> tuple:
     """Indecomposable tilting summands of a product of tiltings at a single
@@ -70,7 +66,8 @@ def tilting_product(ms: tuple, p: int) -> tuple:
     char = Counter({0: 1})
     for m in ms:
         char = char_tensor(char, Counter(a1_tilting_weights(m, p)))
-    return _tilting_summands(char, p)
+    return tuple(sorted(peel_characters(
+        char, a1_top_weight, lambda n: a1_tilting_weights(n, p)).items()))
 
 
 def _strip(factors) -> tuple:
@@ -199,72 +196,72 @@ def terms_char(terms, p: int) -> Counter:
     return out
 
 
-# -- alternating / symmetric powers -------------------------------------------
+# -- the tilting peel in atom coordinates ------------------------------------
+#
+# A restriction is derived with one coordinate per tilting atom: its
+# character is then that of a module for a product of copies of SL2, one per
+# atom, and the diagonal, twisted on each copy by its atom's twist, takes
+# that module to the restriction.  A tilting module is determined by its
+# character (Jantzen, Representations of Algebraic Groups, II.E.6), so a
+# tilting module for the product is its peel into products of tilting
+# characters, and the peel raises on a character that is no sum of them.
 
-# Decomposition of a power of a tensor product A (x) B over the symmetric
-# group on 2 or 3 letters; "s21" is the Schur functor of the partition (2,1).
-
-_POWER_SPLIT = {
-    ("alt", 2): ((("sym", 2), ("alt", 2)), (("alt", 2), ("sym", 2))),
-    ("sym", 2): ((("sym", 2), ("sym", 2)), (("alt", 2), ("alt", 2))),
-    ("alt", 3): ((("sym", 3), ("alt", 3)), (("s21", 3), ("s21", 3)),
-                 (("alt", 3), ("sym", 3))),
-    ("sym", 3): ((("sym", 3), ("sym", 3)), (("s21", 3), ("s21", 3)),
-                 (("alt", 3), ("alt", 3))),
-    ("s21", 3): ((("sym", 3), ("s21", 3)), (("s21", 3), ("sym", 3)),
-                 (("s21", 3), ("alt", 3)), (("alt", 3), ("s21", 3)),
-                 (("s21", 3), ("s21", 3))),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _tilt_power(m: int, shape: str, k: int, p: int) -> tuple:
-    """Tilting summands ((n, mult), ...) of the k-th power of T(m) cut out
-    by the given symmetrizer; exact for k < p."""
-    if k >= p:
-        raise NotImplementedError("power not smaller than the characteristic")
-    return _tilting_summands(power_char(a1_tilting_weights(m, p), shape, k), p)
-
-
-def _term_power(term: tuple, shape: str, k: int, p: int) -> Counter:
-    """Counter of terms for the symmetrized k-th power of a single term."""
-    if k == 0:
-        return Counter({(): 1})
-    if k == 1:
-        return Counter({term: 1})
-    if len(term) == 0:
-        # only sum_power hands over a trivial term, and alt^k k = 0 for k >= 2
-        return Counter()
-    if len(term) == 1:
-        (m, t), = term
-        out: Counter = Counter()
-        for n, mult in _tilt_power(m, shape, k, p):
-            if n == 0:
-                out[()] += mult
-            else:
-                out[((n, t),)] += mult
-        return out
-    head, rest = term[:1], term[1:]
-    out = Counter()
-    for (sh_a, ka), (sh_b, kb) in _POWER_SPLIT[(shape, k)]:
-        terms_tensor(_term_power(head, sh_a, ka, p),
-                     _term_power(rest, sh_b, kb, p), out)
+def atom_char(shapes, p: int) -> list:
+    """Weights, with repetition, of the direct sum over the shapes of the
+    products (x) T(m), m in shape, each atom of each shape on its own
+    coordinate."""
+    n = sum(map(len, shapes))
+    out, i = [], 0
+    for shape in shapes:
+        pad = (0,) * (n - i - len(shape))
+        out += [(0,) * i + w + pad
+                for w in itertools.product(*(a1_tilting_weights(m, p) for m in shape))]
+        i += len(shape)
     return out
 
 
-def sum_power(terms, shape: str, k: int, p: int) -> Counter:
-    """Alternating k-th power of a direct sum of terms: the summands
-    distribute as alt^k(A + B) = sum alt^i A (x) alt^j B.  The shape must
-    be "alt"."""
-    if shape != "alt":
-        raise ValueError(f"sum_power takes the alternating shape only, not {shape!r}")
-    terms = list(terms.elements()) if isinstance(terms, Counter) else list(terms)
-    per_degree: list[Counter] = [Counter({(): 1})] + [Counter() for _ in range(k)]
-    for term in terms:
-        new_degrees = [Counter() for _ in range(k + 1)]
-        for j in range(0, k + 1):
-            piece = _term_power(tuple(term), shape, j, p)
-            for i in range(0, k + 1 - j):
-                terms_tensor(per_degree[i], piece, new_degrees[i + j])
-        per_degree = new_degrees
-    return per_degree[k]
+def _product_top(weights):
+    """The weight of greatest coordinate sum, or None when it is not
+    dominant: each tilting product's own weights lie below its top."""
+    top = max(weights, key=lambda w: (sum(w), w))
+    return top if min(top, default=0) >= 0 else None
+
+
+def tilting_peel(char, p: int) -> tuple:
+    """A character in atom coordinates as read-only (tilting top,
+    multiplicity) pairs, the top (m_1, ..., m_n) standing for (x) T(m_i) on
+    coordinate i.  Raises ArithmeticError when the character is no sum of
+    tilting products."""
+    return tuple(peel_characters(
+        char, _product_top,
+        lambda top: itertools.product(*(a1_tilting_weights(m, p) for m in top))
+    ).items())
+
+
+def place_tops(peel, twists) -> Counter:
+    """The terms of a peel with coordinate i at twist twists[i]; trivial
+    atoms drop out."""
+    out: Counter = Counter()
+    for top, mult in peel:
+        out[tuple(sorted((m, t) for m, t in zip(top, twists) if m))] += mult
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _power_peel(shape: tuple, k: int, p: int) -> tuple:
+    return tilting_peel(alt_char(atom_char(shape, p), k), p)
+
+
+def sum_power(terms: Counter, k: int, p: int) -> Counter:
+    """Alternating k-th power of a direct sum of terms, for k < p: every
+    factor of every copy of every term gets its own coordinate, and the
+    k-th alternating power of that character is peeled, once per
+    twist-free shape.  For k < p the alternating power of a tilting module
+    is a summand of its k-th tensor power, hence tilting, so the peel is
+    the module."""
+    if k >= p:
+        raise NotImplementedError(f"alt^{k} at p={p}: exact only for k < p")
+    copies = list(terms.elements())
+    shape = tuple(tuple(m for m, _ in term) for term in copies)
+    return place_tops(_power_peel(shape, k, p),
+                      [t for term in copies for _, t in term])

@@ -23,11 +23,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .a1coh import h1_dim, sum_power, terms_char, terms_tensor
+from .a1coh import (atom_char, h1_dim, place_tops, sum_power, terms_char,
+                    terms_tensor, tilting_peel)
 from .modrep import (
     ModExpr,
-    a1_tilting_weights,
-    a1_weyl_weights,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
@@ -41,7 +40,6 @@ from .modrep import (
     module_twists,
     module_weights,
     parse_module,
-    peel_characters,
     spin_halves_from_char,
 )
 from .parabolic import (
@@ -199,12 +197,12 @@ _E7_CHAINS = [
 class FactorCandidate:
     """An irreducible action of the scanned subgroup on one simple factor:
     enough data to describe itself, restrict any occurring fundamental
-    weight, and expose its Frobenius twists."""
+    weight, and expose its Frobenius twists.  An "a1d6" candidate's module
+    is its D6 slot's action; its A1 slot's twist is twists[0]."""
     descriptor: str
     twists: tuple[int, ...]
-    kind: str                      # module | chain | g2
+    kind: str                      # module | chain | a1d6 | g2
     expr: ModExpr | None = None
-    chain: tuple = ()
 
 
 def _nontrivial_twists(e: ModExpr) -> tuple[int, ...]:
@@ -239,12 +237,10 @@ def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
             if rule is not None and not rule(**subst):
                 continue
             parts = [module_subst(e, subst) for e in exprs]
-            texts = tuple(format_module(e) for e in parts)
             out.append(FactorCandidate(
-                f"{name}({', '.join(texts)})",
+                f"{name}({', '.join(format_module(e) for e in parts)})",
                 tuple(t for e in parts for t in module_twists(e)), "chain",
-                expr=module_subst(parse_module(template), subst),
-                chain=(name, texts)))
+                expr=module_subst(parse_module(template), subst)))
     return out
 
 
@@ -265,8 +261,7 @@ def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
         for m in d_type_actions(6, p, tmax):
             desc = f"A1D6({format_module(m_simple(1, a))}, {format_module(m)})"
             flat = (a, *_nontrivial_twists(m))
-            out.append(FactorCandidate(desc, flat, "chain",
-                                       expr=m, chain=("A1D6", (a,))))
+            out.append(FactorCandidate(desc, flat, "a1d6", expr=m))
     return tuple(out)
 
 
@@ -328,22 +323,26 @@ def _node(type_name: str, weight: tuple[int, ...]):
     raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
 
 
-def _expr_terms(e: ModExpr) -> Counter:
+def _expr_terms(e: ModExpr, p: int) -> Counter:
     """Twisted-tilting-product terms of an expression built from sums,
     tensor products, twisted simples or tiltings, and trivials.  Restricted
     simples are tilting modules of the same highest weight, so the atoms
-    map directly onto (weight, twist) factors."""
+    map directly onto (weight, twist) factors; a simple atom L(m) with
+    m > p - 1, which is no tilting module, raises ValueError naming it."""
     if e.kind == "sum":
         out: Counter = Counter()
         for part in e.parts:
-            out += _expr_terms(part)
+            out += _expr_terms(part, p)
         return out
     if e.kind == "tensor":
         out = Counter({(): 1})
         for part in e.parts:
-            out = terms_tensor(out, _expr_terms(part))
+            out = terms_tensor(out, _expr_terms(part, p))
         return out
     if e.kind in ("simple", "tilt"):
+        if e.kind == "simple" and e.weight > p - 1:
+            raise ValueError(f"simple atom {format_module(e)} at p={p} is not "
+                             "a tilting module: its weight exceeds p - 1")
         if e.weight == 0:
             return Counter({(): 1})
         return Counter({((e.weight, e.twist),): 1})
@@ -351,44 +350,32 @@ def _expr_terms(e: ModExpr) -> Counter:
 
 
 @functools.lru_cache(maxsize=None)
-def _frozen_terms(e: ModExpr) -> tuple:
-    """_expr_terms as (term, count) pairs, built once per expression; a
-    tuple, so no caller can change the shared value."""
-    return tuple(_expr_terms(e).items())
+def _frozen_terms(e: ModExpr, p: int) -> tuple:
+    """_expr_terms as (term, count) pairs, built once per expression and p;
+    a tuple, so no caller can change the shared value."""
+    return tuple(_expr_terms(e, p).items())
 
 
-def _natural_terms(cand: FactorCandidate) -> Counter:
+def _natural_terms(cand: FactorCandidate, p: int) -> Counter:
     """A fresh Counter of the terms of the candidate's natural module."""
-    return Counter(dict(_frozen_terms(cand.expr)))
-
-
-def _product_top(weights):
-    """The weight of greatest coordinate sum, or None when it is not
-    dominant: each tilting product's own weights lie below its top."""
-    top = max(weights, key=lambda w: (sum(w), w))
-    return top if min(top, default=0) >= 0 else None
+    return Counter(dict(_frozen_terms(cand.expr, p)))
 
 
 @functools.lru_cache(maxsize=None)
 def _shape_spinors(shape: tuple[int, ...], p: int) -> tuple[tuple, ...]:
     """Spin factors of an orthogonal summand of the given weight shape, one
-    coordinate per atom, as read-only (tilting top, multiplicity) pairs: the
-    spin_weights of its natural character, peeled into products of tilting
-    characters.  An odd-dimensional summand takes one more zero weight and
-    gives its one spin factor, the first of two equal halves; an even one
-    gives both halves.  A tilting module is determined by its character
-    (Jantzen, Representations of Algebraic Groups, II.E.6), so each factor
-    is its peel when it is a tilting product, and the peel raises when the
-    character is no sum of them."""
-    natural = Counter(itertools.product(*map(a1_weyl_weights, shape)))
+    coordinate per atom, as ``tilting_peel`` pairs: the spin_weights of its
+    natural character, peeled into products of tilting characters.  An
+    odd-dimensional summand takes one more zero weight and gives its one
+    spin factor, the first of two equal halves; an even one gives both
+    halves.  The peel raises when a spin character is no sum of tilting
+    products."""
+    natural = Counter(atom_char((shape,), p))
     odd = sum(natural.values()) % 2
     natural[(0,) * len(shape)] += odd
     halves = spin_halves_from_char(natural, sum(natural.values()) // 2)
     try:
-        return tuple(tuple(peel_characters(
-            half, _product_top,
-            lambda top: itertools.product(*(a1_tilting_weights(m, p) for m in top))
-        ).items()) for half in halves[:2 - odd])
+        return tuple(tilting_peel(half, p) for half in halves[:2 - odd])
     except ArithmeticError as exc:
         raise ArithmeticError(f"the spin character of summand shape {shape} at "
                               f"p={p} is not a sum of tilting products: {exc}") from None
@@ -396,24 +383,14 @@ def _shape_spinors(shape: tuple[int, ...], p: int) -> tuple[tuple, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _summand_spinors(e: ModExpr, p: int) -> tuple[tuple, ...]:
-    """Spin factors of one orthogonal summand as read-only tuples of terms,
-    each repeated by its multiplicity, with the tops placed on the twists
-    of its non-trivial atoms: one factor for an odd-dimensional summand, the
-    two halves for an even-dimensional one."""
-    atoms = e.parts if e.kind == "tensor" else [e]
-    pairs = sorted(((a.weight, a.twist) for a in atoms if a.weight), reverse=True)
-
-    def place(top):
-        return tuple(sorted((m, t) for m, (_, t) in zip(top, pairs) if m))
-    return tuple(tuple(place(top) for top, c in half for _ in range(c))
-                 for half in _shape_spinors(tuple(w for w, _ in pairs), p))
-
-
-def _tensor_term_lists(lists):
-    out = [()]
-    for lst in lists:
-        out = [tuple(sorted(a + b)) for a in out for b in lst]
-    return out
+    """Spin factors of one orthogonal summand as read-only (term,
+    multiplicity) pairs, with the tops placed on the twists of its
+    non-trivial atoms: one factor for an odd-dimensional summand, the two
+    halves for an even-dimensional one."""
+    (term, _), = _frozen_terms(e, p)
+    term = term[::-1]           # highest weight first, as errors name the shape
+    return tuple(tuple(place_tops(half, [t for _, t in term]).items())
+                 for half in _shape_spinors(tuple(m for m, _ in term), p))
 
 
 def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
@@ -424,7 +401,7 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
     summands = expr.parts if expr.kind == "sum" else [expr]
     odd, even = [], []
     for s in summands:
-        factors = _summand_spinors(s, p)
+        factors = [dict(f) for f in _summand_spinors(s, p)]
         if len(factors) == 1:
             odd += factors
         else:
@@ -433,15 +410,16 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
         if len(odd) % 2:
             raise ArithmeticError(f"action {format_module(expr)} has an odd number "
                                   "of odd-dimensional summands")
-        mult = 2 ** (len(odd) // 2 - 1)
-        half: Counter = Counter()
-        for term in _tensor_term_lists(odd + [plus + minus for plus, minus in even]):
-            half[term] += mult
+        half = Counter({(): 2 ** (len(odd) // 2 - 1)})
+        for piece in odd:
+            half = terms_tensor(half, piece)
+        for plus, minus in even:
+            half = terms_tensor(half, minus, terms_tensor(half, plus))
         return half, half
-    halves = (Counter(), Counter())
-    for signs in itertools.product((0, 1), repeat=len(even)):
-        halves[sum(signs) % 2].update(
-            _tensor_term_lists([ev[s] for ev, s in zip(even, signs)]))
+    halves = (Counter({(): 1}), Counter())
+    for plus, minus in even:
+        halves = (terms_tensor(halves[1], minus, terms_tensor(halves[0], plus)),
+                  terms_tensor(halves[1], plus, terms_tensor(halves[0], minus)))
     return halves
 
 
@@ -467,8 +445,7 @@ def _assignment_memo() -> dict:
 def _assignments(cand: FactorCandidate, type_name: str, p: int):
     fam = type_name[0]
     expr = cand.expr
-    if (cand.kind == "module" and fam == "D") or (
-            cand.kind == "chain" and cand.chain[0] == "A1D6"):
+    if (cand.kind == "module" and fam == "D") or cand.kind == "a1d6":
         h0, h1 = sorted(map(_char_fp, spin_half_terms(expr, p)))
         return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
     if cand.kind == "g2" and fam == "D":
@@ -492,14 +469,13 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
     if node is None:
         return Counter({(): 1})
     if node == "natural":
-        if cand.kind == "chain" and cand.chain[0] == "A1D6":
-            a = cand.chain[1][0]
-            return terms_tensor(Counter({((1, a),): 1}), _natural_terms(cand),
-                                Counter(dict(assignment[1])))
-        return _natural_terms(cand)
+        if cand.kind == "a1d6":
+            return terms_tensor(Counter({((1, cand.twists[0]),): 1}),
+                                _natural_terms(cand, p), Counter(dict(assignment[1])))
+        return _natural_terms(cand, p)
     kind, i = node
     if kind == "alt":
-        return sum_power(_natural_terms(cand), "alt", i, p)
+        return sum_power(_natural_terms(cand, p), i, p)
     return Counter(dict(assignment[i]))
 
 

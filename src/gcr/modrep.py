@@ -738,23 +738,12 @@ def char_tensor(a: Counter, b: Counter) -> Counter:
     return out
 
 
-def power_char(elems, kind: str, k: int) -> Counter:
-    """Character of the k-th alternating ("alt") or symmetric ("sym") power,
-    or of the Schur functor S_(2,1) ("s21", k = 3), of a module whose weights,
+def alt_char(elems, k: int) -> Counter:
+    """Character of the k-th alternating power of a module whose weights,
     with repetition, are elems.  Weights combine by position, so repeated
     weights count as distinct basis vectors."""
-    if kind == "s21" and k == 3:
-        # ch S_(2,1)(V) = ch(V) * ch(alt^2 V) - ch(alt^3 V)
-        out = char_tensor(power_char(elems, "alt", 2), Counter(elems))
-        out.subtract(power_char(elems, "alt", 3))
-        return out
-    if kind == "alt":
-        combos = itertools.combinations(elems, k)
-    elif kind == "sym":
-        combos = itertools.combinations_with_replacement(elems, k)
-    else:
-        raise ValueError(f"no {kind} power of degree {k}")
-    return Counter(functools.reduce(_wadd, combo) for combo in combos)
+    return Counter(functools.reduce(_wadd, combo)
+                   for combo in itertools.combinations(elems, k))
 
 
 def _wneg(a):
@@ -861,8 +850,7 @@ def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> C
         return functools.reduce(char_tensor, (module_weights(t, p, subst)
                                               for t in e.parts))
     if e.kind == "alt":
-        return power_char(list(module_weights(e.part, p, subst).elements()),
-                          "alt", e.k)
+        return alt_char(list(module_weights(e.part, p, subst).elements()), e.k)
     if e.kind == "spin":
         even, _ = spin_halves_from_char(module_weights(e.part, p, subst), e.n)
         return even

@@ -14,7 +14,8 @@ uses them, so they live with the tests.
   A1 report of every candidate product of a parabolic, class by class,
   with H^1 worked out on every factor and no memo
 - the canonical JSON dump of a table's scan and diff, whose hash pins the
-  whole output of a table
+  whole output of a table, and that of every restriction derived by a rule
+  rather than read off a candidate's module
 """
 
 import itertools
@@ -25,9 +26,9 @@ import numpy as np
 
 from gcr.a1coh import h1_dim, terms_tensor
 from gcr.h1scan import (_class_unit, _summand_weights, _tensor_shapes,
-                        canonical_action, factor_assignments,
+                        canonical_action, d_type_actions, factor_assignments,
                         factor_candidates, factor_restriction_terms,
-                        scan_group)
+                        scan_group, spin_half_terms)
 from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
                         format_module, g2_comp_factors, m_simple, m_sum,
                         module_weights, peel_characters)
@@ -185,3 +186,28 @@ def table_dump(group: str, p: int, tmax: int) -> str:
         "diff": diff_to_json(diff),
         "text": render_diff(diff),
     }, sort_keys=True, separators=(",", ":"))
+
+
+def _terms_json(terms) -> list:
+    return sorted([[list(map(list, t)), c] for t, c in terms.items() if c])
+
+
+def restriction_dump(tmax: int) -> str:
+    """Canonical JSON of every restriction derived by a rule, at p = 5, 7,
+    11 and 13: the two half-spin term sums of every D4..D7 action, and the
+    alternating powers alt^k V, 2 <= k <= (r + 1) / 2, of the natural module
+    V of every A_r candidate.  Two trees with the same dump derive the same
+    restrictions."""
+    out = []
+    for p in (5, 7, 11, 13):
+        for r in range(4, 8):
+            for e in d_type_actions(r, p, tmax):
+                out.append([f"D{r}", format_module(e), p,
+                            *map(_terms_json, spin_half_terms(e, p))])
+        for r in range(2, 7):
+            for c in factor_candidates(f"A{r}", p, tmax):
+                for k in range(2, (r + 1) // 2 + 1):
+                    weight = tuple(int(i == k - 1) for i in range(r))
+                    out.append([f"A{r}", c.descriptor, p, k, _terms_json(
+                        factor_restriction_terms(c, f"A{r}", weight, p, None))])
+    return json.dumps(out, separators=(",", ":"))

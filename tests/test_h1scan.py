@@ -17,6 +17,8 @@ from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
 from gcr.modrep import (
     format_module,
     h1_module_a1,
+    m_alt,
+    module_matrices,
     module_weights,
     parse_module,
     spin_halves_from_char,
@@ -52,7 +54,8 @@ from gcr.parabolic import (component_type, decompose_level, levi_components,
 from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
-from oracles import a1_reports_by_product, actions_by_product, table_dump
+from oracles import (a1_reports_by_product, actions_by_product,
+                     restriction_dump, table_dump)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -137,12 +140,30 @@ def test_tilting_product_regroups():
 
 def test_sum_power_alternating_only():
     """alt^2(k + L(1)) = alt^2 k + k (x) L(1) + alt^2 L(1) = L(1) + k at
-    p = 5: the trivial summand's square vanishes.  Any other shape is
-    refused by name."""
-    assert sum_power(Counter({(): 1, ((1, 0),): 1}), "alt", 2, 5) == \
+    p = 5: the trivial summand's square vanishes.  A power of exponent p
+    or more is refused, naming k and p."""
+    assert sum_power(Counter({(): 1, ((1, 0),): 1}), 2, 5) == \
         Counter({((1, 0),): 1, (): 1})
-    with pytest.raises(ValueError, match="'sym'"):
-        sum_power(Counter({((1, 0),): 1}), "sym", 2, 5)
+    with pytest.raises(NotImplementedError, match=re.escape("alt^5 at p=5")):
+        sum_power(Counter({((4, 0),): 1, ((1, 1),): 1}), 5, 5)
+
+
+@pytest.mark.parametrize("p,cases", [(5, 21), (7, 33)])
+def test_alternating_powers_match_explicit_operators(p, cases):
+    """Every alternating power alt^k V, 2 <= k <= (r + 1) / 2, of the
+    natural module V of every A_r candidate (tmax 2): the explicit module
+    has the character of the derived terms, and its H^1 is theirs."""
+    seen = 0
+    for r in range(2, 7):
+        for c in factor_candidates(f"A{r}", p, 2):
+            for k in range(2, (r + 1) // 2 + 1):
+                terms = sum_power(h1scan._natural_terms(c, p), k, p)
+                mod = module_matrices(m_alt(c.expr, k), p)
+                label = (c.descriptor, k)
+                assert Counter(mod.weights) == terms_char(terms, p), label
+                assert h1_module_a1(mod) == h1_dim(terms, p), label
+                seen += 1
+    assert seen == cases
 
 
 # -- candidate enumeration ----------------------------------------------------
@@ -327,7 +348,8 @@ def test_spin_halves_match_sign_pattern_oracle(rank, p):
 
 # the spin factors of the summand shapes of the D tables at p <= 7, as the
 # hand table gave them: one term sum for an odd-dimensional summand, the two
-# halves for an even one, with the atoms at twists 0, 1, 2 in turn
+# halves for an even one, with the atoms at twists 0, 1, 2 in turn; each
+# term sum maps a term to its multiplicity
 SHAPE_SPINORS = {
     "0": [{(): 1}],
     "2": [{((1, 0),): 1}],
@@ -347,16 +369,18 @@ SHAPE_SPINORS = {
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("text", SHAPE_SPINORS)
 def test_summand_spinors_pinned(text, p):
-    """The derived spin factors of each summand shape are the hand table's,
-    as an unordered pair; at p = 5 a shape with a weight above p - 1 is no
-    action, and its spin character is no sum of tilting products."""
+    """The derived spin factors of each summand shape, as (term,
+    multiplicity) pairs, are the hand table's, as an unordered pair; at
+    p = 5 a shape with a weight above p - 1 is no action, and its simple
+    atom, which is no tilting module, is refused by name."""
     e = parse_module(text)
     if p == 5 and text in ("6", "5 x 1[1]"):
-        with pytest.raises(ArithmeticError, match=re.escape(f"at p={p}")):
+        atom = text.split(" ")[0]
+        with pytest.raises(ValueError, match=re.escape(f"simple atom {atom} at p={p}")):
             h1scan._summand_spinors(e, p)
         return
     got = h1scan._summand_spinors(e, p)
-    assert {frozenset(Counter(h).items()) for h in got} == \
+    assert {frozenset(h) for h in got} == \
         {frozenset(h.items()) for h in SHAPE_SPINORS[text]}
     assert len(got) == len(SHAPE_SPINORS[text])
 
@@ -367,6 +391,13 @@ def test_spin_factor_outside_tilting_products_raises():
     the shape and p."""
     with pytest.raises(ArithmeticError, match=re.escape("shape (4, 2) at p=5")):
         spin_half_terms(parse_module("4 x 2[1] + 0"), 5)
+
+
+def test_unrestricted_simple_atom_has_no_terms():
+    """L(6) at p = 5 is not T(6), so a module with it has no term form: the
+    error names the atom and p."""
+    with pytest.raises(ValueError, match=re.escape("simple atom 6[1] at p=5")):
+        h1scan._frozen_terms(parse_module("1 x 6[1] + 0"), 5)
 
 
 def test_odd_summand_count_names_the_action():
@@ -743,3 +774,15 @@ TABLE_DUMP_SHA256 = {
 def test_table_dump_pinned(group, p):
     dump = table_dump(group, p, 2)
     assert hashlib.sha256(dump.encode()).hexdigest() == TABLE_DUMP_SHA256[group, p]
+
+
+# SHA-256 of oracles.restriction_dump at tmax 2, pinned on the tree that
+# still derived alternating powers by a Schur-functor recursion: 1,229
+# restrictions, none of which raises
+RESTRICTION_DUMP_SHA256 = "24c721c1e43523136c8695bdf31ba9502a78a535b3201a186ec8c231ac9db709"
+
+
+def test_restriction_dump_pinned():
+    dump = restriction_dump(2)
+    assert len(json.loads(dump)) == 1229
+    assert hashlib.sha256(dump.encode()).hexdigest() == RESTRICTION_DUMP_SHA256

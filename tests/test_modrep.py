@@ -23,6 +23,7 @@ from gcr.modrep import (
     a1_simple_weights,
     a1_tilting_weights,
     a1_weyl_weights,
+    alt_char,
     direct_sum,
     freudenthal,
     g2_comp_factors,
@@ -41,7 +42,6 @@ from gcr.modrep import (
     module_twists,
     module_weights,
     parse_module,
-    power_char,
     spin_halves_from_char,
     simple_module,
     spin_weights,
@@ -520,8 +520,9 @@ def test_alt_sym_weights():
     # L(3) at p = 5 has weights 3, 1, -1, -3
     assert module_weights(m_alt(m_simple(3), 2), 5) == \
         Counter({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
-    assert sum(power_char([3, 1, -1, -3], "sym", 2).values()) == 10
-    assert power_char([3, 1, -1, -3], "sym", 2)[6] == 1
+    # weights combine by position, also in atom coordinates
+    assert alt_char([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == \
+        Counter({(0, 0): 2, (1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1})
 
 
 # -- G2 at p = 7 --------------------------------------------------------------
