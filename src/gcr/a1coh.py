@@ -62,12 +62,12 @@ def chi_coeffs(weights) -> Counter:
 @functools.lru_cache(maxsize=None)
 def tilting_product(ms: tuple, p: int) -> tuple:
     """Indecomposable tilting summands of a product of tiltings at a single
-    twist: ``(x) T(m)`` for m in ms, as sorted ((n, mult), ...)."""
-    char = Counter({0: 1})
+    twist: ``(x) T(m)`` for m in ms, as sorted ((n, mult), ...).  This is
+    the one-coordinate case of ``tilting_peel``."""
+    char = Counter({(0,): 1})
     for m in ms:
-        char = char_tensor(char, Counter(a1_tilting_weights(m, p)))
-    return tuple(sorted(peel_characters(
-        char, a1_top_weight, lambda n: a1_tilting_weights(n, p)).items()))
+        char = char_tensor(char, Counter((w,) for w in a1_tilting_weights(m, p)))
+    return tuple(sorted((n, mult) for (n,), mult in tilting_peel(char, p)))
 
 
 def _strip(factors) -> tuple:

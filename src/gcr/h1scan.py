@@ -42,12 +42,7 @@ from .modrep import (
     parse_module,
     spin_halves_from_char,
 )
-from .parabolic import (
-    component_type,
-    decompose_level,
-    levi_components,
-    radical_levels,
-)
+from .parabolic import component_type, level_summands, levi_components
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -532,22 +527,22 @@ def _ordered_components(rs: RootSystem, levi):
 def _summand_weights(name: str, levi: tuple[int, ...]):
     """Factor types; distinct summand weights with their live (non-trivial)
     factor indices; (level, weight index) per summand, by level and then
-    least root.  The whole radical is split in one pass.  Trivial summands
-    are dropped: X is reductive, so H^1(X, k) = 0."""
+    least root, read from the radical's shape table.  Trivial summands are
+    dropped: X is reductive, so H^1(X, k) = 0.  On the semisimple Levi a
+    one-dimensional irreducible is trivial, so these are the summands of
+    dim 1."""
     rs = build_root_system(name)
     typed = _ordered_components(rs, levi)
-    comps = [c for _, c in typed]
-    types = [t for t, _ in typed]
-    radical = [r for roots in radical_levels(rs, levi).values() for r in roots]
+    comps = levi_components(rs, levi)
+    order = [comps.index(c) for _, c in typed]
     ids: dict[tuple, int] = {}
     out = []
-    for s in sorted(decompose_level(rs, levi, radical), key=operator.itemgetter("level")):
-        weights = tuple(s["high_weight"][c] for c in comps)
-        if any(any(w) for w in weights):
-            out.append((s["level"], ids.setdefault(weights, len(ids))))
+    for _, lvl, hw, dim in sorted(level_summands(rs, levi), key=operator.itemgetter(1)):
+        if dim > 1:
+            out.append((lvl, ids.setdefault(tuple(hw[k] for k in order), len(ids))))
     distinct = [(weights, tuple(k for k, w in enumerate(weights) if any(w)))
                 for weights in ids]
-    return types, distinct, out
+    return [t for t, _ in typed], distinct, out
 
 
 def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
@@ -682,13 +677,14 @@ def _a1_outcome(types, weights, live, p, picks, memo):
                     for k in live))
     if key not in memo:
         restrictions = _restriction_memo()
-        level = Counter({(): 1})
+        level = None
         for k, part in zip(live, key[1]):
             if (p, part) not in restrictions:
                 cand, _, assignment = picks[k]
                 restrictions[p, part] = tuple(factor_restriction_terms(
                     cand, types[k], weights[k], p, assignment).items())
-            level = terms_tensor(level, dict(restrictions[p, part]))
+            terms = dict(restrictions[p, part])
+            level = Counter(terms) if level is None else terms_tensor(level, terms)
         memo[key] = h1_dim(level, p)
     return memo[key]
 

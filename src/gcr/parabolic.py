@@ -7,6 +7,11 @@ derived Levi; its weight spaces are root spaces.  The roots of a level with
 given coefficients outside J form a shape, and each shape is an irreducible
 Levi module whose highest weight is that of its highest root (Azad, Barry
 and Seitz, Comm. Algebra 18 (1990)), so a level is the sum of its shapes.
+
+The shape table, cached once per Levi, is the one decomposition: it holds
+every root's level and shape and each shape's least root, highest root and
+size.  ``level_summands`` reads the summands off it, and the scan, the level
+lists, ``decompose_level`` and ``verify_levels`` all read that table.
 """
 
 from __future__ import annotations
@@ -129,9 +134,10 @@ def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root
 @functools.cache
 def _root_shapes(rs: RootSystem, levi: tuple[int, ...]):
     """Level and shape of every positive root, by index, for P_levi, and the
-    number of roots of each shape.  The level is the sum of the root's
-    coefficients outside the Levi; two roots share a shape, a small id,
-    exactly when those coefficients agree."""
+    (least index, highest index, size) of each shape.  The level is the sum
+    of the root's coefficients outside the Levi; two roots share a shape, a
+    small id, exactly when those coefficients agree.  Ids follow the least
+    roots."""
     outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
     # one outside node gives each root a single coefficient, not a tuple;
     # none (P = G) gives each root the empty tuple
@@ -140,41 +146,69 @@ def _root_shapes(rs: RootSystem, levi: tuple[int, ...]):
     ids = {c: k for k, c in enumerate(dict.fromkeys(coeffs))}
     shape = tuple(map(ids.__getitem__, coeffs))
     level = tuple(coeffs) if len(outside) == 1 else tuple(map(sum, coeffs))
-    return level, shape, Counter(shape)
+    spans = []
+    for i, s in enumerate(shape):
+        if s == len(spans):
+            spans.append([i, i, 0])
+        span = spans[s]
+        span[1] = i
+        span[2] += 1
+    return level, shape, tuple(map(tuple, spans))
+
+
+def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
+    """The summands of the radical of P_levi, one per shape, in the order of
+    their least roots: (shape id, level, highest weight, dim).  The highest
+    weight is one tuple per component of ``levi_components``: the pairings
+    of the shape's highest root against that component's simple roots
+    (Azad, Barry and Seitz, "On the structure of parabolic subgroups",
+    Comm. Algebra 18 (1990)).  ``verify_levels`` checks every summand
+    against its character."""
+    comps = [[i - 1 for i in nodes] for nodes in levi_components(rs, levi)]
+    level, _, spans = _root_shapes(rs, levi)
+    out = []
+    for s, (least, high, dim) in enumerate(spans):
+        if level[least]:
+            pair = rs.pairings[high]
+            hw = tuple(tuple([pair[i] for i in nodes]) for nodes in comps)
+            if any(v < 0 for w in hw for v in w):
+                raise ArithmeticError("summand high weight not dominant")
+            out.append((s, level[least], hw, dim))
+    return out
 
 
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:
-    """Split radical roots into Levi summands, one per shape (Azad, Barry
-    and Seitz, "On the structure of parabolic subgroups", Comm. Algebra 18
-    (1990)), in the order of their least roots.  The roots may be one level
-    or any union of whole shapes, such as the whole radical.  Each summand
+    """The summands of ``level_summands`` whose shapes the radical roots
+    cover, in the order of their least roots.  The roots may be one level or
+    any union of whole shapes, such as the whole radical.  Each summand
     reports its level, its generator (least root in the total order), its
-    highest weight, read from its highest root as the pairings against the
-    Levi simple roots grouped by component, and its root list.  Roots that are
-    not a union of whole shapes raise ``ArithmeticError``;
-    ``verify_levels`` checks every summand against its character."""
-    comps_nodes = levi_components(rs, levi)
-    level, shape, size = _root_shapes(rs, levi)
+    highest weight keyed by component, and its root list.  A root outside
+    the radical raises ``ValueError`` naming it; roots that are not a union
+    of whole shapes raise ``ArithmeticError``."""
+    level, shape, _ = _root_shapes(rs, levi)
     groups: dict[int, list[int]] = {}
-    for i in sorted({rs.index[r] for r in roots}):
+    for r in roots:
+        i = rs.index.get(r)
+        if i is None or not level[i]:
+            raise ValueError(f"{r} is not a root of the unipotent radical of "
+                             f"the {rs.name} parabolic with Levi {levi}")
         groups.setdefault(shape[i], []).append(i)
+    comps = levi_components(rs, levi)
     out = []
-    for s, members in groups.items():
-        if len(members) != size[s]:
+    for s, lvl, hw, dim in level_summands(rs, levi):
+        members = sorted(set(groups.get(s, ())))
+        if not members:
+            continue
+        if len(members) != dim:
             raise ArithmeticError(
-                f"Levi {levi}: {len(members)} of {size[s]} roots of a shape: "
+                f"Levi {levi}: {len(members)} of {dim} roots of a shape: "
                 f"level summand is not a single string module")
-        high = members[-1]
-        hw = {nodes: tuple(rs.pairings[high][i - 1] for i in nodes)
-              for nodes in comps_nodes}
-        if any(v < 0 for w in hw.values() for v in w):
-            raise ArithmeticError("summand high weight not dominant")
         out.append({
-            "level": level[members[0]],
+            "level": lvl,
             "generator": rs.positive[members[0]],
-            "high_weight": hw,
+            "high_weight": dict(zip(comps, hw)),
             "roots": [rs.positive[m] for m in members],
-            "dim": len(members),
+            "dim": dim,
         })
     return out
 
@@ -193,21 +227,26 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
 
     comps = levi_components(rs, levi)
     types = [component_type(rs, c) for c in comps]
-    radical = [r for roots in radical_levels(rs, levi).values() for r in roots]
-    summands = decompose_level(rs, levi, radical)
-    for s in summands:
-        seen = Counter(tuple(tuple(rs.pairings[rs.index[r]][i - 1] for i in c)
-                             for c in comps) for r in s["roots"])
+    nodes = [[j - 1 for j in c] for c in comps]
+    members: dict[int, list[int]] = {}
+    for i, s in enumerate(_root_shapes(rs, levi)[1]):
+        members.setdefault(s, []).append(i)
+    summands = level_summands(rs, levi)
+    # each (type, weight) character once, however many summands share it
+    chars = {tw: freudenthal(*tw)
+             for tw in {tw for _, _, hw, _ in summands for tw in zip(types, hw)}}
+    for s, lvl, hw, _ in summands:
+        seen = Counter(tuple([tuple([rs.pairings[i][j] for j in c]) for c in nodes])
+                       for i in members[s])
         expect: dict[tuple, int] = {(): 1}
-        for c, t in zip(comps, types):
-            part = freudenthal(t, s["high_weight"][c])
+        for tw in zip(types, hw):
             expect = {
                 key + (w,): m0 * m
                 for key, m0 in expect.items()
-                for w, m in part.items()
+                for w, m in chars[tw].items()
             }
         if seen != expect:
             raise ArithmeticError(
-                f"level {s['level']} summand at {rs.format_root(s['generator'])} "
+                f"level {lvl} summand at {rs.format_root(rs.positive[members[s][0]])} "
                 f"does not match its character")
     return len(summands)

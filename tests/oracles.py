@@ -14,8 +14,9 @@ uses them, so they live with the tests.
   A1 report of every candidate product of a parabolic, class by class,
   with H^1 worked out on every factor and no memo
 - the canonical JSON dump of a table's scan and diff, whose hash pins the
-  whole output of a table, and that of every restriction derived by a rule
-  rather than read off a candidate's module
+  whole output of a table, that of every restriction derived by a rule
+  rather than read off a candidate's module, and that of the level summands
+  the scan reads for every proper Levi of E6, E7 and E8
 """
 
 import itertools
@@ -210,4 +211,17 @@ def restriction_dump(tmax: int) -> str:
                     weight = tuple(int(i == k - 1) for i in range(r))
                     out.append([f"A{r}", c.descriptor, p, k, _terms_json(
                         factor_restriction_terms(c, f"A{r}", weight, p, None))])
+    return json.dumps(out, separators=(",", ":"))
+
+
+def level_dump() -> str:
+    """Canonical JSON of ``_summand_weights`` for every proper Levi of E6,
+    E7 and E8: factor types, distinct summand weights with their live
+    factors, and (level, weight index) per non-trivial summand.  Two trees
+    with the same dump give the scan the same levels."""
+    out = []
+    for name, rank in (("E6", 6), ("E7", 7), ("E8", 8)):
+        for k in range(rank):
+            for levi in itertools.combinations(range(1, rank + 1), k):
+                out.append([name, levi, *_summand_weights(name, levi)])
     return json.dumps(out, separators=(",", ":"))

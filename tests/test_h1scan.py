@@ -55,7 +55,7 @@ from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
 from oracles import (a1_reports_by_product, actions_by_product,
-                     restriction_dump, table_dump)
+                     level_dump, restriction_dump, table_dump)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -786,3 +786,45 @@ def test_restriction_dump_pinned():
     dump = restriction_dump(2)
     assert len(json.loads(dump)) == 1229
     assert hashlib.sha256(dump.encode()).hexdigest() == RESTRICTION_DUMP_SHA256
+
+
+# SHA-256 of oracles.level_dump, pinned on the tree that still read each
+# Levi's summands through radical_levels and decompose_level: 445 Levis
+LEVEL_DUMP_SHA256 = "ad067b83ed781ac44aa1d1b508ad78485511fdf03acd555c4807d5c63f61e8a7"
+# (level summands, trivial ones) over every proper Levi
+LEVEL_SUMMANDS = {"E6": (712, 273), "E7": (2400, 854), "E8": (8864, 2960)}
+
+
+def test_level_dump_pinned():
+    # each summand is rebuilt from RootSystem.level alone: the radical roots
+    # grouped by their coefficients outside the Levi, in the order of their
+    # least roots, each weighted by its unique highest root; a summand is
+    # one-dimensional exactly when its weight is zero, which is what lets the
+    # scan drop the summands of dim 1
+    dump = level_dump()
+    assert hashlib.sha256(dump.encode()).hexdigest() == LEVEL_DUMP_SHA256
+    levis = json.loads(dump)
+    assert len(levis) == 445
+    totals = {name: [0, 0] for name in LEVEL_SUMMANDS}
+    for name, levi, _, distinct, summands in levis:
+        rs = build_root_system(name)
+        comps = [c for _, c in h1scan._ordered_components(rs, tuple(levi))]
+        shapes: dict[tuple, list] = {}
+        for r in rs.positive:
+            if rs.level(r, levi):
+                outside = tuple(c for i, c in enumerate(r, 1) if i not in levi)
+                shapes.setdefault(outside, []).append(r)
+        expect = []
+        for roots in shapes.values():
+            height = max(map(sum, roots))
+            (top,) = [r for r in roots if sum(r) == height]
+            weights = [[rs.pairing_index(top, i - 1) for i in c] for c in comps]
+            trivial = not any(map(any, weights))
+            assert (len(roots) == 1) == trivial, (name, levi, roots)
+            totals[name][0] += 1
+            totals[name][1] += trivial
+            if not trivial:
+                expect.append([rs.level(top, levi), weights])
+        expect.sort(key=lambda e: e[0])
+        assert [[lvl, distinct[k][0]] for lvl, k in summands] == expect, (name, levi)
+    assert {name: tuple(t) for name, t in totals.items()} == LEVEL_SUMMANDS

@@ -231,3 +231,22 @@ def test_decompose_rejects_non_string_summand():
     assert len(decompose_level(rs, (1, 3), level)) == 1
     with pytest.raises(ArithmeticError, match="single string module"):
         decompose_level(rs, (1, 3), [r for r in level if r != (1, 1, 1)])
+
+
+def test_decompose_rejects_levi_roots():
+    # the simple roots of the A1 x A1 Levi of A3 lie in the Levi, not in the
+    # radical: no level summand holds them
+    rs = build_root_system("A3")
+    with pytest.raises(ValueError, match=re.escape(
+            "(1, 0, 0) is not a root of the unipotent radical of the A3 "
+            "parabolic with Levi (1, 3)")):
+        decompose_level(rs, (1, 3), [(1, 0, 0), (0, 0, 1)])
+
+
+def test_decompose_rejects_non_roots():
+    rs = build_root_system("A3")
+    with pytest.raises(ValueError, match=re.escape(
+            "(5, 5, 5) is not a root of the unipotent radical of the A3 "
+            "parabolic with Levi (1, 3)")):
+        decompose_level(rs, (1, 3), [(0, 1, 0), (5, 5, 5)])
+
