@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 
 from .modrep import (
     a1_tilting_weights,
@@ -156,12 +157,16 @@ def _hom_tilt_twisted(d: int, nfactors: tuple, p: int) -> int:
     return _hom_tilt_twisted(a, tuple(sorted(((b, 0),) + nfactors)), p)
 
 
+def _term_counts(terms):
+    """(term, count) pairs of a mapping from terms to counts, or of an
+    iterable of terms, each counted once."""
+    return terms.items() if isinstance(terms, Mapping) else zip(terms, itertools.repeat(1))
+
+
 def h1_dim(terms, p: int) -> int:
     """dim H^1 of a direct sum of twisted-tilting-product terms.  The input
-    is an iterable of terms or a Counter keyed by terms."""
-    if isinstance(terms, Counter):
-        return sum(c * _h1_term(tuple(t), p) for t, c in terms.items())
-    return sum(_h1_term(tuple(t), p) for t in terms)
+    is an iterable of terms or any mapping from terms to counts."""
+    return sum(c * _h1_term(tuple(t), p) for t, c in _term_counts(terms))
 
 
 def terms_tensor(a, b, out: Counter | None = None) -> Counter:
@@ -185,12 +190,9 @@ def term_char(term, p: int) -> Counter:
 
 
 def terms_char(terms, p: int) -> Counter:
+    """Weight character of a sum of terms, given as ``h1_dim`` takes it."""
     out: Counter = Counter()
-    if isinstance(terms, Counter):
-        items = terms.items()
-    else:
-        items = ((t, 1) for t in terms)
-    for term, mult in items:
+    for term, mult in _term_counts(terms):
         for w, c in term_char(term, p).items():
             out[w] += mult * c
     return out

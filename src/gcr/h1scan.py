@@ -42,7 +42,8 @@ from .modrep import (
     parse_module,
     spin_halves_from_char,
 )
-from .parabolic import component_type, level_summands, levi_components
+from .parabolic import (component_type, level_summands, levi_components,
+                        split_weight)
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -72,10 +73,6 @@ def _term_key(e: ModExpr):
     if e.kind == "tensor":
         return tuple(_atom_key(t) for t in e.parts)
     return (_atom_key(e),)
-
-
-def action_descriptor(e: ModExpr) -> str:
-    return format_module(canonical_action(e))
 
 
 # -- built-in irreducible actions per factor type ------------------------------
@@ -211,7 +208,8 @@ def _nontrivial_twists(e: ModExpr) -> tuple[int, ...]:
 
 
 def _module_candidate(e: ModExpr) -> FactorCandidate:
-    return FactorCandidate(action_descriptor(e), _nontrivial_twists(e),
+    """The candidate of an action of ``_actions``, which is canonical."""
+    return FactorCandidate(format_module(e), _nontrivial_twists(e),
                            "module", expr=e)
 
 
@@ -252,11 +250,12 @@ def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
     # rank-one subgroups of the A1 D6 subsystem: second slot runs over the
     # D6 table, and the 56-dimensional module restricts as
     # 1[a] x M plus a half-spin of M
+    d6 = [(m, format_module(m), _nontrivial_twists(m))
+          for m in d_type_actions(6, p, tmax)]
     for a in range(tmax + 1):
-        for m in d_type_actions(6, p, tmax):
-            desc = f"A1D6({format_module(m_simple(1, a))}, {format_module(m)})"
-            flat = (a, *_nontrivial_twists(m))
-            out.append(FactorCandidate(desc, flat, "a1d6", expr=m))
+        for m, desc, twists in d6:
+            out.append(FactorCandidate(f"A1D6({format_module(m_simple(1, a))}, {desc})",
+                                       (a, *twists), "a1d6", expr=m))
     return tuple(out)
 
 
@@ -527,21 +526,23 @@ def _ordered_components(rs: RootSystem, levi):
 def _summand_weights(name: str, levi: tuple[int, ...]):
     """Factor types; distinct summand weights with their live (non-trivial)
     factor indices; (level, weight index) per summand, by level and then
-    least root, read from the radical's shape table.  Trivial summands are
-    dropped: X is reductive, so H^1(X, k) = 0.  On the semisimple Levi a
-    one-dimensional irreducible is trivial, so these are the summands of
-    dim 1."""
+    least root, read from the radical's shape keys.  Trivial summands are
+    dropped before any weight is split: X is reductive, so H^1(X, k) = 0,
+    and a summand is trivial exactly when its flat weight is zero.  Each
+    distinct flat weight is split and reordered once."""
     rs = build_root_system(name)
     typed = _ordered_components(rs, levi)
     comps = levi_components(rs, levi)
     order = [comps.index(c) for _, c in typed]
     ids: dict[tuple, int] = {}
-    out = []
-    for _, lvl, hw, dim in sorted(level_summands(rs, levi), key=operator.itemgetter(1)):
-        if dim > 1:
-            out.append((lvl, ids.setdefault(tuple(hw[k] for k in order), len(ids))))
-    distinct = [(weights, tuple(k for k, w in enumerate(weights) if any(w)))
-                for weights in ids]
+    out = [(lvl, ids.setdefault(flat, len(ids)))
+           for _, lvl, flat in sorted(level_summands(rs, levi), key=operator.itemgetter(1))
+           if any(flat)]
+    distinct = []
+    for flat in ids:
+        hw = split_weight(comps, flat)
+        weights = tuple(hw[k] for k in order)
+        distinct.append((weights, tuple(k for k, w in enumerate(weights) if any(w))))
     return [t for t, _ in typed], distinct, out
 
 
@@ -626,7 +627,7 @@ def _class_unit(combo, p, assign):
         if a is None:
             unit.append(None)
         else:
-            halves = [h if c.kind == "g2" else _char_fp(terms_char(Counter(dict(h)), p))
+            halves = [h if c.kind == "g2" else _char_fp(terms_char(dict(h), p))
                       for h in a]
             unit.append((_char_fp(module_weights(c.expr, p)), *halves))
     return tuple(unit)

@@ -8,15 +8,20 @@ given coefficients outside J form a shape, and each shape is an irreducible
 Levi module whose highest weight is that of its highest root (Azad, Barry
 and Seitz, Comm. Algebra 18 (1990)), so a level is the sum of its shapes.
 
-The shape table, cached once per Levi, is the one decomposition: it holds
-every root's level and shape and each shape's least root, highest root and
-size.  ``level_summands`` reads the summands off it, and the scan, the level
-lists, ``decompose_level`` and ``verify_levels`` all read that table.
+A root's shape key is its tuple of coefficients outside J, and its level
+is the key's sum; each reader takes the keys afresh, with one ``map`` over
+the positive roots, and nothing is kept per Levi.  The roots are sorted by
+height, so ``dict(zip(keys, range(N)))`` puts each key where it first
+occurs, at its shape's least root, and keeps its last value, the index of
+the shape's highest root, which is unique.  ``level_summands`` reads the
+summands off that dict, and the scan, ``radical_levels``,
+``decompose_level`` and ``verify_levels`` all read the same keys.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import Counter
 
@@ -122,59 +127,58 @@ def _walk_chain(start: int, nodes: list[int], adj) -> tuple[int, ...]:
         out.append(nxt[0])
 
 
+def _entries(idx: list[int]):
+    """Reads the entries idx of a row as one tuple: ``operator.itemgetter``
+    gives a bare entry for one index and takes no empty list."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    return lambda row: tuple([row[i] for i in idx])
+
+
+def _shape_keys(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The shape key of every positive root, by index: its coefficients
+    outside the Levi."""
+    outside = [i for i in range(rs.rank) if i + 1 not in levi]
+    return list(map(_entries(outside), rs.positive))
+
+
+def split_weight(comps, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A flat weight, which lists the nodes of each component of comps in
+    turn, as one tuple per component."""
+    it = iter(flat)
+    return tuple(tuple(itertools.islice(it, len(c))) for c in comps)
+
+
 def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root]]:
     """Roots of the unipotent radical of P_levi, grouped by level."""
     out: dict[int, list[Root]] = {}
-    for r, lvl in zip(rs.positive, _root_shapes(rs, levi)[0]):
-        if lvl > 0:
-            out.setdefault(lvl, []).append(r)
+    for r, key in zip(rs.positive, _shape_keys(rs, levi)):
+        if any(key):
+            out.setdefault(sum(key), []).append(r)
     return out
-
-
-@functools.cache
-def _root_shapes(rs: RootSystem, levi: tuple[int, ...]):
-    """Level and shape of every positive root, by index, for P_levi, and the
-    (least index, highest index, size) of each shape.  The level is the sum
-    of the root's coefficients outside the Levi; two roots share a shape, a
-    small id, exactly when those coefficients agree.  Ids follow the least
-    roots."""
-    outside = [i - 1 for i in range(1, rs.rank + 1) if i not in levi]
-    # one outside node gives each root a single coefficient, not a tuple;
-    # none (P = G) gives each root the empty tuple
-    coeffs = (list(map(operator.itemgetter(*outside), rs.positive)) if outside
-              else [()] * len(rs.positive))
-    ids = {c: k for k, c in enumerate(dict.fromkeys(coeffs))}
-    shape = tuple(map(ids.__getitem__, coeffs))
-    level = tuple(coeffs) if len(outside) == 1 else tuple(map(sum, coeffs))
-    spans = []
-    for i, s in enumerate(shape):
-        if s == len(spans):
-            spans.append([i, i, 0])
-        span = spans[s]
-        span[1] = i
-        span[2] += 1
-    return level, shape, tuple(map(tuple, spans))
 
 
 def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
     """The summands of the radical of P_levi, one per shape, in the order of
-    their least roots: (shape id, level, highest weight, dim).  The highest
-    weight is one tuple per component of ``levi_components``: the pairings
-    of the shape's highest root against that component's simple roots
-    (Azad, Barry and Seitz, "On the structure of parabolic subgroups",
-    Comm. Algebra 18 (1990)).  ``verify_levels`` checks every summand
-    against its character."""
-    comps = [[i - 1 for i in nodes] for nodes in levi_components(rs, levi)]
-    level, _, spans = _root_shapes(rs, levi)
-    out = []
-    for s, (least, high, dim) in enumerate(spans):
-        if level[least]:
-            pair = rs.pairings[high]
-            hw = tuple(tuple([pair[i] for i in nodes]) for nodes in comps)
-            if any(v < 0 for w in hw for v in w):
-                raise ArithmeticError("summand high weight not dominant")
-            out.append((s, level[least], hw, dim))
-    return out
+    their least roots: (shape key, level, flat weight).  The flat weight is
+    the pairings of the shape's highest root against the nodes of the
+    ``levi_components`` components in turn, and ``split_weight`` gives one
+    tuple per component (Azad, Barry and Seitz, "On the structure of
+    parabolic subgroups", Comm. Algebra 18 (1990)).  A weight that is not
+    dominant raises ``ArithmeticError`` naming the group, the Levi and the
+    root.  ``verify_levels`` checks every summand against its character."""
+    keys = _shape_keys(rs, levi)
+    tops = dict(zip(keys, range(len(keys))))
+    tops.pop((0,) * len(keys[0]), None)         # the Levi's own roots
+    weight = _entries([i - 1 for nodes in levi_components(rs, levi) for i in nodes])
+    flats = list(map(weight, map(rs.pairings.__getitem__, tops.values())))
+    if min(itertools.chain.from_iterable(flats), default=0) < 0:
+        flat, top = next((f, t) for f, t in zip(flats, tops.values()) if min(f) < 0)
+        raise ArithmeticError(
+            f"{rs.name} parabolic with Levi {levi}: summand high weight "
+            f"{flat} of highest root {rs.format_root(rs.positive[top])} "
+            f"is not dominant")
+    return list(zip(tops, map(sum, tops), flats))
 
 
 def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) -> list[dict]:
@@ -185,30 +189,31 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
     highest weight keyed by component, and its root list.  A root outside
     the radical raises ``ValueError`` naming it; roots that are not a union
     of whole shapes raise ``ArithmeticError``."""
-    level, shape, _ = _root_shapes(rs, levi)
-    groups: dict[int, list[int]] = {}
+    keys = _shape_keys(rs, levi)
+    groups: dict[tuple, list[int]] = {}
     for r in roots:
         i = rs.index.get(r)
-        if i is None or not level[i]:
+        if i is None or not any(keys[i]):
             raise ValueError(f"{r} is not a root of the unipotent radical of "
                              f"the {rs.name} parabolic with Levi {levi}")
-        groups.setdefault(shape[i], []).append(i)
+        groups.setdefault(keys[i], []).append(i)
+    sizes = Counter(keys)
     comps = levi_components(rs, levi)
     out = []
-    for s, lvl, hw, dim in level_summands(rs, levi):
-        members = sorted(set(groups.get(s, ())))
+    for key, lvl, flat in level_summands(rs, levi):
+        members = sorted(set(groups.get(key, ())))
         if not members:
             continue
-        if len(members) != dim:
+        if len(members) != sizes[key]:
             raise ArithmeticError(
-                f"Levi {levi}: {len(members)} of {dim} roots of a shape: "
+                f"Levi {levi}: {len(members)} of {sizes[key]} roots of a shape: "
                 f"level summand is not a single string module")
         out.append({
             "level": lvl,
             "generator": rs.positive[members[0]],
-            "high_weight": dict(zip(comps, hw)),
+            "high_weight": dict(zip(comps, split_weight(comps, flat))),
             "roots": [rs.positive[m] for m in members],
-            "dim": dim,
+            "dim": sizes[key],
         })
     return out
 
@@ -227,26 +232,26 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
 
     comps = levi_components(rs, levi)
     types = [component_type(rs, c) for c in comps]
-    nodes = [[j - 1 for j in c] for c in comps]
-    members: dict[int, list[int]] = {}
-    for i, s in enumerate(_root_shapes(rs, levi)[1]):
-        members.setdefault(s, []).append(i)
-    summands = level_summands(rs, levi)
+    weight = _entries([i - 1 for nodes in comps for i in nodes])
+    members: dict[tuple, list[int]] = {}
+    for i, key in enumerate(_shape_keys(rs, levi)):
+        members.setdefault(key, []).append(i)
+    summands = [(key, lvl, split_weight(comps, flat))
+                for key, lvl, flat in level_summands(rs, levi)]
     # each (type, weight) character once, however many summands share it
     chars = {tw: freudenthal(*tw)
-             for tw in {tw for _, _, hw, _ in summands for tw in zip(types, hw)}}
-    for s, lvl, hw, _ in summands:
-        seen = Counter(tuple([tuple([rs.pairings[i][j] for j in c]) for c in nodes])
-                       for i in members[s])
+             for tw in {tw for _, _, hw in summands for tw in zip(types, hw)}}
+    for key, lvl, hw in summands:
+        seen = Counter(weight(rs.pairings[i]) for i in members[key])
         expect: dict[tuple, int] = {(): 1}
         for tw in zip(types, hw):
             expect = {
-                key + (w,): m0 * m
-                for key, m0 in expect.items()
+                flat + w: m0 * m
+                for flat, m0 in expect.items()
                 for w, m in chars[tw].items()
             }
         if seen != expect:
             raise ArithmeticError(
-                f"level {lvl} summand at {rs.format_root(rs.positive[members[s][0]])} "
+                f"level {lvl} summand at {rs.format_root(rs.positive[members[key][0]])} "
                 f"does not match its character")
     return len(summands)

@@ -6,9 +6,12 @@ uses them, so they live with the tests.
 - the dual of an explicit rank-one module, for the H^1 test of W(8)* and
   as a factor of the tensor-reference tests
 - the full root set, the simple roots and the simple reflections of a root
-  system, for the Euclidean-model and Weyl-invariance tests
-- the composition factors and the dimension of a module expression's
-  character, and the H^1 criterion for a simple rank-one module
+  system, for the Euclidean-model and Weyl-invariance tests, and the
+  radical roots of a parabolic grouped by their outside coefficients, for
+  the level-summand tests
+- the descriptor of any action expression, the composition factors and the
+  dimension of a module expression's character, and the H^1 criterion for
+  a simple rank-one module
 - the candidate scan done the long way: every action a pattern gives, by
   the full product of its terms' choices with duplicates dropped, and the
   A1 report of every candidate product of a parabolic, class by class,
@@ -82,7 +85,25 @@ def reflect(rs: RootSystem, r: Root, i: int) -> Root:
     return tuple(c - k * (j == i - 1) for j, c in enumerate(r))
 
 
+def radical_shapes(rs: RootSystem, levi) -> dict[tuple, list[Root]]:
+    """The roots of the unipotent radical of P_levi, those of positive
+    ``RootSystem.level``, grouped by their coefficients outside the Levi,
+    each group in root order and the groups in the order of their least
+    roots."""
+    shapes: dict[tuple, list[Root]] = {}
+    for r in rs.positive:
+        if rs.level(r, levi):
+            outside = tuple(c for i, c in enumerate(r, 1) if i not in levi)
+            shapes.setdefault(outside, []).append(r)
+    return shapes
+
+
 # -- module expressions -------------------------------------------------------
+
+def action_descriptor(e: ModExpr) -> str:
+    """The descriptor of any action expression: that of its canonical form."""
+    return format_module(canonical_action(e))
+
 
 def a1_comp_factors(weights, p: int) -> Counter:
     """Composition factor multiset of any module with the given T-weights,

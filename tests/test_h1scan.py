@@ -31,7 +31,6 @@ from gcr.h1scan import (
     _A_PATTERNS,
     _D_PATTERNS,
     a_type_actions,
-    action_descriptor,
     canonical_action,
     d_type_actions,
     e6_factor_candidates,
@@ -54,8 +53,9 @@ from gcr.parabolic import (component_type, decompose_level, levi_components,
 from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
-from oracles import (a1_reports_by_product, actions_by_product,
-                     level_dump, restriction_dump, table_dump)
+from oracles import (a1_reports_by_product, action_descriptor,
+                     actions_by_product, level_dump, radical_shapes,
+                     restriction_dump, table_dump)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -97,6 +97,12 @@ def test_h1_term_values_p7(term, expected):
 def test_h1_counts_multiplicity():
     terms = Counter({((3, 0), (1, 1)): 4})
     assert h1_dim(terms, 5) == 4
+
+
+def test_plain_dicts_keep_their_counts():
+    # any mapping from terms to counts counts, not only a Counter
+    assert h1_dim({((3, 0), (1, 1)): 2}, 5) == 2
+    assert terms_char({((1, 0),): 3}, 5) == Counter({1: 3, -1: 3})
 
 
 def _term_module(term, p):
@@ -208,6 +214,30 @@ def test_a_type_action_contents():
     # A2: only the untwisted/twisted adjoint-natural
     descs2 = {action_descriptor(e) for e in a_type_actions(2, 5, 2)}
     assert descs2 == {"2", "2[1]", "2[2]"}
+
+
+def test_actions_are_canonical():
+    """The enumerated actions are in canonical form already, so each
+    candidate's descriptor is its action's text, and the A1D6 candidates
+    format each D6 action once for every A1 twist."""
+    count = 0
+    for p in (5, 7, 11):
+        for tmax in (2, 3):
+            for rank in range(1, 8):
+                for actions, fam in ((a_type_actions, "A"), (d_type_actions, "D")):
+                    got = actions(rank, p, tmax)
+                    count += len(got)
+                    assert [action_descriptor(e) for e in got] == \
+                        [format_module(e) for e in got]
+                    assert [c.descriptor for c in factor_candidates(f"{fam}{rank}", p, tmax)] \
+                        == [action_descriptor(e) for e in got]
+    assert count == 3994
+    a1d6 = [c for c in e7_factor_candidates(7, 2) if c.kind == "a1d6"]
+    d6 = d_type_actions(6, 7, 2)
+    assert len(a1d6) == 3 * len(d6) == 3 * 118
+    assert [c.descriptor for c in a1d6] == [
+        f"A1D6({a}, {action_descriptor(m)})"
+        for a in ("1", "1[1]", "1[2]") for m in d6]
 
 
 def test_cached_actions_are_immutable():
@@ -809,13 +839,8 @@ def test_level_dump_pinned():
     for name, levi, _, distinct, summands in levis:
         rs = build_root_system(name)
         comps = [c for _, c in h1scan._ordered_components(rs, tuple(levi))]
-        shapes: dict[tuple, list] = {}
-        for r in rs.positive:
-            if rs.level(r, levi):
-                outside = tuple(c for i, c in enumerate(r, 1) if i not in levi)
-                shapes.setdefault(outside, []).append(r)
         expect = []
-        for roots in shapes.values():
+        for roots in radical_shapes(rs, levi).values():
             height = max(map(sum, roots))
             (top,) = [r for r in roots if sum(r) == height]
             weights = [[rs.pairing_index(top, i - 1) for i in c] for c in comps]

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from gcr.parabolic import (
     component_type,
     decompose_level,
+    level_summands,
     levi_components,
     radical_levels,
     verify_levels,
 )
-from gcr.rootsystem import build_root_system
-from oracles import simple
+from gcr.rootsystem import RootSystem, build_root_system
+from oracles import radical_shapes, simple
 
 
 def _rs(name):
@@ -185,6 +186,53 @@ def test_borel_levels_are_lines():
         for s in decompose_level(rs, (), roots):
             assert s["dim"] == 1
             assert s["high_weight"] == {}
+
+
+# -- every summand against its roots --------------------------------------------
+
+# (level summands, trivial ones) over all proper standard parabolics
+SHAPE_TOTALS = {"E6": (712, 273), "E7": (2400, 854), "E8": (8864, 2960)}
+
+
+@pytest.mark.parametrize("name", SHAPE_TOTALS)
+def test_every_summand_matches_its_roots(name):
+    """Every summand, trivial ones included, against the radical roots
+    grouped by RootSystem.level: its shape key, its level, its least root
+    (the generator ``decompose_level`` gives for the whole radical), its dim
+    and its flat weight, the pairings of the group's unique highest root."""
+    rs = _rs(name)
+    total = trivial = 0
+    for k in range(rs.rank):
+        for levi in itertools.combinations(range(1, rs.rank + 1), k):
+            nodes = [i for c in levi_components(rs, levi) for i in c]
+            shapes = radical_shapes(rs, levi)
+            expect = []
+            for key, roots in shapes.items():
+                height = max(map(sum, roots))
+                (top,) = [r for r in roots if sum(r) == height]
+                flat = tuple(rs.pairing_index(top, i - 1) for i in nodes)
+                expect.append((key, rs.level(top, levi), roots[0], len(roots), flat))
+                trivial += not any(flat)
+            summands = level_summands(rs, levi)
+            whole = decompose_level(rs, levi, [r for roots in shapes.values() for r in roots])
+            assert len(summands) == len(whole) == len(expect), (name, levi)
+            got = [(key, lvl, s["generator"], s["dim"], flat)
+                   for (key, lvl, flat), s in zip(summands, whole)]
+            assert got == expect, (name, levi)
+            total += len(summands)
+    assert (total, trivial) == SHAPE_TOTALS[name]
+
+
+def test_level_summands_name_a_weight_that_is_not_dominant():
+    # a fresh root system with one pairings row doctored: the top of A3's
+    # level one under the A1 x A1 Levi pairs (1, 0, 1) with the simple roots
+    rs = RootSystem("A3")
+    rs.pairings[rs.index[(1, 1, 1)]] = (-1, 0, 1)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "A3 parabolic with Levi (1, 3): summand high weight (-1, 1) of "
+            "highest root 111 is not dominant")):
+        level_summands(rs, (1, 3))
+    assert level_summands(_rs("A3"), (1, 3)) == [((1,), 1, (1, 1))]
 
 
 # -- character comparison across every parabolic ------------------------------
