@@ -169,12 +169,13 @@ def h1_dim(terms, p: int) -> int:
     return sum(c * _h1_term(tuple(t), p) for t, c in _term_counts(terms))
 
 
-def terms_tensor(a, b, out: Counter | None = None) -> Counter:
-    """Tensor product of two sums of terms, added into out when given."""
+def terms_tensor(a, b, out: dict | None = None) -> dict:
+    """Tensor product of two sums of terms, each given as (term, count)
+    pairs, as a dict of term -> count; added into out when given."""
     if out is None:
-        out = Counter()
-    for ta, ca in a.items():
-        for tb, cb in b.items():
+        out = {}
+    for ta, ca in a:
+        for tb, cb in b:
             key = tuple(sorted(ta + tb))
             out[key] = out.get(key, 0) + ca * cb
     return out
@@ -254,16 +255,16 @@ def _power_peel(shape: tuple, k: int, p: int) -> tuple:
     return tilting_peel(alt_char(atom_char(shape, p), k), p)
 
 
-def sum_power(terms: Counter, k: int, p: int) -> Counter:
-    """Alternating k-th power of a direct sum of terms, for k < p: every
-    factor of every copy of every term gets its own coordinate, and the
-    k-th alternating power of that character is peeled, once per
-    twist-free shape.  For k < p the alternating power of a tilting module
-    is a summand of its k-th tensor power, hence tilting, so the peel is
-    the module."""
+def sum_power(terms, k: int, p: int) -> Counter:
+    """Alternating k-th power of a direct sum of terms, given as (term,
+    count) pairs, for k < p: every factor of every copy of every term gets
+    its own coordinate, and the k-th alternating power of that character is
+    peeled, once per twist-free shape.  For k < p the alternating power of
+    a tilting module is a summand of its k-th tensor power, hence tilting,
+    so the peel is the module."""
     if k >= p:
         raise NotImplementedError(f"alt^{k} at p={p}: exact only for k < p")
-    copies = list(terms.elements())
+    copies = [term for term, count in terms for _ in range(count)]
     shape = tuple(tuple(m for m, _ in term) for term in copies)
     return place_tops(_power_peel(shape, k, p),
                       [t for term in copies for _, t in term])

@@ -13,12 +13,20 @@ exactly; a character-level test would over-flag whenever an H^1-positive
 composition factor sits inside a tilting summand (for instance inside
 T(2p) = T(p) (x) T(1)^[1]).  G2 candidates are evaluated on composition
 factors, with structurally-tilting summands pruned.
+
+A term sum travels through the rank-one scan as read-only (term, count)
+pairs, each built once for what it depends on: the canonical terms of each
+candidate shape, the natural module's terms per action and p, the half-spin
+halves per candidate class, and each restriction per key of the level-H^1
+table.  Only the product of one summand's restrictions is a dict, the one
+``h1_dim`` reads.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -114,28 +122,45 @@ _D_PATTERNS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _shape_terms(shape: tuple[int, ...], tmax: int) -> tuple[tuple, ...]:
+    """Each twisted tensor term of a weight shape once, as (sort key,
+    descriptor, canonical term)."""
+    out = []
+    for t in _tensor_shapes(shape, tmax):
+        c = canonical_action(t)
+        out.append((_term_key(c), format_module(c), c))
+    return tuple(out)
+
+
+_TRIVIAL_TERM = (_term_key(m_simple(0)), format_module(m_simple(0)), m_simple(0))
+
+
 def _actions(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
     """Every action the patterns give with restricted weights and twists up
-    to tmax, as sums of pairwise distinct terms, once per descriptor."""
+    to tmax, as sums of pairwise distinct terms, once per descriptor.  The
+    terms come canonical from ``_shape_terms``; a sum sorts them on their
+    keys, as ``canonical_action`` does, and joins their descriptors."""
     out: dict[str, ModExpr] = {}
     for pattern in patterns:
         live = [shape for shape in pattern if shape]
-        trivial = len(live) < len(pattern)
+        trivial = [_TRIVIAL_TERM] if len(live) < len(pattern) else []
         if any(w > p - 1 for shape in live for w in shape):
             continue
         # equal shapes sit next to each other in a pattern; their terms are
         # unordered, so a run of them takes strictly increasing choices
         runs = [(shape, len(list(run))) for shape, run in itertools.groupby(live)]
         for picks in itertools.product(*(
-                itertools.combinations(_tensor_shapes(shape, tmax), n)
+                itertools.combinations(_shape_terms(shape, tmax), n)
                 for shape, n in runs)):
-            terms = [canonical_action(t) for pick in picks for t in pick]
-            descs = [format_module(t) for t in terms]
-            if len(set(descs)) != len(descs):
+            terms = [t for pick in picks for t in pick]
+            if len({desc for _, desc, _ in terms}) != len(terms):
                 continue
-            full = list(terms) + ([m_simple(0)] if trivial else [])
-            c = canonical_action(full[0] if len(full) == 1 else m_sum(*full))
-            out.setdefault(format_module(c), c)
+            terms = sorted(terms + trivial, key=operator.itemgetter(0))
+            desc = " + ".join(desc for _, desc, _ in terms)
+            if desc not in out:
+                out[desc] = terms[0][2] if len(terms) == 1 else \
+                    m_sum(*(c for _, _, c in terms))
     return tuple(out.values())
 
 
@@ -317,7 +342,7 @@ def _node(type_name: str, weight: tuple[int, ...]):
     raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
 
 
-def _expr_terms(e: ModExpr, p: int) -> Counter:
+def _expr_terms(e: ModExpr, p: int) -> dict:
     """Twisted-tilting-product terms of an expression built from sums,
     tensor products, twisted simples or tiltings, and trivials.  Restricted
     simples are tilting modules of the same highest weight, so the atoms
@@ -326,20 +351,20 @@ def _expr_terms(e: ModExpr, p: int) -> Counter:
     if e.kind == "sum":
         out: Counter = Counter()
         for part in e.parts:
-            out += _expr_terms(part, p)
+            out.update(_expr_terms(part, p))
         return out
     if e.kind == "tensor":
-        out = Counter({(): 1})
+        out = {(): 1}
         for part in e.parts:
-            out = terms_tensor(out, _expr_terms(part, p))
+            out = terms_tensor(out.items(), _expr_terms(part, p).items())
         return out
     if e.kind in ("simple", "tilt"):
         if e.kind == "simple" and e.weight > p - 1:
             raise ValueError(f"simple atom {format_module(e)} at p={p} is not "
                              "a tilting module: its weight exceeds p - 1")
         if e.weight == 0:
-            return Counter({(): 1})
-        return Counter({((e.weight, e.twist),): 1})
+            return {(): 1}
+        return {((e.weight, e.twist),): 1}
     raise NotImplementedError(f"no term form for {e.kind!r} expressions")
 
 
@@ -348,11 +373,6 @@ def _frozen_terms(e: ModExpr, p: int) -> tuple:
     """_expr_terms as (term, count) pairs, built once per expression and p;
     a tuple, so no caller can change the shared value."""
     return tuple(_expr_terms(e, p).items())
-
-
-def _natural_terms(cand: FactorCandidate, p: int) -> Counter:
-    """A fresh Counter of the terms of the candidate's natural module."""
-    return Counter(dict(_frozen_terms(cand.expr, p)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,15 +407,16 @@ def _summand_spinors(e: ModExpr, p: int) -> tuple[tuple, ...]:
                  for half in _shape_spinors(tuple(m for m, _ in term), p))
 
 
-def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
+def spin_half_terms(expr: ModExpr, p: int) -> tuple[dict, dict]:
     """The two half-spin modules of a D-factor, restricted through the given
-    orthogonal action, as term sums.  With no odd-dimensional summands the
+    orthogonal action, as dicts of term -> count, multiplied straight from
+    the summands' spin factors.  With no odd-dimensional summands the
     half-spin pairs of the even summands split by sign parity; otherwise
     both restrictions agree and carry multiplicity 2^(odd/2 - 1)."""
     summands = expr.parts if expr.kind == "sum" else [expr]
     odd, even = [], []
     for s in summands:
-        factors = [dict(f) for f in _summand_spinors(s, p)]
+        factors = _summand_spinors(s, p)
         if len(factors) == 1:
             odd += factors
         else:
@@ -404,17 +425,18 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[Counter, Counter]:
         if len(odd) % 2:
             raise ArithmeticError(f"action {format_module(expr)} has an odd number "
                                   "of odd-dimensional summands")
-        half = Counter({(): 2 ** (len(odd) // 2 - 1)})
+        half = {(): 2 ** (len(odd) // 2 - 1)}
         for piece in odd:
-            half = terms_tensor(half, piece)
+            half = terms_tensor(half.items(), piece)
         for plus, minus in even:
-            half = terms_tensor(half, minus, terms_tensor(half, plus))
+            half = terms_tensor(half.items(), minus, terms_tensor(half.items(), plus))
         return half, half
-    halves = (Counter({(): 1}), Counter())
+    even_half, odd_half = {(): 1}, {}
     for plus, minus in even:
-        halves = (terms_tensor(halves[1], minus, terms_tensor(halves[0], plus)),
-                  terms_tensor(halves[1], plus, terms_tensor(halves[0], minus)))
-    return halves
+        even_half, odd_half = (
+            terms_tensor(odd_half.items(), minus, terms_tensor(even_half.items(), plus)),
+            terms_tensor(odd_half.items(), plus, terms_tensor(even_half.items(), minus)))
+    return even_half, odd_half
 
 
 def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
@@ -452,25 +474,33 @@ def _assignments(cand: FactorCandidate, type_name: str, p: int):
     return (None,)
 
 
+_UNIT_TERMS = (((), 1),)
+
+
 def factor_restriction_terms(cand: FactorCandidate, type_name: str,
                              weight: tuple[int, ...], p: int,
-                             assignment) -> Counter:
+                             assignment) -> tuple:
     """Terms of the factor's irreducible module of the given high weight,
-    restricted to one class of a rank-one candidate subgroup, as a new
-    Counter.  The assignment fixes which half-spin restriction sits on which
-    of the two spin nodes."""
+    restricted to one class of a rank-one candidate subgroup, as read-only
+    (term, count) pairs.  The natural module's pairs are ``_frozen_terms``'
+    and a half-spin node's are the assignment's half, handed out as they
+    are; an alternating power or an A1D6 natural module is built and frozen
+    once per call.  The assignment fixes which half-spin restriction sits
+    on which of the two spin nodes."""
     node = _node(type_name, weight)
     if node is None:
-        return Counter({(): 1})
+        return _UNIT_TERMS
     if node == "natural":
-        if cand.kind == "a1d6":
-            return terms_tensor(Counter({((1, cand.twists[0]),): 1}),
-                                _natural_terms(cand, p), Counter(dict(assignment[1])))
-        return _natural_terms(cand, p)
+        natural = _frozen_terms(cand.expr, p)
+        if cand.kind != "a1d6":
+            return natural
+        # the 56 restricts as 1[a] x M plus a half-spin of M
+        return tuple(terms_tensor(((((1, cand.twists[0]),), 1),), natural,
+                                  dict(assignment[1])).items())
     kind, i = node
     if kind == "alt":
-        return sum_power(_natural_terms(cand, p), i, p)
-    return Counter(dict(assignment[i]))
+        return tuple(sum_power(_frozen_terms(cand.expr, p), i, p).items())
+    return assignment[i]
 
 
 def factor_restriction_g2(cand: FactorCandidate, type_name: str,
@@ -672,20 +702,22 @@ def _a1_outcome(types, weights, live, p, picks, memo):
     """dim H^1 of one summand under one class of an A1 candidate: the
     tensor product of its restrictions to the live factors.  picks[k] is
     the (candidate, class index, half-spin assignment) on factor k.  Each
-    restriction is kept, as read-only (term, count) pairs, per (p, factor
-    type, candidate descriptor, class index, weight): one part of the key."""
+    restriction is kept as ``factor_restriction_terms`` returns it, per (p,
+    factor type, candidate descriptor, class index, weight): one part of
+    the key.  The parts' pairs multiply into one dict, read by one
+    ``h1_dim`` call."""
     key = (p, tuple((types[k], picks[k][0].descriptor, picks[k][1], weights[k])
                     for k in live))
     if key not in memo:
         restrictions = _restriction_memo()
         level = None
         for k, part in zip(live, key[1]):
-            if (p, part) not in restrictions:
+            terms = restrictions.get((p, part))
+            if terms is None:
                 cand, _, assignment = picks[k]
-                restrictions[p, part] = tuple(factor_restriction_terms(
-                    cand, types[k], weights[k], p, assignment).items())
-            terms = dict(restrictions[p, part])
-            level = Counter(terms) if level is None else terms_tensor(level, terms)
+                terms = restrictions[p, part] = factor_restriction_terms(
+                    cand, types[k], weights[k], p, assignment)
+            level = dict(terms) if level is None else terms_tensor(level.items(), terms)
         memo[key] = h1_dim(level, p)
     return memo[key]
 
@@ -745,9 +777,22 @@ class ScanResult:
     pruned_nonrows: list
 
 
+def _nonnegative_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
-    """Evaluate every built-in candidate on every standard parabolic."""
+    """Evaluate every built-in candidate on every standard parabolic.  p is
+    a prime good for the group, as the paper assumes: at least 5, and at
+    least 7 for E8; tmax is an int >= 0.  Any other p or tmax raises
+    ValueError naming the group, p and tmax."""
     rs = build_root_system(name)
+    least = 7 if rs.name == "E8" else 5
+    good = _nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if not good or not _nonnegative_int(tmax):
+        reason = (f"p must be a prime good for {rs.name}, at least {least}" if not good
+                  else "tmax must be an int >= 0")
+        raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
     nodes = list(range(1, rs.rank + 1))
     rows: dict = {}
     pruned: dict = {}

@@ -40,9 +40,17 @@ from .h1scan import (FactorCandidate, ScanResult, scan_group, canonical_action,
 # -- golden data loading -------------------------------------------------------
 
 def load_badx(group: str, p: int) -> dict:
-    name = f"badx_{group.lower()}_p{p}.json"
-    with resources.files(__package__).joinpath("data", name).open() as fh:
-        return json.load(fh)
+    """The golden table of (group, p); a pair with none raises ValueError
+    naming it and every table there is."""
+    data = resources.files(__package__).joinpath("data")
+    try:
+        with data.joinpath(f"badx_{group.lower()}_p{p}.json").open() as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        found = sorted((m[1].upper(), int(m[2])) for m in (
+            re.fullmatch(r"badx_(\w+)_p(\d+)\.json", f.name) for f in data.iterdir()) if m)
+        raise ValueError(f"no golden table for {group} at p={p}; there are tables for "
+                         + ", ".join(f"{g}/{q}" for g, q in found)) from None
 
 
 # -- parametric row expansion --------------------------------------------------

@@ -20,6 +20,8 @@ uses them, so they live with the tests.
   whole output of a table, that of every restriction derived by a rule
   rather than read off a candidate's module, and that of the level summands
   the scan reads for every proper Levi of E6, E7 and E8
+- the canonical JSON dump of every level-H^1 value a table's scan
+  memoises, and that of the candidate tables in their order
 """
 
 import itertools
@@ -29,10 +31,10 @@ from collections import Counter
 import numpy as np
 
 from gcr.a1coh import h1_dim, terms_tensor
-from gcr.h1scan import (_class_unit, _summand_weights, _tensor_shapes,
-                        canonical_action, d_type_actions, factor_assignments,
-                        factor_candidates, factor_restriction_terms,
-                        scan_group, spin_half_terms)
+from gcr.h1scan import (_class_unit, _level_h1_memo, _summand_weights,
+                        _tensor_shapes, canonical_action, d_type_actions,
+                        factor_assignments, factor_candidates,
+                        factor_restriction_terms, scan_group, spin_half_terms)
 from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
                         format_module, g2_comp_factors, m_simple, m_sum,
                         module_weights, peel_characters)
@@ -177,9 +179,10 @@ def a1_reports_by_product(name: str, levi: tuple[int, ...], p: int,
         for assign in itertools.product(*assigns):
             outcomes = []
             for weights, _ in distinct:
-                level = Counter({(): 1})
+                level = {(): 1}
                 for c, t, w, a in zip(combo, types, weights, assign):
-                    level = terms_tensor(level, factor_restriction_terms(c, t, w, p, a))
+                    level = terms_tensor(level.items(),
+                                         factor_restriction_terms(c, t, w, p, a))
                 outcomes.append(h1_dim(level, p))
             for lvl, k in summands:
                 if outcomes[k] and (lvl, outcomes[k]) not in hits:
@@ -230,8 +233,8 @@ def restriction_dump(tmax: int) -> str:
             for c in factor_candidates(f"A{r}", p, tmax):
                 for k in range(2, (r + 1) // 2 + 1):
                     weight = tuple(int(i == k - 1) for i in range(r))
-                    out.append([f"A{r}", c.descriptor, p, k, _terms_json(
-                        factor_restriction_terms(c, f"A{r}", weight, p, None))])
+                    out.append([f"A{r}", c.descriptor, p, k, _terms_json(dict(
+                        factor_restriction_terms(c, f"A{r}", weight, p, None)))])
     return json.dumps(out, separators=(",", ":"))
 
 
@@ -245,4 +248,29 @@ def level_dump() -> str:
         for k in range(rank):
             for levi in itertools.combinations(range(1, rank + 1), k):
                 out.append([name, levi, *_summand_weights(name, levi)])
+    return json.dumps(out, separators=(",", ":"))
+
+
+def level_h1_dump(group: str, p: int, tmax: int = 2) -> str:
+    """Canonical JSON of every level-H^1 value a cold scan of one table
+    memoises: the sorted (key, dim H^1) items of ``_level_h1_memo()``.  Two
+    trees with the same dump computed the same H^1 on every key, flagging
+    or not."""
+    _level_h1_memo.cache_clear()
+    scan_group(group, p, tmax)
+    return json.dumps(sorted(_level_h1_memo().items()), separators=(",", ":"))
+
+
+def candidate_dump() -> str:
+    """Canonical JSON of the candidate tables in their order, at p = 5, 7
+    and 11 and tmax 2 and 3: each candidate's descriptor, twists and kind
+    for A1..A7, D4..D7, E6 and E7.  Two trees with the same dump offer the
+    scan the same candidates in the same order."""
+    types = [f"A{r}" for r in range(1, 8)] + [f"D{r}" for r in range(4, 8)]
+    out = []
+    for p in (5, 7, 11):
+        for tmax in (2, 3):
+            for t in types + ["E6", "E7"]:
+                out.append([t, p, tmax, [[c.descriptor, c.twists, c.kind]
+                                         for c in factor_candidates(t, p, tmax)]])
     return json.dumps(out, separators=(",", ":"))

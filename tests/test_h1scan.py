@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 from collections import Counter
 
@@ -54,8 +55,9 @@ from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
 from oracles import (a1_reports_by_product, action_descriptor,
-                     actions_by_product, level_dump, radical_shapes,
-                     restriction_dump, table_dump)
+                     actions_by_product, candidate_dump, level_dump,
+                     level_h1_dump, radical_shapes, restriction_dump,
+                     table_dump)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -148,10 +150,10 @@ def test_sum_power_alternating_only():
     """alt^2(k + L(1)) = alt^2 k + k (x) L(1) + alt^2 L(1) = L(1) + k at
     p = 5: the trivial summand's square vanishes.  A power of exponent p
     or more is refused, naming k and p."""
-    assert sum_power(Counter({(): 1, ((1, 0),): 1}), 2, 5) == \
+    assert sum_power(Counter({(): 1, ((1, 0),): 1}).items(), 2, 5) == \
         Counter({((1, 0),): 1, (): 1})
     with pytest.raises(NotImplementedError, match=re.escape("alt^5 at p=5")):
-        sum_power(Counter({((4, 0),): 1, ((1, 1),): 1}), 5, 5)
+        sum_power(Counter({((4, 0),): 1, ((1, 1),): 1}).items(), 5, 5)
 
 
 @pytest.mark.parametrize("p,cases", [(5, 21), (7, 33)])
@@ -163,7 +165,7 @@ def test_alternating_powers_match_explicit_operators(p, cases):
     for r in range(2, 7):
         for c in factor_candidates(f"A{r}", p, 2):
             for k in range(2, (r + 1) // 2 + 1):
-                terms = sum_power(h1scan._natural_terms(c, p), k, p)
+                terms = sum_power(h1scan._frozen_terms(c.expr, p), k, p)
                 mod = module_matrices(m_alt(c.expr, k), p)
                 label = (c.descriptor, k)
                 assert Counter(mod.weights) == terms_char(terms, p), label
@@ -284,10 +286,12 @@ def test_shared_candidates_and_terms_stay_unchanged():
     # restriction it was handed does not change the next caller's
     cands = factor_candidates("A3", 5, 2)
     assert factor_candidates("A3", 5, 2) is cands
-    first = factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None)
+    handed = factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None)
+    assert isinstance(handed, tuple)
+    first = dict(handed)
     want = Counter(first)
-    first[((99, 0),)] += 1
-    assert factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None) == want
+    first[((99, 0),)] = 1
+    assert dict(factor_restriction_terms(cands[0], "A3", (1, 0, 0), 5, None)) == want
 
 
 def test_g2_candidates():
@@ -343,7 +347,7 @@ def test_node_rule(x_type, type_name, weight, message):
         return
     assign = factor_assignments(cand, type_name, p)[0]
     out = restrict(cand, type_name, weight, p, assign)
-    char = out[1] if x_type == "G2" else terms_char(out, p)
+    char = out[1] if x_type == "G2" else terms_char(dict(out), p)
     assert sum(char.values()) == weyl_dim(type_name, weight)
 
 
@@ -521,6 +525,23 @@ def test_level_h1_memo_keys_pinned():
     assert sizes == [(295, 15), (984, 36), (1080, 2), (3285, 27)]
 
 
+# SHA-256 of oracles.level_h1_dump, pinned on the tree that still thawed
+# each restriction into a Counter before multiplying: every memoised level
+# H^1, flagging or not, of a cold scan of each table
+LEVEL_H1_DUMP_SHA256 = {
+    ("E6", 5): "9108882773c8e3e4a2851757ed3d9faf63c67f56dfd0459d3272c529530e4977",
+    ("E7", 5): "addb566e69e818cb8ceded15eda2d36a0c8d91b2aedf49933fb69b32b8a4c923",
+    ("E7", 7): "7ed6c9783e424ea343e0689e24a093adc6101d8bc81ca99ffe50e349ef83f678",
+    ("E8", 7): "35b2de18437d0f7217de0c39882dbe870f2cb460a37c25b3ba4362067a926f93",
+}
+
+
+@pytest.mark.parametrize("group,p", LEVEL_H1_DUMP_SHA256)
+def test_level_h1_values_pinned(group, p):
+    dump = level_h1_dump(group, p)
+    assert hashlib.sha256(dump.encode()).hexdigest() == LEVEL_H1_DUMP_SHA256[group, p]
+
+
 def test_level_h1_lookups_pinned(monkeypatch):
     """Each live-factor walk runs once per walk key and is reused by every
     Levi that asks again; losing the reuse multiplies the lookups (1,250,
@@ -570,6 +591,35 @@ def test_negative_controls_flag_nothing():
     assert found == dict.fromkeys(found, (0, 0))
 
 
+# (group, p, tmax) the scan refuses: p not a prime, below 5 or bad for E8
+# (5), and tmax negative or not an int
+BAD_SCAN_INPUTS = [("E6", 1, 2), ("E6", 0, 2), ("E6", -5, 2), ("E6", 9, 2),
+                   ("E7", 3, 2), ("E8", 4, 2), ("E8", 5, 2), ("E6", 5.0, 2),
+                   ("E6", True, 2), ("E6", 5, -1), ("E6", 5, 1.5)]
+
+
+@pytest.mark.parametrize("group,p,tmax", BAD_SCAN_INPUTS)
+def test_scan_group_refuses_bad_input(group, p, tmax):
+    """The scan assumes a good prime p >= 5 and a twist window 0..tmax; any
+    other input fails loudly, naming the group, p and tmax, instead of
+    returning no rows or dying in a character peel."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot scan {group} at p={p!r}, tmax={tmax!r}: ")):
+        scan_group(group, p, tmax)
+
+
+@pytest.mark.parametrize("group,p", [("E6", 7), ("E8", 5), ("E7", 11)])
+def test_missing_golden_table_names_the_pair(group, p):
+    """A (group, p) with no golden table is named, with the tables there
+    are, by both the loader and the diff."""
+    message = (f"no golden table for {group} at p={p}; there are tables for "
+               "E6/5, E7/5, E7/7, E8/7")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_badx(group, p)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diff_badx(group, p)
+
+
 def _factor_types():
     """Simple factor types of every Levi of E8 (which contain those of E6
     and E7)."""
@@ -590,6 +640,53 @@ def test_candidate_descriptors_distinct(p):
         descs = [c.descriptor for c in factor_candidates(t, p, 2)]
         assert len(set(descs)) == len(descs), (t, p)
     assert len(factor_candidates("E7", 7, 2)) == 384
+
+
+# SHA-256 of oracles.candidate_dump, pinned on the tree that still
+# canonicalised every term of every pick: 6,385 candidates of A1..A7,
+# D4..D7, E6 and E7 at p = 5, 7, 11 and tmax 2, 3, in table order
+CANDIDATE_DUMP_SHA256 = "3ccb4c831bb78a29144d8c0e6b351f436ef948c0f1e0fd28f894c0fe8353d0e0"
+
+
+def test_candidate_dump_pinned():
+    dump = candidate_dump()
+    assert sum(len(row[3]) for row in json.loads(dump)) == 6385
+    assert hashlib.sha256(dump.encode()).hexdigest() == CANDIDATE_DUMP_SHA256
+
+
+def test_candidate_tables_canonicalise_each_shape_term_once(monkeypatch):
+    """Building E8/7's A and D tables from cold caches canonicalises each
+    twisted tensor term of each pattern shape once (54 outer calls, 132
+    with the per-atom recursion), not every term of every pick afresh
+    (6,448 calls)."""
+    p, tmax = 7, 2
+    calls = outer = depth = 0
+    canonical = h1scan.canonical_action
+
+    def spy(e):
+        nonlocal calls, outer, depth
+        calls += 1
+        outer += depth == 0
+        depth += 1
+        try:
+            return canonical(e)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(h1scan, "canonical_action", spy)
+    for cached in (a_type_actions, d_type_actions, h1scan._shape_terms):
+        cached.cache_clear()
+    for r in range(1, 8):
+        a_type_actions(r, p, tmax)
+    for r in range(4, 8):
+        d_type_actions(r, p, tmax)
+    shapes = {shape for table, ranks in ((_A_PATTERNS, range(1, 8)),
+                                         (_D_PATTERNS, range(4, 8)))
+              for r in ranks for pattern in table.get(r, ()) for shape in pattern
+              if shape and max(shape) <= p - 1}
+    shape_terms = sum(math.perm(tmax + 1, len(shape)) for shape in shapes)
+    assert outer <= shape_terms == 54
+    assert (outer, calls) == (54, 132)
 
 
 def _scan_fingerprint(result):
@@ -654,10 +751,10 @@ def test_level_h1_memo_is_sound_on_e6_p5():
                         *(range(len(a)) for a in assigns)):
                     assign = [a[i] for a, i in zip(assigns, classes)]
                     for weights in every:
-                        level = Counter({(): 1})
+                        level = {(): 1}
                         for c, t, w, a in zip(combo, types, weights, assign):
                             level = terms_tensor(
-                                level, factor_restriction_terms(c, t, w, p, a))
+                                level.items(), factor_restriction_terms(c, t, w, p, a))
                         full = h1_dim(level, p)
                         if weights not in live:
                             assert full == 0, (levi, weights)
@@ -804,6 +901,22 @@ TABLE_DUMP_SHA256 = {
 def test_table_dump_pinned(group, p):
     dump = table_dump(group, p, 2)
     assert hashlib.sha256(dump.encode()).hexdigest() == TABLE_DUMP_SHA256[group, p]
+
+
+# the same at tmax 3, pinned on the tree that still thawed each restriction
+# into a Counter before multiplying
+TABLE_DUMP3_SHA256 = {
+    ("E6", 5): "003bcf628b9ec668c1476b57c5014c8c3d81d9c2ada2d67bc43af551fd55abef",
+    ("E7", 5): "be5cdabcb73c2e01fc1ef493849c3dc2f282b8340bdd22eb080c5192f88ead61",
+    ("E7", 7): "bcc3475045bf3fd37a097573448dcfba73d73bd7d906b17c115aef92071f6847",
+    ("E8", 7): "1f4109465ed94b0b821e77854d0ab7458b644def1e8956e47dd79851fc0f7418",
+}
+
+
+@pytest.mark.parametrize("group,p", TABLE_DUMP3_SHA256)
+def test_table_dump_tmax3_pinned(group, p):
+    dump = table_dump(group, p, 3)
+    assert hashlib.sha256(dump.encode()).hexdigest() == TABLE_DUMP3_SHA256[group, p]
 
 
 # SHA-256 of oracles.restriction_dump at tmax 2, pinned on the tree that
