@@ -5,7 +5,9 @@ radical.
 The enumeration of irreducible actions per simple factor type is a built-in
 table; restrictions of level summands are computed through alternating
 powers (type A), the natural and half-spin modules (type D), and built-in
-27- and 56-dimensional restriction rules for E6 and E7 factors.
+27- and 56-dimensional restriction rules for E6 and E7 factors, written as
+golden-table rows and read, like the golden tables, by ``twist_choices``
+and ``canon_factor``.
 
 For rank-one candidates the restrictions are carried as sums of tensor
 products of twisted tilting modules, on which first cohomology is computed
@@ -24,12 +26,14 @@ table.  Only the product of one summand's restrictions is a dict, the one
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
 import operator
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .a1coh import (atom_char, h1_dim, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
@@ -58,9 +62,7 @@ from .rootsystem import RootSystem, build_root_system
 # -- canonical form for action expressions ------------------------------------
 
 def _atom_key(e: ModExpr):
-    tw = e.twist if isinstance(e.twist, int) else (99, e.twist)
-    w = e.weight if isinstance(e.weight, int) else 100 + 10 * e.weight[0] + e.weight[1]
-    return (-w, tw)
+    return (-e.weight, e.twist)
 
 
 def canonical_action(e: ModExpr) -> ModExpr:
@@ -180,18 +182,18 @@ def d_type_actions(rank: int, p: int, tmax: int) -> tuple[ModExpr, ...]:
 
 
 # restriction rules for the 27-dimensional module under the built-in chains
-# through E6: (chain name, slots, twist rule, template).  Each slot is the
-# module text of the action on one chain factor, with twist symbols r, s, t
-# that the template shares; the rule, a predicate on the symbols, keeps the
-# admissible twist choices, and None keeps them all
+# through E6, as golden-table rows: (factor text, constraints, template).
+# The factor text names the chain and the action on each chain factor, with
+# twist symbols r, s, t that the template shares; the constraints keep the
+# admissible twist choices
 
 _E6_CHAINS = [
-    ("A1A5", ("1[r]", "5[s]"), None, "1[r] x 5[s] + T(8)[s] + 0"),
-    ("A2G2", ("2[r]", "6[s]"), lambda r, s: r != s, "4[r] + 2[r] x 6[s] + 0"),
-    ("A1A5", ("1[r]", "2[s] x 1[t]"), lambda r, s, t: s != t,
+    ("A1A5(1[r], 5[s])", (), "1[r] x 5[s] + T(8)[s] + 0"),
+    ("A2G2(2[r], 6[s])", ("r!=s",), "4[r] + 2[r] x 6[s] + 0"),
+    ("A1A5(1[r], 2[s] x 1[t])", ("s!=t",),
      "1[r] x 2[s] x 1[t] + 4[s] + 2[s] x 2[t] + 0"),
     # the three slots carry the same weight, so order them
-    ("A2A2A2", ("2[r]", "2[s]", "2[t]"), lambda r, s, t: r < s < t,
+    ("A2A2A2(2[r], 2[s], 2[t])", ("r<s", "s<t"),
      "2[r] x 2[s] + 2[r] x 2[t] + 2[s] x 2[t]"),
 ]
 
@@ -199,11 +201,10 @@ _E6_CHAINS = [
 # chain is handled separately since its second slot ranges over the D6 table
 
 _E7_CHAINS = [
-    ("A1A1", ("1[r]", "1[s]"), lambda r, s: r != s,
-     "6[r] x 3[s] + 4[r] x 1[s] + 2[r] x 5[s]"),
-    ("A1G2", ("1[r]", "6[s]"), lambda r, s: r != s, "3[r] x 6[s] + 1[r] x T(10)[s]"),
-    ("G2C3", ("6[r]", "5[s]"), lambda r, s: r != s, "6[r] x 5[s] + T(9)[s]"),
-    ("G2C3", ("6[r]", "2[s] x 1[t]"), lambda r, s, t: s not in (r, t),
+    ("A1A1(1[r], 1[s])", ("r!=s",), "6[r] x 3[s] + 4[r] x 1[s] + 2[r] x 5[s]"),
+    ("A1G2(1[r], 6[s])", ("r!=s",), "3[r] x 6[s] + 1[r] x T(10)[s]"),
+    ("G2C3(6[r], 5[s])", ("r!=s",), "6[r] x 5[s] + T(9)[s]"),
+    ("G2C3(6[r], 2[s] x 1[t])", ("s!=r", "s!=t"),
      "6[r] x 2[s] x 1[t] + 4[s] x 1[t] + 3[t]"),
 ]
 
@@ -222,43 +223,112 @@ class FactorCandidate:
     expr: ModExpr | None = None
 
 
-def _nontrivial_twists(e: ModExpr) -> tuple[int, ...]:
-    """Twists of the non-trivial atoms: a trivial summand is insensitive to
-    twisting, so it must not anchor the normalisation."""
-    if e.kind in ("sum", "tensor"):
-        return tuple(t for part in e.parts for t in _nontrivial_twists(part))
-    if e.weight == 0 or e.weight == (0, 0):
-        return ()
-    return tuple(module_twists(e))
-
-
 def _module_candidate(e: ModExpr) -> FactorCandidate:
-    """The candidate of an action of ``_actions``, which is canonical."""
-    return FactorCandidate(format_module(e), _nontrivial_twists(e),
+    """The candidate of a canonical action."""
+    return FactorCandidate(format_module(e), tuple(module_twists(e)),
                            "module", expr=e)
+
+
+# -- factor-action text: twist sweep and canonical form ----------------------
+
+_CHAIN_RE = re.compile(r"^((?:[A-G][1-9])+)\((.+)\)$")
+_VAR_RE = re.compile(r"\b([rstu])\b")
+
+
+def _step(u, *vals):
+    """True if u equals one swept value and another swept value is its
+    successor (the adjacency condition used by one parametric row)."""
+    return any(u == a and b == a + 1
+               for a, b in itertools.permutations(vals, 2))
+
+
+_CONSTRAINT_OPS = {ast.Add: operator.add, ast.Mult: operator.mul,
+                   ast.Eq: operator.eq, ast.NotEq: operator.ne,
+                   ast.Lt: operator.lt}
+
+
+def _constraint(text: str, ref: str):
+    """One row constraint as a predicate on the swept twist values.  It may
+    use twist names, integers, +, *, one ==, != or < and calls of step;
+    anything else raises ValueError naming the row."""
+    bad = ValueError(f"row {ref}: unsupported constraint {text!r}")
+
+    def value(node, params):
+        if isinstance(node, ast.Name) and node.id in params:
+            return params[node.id]
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.BinOp) and type(node.op) in _CONSTRAINT_OPS:
+            return _CONSTRAINT_OPS[type(node.op)](value(node.left, params),
+                                                  value(node.right, params))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _CONSTRAINT_OPS):
+            return _CONSTRAINT_OPS[type(node.ops[0])](
+                value(node.left, params), value(node.comparators[0], params))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "step" and not node.keywords):
+            return _step(*(value(a, params) for a in node.args))
+        raise bad
+
+    try:
+        body = ast.parse(text, mode="eval").body
+    except SyntaxError:
+        raise bad from None
+    return functools.partial(value, body)
+
+
+def _chain_slots(text: str):
+    """(name, slot texts) of a chain text; (None, [text]) for another."""
+    m = _CHAIN_RE.match(text)
+    return (m[1], [s.strip() for s in m[2].split(",")]) if m else (None, [text])
+
+
+def twist_choices(texts, constraints, tmax: int, ref: str):
+    """Each choice of twists 0..tmax for the symbols r, s, t, u of the texts
+    and constraints that all constraints admit, as a symbol -> twist dict;
+    the symbols in alphabetical order, the first varying slowest.  A
+    constraint outside the grammar raises ValueError naming ref."""
+    symbols = sorted(set(_VAR_RE.findall(" ".join((*texts, *constraints)))))
+    tests = [_constraint(c, ref) for c in constraints]
+    for values in itertools.product(range(tmax + 1), repeat=len(symbols)):
+        subst = dict(zip(symbols, values))
+        if all(test(subst) for test in tests):
+            yield subst
+
+
+def canon_factor(text: str, tmax: int,
+                 subst: dict[str, int] | None = None) -> FactorCandidate | None:
+    """Canonicalise one factor-action text, with its symbolic twists
+    resolved by subst, into the scan's form of a factor action; None if a
+    twist leaves the window.  A module factor carries its expression; a
+    chain's twists are its slots' non-trivial ones, and a G2 factor has
+    none."""
+    if text == "max F4" or text.startswith("("):
+        return FactorCandidate(text, (), "g2")
+    name, slots = _chain_slots(text)
+    exprs = [canonical_action(module_subst(parse_module(s), subst)) for s in slots]
+    twists = tuple(t for e in exprs for t in module_twists(e))
+    if any(t > tmax or t < 0 for t in twists):
+        return None
+    if name:
+        return FactorCandidate(f"{name}({', '.join(map(format_module, exprs))})",
+                               twists, "chain")
+    return _module_candidate(exprs[0])
 
 
 def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
     """One candidate per chain and admissible twist choice, its module the
     chain's template with the slot twists substituted; a chain with a slot
-    weight above p - 1 has none.  Twist choices run over the symbols in
-    alphabetical order, the first slowest."""
+    weight above p - 1 has none."""
     out = []
-    for name, slots, rule, template in chains:
-        exprs = [parse_module(slot) for slot in slots]
-        atoms = [a for e in exprs for a in (e.parts if e.kind == "tensor" else (e,))]
-        if any(a.weight > p - 1 for a in atoms):
+    for text, constraints, template in chains:
+        slots = [parse_module(s) for s in _chain_slots(text)[1]]
+        if any(a.weight > p - 1 for e in slots
+               for a in (e.parts if e.kind == "tensor" else (e,))):
             continue
-        symbols = sorted({a.twist[0] for a in atoms})
-        for values in itertools.product(range(tmax + 1), repeat=len(symbols)):
-            subst = dict(zip(symbols, values))
-            if rule is not None and not rule(**subst):
-                continue
-            parts = [module_subst(e, subst) for e in exprs]
-            out.append(FactorCandidate(
-                f"{name}({', '.join(format_module(e) for e in parts)})",
-                tuple(t for e in parts for t in module_twists(e)), "chain",
-                expr=module_subst(parse_module(template), subst)))
+        for subst in twist_choices((text,), constraints, tmax, text):
+            out.append(replace(canon_factor(text, tmax, subst),
+                               expr=module_subst(parse_module(template), subst)))
     return out
 
 
@@ -275,7 +345,7 @@ def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
     # rank-one subgroups of the A1 D6 subsystem: second slot runs over the
     # D6 table, and the 56-dimensional module restricts as
     # 1[a] x M plus a half-spin of M
-    d6 = [(m, format_module(m), _nontrivial_twists(m))
+    d6 = [(m, format_module(m), module_twists(m))
           for m in d_type_actions(6, p, tmax)]
     for a in range(tmax + 1):
         for m, desc, twists in d6:

@@ -521,7 +521,7 @@ class ModExpr:
 
     Weights are integers for the rank-one group or pairs for G2; twists are
     nonnegative integers or symbols (r, s, ...) with an optional offset,
-    resolved by a substitution at evaluation time."""
+    which ``module_subst`` resolves before evaluation."""
 
     kind: str
     weight: int | tuple[int, int] | None = None
@@ -669,10 +669,12 @@ class _Parser:
         return ctor(a, tw)
 
 
+@functools.lru_cache(maxsize=None)
 def parse_module(s: str) -> ModExpr:
     """Parse the module text grammar: "3 x 1[1] + T(8) + 0",
     "Spin(D5; 4+4[r])", "Alt(2; 2 x 1[s])" (x or the tensor sign both
-    work; twists may be numbers or symbols like r, s+1)."""
+    work; twists may be numbers or symbols like r, s+1).  Each text is
+    parsed once; the expression is frozen, so callers share it."""
     parser = _Parser(s)
     depths = itertools.accumulate((t == "(") - (t == ")") for t in parser.toks)
     if max(depths, default=0) > _MAX_DEPTH:
@@ -762,16 +764,17 @@ def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
 
 
 def module_twists(e: ModExpr) -> list[int]:
-    """All atom twists in the expression; symbolic twists raise."""
+    """The twists of the non-trivial atoms in the expression: a trivial
+    atom is insensitive to twisting.  Symbolic twists raise."""
     if e.kind in ("sum", "tensor"):
         return [t for part in e.parts for t in module_twists(part)]
     if e.kind in ("alt", "spin"):
         return module_twists(e.part)
-    return [_twist_value(e.twist, None) if not isinstance(e.twist, int) else e.twist]
+    return [] if e.weight in (0, (0, 0)) else [_twist_value(e.twist, None)]
 
 
-def _atom_char(e: ModExpr, p: int, subst) -> Counter:
-    q = p ** _twist_value(e.twist, subst)
+def _atom_char(e: ModExpr, p: int) -> Counter:
+    q = p ** _twist_value(e.twist, None)
     if isinstance(e.weight, tuple):
         if e.kind != "simple":
             raise NotImplementedError(f"no G2 character for {format_module(e)}: "
@@ -839,22 +842,22 @@ def spin_weights(natural_half: list) -> tuple[Counter, Counter]:
     return halves
 
 
-def module_weights(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> Counter:
+def module_weights(e: ModExpr, p: int) -> Counter:
     """Formal character of the expression: weight -> multiplicity."""
     if e.kind == "sum":
         out: Counter = Counter()
         for t in e.parts:
-            out.update(module_weights(t, p, subst))
+            out.update(module_weights(t, p))
         return out
     if e.kind == "tensor":
-        return functools.reduce(char_tensor, (module_weights(t, p, subst)
+        return functools.reduce(char_tensor, (module_weights(t, p)
                                               for t in e.parts))
     if e.kind == "alt":
-        return alt_char(list(module_weights(e.part, p, subst).elements()), e.k)
+        return alt_char(list(module_weights(e.part, p).elements()), e.k)
     if e.kind == "spin":
-        even, _ = spin_halves_from_char(module_weights(e.part, p, subst), e.n)
+        even, _ = spin_halves_from_char(module_weights(e.part, p), e.n)
         return even
-    return _atom_char(e, p, subst)
+    return _atom_char(e, p)
 
 
 def _power_basis(d: int, k: int, p: int) -> np.ndarray:
@@ -879,13 +882,12 @@ def _power_basis(d: int, k: int, p: int) -> np.ndarray:
     return basis
 
 
-def module_matrices(e: ModExpr, p: int,
-                    subst: dict[str, int] | None = None) -> A1Module:
+def module_matrices(e: ModExpr, p: int) -> A1Module:
     """Explicit operator realisation of a rank-one expression."""
     if e.kind == "sum":
-        return direct_sum(*(module_matrices(t, p, subst) for t in e.parts))
+        return direct_sum(*(module_matrices(t, p) for t in e.parts))
     if e.kind == "tensor":
-        mods = [module_matrices(t, p, subst) for t in e.parts]
+        mods = [module_matrices(t, p) for t in e.parts]
         out = mods[0]
         for m in mods[1:]:
             out = tensor(out, m)
@@ -893,7 +895,7 @@ def module_matrices(e: ModExpr, p: int,
     if e.kind == "alt":
         if e.k >= p:
             raise NotImplementedError("power exponent must be below p")
-        base = module_matrices(e.part, p, subst)
+        base = module_matrices(e.part, p)
         big = base
         for _ in range(e.k - 1):
             big = tensor(big, base)
@@ -902,7 +904,7 @@ def module_matrices(e: ModExpr, p: int,
         raise NotImplementedError("no explicit operators for spin restrictions")
     if isinstance(e.weight, tuple):
         raise NotImplementedError("explicit operators are rank-one only")
-    tw = _twist_value(e.twist, subst)
+    tw = _twist_value(e.twist, None)
     if e.kind == "simple":
         base = simple_module(e.weight, p)
     else:

@@ -74,37 +74,22 @@ def _order_component(nodes: list[int], adj) -> tuple[str, tuple[int, ...]]:
     forks = [i for i in nodes if deg[i] == 3]
     if not forks:
         # chain; start from the smaller-numbered end
-        ends = [i for i in nodes if deg[i] == 1]
-        start = min(ends)
+        start = min(i for i in nodes if deg[i] == 1)
         return f"A{len(nodes)}", _walk_chain(start, nodes, adj)
     fork = forks[0]
-    arms = []
-    for nb in adj[fork]:
-        if nb not in nodes:
-            continue
-        arm = [nb]
-        prev = fork
-        while True:
-            nxt = [j for j in adj[arm[-1]] if j in nodes and j != prev]
-            if not nxt:
-                break
-            prev = arm[-1]
-            arm.append(nxt[0])
-        arms.append(arm)
-    arms.sort(key=lambda a: (len(a), a[0]))
+    arms = sorted((_walk_chain(nb, nodes, adj, fork) for nb in adj[fork] if nb in nodes),
+                  key=lambda a: (len(a), a[0]))
     if len(arms[0]) == 1 and len(arms[1]) == 1:
         # type D: long arm first, then fork, then the two leaves
-        long = arms[2]
-        out = list(reversed(long)) + [fork] + sorted([arms[0][0], arms[1][0]])
-        return f"D{len(nodes)}", tuple(out)
+        return f"D{len(nodes)}", (*reversed(arms[2]), fork,
+                                  *sorted([arms[0][0], arms[1][0]]))
     # type E: node 2 is the length-1 arm, nodes 1,3 the length-2 arm
     if len(arms[0]) != 1 or len(arms[1]) != 2:
         raise ArithmeticError(
             f"Levi component on nodes {nodes} has arms of lengths "
             f"{[len(a) for a in arms]}: neither type D nor type E")
     short, mid, long = arms
-    out = [mid[1], short[0], mid[0], fork] + long
-    return f"E{len(nodes)}", tuple(out)
+    return f"E{len(nodes)}", (mid[1], short[0], mid[0], fork, *long)
 
 
 def component_type(rs: RootSystem, comp: tuple[int, ...]) -> str:
@@ -116,9 +101,10 @@ def component_type(rs: RootSystem, comp: tuple[int, ...]) -> str:
     return comps[0][0]
 
 
-def _walk_chain(start: int, nodes: list[int], adj) -> tuple[int, ...]:
+def _walk_chain(start: int, nodes: list[int], adj, prev=None) -> tuple[int, ...]:
+    """The nodes from start along a chain to its end, walking away from
+    prev: from an end of a type-A component, or from a fork along an arm."""
     out = [start]
-    prev = None
     while True:
         nxt = [j for j in adj[out[-1]] if j in nodes and j != prev]
         if not nxt:

@@ -8,8 +8,9 @@ with the number of conjugacy classes each row accounts for.
 
 Rows may be twist-parametric: factor strings contain twist variables
 (``1[r]``, ``3[s] x 1[s+1]``) swept over a finite window, filtered by the
-row's constraints.  Expansion pushes every instance through the same
-canonicalisation as the scanner, so the diff compares like with like.
+row's constraints.  The sweep and canonical form are those the scanner
+builds its E6 and E7 chain candidates with (``h1scan.twist_choices`` and
+``h1scan.canon_factor``), so the diff compares like with like.
 
 Diff statuses per row: ``match`` | ``mismatch`` (same action, different class
 count) | ``missing`` (expected but not computed) | ``extra`` (computed but
@@ -22,19 +23,15 @@ uniform relabelling of the three 8-dimensional nodes.
 
 from __future__ import annotations
 
-import ast
 import itertools
 import json
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .modrep import parse_module, format_module, module_subst, module_twists
-from .h1scan import (FactorCandidate, ScanResult, scan_group, canonical_action,
-                     factor_assignments, _class_unit, _module_candidate,
-                     _nontrivial_twists)
+from .h1scan import (FactorCandidate, ScanResult, scan_group, canon_factor,
+                     factor_assignments, twist_choices, _class_unit)
 
 
 # -- golden data loading -------------------------------------------------------
@@ -55,77 +52,6 @@ def load_badx(group: str, p: int) -> dict:
 
 # -- parametric row expansion --------------------------------------------------
 
-_CHAIN_RE = re.compile(r"^((?:[A-G][1-9])+)\((.+)\)$")
-_VAR_RE = re.compile(r"\b([rstu])\b")
-
-
-def _step(u, *vals):
-    """True if u equals one swept value and another swept value is its
-    successor (the adjacency condition used by one parametric row)."""
-    return any(u == a and b == a + 1
-               for a, b in itertools.permutations(vals, 2))
-
-
-_CONSTRAINT_OPS = {ast.Add: operator.add, ast.Mult: operator.mul,
-                   ast.Eq: operator.eq, ast.NotEq: operator.ne}
-
-
-def _constraint(text: str, ref: str):
-    """One row constraint as a predicate on the swept twist values.  It may
-    use twist names, integers, +, *, one == or != and calls of step; anything
-    else raises ValueError naming the row."""
-    bad = ValueError(f"row {ref}: unsupported constraint {text!r}")
-
-    def value(node, params):
-        if isinstance(node, ast.Name) and node.id in params:
-            return params[node.id]
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return node.value
-        if isinstance(node, ast.BinOp) and type(node.op) in _CONSTRAINT_OPS:
-            return _CONSTRAINT_OPS[type(node.op)](value(node.left, params),
-                                                  value(node.right, params))
-        if (isinstance(node, ast.Compare) and len(node.ops) == 1
-                and type(node.ops[0]) in _CONSTRAINT_OPS):
-            return _CONSTRAINT_OPS[type(node.ops[0])](
-                value(node.left, params), value(node.comparators[0], params))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "step" and not node.keywords):
-            return _step(*(value(a, params) for a in node.args))
-        raise bad
-
-    try:
-        body = ast.parse(text, mode="eval").body
-    except SyntaxError:
-        raise bad from None
-    return lambda params: value(body, params)
-
-
-def canon_factor(text: str, tmax: int,
-                 subst: dict[str, int] | None = None) -> FactorCandidate | None:
-    """Canonicalise one factor-action string, with its symbolic twists
-    resolved by subst, into the scan's form of a factor action; None if a
-    twist leaves the window.  A module factor carries its expression; a
-    chain's twists are its slots' non-trivial ones, and a G2 factor has
-    none."""
-    if text == "max F4" or text.startswith("("):
-        return FactorCandidate(text, (), "g2")
-    m = _CHAIN_RE.match(text)
-    if m:
-        name = m.group(1)
-        slots = [s.strip() for s in m.group(2).split(",")]
-        exprs = [canonical_action(module_subst(parse_module(s), subst))
-                 for s in slots]
-        if any(t > tmax or t < 0 for e in exprs for t in module_twists(e)):
-            return None
-        desc = f"{name}({', '.join(format_module(e) for e in exprs)})"
-        return FactorCandidate(desc, tuple(t for e in exprs
-                                           for t in _nontrivial_twists(e)), "chain")
-    e = canonical_action(module_subst(parse_module(text), subst))
-    if any(t > tmax or t < 0 for t in module_twists(e)):
-        return None
-    return _module_candidate(e)
-
-
 @dataclass
 class GoldenInstance:
     ref: str
@@ -140,37 +66,50 @@ class GoldenInstance:
         return (self.levi, self.x, self.actions)
 
 
+def _checked_row(row: dict) -> tuple[str, str, list[str]]:
+    """(ref, X type, constraints) of one golden row whose fields have the
+    right types; a missing or ill-typed one raises ValueError naming the
+    row."""
+    ref, classes = row.get("ref"), row.get("classes")
+    x, constraints = row.get("x", "A1"), row.get("constraints", [])
+    for key, ok, want in (
+            ("levi", isinstance(row.get("levi"), str), "a string"),
+            ("factors", _str_list(row.get("factors")), "a list of strings"),
+            ("classes", type(classes) is int and classes >= 1, "an int >= 1"),
+            ("x", x in ("A1", "G2"), "A1 or G2"),
+            ("constraints", _str_list(constraints), "a list of strings")):
+        if not ok:
+            raise ValueError(f"row {ref}: {key} must be {want}, not {row.get(key)!r}")
+    return ref, x, constraints
+
+
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
     """All in-window instances of the table's parametric rows, one per
-    distinct canonical action tuple."""
+    distinct canonical action tuple.  A malformed row, constraint or factor
+    raises ValueError naming the row."""
     out: dict[tuple, GoldenInstance] = {}
     for row in data["rows"]:
-        x = row.get("x", "A1")
-        text = " ".join(row["factors"]) + " " + " ".join(row.get("constraints", ()))
-        letters = sorted(set(_VAR_RE.findall(text)))
-        constraints = [_constraint(c, row["ref"]) for c in row.get("constraints", ())]
-        for combo in itertools.product(range(tmax + 1), repeat=len(letters)):
-            params = dict(zip(letters, combo))
-            if not all(c(params) for c in constraints):
+        ref, x, constraints = _checked_row(row)
+        for subst in twist_choices(row["factors"], constraints, tmax, ref):
+            try:
+                factors = [canon_factor(f, tmax, subst) for f in row["factors"]]
+            except ValueError as exc:
+                raise ValueError(f"row {ref}: {exc}") from None
+            if None in factors or min((t for cf in factors for t in cf.twists),
+                                      default=0) != 0:
                 continue
-            factors = []
-            for f in row["factors"]:
-                cf = canon_factor(f, tmax, params)
-                if cf is None:
-                    break
-                factors.append(cf)
-            else:
-                nz = [t for cf in factors for t in cf.twists]
-                if nz and min(nz) != 0:
-                    continue
-                inst = GoldenInstance(
-                    ref=row["ref"], levi=row["levi"], x=x,
-                    actions=tuple(cf.descriptor for cf in factors),
-                    classes=row["classes"], factors=tuple(factors))
-                prev = out.get(inst.key)
-                if prev is not None and prev.classes != inst.classes:
-                    raise ValueError(f"conflicting duplicates for {inst.key}")
-                out.setdefault(inst.key, inst)
+            inst = GoldenInstance(
+                ref=ref, levi=row["levi"], x=x,
+                actions=tuple(cf.descriptor for cf in factors),
+                classes=row["classes"], factors=tuple(factors))
+            prev = out.get(inst.key)
+            if prev is not None and prev.classes != inst.classes:
+                raise ValueError(f"conflicting duplicates for {inst.key}")
+            out.setdefault(inst.key, inst)
     return list(out.values())
 
 

@@ -124,17 +124,16 @@ def h1_irreducible(lam: int, p: int) -> bool:
     return lam == 2 * p - 2
 
 
-def module_comp_factors(e: ModExpr, p: int,
-                        subst: dict[str, int] | None = None) -> Counter:
+def module_comp_factors(e: ModExpr, p: int) -> Counter:
     """Composition factor multiset of the expression's character."""
-    char = module_weights(e, p, subst)
+    char = module_weights(e, p)
     if any(isinstance(w, tuple) for w in char):
         return g2_comp_factors(char, p)
     return a1_comp_factors(list(char.elements()), p)
 
 
-def module_dim(e: ModExpr, p: int, subst: dict[str, int] | None = None) -> int:
-    return sum(module_weights(e, p, subst).values())
+def module_dim(e: ModExpr, p: int) -> int:
+    return sum(module_weights(e, p).values())
 
 
 # -- the candidate scan --------------------------------------------------------

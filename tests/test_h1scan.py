@@ -12,13 +12,15 @@ from collections import Counter
 
 import pytest
 
-from gcr import h1scan
+from gcr import h1scan, modrep
 from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
                        tilting_product)
 from gcr.modrep import (
     format_module,
     h1_module_a1,
     m_alt,
+    m_sum,
+    m_tensor,
     module_matrices,
     module_weights,
     parse_module,
@@ -805,6 +807,82 @@ def test_expand_rejects_malformed_constraint(constraint):
     row["constraints"] = [constraint]
     with pytest.raises(ValueError, match=re.escape(row["ref"])):
         expand_rows(data)
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("classes", _DROP), ("levi", _DROP), ("factors", _DROP),
+    ("factors", "1[r]"), ("classes", "1"), ("classes", True), ("classes", 0),
+    ("x", "B2"), ("constraints", "r*s==0"),
+    ("factors", ["1 x 1[v]", "A1A5(1[s+1], 5[s])"]),
+    ("factors", ["1[r", "A1A5(1[s+1], 5[s])"]),
+], ids=["no-classes", "no-levi", "no-factors", "factors-string",
+        "classes-string", "classes-bool", "classes-zero", "x-B2",
+        "constraints-string", "unswept-symbol", "unparsable-factor"])
+def test_expand_names_malformed_row(key, value):
+    """A malformed golden row raises ValueError naming its ref, instead of
+    a bare KeyError, an error naming no row, or a silent missing or
+    mismatch row in the diff."""
+    data = load_badx("E8", 7)
+    row = next(r for r in data["rows"] if r["ref"] == "e8p7badX:A1E6")
+    if value is _DROP:
+        del row[key]
+    else:
+        row[key] = value
+    with pytest.raises(ValueError, match=re.escape("row e8p7badX:A1E6: ")):
+        expand_rows(data)
+
+
+def test_chain_templates_match_their_slots():
+    """Every E6 and E7 chain template (A1D6 aside, whose restriction is
+    built from its slots) is a self-dual character of dimension 27 or 56 at
+    p = 5, 7 and tmax 2, 3.  The subsystem templates equal their slot
+    derivation: on A1A5 the 27 is V2 (x) V6 + Alt^4 V6, and on A2A2A2 it
+    is the sum over i < j of Vi (x) Alt^2 Vj."""
+    checked = derived = 0
+    for p, tmax in itertools.product((5, 7), (2, 3)):
+        for dim, cands in ((27, e6_factor_candidates(p, tmax)),
+                           (56, e7_factor_candidates(p, tmax))):
+            for c in cands:
+                if c.kind != "chain":
+                    continue
+                char = module_weights(c.expr, p)
+                assert sum(char.values()) == dim, (p, c.descriptor)
+                assert all(char[-w] == n for w, n in char.items()), (p, c.descriptor)
+                checked += 1
+                name, slots = c.descriptor[:-1].split("(", 1)
+                v = [parse_module(s) for s in slots.split(", ")]
+                if name == "A1A5":
+                    slot_sum = m_sum(m_tensor(v[0], v[1]), m_alt(v[1], 4))
+                elif name == "A2A2A2":
+                    slot_sum = m_sum(*(m_tensor(v[i], m_alt(v[j], 2))
+                                       for i, j in itertools.combinations(range(3), 2)))
+                else:
+                    continue
+                assert module_weights(slot_sum, p) == char, (p, c.descriptor)
+                derived += 1
+    assert (checked, derived) == (287, 167)
+
+
+def test_scan_and_diff_parse_each_text_once(monkeypatch):
+    """From cold caches, scanning and diffing E8/7 builds one module parser
+    per distinct text, 29 in all, where parsing each chain template once
+    per twist choice and each row factor once per instance built 124."""
+    texts = []
+
+    class Spy(modrep._Parser):
+        def __init__(self, text):
+            texts.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(modrep, "_Parser", Spy)
+    for cached in (parse_module, e6_factor_candidates, e7_factor_candidates,
+                   factor_candidates):
+        cached.cache_clear()
+    diff_badx("E8", 7, scan=scan_group("E8", 7))
+    assert len(texts) == len(set(texts)) == 29
 
 
 EXPECTED_EXTRAS = {

@@ -622,7 +622,7 @@ def test_symbolic_twist_resolution():
     e = parse_module("2[s] x 1[s+1]")
     with pytest.raises(ValueError):
         module_weights(e, 5)
-    w = module_weights(e, 5, {"s": 0})
+    w = module_weights(module_subst(e, {"s": 0}), 5)
     assert w == module_weights(parse_module("2 x 1[1]"), 5)
     e2 = module_subst(e, {"s": 1})
     assert format_module(e2) == "2[1] x 1[2]"
@@ -633,8 +633,8 @@ def test_alt_square_of_twisted_tensor():
     # dimension 15 and the same character as 4 + 2 x 2[s] + 0
     for s in (1, 2):
         sub = {"s": s}
-        got = module_weights(parse_module("Alt(2; 2 x 1[s])"), 5, sub)
-        want = module_weights(parse_module("4 + 2 x 2[s] + 0"), 5, sub)
+        got = module_weights(module_subst(parse_module("Alt(2; 2 x 1[s])"), sub), 5)
+        want = module_weights(module_subst(parse_module("4 + 2 x 2[s] + 0"), sub), 5)
         assert sum(got.values()) == 15
         assert got == want
 
@@ -642,13 +642,13 @@ def test_alt_square_of_twisted_tensor():
 def test_spin_d5_of_4_plus_twisted_4():
     for r in (1, 2):
         sub = {"r": r}
-        e = parse_module("Spin(D5; 4 + 4[r])")
-        got = module_weights(e, 5, sub)
-        want = module_weights(parse_module("3 x 3[r]"), 5, sub)
+        e = module_subst(parse_module("Spin(D5; 4 + 4[r])"), sub)
+        got = module_weights(e, 5)
+        want = module_weights(module_subst(parse_module("3 x 3[r]"), sub), 5)
         assert sum(got.values()) == 16
         assert got == want
         # with a zero weight pair present the two halves agree
-        ev, od = spin_halves_from_char(module_weights(e.part, 5, sub), e.n)
+        ev, od = spin_halves_from_char(module_weights(e.part, 5), e.n)
         assert ev == od == got
 
 
