@@ -86,7 +86,8 @@ def _split_levels(factors):
 
 
 @functools.lru_cache(maxsize=None)
-def _h1_term(factors: tuple, p: int) -> int:
+def h1_term(factors: tuple, p: int) -> int:
+    """dim H^1 of one term, the product of the T(m)^[t] of its (m, t) pairs."""
     factors = _strip(factors)
     if not factors:
         return 0
@@ -97,7 +98,7 @@ def _h1_term(factors: tuple, p: int) -> int:
     total = 0
     for n, mult in tilts:
         if n == 0 or n == 2 * p - 2:
-            total += mult * _h1_term(higher, p)
+            total += mult * h1_term(higher, p)
         elif n == p - 2:
             total += mult * _hom_l1(higher, p)
         elif n <= 2 * p - 3:
@@ -105,7 +106,7 @@ def _h1_term(factors: tuple, p: int) -> int:
         else:
             a, b = donkin_split(n, p)
             rewritten = ((a, 0), (b, 1)) + tuple((m, t + 1) for m, t in higher)
-            total += mult * _h1_term(rewritten, p)
+            total += mult * h1_term(rewritten, p)
     return total
 
 
@@ -166,7 +167,7 @@ def _term_counts(terms):
 def h1_dim(terms, p: int) -> int:
     """dim H^1 of a direct sum of twisted-tilting-product terms.  The input
     is an iterable of terms or any mapping from terms to counts."""
-    return sum(c * _h1_term(tuple(t), p) for t, c in _term_counts(terms))
+    return sum(c * h1_term(tuple(t), p) for t, c in _term_counts(terms))
 
 
 def terms_tensor(a, b, out: dict | None = None) -> dict:

@@ -19,9 +19,12 @@ factors, with structurally-tilting summands pruned.
 A term sum travels through the rank-one scan as read-only (term, count)
 pairs, each built once for what it depends on: the canonical terms of each
 candidate shape, the natural module's terms per action and p, the half-spin
-halves per candidate class, and each restriction per key of the level-H^1
-table.  Only the product of one summand's restrictions is a dict, the one
-``h1_dim`` reads.
+classes per orthogonal action and p, and each restriction per part of a
+level-H^1 key.  A walk over the candidate products of one summand weight
+resolves each live factor's options once: per candidate class, its index,
+whether it is untwisted, its key part and its restriction, the last built
+on first use.  A level-H^1 key is then the options' parts, and on a miss
+their pairs multiply into the one dict whose terms' H^1 is summed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .a1coh import (atom_char, h1_dim, place_tops, sum_power, terms_char,
+from .a1coh import (atom_char, h1_term, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
 from .modrep import (
     ModExpr,
@@ -54,8 +57,7 @@ from .modrep import (
     parse_module,
     spin_halves_from_char,
 )
-from .parabolic import (component_type, level_summands, levi_components,
-                        split_weight)
+from .parabolic import component_type, level_summands, levi_components
 from .rootsystem import RootSystem, build_root_system
 
 
@@ -515,7 +517,8 @@ def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
     half-spin restrictions.  Equal halves mean a single class; non-D factors
     carry no choice.  Each half is read-only, as sorted (term or weight,
     multiplicity) pairs, and the list is worked out once per (descriptor,
-    type, p): descriptors are distinct within a factor type."""
+    type, p): descriptors are distinct within a factor type.  The half-spin
+    classes are ``_spin_classes``', one tuple per orthogonal action and p."""
     memo = _assignment_memo()
     key = (cand.descriptor, type_name, p)
     if key not in memo:
@@ -532,8 +535,7 @@ def _assignments(cand: FactorCandidate, type_name: str, p: int):
     fam = type_name[0]
     expr = cand.expr
     if (cand.kind == "module" and fam == "D") or cand.kind == "a1d6":
-        h0, h1 = sorted(map(_char_fp, spin_half_terms(expr, p)))
-        return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
+        return _spin_classes(expr, p)
     if cand.kind == "g2" and fam == "D":
         # one class: on D4 the triality-fixed subgroup, whose three
         # eight-dimensional nodes restrict alike; on D7 the classes differ
@@ -542,6 +544,15 @@ def _assignments(cand: FactorCandidate, type_name: str, p: int):
         halves = spin_halves_from_char(module_weights(expr, p), int(type_name[1:]))
         return (tuple(map(_char_fp, halves)),)
     return (None,)
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_classes(expr: ModExpr, p: int) -> tuple:
+    """The classes of an orthogonal action, once per module and p: a D
+    candidate and every A1D6 candidate through the same D6 action share
+    them."""
+    h0, h1 = sorted(map(_char_fp, spin_half_terms(expr, p)))
+    return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
 
 
 _UNIT_TERMS = (((), 1),)
@@ -628,20 +639,22 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     factor indices; (level, weight index) per summand, by level and then
     least root, read from the radical's shape keys.  Trivial summands are
     dropped before any weight is split: X is reductive, so H^1(X, k) = 0,
-    and a summand is trivial exactly when its flat weight is zero.  Each
-    distinct flat weight is split and reordered once."""
+    and a summand is trivial exactly when its flat weight is zero.  The
+    flat weight lists the nodes of each ``levi_components`` component in
+    turn, so each distinct one is cut into per-factor weights once, by
+    slices taken in type order."""
     rs = build_root_system(name)
     typed = _ordered_components(rs, levi)
     comps = levi_components(rs, levi)
-    order = [comps.index(c) for _, c in typed]
+    starts = list(itertools.accumulate(map(len, comps), initial=0))
+    cuts = [slice(starts[i], starts[i + 1]) for i in (comps.index(c) for _, c in typed)]
     ids: dict[tuple, int] = {}
     out = [(lvl, ids.setdefault(flat, len(ids)))
            for _, lvl, flat in sorted(level_summands(rs, levi), key=operator.itemgetter(1))
            if any(flat)]
     distinct = []
     for flat in ids:
-        hw = split_weight(comps, flat)
-        weights = tuple(hw[k] for k in order)
+        weights = tuple(flat[cut] for cut in cuts)
         distinct.append((weights, tuple(k for k, w in enumerate(weights) if any(w))))
     return [t for t, _ in typed], distinct, out
 
@@ -679,7 +692,9 @@ def _flagging_products(types, per_factor, distinct, p, tmax) -> set:
     table, ``_level_h1_memo().walks``: (p, tmax, covers, ((factor type,
     summand weight) per live factor)), where (type, p, tmax) fixes the
     candidate list.  So each key is walked once, on its first lookup, and
-    every Levi that asks again expands the stored positive sub-assignments."""
+    every Levi that asks again expands the stored positive sub-assignments.
+    A walk resolves each live factor's options once, before it takes their
+    product (``_positive_subs``)."""
     walks = _level_h1_memo().walks
     untwisted = [[0 in c.twists for c in cands] for cands in per_factor]
     flagged = set()
@@ -699,27 +714,51 @@ def _flagging_products(types, per_factor, distinct, p, tmax) -> set:
 
 def _positive_subs(types, per_factor, weights, live, p, covers) -> tuple:
     """Sorted candidate-index tuples on the live factors that give one
-    summand weight positive H^1 for some class.  A walk that covers every
-    factor skips the choices twisted on all of them, which no product
-    reaches, so the memo gets the keys of the untwisted products and no
-    others."""
+    summand weight positive H^1 for some class.  Each live factor's options
+    are resolved once (``_live_options``), and the walk takes the product
+    of the options, one per live factor.  A walk that covers every factor
+    skips the choices twisted on all of them, which no product reaches, so
+    the memo gets the keys of the untwisted products and no others."""
     memo = _level_h1_memo()
-    # per live factor: (candidate index, (candidate, class index, assignment))
-    choices = [[(i, (c, j, a)) for i, c in enumerate(per_factor[k])
-                for j, a in enumerate(factor_assignments(c, types[k], p))]
-               for k in live]
+    options = [_live_options(per_factor[k], types[k], weights[k], p) for k in live]
     positive = set()
-    for sub in itertools.product(*choices):
-        idx = tuple(i for i, _ in sub)
-        if covers and not any(0 in per_factor[k][i].twists for k, i in zip(live, idx)):
+    for sub in itertools.product(*options):
+        if covers and not any(option[1] for option in sub):
             continue
-        picks = {k: pick for k, (_, pick) in zip(live, sub)}
-        if _a1_outcome(types, weights, live, p, picks, memo):
-            positive.add(idx)
+        if _a1_outcome(p, sub, memo):
+            positive.add(tuple(option[0] for option in sub))
     return tuple(sorted(positive))
 
 
-def _class_unit(combo, p, assign):
+def _live_options(cands, type_name: str, weight: tuple[int, ...], p: int) -> list:
+    """Each class of each candidate on one live factor, as the option
+    (candidate index, untwisted?, key part, restriction).  The key part is
+    (factor type, candidate descriptor, class index, summand weight), the
+    part of a level-H^1 key this factor gives; the restriction hands out
+    the part's read-only pairs from ``_restriction_memo``, building them on
+    first use, so no restriction is built for a key the scan never
+    misses."""
+    out = []
+    for i, c in enumerate(cands):
+        for j, a in enumerate(factor_assignments(c, type_name, p)):
+            part = (type_name, c.descriptor, j, weight)
+            out.append((i, 0 in c.twists, part,
+                        functools.partial(_restriction, p, part, c, a)))
+    return out
+
+
+def _restriction(p: int, part: tuple, cand: FactorCandidate, assignment) -> tuple:
+    """``factor_restriction_terms`` of one key part, built once per (p,
+    part)."""
+    memo = _restriction_memo()
+    key = (p, part)
+    if key not in memo:
+        type_name, _, _, weight = part
+        memo[key] = factor_restriction_terms(cand, type_name, weight, p, assignment)
+    return memo[key]
+
+
+def class_unit(combo, p, assign):
     """Invariant description of one class: per factor, either None or the
     ordered triple of characters on the natural and the two spin nodes."""
     unit = []
@@ -746,6 +785,8 @@ def _level_h1_memo() -> _LevelMemo:
     """Level H^1 of A1 candidates, shared by every parabolic: maps (p,
     ((factor type, candidate descriptor, class index, summand weight) per
     live factor)) to dim H^1; trivial factors drop out of the product.
+    Each inner tuple is the key part of one ``_live_options`` option,
+    built once per walk and shared by every key that holds it.
     Descriptors are distinct within a factor type, so they stand for the
     candidates.  Its ``walks`` attribute is the table of
     ``_flagging_products``: (p, tmax, covers, ((factor type, summand
@@ -768,28 +809,21 @@ def _g2_outcome(combo, types, weights, p, assign):
     return module_is_tilting(e, p), positives
 
 
-def _a1_outcome(types, weights, live, p, picks, memo):
+def _a1_outcome(p, parts, memo):
     """dim H^1 of one summand under one class of an A1 candidate: the
-    tensor product of its restrictions to the live factors.  picks[k] is
-    the (candidate, class index, half-spin assignment) on factor k.  Each
-    restriction is kept as ``factor_restriction_terms`` returns it, per (p,
-    factor type, candidate descriptor, class index, weight): one part of
-    the key.  The parts' pairs multiply into one dict, read by one
-    ``h1_dim`` call."""
-    key = (p, tuple((types[k], picks[k][0].descriptor, picks[k][1], weights[k])
-                    for k in live))
-    if key not in memo:
-        restrictions = _restriction_memo()
-        level = None
-        for k, part in zip(live, key[1]):
-            terms = restrictions.get((p, part))
-            if terms is None:
-                cand, _, assignment = picks[k]
-                terms = restrictions[p, part] = factor_restriction_terms(
-                    cand, types[k], weights[k], p, assignment)
-            level = dict(terms) if level is None else terms_tensor(level.items(), terms)
-        memo[key] = h1_dim(level, p)
-    return memo[key]
+    tensor product of its restrictions to the live factors, given as one
+    ``_live_options`` option per live factor.  The key is p with the
+    options' key parts.  On a miss the options' read-only pairs multiply,
+    one ``terms_tensor`` per further factor, and each term's H^1, times its
+    count, is summed straight from the pairs."""
+    key = (p, tuple([option[2] for option in parts]))
+    h1 = memo.get(key)
+    if h1 is None:
+        pairs = parts[0][3]()
+        for option in parts[1:]:
+            pairs = terms_tensor(pairs, option[3]()).items()
+        h1 = memo[key] = sum(count * h1_term(term, p) for term, count in pairs)
+    return h1
 
 
 @functools.cache
@@ -814,9 +848,11 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
             outcomes = [_g2_outcome(combo, types, w, p, assign)
                         for w, _ in distinct]
         else:
-            picks = tuple(zip(combo, classes, assign))
-            outcomes = [_a1_outcome(types, w, live, p, picks, memo)
-                        for w, live in distinct]
+            outcomes = []
+            for w, live in distinct:
+                parts = tuple(_live_options((combo[k],), types[k], w[k], p)[classes[k]]
+                              for k in live)
+                outcomes.append(_a1_outcome(p, parts, memo))
         if not any(outcomes):
             continue
         class_flagged = False
@@ -834,7 +870,7 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
         if class_flagged:
             rep.flagged = True
             rep.classes += printed_classes
-            rep.class_units.append(_class_unit(combo, p, assign))
+            rep.class_units.append(class_unit(combo, p, assign))
     return rep
 
 
@@ -842,9 +878,13 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
 class ScanResult:
     """Flagged rows keyed (levi type, X type, action tuple), plus the
     candidates that show a cohomology-positive composition factor pruned
-    away by a tilting argument without ever being flagged."""
+    away by a tilting argument without ever being flagged, and the (group,
+    p, tmax) scanned."""
     rows: dict
     pruned_nonrows: list
+    group: str
+    p: int
+    tmax: int
 
 
 def _nonnegative_int(n) -> bool:
@@ -879,4 +919,4 @@ def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
                 elif rep.pruned and key not in pruned:
                     pruned[key] = rep.pruned
     nonrows = [(k[0], k[1], k[2], v) for k, v in sorted(pruned.items())]
-    return ScanResult(rows, nonrows)
+    return ScanResult(rows, nonrows, rs.name, p, tmax)

@@ -15,7 +15,7 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -757,10 +757,10 @@ def _wneg(a):
 def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
     if e.kind in ("sum", "tensor"):
-        return replace(e, parts=tuple(module_subst(t, subst) for t in e.parts))
+        return ModExpr(e.kind, parts=tuple(module_subst(t, subst) for t in e.parts))
     if e.part is not None:
-        return replace(e, part=module_subst(e.part, subst))
-    return replace(e, twist=_twist_value(e.twist, subst))
+        return ModExpr(e.kind, part=module_subst(e.part, subst), k=e.k, n=e.n)
+    return ModExpr(e.kind, weight=e.weight, twist=_twist_value(e.twist, subst))
 
 
 def module_twists(e: ModExpr) -> list[int]:

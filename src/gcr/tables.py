@@ -31,14 +31,18 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .h1scan import (FactorCandidate, ScanResult, scan_group, canon_factor,
-                     factor_assignments, twist_choices, _class_unit)
+                     factor_assignments, twist_choices, class_unit)
 
 
 # -- golden data loading -------------------------------------------------------
 
 def load_badx(group: str, p: int) -> dict:
-    """The golden table of (group, p); a pair with none raises ValueError
-    naming it and every table there is."""
+    """The golden table of (group, p); a group that is no str, a p that is
+    no int, or a pair with no table raises ValueError naming it (and, for
+    a pair, every table there is)."""
+    if not isinstance(group, str) or type(p) is not int:
+        raise ValueError(f"no golden table for group={group!r}, p={p!r}: "
+                         "the group must be a str and p an int")
     data = resources.files(__package__).joinpath("data")
     try:
         with data.joinpath(f"badx_{group.lower()}_p{p}.json").open() as fh:
@@ -90,7 +94,12 @@ def _str_list(value) -> bool:
 def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
     """All in-window instances of the table's parametric rows, one per
     distinct canonical action tuple.  A malformed row, constraint or factor
-    raises ValueError naming the row."""
+    raises ValueError naming the row; a table with no str name or no list
+    of rows raises ValueError naming the table."""
+    if not (isinstance(data, dict) and isinstance(data.get("table"), str)
+            and isinstance(data.get("rows"), list)):
+        table = data.get("table") if isinstance(data, dict) else data
+        raise ValueError(f"table {table!r} needs a str name and a list of rows")
     out: dict[tuple, GoldenInstance] = {}
     for row in data["rows"]:
         ref, x, constraints = _checked_row(row)
@@ -108,7 +117,8 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
                 classes=row["classes"], factors=tuple(factors))
             prev = out.get(inst.key)
             if prev is not None and prev.classes != inst.classes:
-                raise ValueError(f"conflicting duplicates for {inst.key}")
+                raise ValueError(f"conflicting duplicates for {inst.key}: row {prev.ref} "
+                                 f"gives {prev.classes} classes, row {ref} {inst.classes}")
             out.setdefault(inst.key, inst)
     return list(out.values())
 
@@ -164,7 +174,7 @@ def _golden_units(inst: GoldenInstance, pos: int, p: int):
     if len(assigns) != inst.classes:
         return None
     others = inst.actions[:pos] + inst.actions[pos + 1:]
-    return [(others, _class_unit((cand,), p, (a,))[0]) for a in assigns]
+    return [(others, class_unit((cand,), p, (a,))[0]) for a in assigns]
 
 
 def _engine_units(rep, pos: int):
@@ -211,9 +221,13 @@ def diff_badx(group: str, p: int, tmax: int = 2,
               scan: ScanResult | None = None,
               data: dict | None = None) -> TableDiff:
     """Diff the computed scan of (group, p) against the golden table, or
-    against ``data`` in the golden table's format when given."""
+    against ``data`` in the golden table's format when given.  A ``scan``
+    of another (group, p, tmax) raises ValueError naming both."""
     if data is None:
         data = load_badx(group, p)
+    if scan is not None and (scan.group, scan.p, scan.tmax) != (str(group).upper(), p, tmax):
+        raise ValueError(f"a scan of {(scan.group, scan.p, scan.tmax)} cannot be "
+                         f"diffed as {(group, p, tmax)}")
     golden = expand_rows(data, tmax)
     if scan is None:
         scan = scan_group(group, p, tmax)

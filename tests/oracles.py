@@ -31,7 +31,7 @@ from collections import Counter
 import numpy as np
 
 from gcr.a1coh import h1_dim, terms_tensor
-from gcr.h1scan import (_class_unit, _level_h1_memo, _summand_weights,
+from gcr.h1scan import (class_unit, _level_h1_memo, _summand_weights,
                         _tensor_shapes, canonical_action, d_type_actions,
                         factor_assignments, factor_candidates,
                         factor_restriction_terms, scan_group, spin_half_terms)
@@ -188,7 +188,7 @@ def a1_reports_by_product(name: str, levi: tuple[int, ...], p: int,
                     hits.append((lvl, outcomes[k]))
             if any(outcomes):
                 classes += 1
-                units.append(_class_unit(combo, p, assign))
+                units.append(class_unit(combo, p, assign))
         out.append((tuple(c.descriptor for c in combo), classes, hits, units))
     return out
 

@@ -566,6 +566,45 @@ def test_level_h1_lookups_pinned(monkeypatch):
     assert counts == [415, 1796, 1295, 4015]
 
 
+def test_restriction_memo_pinned():
+    """A cold scan of each table builds the restriction of a key part only
+    when a level-H^1 key holding it misses: resolving every option's
+    restriction when the walk resolves its options would build 174 more on
+    E8/7 alone."""
+    sizes = []
+    for group, p in [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)]:
+        _level_h1_memo.cache_clear()
+        h1scan._restriction_memo.cache_clear()
+        scan_group(group, p)
+        sizes.append(len(h1scan._restriction_memo()))
+    assert sizes == [139, 348, 420, 1346]
+
+
+def test_spin_classes_built_once_per_module(monkeypatch):
+    """A cold E8/7 scan restricts the half-spin modules through each
+    orthogonal action once, 296 times in all, where building them per
+    candidate made 650 calls; an A1D6 candidate shares the classes of the
+    D6 candidate with its module."""
+    calls = 0
+    halves = h1scan.spin_half_terms
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return halves(*args)
+
+    monkeypatch.setattr(h1scan, "spin_half_terms", spy)
+    for cached in (_level_h1_memo, h1scan._assignment_memo, h1scan._spin_classes):
+        cached.cache_clear()
+    scan_group("E8", 7)
+    assert calls == 296
+    d6 = {c.expr: c for c in factor_candidates("D6", 7, 2)}
+    a1d6 = [c for c in factor_candidates("E7", 7, 2) if c.kind == "a1d6"]
+    assert len(a1d6) == 354
+    for c in a1d6:
+        assert factor_assignments(c, "E7", 7) is factor_assignments(d6[c.expr], "D6", 7)
+
+
 def test_scan_group_results_frozen():
     assert len(scan_group("E6", 5).rows) == 8
     assert len(scan_group("E7", 7).rows) == 3
@@ -761,9 +800,9 @@ def test_level_h1_memo_is_sound_on_e6_p5():
                         if weights not in live:
                             assert full == 0, (levi, weights)
                             continue
-                        scanned = _a1_outcome(
-                            types, weights, live[weights], p,
-                            tuple(zip(combo, classes, assign)), memo)
+                        scanned = _a1_outcome(p, tuple(h1scan._live_options(
+                            (combo[k],), types[k], weights[k], p)[classes[k]]
+                            for k in live[weights]), memo)
                         assert scanned == full, (levi, combo, classes, weights)
                         checked += 1
                         positive += full > 0
@@ -940,6 +979,53 @@ def test_diff_detects_tampering():
     assert bad and all(r.expected_classes == 7 for r in bad)
     assert d.ok is False
     assert diff_badx("E6", 5).ok
+
+
+@pytest.mark.parametrize("group,p,tmax,data", [
+    ("E7", 5, 2, None), ("E6", 5, 3, None), ("E6", 7, 2, ("E6", 5))],
+    ids=["group", "tmax", "p"])
+def test_diff_refuses_scan_of_another_table(group, p, tmax, data):
+    """A scan handed to the diff must be of the diff's own group, p and
+    tmax; another one raises ValueError naming both triples instead of
+    diffing unrelated rows."""
+    scan = scan_group("E6", 5)
+    assert (scan.group, scan.p, scan.tmax) == ("E6", 5, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a scan of ('E6', 5, 2) cannot be diffed as {(group, p, tmax)}")):
+        diff_badx(group, p, tmax, scan=scan, data=data and load_badx(*data))
+
+
+@pytest.mark.parametrize("group,p", [(None, 5), (6, 5), ("E6", "5"), ("E6", 5.0)])
+def test_load_badx_names_malformed_input(group, p):
+    """A group that is no str or a p that is no int raises ValueError
+    naming both, instead of an AttributeError or, for p = "5", the E6/5
+    table."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"no golden table for group={group!r}, p={p!r}: ")):
+        load_badx(group, p)
+
+
+@pytest.mark.parametrize("data,name", [
+    ({"table": "x"}, "'x'"), ({"table": "x", "rows": {}}, "'x'"),
+    ({"rows": []}, "None"), (None, "None")])
+def test_expand_rows_names_table_without_rows(data, name):
+    """A table with no list of rows or no name raises ValueError naming
+    it, where the diff met a bare KeyError on either."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"table {name} needs a str name and a list of rows")):
+        expand_rows(data)
+
+
+def test_conflicting_duplicates_name_both_rows():
+    """Two rows that give one action tuple different class counts are named
+    by both refs."""
+    data = load_badx("E6", 5)
+    row = data["rows"][0]
+    data["rows"].append(dict(row, ref="copy", classes=row["classes"] + 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"row {row['ref']} gives {row['classes']} classes, "
+            f"row copy {row['classes'] + 1}")):
+        expand_rows(data)
 
 
 def test_diff_renderers():

@@ -4,10 +4,11 @@ random-number generator (results rest on exact arithmetic, not on sampling
 or seeded retries), no `eval` or `exec` (data strings are parsed against
 a grammar, never run as code), no unused top-level import in the package
 or its tests, no module that the table diff cannot reach through relative
-imports, no function or method that no table result, cross-check or
-benchmark entry point reaches (helpers that only check the package live in
-``tests/oracles.py``), and every console script declared in
-``pyproject.toml`` resolves to a callable."""
+imports, no module that imports another module's underscore name (a name
+one module shares with another is public), no function or method that no
+table result, cross-check or benchmark entry point reaches (helpers that
+only check the package live in ``tests/oracles.py``), and every console
+script declared in ``pyproject.toml`` resolves to a callable."""
 
 import ast
 import importlib
@@ -77,6 +78,29 @@ def test_every_module_reachable_from_tables():
                     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module)
     orphans = sorted(f"{name}.py" for name in by_name.keys() - reached - {"__init__"})
     assert not orphans, f"modules no table result imports: {orphans}"
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of every underscore name that a module of
+    ``sources`` (module name -> text) imports from another module of the
+    package, function-local imports included."""
+    return sorted(f"{module}: {alias.name}" for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  and (node.level or (node.module or "").split(".")[0] == "gcr")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_private_imports_across_modules():
+    found = private_imports(_sources())
+    assert not found, f"underscore names imported from another module: {found}"
+
+
+def test_private_import_rule_names_planted_imports():
+    sources = {"planted": "from .h1scan import scan_group, _class_memo\n"
+                          "def late():\n    from gcr.a1coh import _strip\n",
+               "fine": "from __future__ import annotations\nfrom .a1coh import h1_term\n"}
+    assert private_imports(sources) == ["planted: _class_memo", "planted: _strip"]
 
 
 # the functions a table result, a cross-check or the benchmark starts from,
