@@ -42,12 +42,11 @@ from .a1coh import (atom_char, h1_term, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
 from .modrep import (
     ModExpr,
+    alt_char,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
-    m_alt,
     m_simple,
-    m_spin,
     m_sum,
     m_tensor,
     module_is_tilting,
@@ -586,18 +585,21 @@ def factor_restriction_terms(cand: FactorCandidate, type_name: str,
 
 def factor_restriction_g2(cand: FactorCandidate, type_name: str,
                           weight: tuple[int, ...], p: int, assignment):
-    """(expression for pruning, character) for a G2 candidate.  The scan
+    """(tilting?, character) of a G2 candidate's restriction.  The flag is
+    the prune rule, read off the node: the natural module is tilting when
+    ``module_is_tilting`` says so, and Lambda^k of it also when k < p (a
+    summand of its k-th tensor power); a half-spin never is.  The scan
     hands over live weights only, so a trivial one raises ValueError."""
     node = _node(type_name, weight)
     if node is None:
         raise ValueError(f"trivial {type_name} weight {weight} has no G2 restriction")
     if node == "natural":
-        e = cand.expr
-    elif node[0] == "alt":
-        e = m_alt(cand.expr, node[1])
-    else:
-        return m_spin(int(type_name[1:]), cand.expr), Counter(dict(assignment[node[1]]))
-    return e, module_weights(e, p)
+        return module_is_tilting(cand.expr, p), module_weights(cand.expr, p)
+    kind, i = node
+    if kind == "alt":
+        return (i < p and module_is_tilting(cand.expr, p),
+                alt_char(list(module_weights(cand.expr, p).elements()), i))
+    return False, Counter(dict(assignment[i]))
 
 
 def char_h1_factors(char: Counter, p: int) -> list:
@@ -659,6 +661,10 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     return [t for t, _ in typed], distinct, out
 
 
+def _nonnegative_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
                    tmax: int = 2) -> list[CandidateReport]:
     """Evaluate every built-in candidate subgroup against the levels of one
@@ -666,7 +672,16 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     are skipped (they repeat an untwisted candidate).  Returns the G2 report,
     flagged or not, since it may carry pruned terms, and the flagged A1
     reports only, in candidate order: an unflagged A1 report has neither
-    hits nor pruned terms, and ``scan_group`` keeps flagged rows only."""
+    hits nor pruned terms, and ``scan_group`` keeps flagged rows only.  A p
+    not prime and good for the group as the paper assumes (at least 5; 7
+    for E8), or a tmax not an int >= 0, raises ValueError naming all three."""
+    rs = build_root_system(name)
+    least = 7 if rs.name == "E8" else 5
+    good = _nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if not good or not _nonnegative_int(tmax):
+        reason = (f"p must be a prime good for {rs.name}, at least {least}" if not good
+                  else "tmax must be an int >= 0")
+        raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
     types, distinct, summands = _summand_weights(name, levi)
     if not types:
         return []
@@ -802,11 +817,11 @@ def _g2_outcome(combo, types, weights, p, assign):
     Levi has one factor: ``scan_parabolic`` builds G2 candidates for no
     other."""
     (c,), (t,), (w,), (a,) = combo, types, weights, assign
-    e, char = factor_restriction_g2(c, t, w, p, a)
+    tilting, char = factor_restriction_g2(c, t, w, p, a)
     positives = char_h1_factors(char, p)
     if not positives:
         return None
-    return module_is_tilting(e, p), positives
+    return tilting, positives
 
 
 def _a1_outcome(p, parts, memo):
@@ -887,22 +902,11 @@ class ScanResult:
     tmax: int
 
 
-def _nonnegative_int(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
 def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
-    """Evaluate every built-in candidate on every standard parabolic.  p is
-    a prime good for the group, as the paper assumes: at least 5, and at
-    least 7 for E8; tmax is an int >= 0.  Any other p or tmax raises
-    ValueError naming the group, p and tmax."""
+    """Evaluate every built-in candidate on every standard parabolic.
+    ``scan_parabolic`` refuses p and tmax on the first, empty Levi, before
+    any work."""
     rs = build_root_system(name)
-    least = 7 if rs.name == "E8" else 5
-    good = _nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
-    if not good or not _nonnegative_int(tmax):
-        reason = (f"p must be a prime good for {rs.name}, at least {least}" if not good
-                  else "tmax must be an int >= 0")
-        raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
     nodes = list(range(1, rs.rank + 1))
     rows: dict = {}
     pruned: dict = {}

@@ -6,6 +6,10 @@ Rank-one modules carry explicit divided-power operator matrices over GF(p),
 so cocycle spaces can be computed by honest linear algebra; character-level
 routines (composition factors, tilting characters) are kept separate so the
 two can be played against each other in tests.
+
+Module expressions (``ModExpr``) say only what the golden tables write:
+sums and tensor products of twisted simples and tiltings.  Alternating
+powers and half-spins are characters (``alt_char``, ``spin_halves_from_char``).
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     stop at the first one whose conjugate is not below lam."""
     rs = build_root_system(name)
     n = rs.rank
+    if len(lam) != n:
+        raise ValueError(f"highest weight {lam} of {rs.name} needs rank {n} coordinates")
     if any(x < 0 for x in lam):
         raise ValueError(f"highest weight {lam} of {rs.name} must be dominant")
     half = [rs._gram3[i][i] // 2 for i in range(n)]
@@ -515,21 +521,25 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 
 @dataclass(frozen=True)
 class ModExpr:
-    """Formal module expression: sums of tensor products of (possibly
-    twisted) simples and tiltings, closed under alternating powers and
-    half-spin restriction.
+    """Formal module expression: sums ("sum") of tensor products ("tensor")
+    of (possibly twisted) simples ("simple") and tiltings ("tilt").
 
     Weights are integers for the rank-one group or pairs for G2; twists are
     nonnegative integers or symbols (r, s, ...) with an optional offset,
-    which ``module_subst`` resolves before evaluation."""
+    which ``module_subst`` resolves before evaluation.  Expressions key
+    caches, so each node hashes once, when built, from its parts' hashes."""
 
     kind: str
     weight: int | tuple[int, int] | None = None
     twist: int | tuple[str, int] | None = None
-    part: ModExpr | None = None
-    k: int | None = None
-    n: int | None = None
     parts: tuple[ModExpr, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.weight,
+                                                self.twist, self.parts)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"ModExpr({format_module(self)!r})"
@@ -541,12 +551,6 @@ def m_simple(a, r=0) -> ModExpr:
 def m_tilt(a, r=0) -> ModExpr:
     return ModExpr("tilt", weight=a, twist=r)
 
-def m_alt(part: ModExpr, k: int) -> ModExpr:
-    return ModExpr("alt", part=part, k=k)
-
-def m_spin(n: int, part: ModExpr) -> ModExpr:
-    return ModExpr("spin", n=n, part=part)
-
 def m_tensor(*parts) -> ModExpr:
     return ModExpr("tensor", parts=parts)
 
@@ -557,8 +561,7 @@ def m_sum(*parts) -> ModExpr:
 _TWIST_SYMBOLS = "rstuvw"
 
 _TOKEN = re.compile(
-    r"(x|\+|\(|\)|\[|\]|;|Alt|Spin|T(?=\()|D[0-9]+"
-    r"|[0-9]+|[rstuvw](?:\+[0-9]+)?)")
+    r"(x|\+|\(|\)|\[|\]|T(?=\()|[0-9]+|[rstuvw](?:\+[0-9]+)?)")
 _MAX_DEPTH = 50     # deepest bracket nesting that parse_module accepts
 
 
@@ -615,27 +618,7 @@ class _Parser:
         return factors[0] if len(factors) == 1 else m_tensor(*factors)
 
     def primary(self) -> ModExpr:
-        tok = self.peek()
-        if tok == "Alt":
-            self.take()
-            self.take("(")
-            k = self.number()
-            self.take(";")
-            inner = self.expr()
-            self.take(")")
-            return m_alt(inner, k)
-        if tok == "Spin":
-            self.take()
-            self.take("(")
-            dn = self.take()
-            if not dn.startswith("D"):
-                raise ValueError(f"Spin needs a D-type rank, found {dn!r} "
-                                 f"in {self.text!r}")
-            self.take(";")
-            inner = self.expr()
-            self.take(")")
-            return m_spin(int(dn[1:]), inner)
-        if tok == "(":
+        if self.peek() == "(":
             self.take()
             inner = self.expr()
             self.take(")")
@@ -671,10 +654,10 @@ class _Parser:
 
 @functools.lru_cache(maxsize=None)
 def parse_module(s: str) -> ModExpr:
-    """Parse the module text grammar: "3 x 1[1] + T(8) + 0",
-    "Spin(D5; 4+4[r])", "Alt(2; 2 x 1[s])" (x or the tensor sign both
-    work; twists may be numbers or symbols like r, s+1).  Each text is
-    parsed once; the expression is frozen, so callers share it."""
+    """Parse the module text grammar: "3 x 1[1] + T(8) + 0", "(2 + 0) x
+    1[s+1]" (x or the tensor sign both work; twists may be numbers or
+    symbols like r, s+1); other text raises ValueError quoting it.  Each
+    text is parsed once; the expression is frozen, so callers share it."""
     parser = _Parser(s)
     depths = itertools.accumulate((t == "(") - (t == ")") for t in parser.toks)
     if max(depths, default=0) > _MAX_DEPTH:
@@ -699,10 +682,6 @@ def _fmt(e: ModExpr, prec: int) -> str:
     if e.kind == "tensor":
         s = " x ".join(_fmt(t, 2) for t in e.parts)
         return f"({s})" if prec > 1 else s
-    if e.kind == "alt":
-        return f"Alt({e.k}; {_fmt(e.part, 0)})"
-    if e.kind == "spin":
-        return f"Spin(D{e.n}; {_fmt(e.part, 0)})"
     w = e.weight if isinstance(e.weight, int) else f"({e.weight[0]},{e.weight[1]})"
     tw = _format_twist(e.twist)
     if e.kind == "simple":
@@ -758,8 +737,6 @@ def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
     if e.kind in ("sum", "tensor"):
         return ModExpr(e.kind, parts=tuple(module_subst(t, subst) for t in e.parts))
-    if e.part is not None:
-        return ModExpr(e.kind, part=module_subst(e.part, subst), k=e.k, n=e.n)
     return ModExpr(e.kind, weight=e.weight, twist=_twist_value(e.twist, subst))
 
 
@@ -768,8 +745,6 @@ def module_twists(e: ModExpr) -> list[int]:
     atom is insensitive to twisting.  Symbolic twists raise."""
     if e.kind in ("sum", "tensor"):
         return [t for part in e.parts for t in module_twists(part)]
-    if e.kind in ("alt", "spin"):
-        return module_twists(e.part)
     return [] if e.weight in (0, (0, 0)) else [_twist_value(e.twist, None)]
 
 
@@ -852,34 +827,7 @@ def module_weights(e: ModExpr, p: int) -> Counter:
     if e.kind == "tensor":
         return functools.reduce(char_tensor, (module_weights(t, p)
                                               for t in e.parts))
-    if e.kind == "alt":
-        return alt_char(list(module_weights(e.part, p).elements()), e.k)
-    if e.kind == "spin":
-        even, _ = spin_halves_from_char(module_weights(e.part, p), e.n)
-        return even
     return _atom_char(e, p)
-
-
-def _power_basis(d: int, k: int, p: int) -> np.ndarray:
-    """Basis of the image of the antisymmetrizer inside the k-th tensor
-    power of a d-dimensional space, as columns over GF(p)."""
-    combos = list(itertools.combinations(range(d), k))
-    basis = np.zeros((d ** k, len(combos)), dtype=np.int64)
-    for c, combo in enumerate(combos):
-        for perm in itertools.permutations(range(k)):
-            idx = 0
-            for j in perm:
-                idx = idx * d + combo[j]
-            val = 1
-            # parity of the permutation
-            pe = list(perm)
-            for i in range(k):
-                while pe[i] != i:
-                    j = pe[i]
-                    pe[i], pe[j] = pe[j], pe[i]
-                    val = -val
-            basis[idx, c] = val % p
-    return basis
 
 
 def module_matrices(e: ModExpr, p: int) -> A1Module:
@@ -892,16 +840,6 @@ def module_matrices(e: ModExpr, p: int) -> A1Module:
         for m in mods[1:]:
             out = tensor(out, m)
         return out
-    if e.kind == "alt":
-        if e.k >= p:
-            raise NotImplementedError("power exponent must be below p")
-        base = module_matrices(e.part, p)
-        big = base
-        for _ in range(e.k - 1):
-            big = tensor(big, base)
-        return _submodule_restriction(big, _power_basis(base.dim, e.k, p))
-    if e.kind == "spin":
-        raise NotImplementedError("no explicit operators for spin restrictions")
     if isinstance(e.weight, tuple):
         raise NotImplementedError("explicit operators are rank-one only")
     tw = _twist_value(e.twist, None)
@@ -914,16 +852,12 @@ def module_matrices(e: ModExpr, p: int) -> A1Module:
 
 def module_is_tilting(e: ModExpr, p: int) -> bool:
     """Structural sufficient condition for the expression to denote a tilting
-    module (hence to have vanishing H^1): untwisted tiltings are closed under
-    sums, tensor products and alternating powers of exponent below p.  A
-    Frobenius twist defeats the argument, so any twisted part returns
-    False."""
+    module (hence to have vanishing H^1): untwisted tiltings, and the simples
+    that are their own Weyl modules, are closed under sums and tensor
+    products.  A Frobenius twist defeats the argument, so any twisted part
+    returns False."""
     if e.kind in ("sum", "tensor"):
         return all(module_is_tilting(t, p) for t in e.parts)
-    if e.kind == "alt":
-        return e.k < p and module_is_tilting(e.part, p)
-    if e.kind == "spin":
-        return False
     if e.twist != 0:
         return False
     if e.kind == "tilt":

@@ -37,7 +37,10 @@ def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ..
 
 @functools.cache
 def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(type, ordered nodes) of each component, by least node."""
+    """(type, ordered nodes) of each component, by least node; a node
+    outside 1..rank raises ValueError naming the group and the Levi."""
+    if not all(isinstance(i, int) and 1 <= i <= rs.rank for i in levi):
+        raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}")
     nodes = sorted(set(levi))
     adj = {i: [] for i in nodes}
     for i in nodes:

@@ -5,13 +5,15 @@ uses them, so they live with the tests.
   module, for the group-law tests of its divided powers
 - the dual of an explicit rank-one module, for the H^1 test of W(8)* and
   as a factor of the tensor-reference tests
+- the k-th alternating power of an explicit rank-one module, for the
+  tests of ``a1coh.sum_power`` and ``modrep.alt_char`` against operators
 - the full root set, the simple roots and the simple reflections of a root
   system, for the Euclidean-model and Weyl-invariance tests, and the
   radical roots of a parabolic grouped by their outside coefficients, for
   the level-summand tests
-- the descriptor of any action expression, the composition factors and the
-  dimension of a module expression's character, and the H^1 criterion for
-  a simple rank-one module
+- the descriptor of any action expression, the composition factors of a
+  module expression's character, and the H^1 criterion for a simple
+  rank-one module
 - the candidate scan done the long way: every action a pattern gives, by
   the full product of its terms' choices with duplicates dropped, and the
   A1 report of every candidate product of a parabolic, class by class,
@@ -24,6 +26,7 @@ uses them, so they live with the tests.
   memoises, and that of the candidate tables in their order
 """
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -35,9 +38,10 @@ from gcr.h1scan import (class_unit, _level_h1_memo, _summand_weights,
                         _tensor_shapes, canonical_action, d_type_actions,
                         factor_assignments, factor_candidates,
                         factor_restriction_terms, scan_group, spin_half_terms)
-from gcr.modrep import (A1Module, ModExpr, a1_simple_weights, a1_top_weight,
-                        format_module, g2_comp_factors, m_simple, m_sum,
-                        module_weights, peel_characters)
+from gcr.modrep import (A1Module, ModExpr, _submodule_restriction,
+                        a1_simple_weights, a1_top_weight, format_module,
+                        g2_comp_factors, m_simple, m_sum, module_weights,
+                        peel_characters, tensor)
 from gcr.rootsystem import Root, RootSystem
 from gcr.tables import diff_badx, diff_to_json, render_diff
 
@@ -67,6 +71,38 @@ def dual(a: A1Module) -> A1Module:
     return A1Module(a.p, (-w).tolist(),
                     *((c, r, np.where((w[r] - w[c]) // 2 % 2, -v, v))
                       for r, c, v in a.entries))
+
+
+def _power_basis(d: int, k: int, p: int) -> np.ndarray:
+    """Basis of the image of the antisymmetrizer inside the k-th tensor
+    power of a d-dimensional space, as columns over GF(p)."""
+    combos = list(itertools.combinations(range(d), k))
+    basis = np.zeros((d ** k, len(combos)), dtype=np.int64)
+    for c, combo in enumerate(combos):
+        for perm in itertools.permutations(range(k)):
+            idx = 0
+            for j in perm:
+                idx = idx * d + combo[j]
+            val = 1
+            # parity of the permutation
+            pe = list(perm)
+            for i in range(k):
+                while pe[i] != i:
+                    j = pe[i]
+                    pe[i], pe[j] = pe[j], pe[i]
+                    val = -val
+            basis[idx, c] = val % p
+    return basis
+
+
+def alt_power_module(base: A1Module, k: int) -> A1Module:
+    """The k-th alternating power of an explicit module, for k < p: the
+    antisymmetrizer's image in the k-th tensor power, cut out as a
+    submodule."""
+    if k >= base.p:
+        raise NotImplementedError("power exponent must be below p")
+    big = functools.reduce(tensor, [base] * k)
+    return _submodule_restriction(big, _power_basis(base.dim, k, base.p))
 
 
 # -- root systems -------------------------------------------------------------
@@ -130,10 +166,6 @@ def module_comp_factors(e: ModExpr, p: int) -> Counter:
     if any(isinstance(w, tuple) for w in char):
         return g2_comp_factors(char, p)
     return a1_comp_factors(list(char.elements()), p)
-
-
-def module_dim(e: ModExpr, p: int) -> int:
-    return sum(module_weights(e, p).values())
 
 
 # -- the candidate scan --------------------------------------------------------

@@ -16,10 +16,11 @@ from gcr import h1scan, modrep
 from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
                        tilting_product)
 from gcr.modrep import (
+    alt_char,
+    char_tensor,
     format_module,
+    g2_comp_factors,
     h1_module_a1,
-    m_alt,
-    m_sum,
     m_tensor,
     module_matrices,
     module_weights,
@@ -56,7 +57,7 @@ from gcr.parabolic import (component_type, decompose_level, levi_components,
 from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
-from oracles import (a1_reports_by_product, action_descriptor,
+from oracles import (a1_reports_by_product, action_descriptor, alt_power_module,
                      actions_by_product, candidate_dump, level_dump,
                      level_h1_dump, radical_shapes, restriction_dump,
                      table_dump)
@@ -168,7 +169,7 @@ def test_alternating_powers_match_explicit_operators(p, cases):
         for c in factor_candidates(f"A{r}", p, 2):
             for k in range(2, (r + 1) // 2 + 1):
                 terms = sum_power(h1scan._frozen_terms(c.expr, p), k, p)
-                mod = module_matrices(m_alt(c.expr, k), p)
+                mod = alt_power_module(module_matrices(c.expr, p), k)
                 label = (c.descriptor, k)
                 assert Counter(mod.weights) == terms_char(terms, p), label
                 assert h1_module_a1(mod) == h1_dim(terms, p), label
@@ -351,6 +352,28 @@ def test_node_rule(x_type, type_name, weight, message):
     out = restrict(cand, type_name, weight, p, assign)
     char = out[1] if x_type == "G2" else terms_char(dict(out), p)
     assert sum(char.values()) == weyl_dim(type_name, weight)
+
+
+# (factor type, summand weight, prune flag, dimension) of three G2 summands,
+# each with the H^1-positive factor (2,0)
+G2_PRUNE_CASES = [("A6", (0, 0, 1, 0, 0, 0), True, 35),
+                  ("D7", (0, 0, 0, 0, 0, 0, 1), False, 64),
+                  ("E6", (1, 0, 0, 0, 0, 0), False, 27)]
+
+
+@pytest.mark.parametrize("type_name,weight,tilting,dim", G2_PRUNE_CASES)
+def test_g2_prune_rule(type_name, weight, tilting, dim):
+    """The G2 prune flag is read off the node: the cube of A6's natural
+    module L(1,0) = W(1,0) is tilting (3 < 7), so its (2,0) is pruned,
+    the A6 (1,0) non-row of E7/7 and E8/7; a D7 half-spin restriction is
+    never taken for tilting, nor is E6's 27, (2,0) + (0,0), whose (2,0)
+    is not its Weyl module."""
+    cand = g2_factor_candidate(type_name)
+    assign = factor_assignments(cand, type_name, 7)[0]
+    flag, char = factor_restriction_g2(cand, type_name, weight, 7, assign)
+    assert flag is tilting
+    assert sum(char.values()) == dim
+    assert g2_comp_factors(char)[(2, 0)] >= 1
 
 
 def test_g2_restriction_rejects_trivial_weight():
@@ -636,7 +659,7 @@ def test_negative_controls_flag_nothing():
 # (5), and tmax negative or not an int
 BAD_SCAN_INPUTS = [("E6", 1, 2), ("E6", 0, 2), ("E6", -5, 2), ("E6", 9, 2),
                    ("E7", 3, 2), ("E8", 4, 2), ("E8", 5, 2), ("E6", 5.0, 2),
-                   ("E6", True, 2), ("E6", 5, -1), ("E6", 5, 1.5)]
+                   ("E6", True, 2), ("E6", 5, -1), ("E6", 5, 1.5), ("E6", 4, 2)]
 
 
 @pytest.mark.parametrize("group,p,tmax", BAD_SCAN_INPUTS)
@@ -647,6 +670,21 @@ def test_scan_group_refuses_bad_input(group, p, tmax):
     with pytest.raises(ValueError, match=re.escape(
             f"cannot scan {group} at p={p!r}, tmax={tmax!r}: ")):
         scan_group(group, p, tmax)
+
+
+@pytest.mark.parametrize("group,p,tmax", BAD_SCAN_INPUTS)
+def test_scan_parabolic_refuses_what_scan_group_refuses(group, p, tmax):
+    """One check stands behind both scans, so one parabolic is refused with
+    the same message: scan_parabolic("E6", (1, 2, 3), 4) flagged an A1+A2
+    row, and tmax -1 returned no reports."""
+    messages = []
+    for scan in (lambda: scan_group(group, p, tmax),
+                 lambda: scan_parabolic(group, (1, 2, 3), p, tmax)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot scan {group} at p={p!r}, tmax={tmax!r}: ")) as err:
+            scan()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("group,p", [("E6", 7), ("E8", 5), ("E7", 11)])
@@ -880,6 +918,9 @@ def test_chain_templates_match_their_slots():
     p = 5, 7 and tmax 2, 3.  The subsystem templates equal their slot
     derivation: on A1A5 the 27 is V2 (x) V6 + Alt^4 V6, and on A2A2A2 it
     is the sum over i < j of Vi (x) Alt^2 Vj."""
+    def alt(e, k, p):
+        return alt_char(list(module_weights(e, p).elements()), k)
+
     checked = derived = 0
     for p, tmax in itertools.product((5, 7), (2, 3)):
         for dim, cands in ((27, e6_factor_candidates(p, tmax)),
@@ -894,13 +935,14 @@ def test_chain_templates_match_their_slots():
                 name, slots = c.descriptor[:-1].split("(", 1)
                 v = [parse_module(s) for s in slots.split(", ")]
                 if name == "A1A5":
-                    slot_sum = m_sum(m_tensor(v[0], v[1]), m_alt(v[1], 4))
+                    slot_sum = module_weights(m_tensor(v[0], v[1]), p) + alt(v[1], 4, p)
                 elif name == "A2A2A2":
-                    slot_sum = m_sum(*(m_tensor(v[i], m_alt(v[j], 2))
-                                       for i, j in itertools.combinations(range(3), 2)))
+                    slot_sum = sum((char_tensor(module_weights(v[i], p), alt(v[j], 2, p))
+                                    for i, j in itertools.combinations(range(3), 2)),
+                                   Counter())
                 else:
                     continue
-                assert module_weights(slot_sum, p) == char, (p, c.descriptor)
+                assert slot_sum == char, (p, c.descriptor)
                 derived += 1
     assert (checked, derived) == (287, 167)
 

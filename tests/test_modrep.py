@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudenthal_reference import freudenthal_all_weights
-from oracles import (a1_comp_factors, dual, h1_irreducible, module_comp_factors,
-                     module_dim, x_minus, x_plus)
+from oracles import (a1_comp_factors, alt_power_module, dual, h1_irreducible,
+                     module_comp_factors, x_minus, x_plus)
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
@@ -32,9 +32,7 @@ from gcr.modrep import (
     g2_weyl_char,
     h1_module_a1,
     format_module,
-    m_alt,
     m_simple,
-    m_spin,
     m_tilt,
     module_is_tilting,
     module_matrices,
@@ -93,6 +91,16 @@ def test_adjoint_multiplicities_match_root_system():
 def test_freudenthal_rejects_nondominant():
     with pytest.raises(ValueError):
         freudenthal("G2", (-1, 0))
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)])
+def test_freudenthal_rejects_a_weight_of_the_wrong_rank(lam):
+    """A weight with too few coordinates never returned, and one with too
+    many gave weights of mixed length; both name the type, the weight and
+    the rank."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"highest weight {lam} of E6 needs rank 6 coordinates")):
+        freudenthal("E6", lam)
 
 
 @pytest.mark.parametrize("call,match", [
@@ -518,7 +526,7 @@ def test_spin_halves_reject_odd_count_of_odd_pairs():
 
 def test_alt_sym_weights():
     # L(3) at p = 5 has weights 3, 1, -1, -3
-    assert module_weights(m_alt(m_simple(3), 2), 5) == \
+    assert alt_char(a1_simple_weights(3, 5), 2) == \
         Counter({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
     # weights combine by position, also in atom coordinates
     assert alt_char([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == \
@@ -612,9 +620,8 @@ def test_simple_char_symmetric(m, p):
 # -- extended expression grammar ----------------------------------------------
 
 def test_extended_parse_roundtrip():
-    for s in ["Spin(D5; 4 + 4[r])", "Alt(2; 2 x 1[s])",
-              "Alt(3; 1[s+1])", "T(8)[r] + 1[s] x 2", "(2 + 0) x 1[1]",
-              "Spin(D7; 6[r] + 2[s] + 2[t] + 0)"]:
+    for s in ["4 + 4[r]", "2 x 1[s]", "1[s+1]", "T(8)[r] + 1[s] x 2",
+              "(2 + 0) x 1[1]", "6[r] + 2[s] + 2[t] + 0"]:
         assert format_module(parse_module(s)) == s
 
 
@@ -633,7 +640,8 @@ def test_alt_square_of_twisted_tensor():
     # dimension 15 and the same character as 4 + 2 x 2[s] + 0
     for s in (1, 2):
         sub = {"s": s}
-        got = module_weights(module_subst(parse_module("Alt(2; 2 x 1[s])"), sub), 5)
+        got = alt_char(list(module_weights(
+            module_subst(parse_module("2 x 1[s]"), sub), 5).elements()), 2)
         want = module_weights(module_subst(parse_module("4 + 2 x 2[s] + 0"), sub), 5)
         assert sum(got.values()) == 15
         assert got == want
@@ -642,40 +650,35 @@ def test_alt_square_of_twisted_tensor():
 def test_spin_d5_of_4_plus_twisted_4():
     for r in (1, 2):
         sub = {"r": r}
-        e = module_subst(parse_module("Spin(D5; 4 + 4[r])"), sub)
-        got = module_weights(e, 5)
+        natural = module_weights(module_subst(parse_module("4 + 4[r]"), sub), 5)
+        ev, od = spin_halves_from_char(natural, 5)
         want = module_weights(module_subst(parse_module("3 x 3[r]"), sub), 5)
-        assert sum(got.values()) == 16
-        assert got == want
+        assert sum(ev.values()) == 16
         # with a zero weight pair present the two halves agree
-        ev, od = spin_halves_from_char(module_weights(e.part, 5), e.n)
-        assert ev == od == got
+        assert ev == od == want
 
 
 def test_spin_errors():
-    with pytest.raises(ArithmeticError):
-        module_weights(parse_module("Spin(D2; 3)"), 5)   # symplectic action
-    with pytest.raises(ArithmeticError):
-        module_weights(parse_module("Spin(D4; 4 + 4[1])"), 5)  # rank mismatch
+    with pytest.raises(ArithmeticError):     # symplectic action
+        spin_halves_from_char(module_weights(parse_module("3"), 5), 2)
+    with pytest.raises(ArithmeticError):     # rank mismatch
+        spin_halves_from_char(module_weights(parse_module("4 + 4[1]"), 5), 4)
 
 
 def test_alt_sym_matrices():
-    alt = module_matrices(parse_module("Alt(2; 4)"), 5)
+    alt = alt_power_module(module_matrices(parse_module("4"), 5), 2)
     assert alt.dim == 10
-    assert Counter(alt.weights) == module_weights(parse_module("Alt(2; 4)"), 5)
+    assert Counter(alt.weights) == alt_char(a1_simple_weights(4, 5), 2)
     # alternating square of the natural 4-dimensional module of C2-type is
     # the 6-dimensional orthogonal one; check factors
-    assert module_comp_factors(parse_module("Alt(2; 3)"), 5) == \
+    assert a1_comp_factors(alt_char(a1_simple_weights(3, 5), 2).elements(), 5) == \
         Counter({4: 1, 0: 1})
 
 
 def test_tilting_prune_closure():
-    assert module_is_tilting(m_alt(m_simple((1, 0)), 3), 7)
-    assert not module_is_tilting(m_alt(m_simple(1), 7), 7)  # exponent too big
     assert module_is_tilting(parse_module("T(2) x T(3)"), 5)
     assert module_is_tilting(parse_module("5"), 7)      # L(5) = T(5) here
     assert not module_is_tilting(parse_module("5"), 5)
-    assert not module_is_tilting(m_spin(5, parse_module("4 + 4")), 5)
     # a simple G2 module is tilting when it is its Weyl module; a weight
     # with no tabulated character raises
     assert {w for w in G2_SIMPLE_DIMS if module_is_tilting(m_simple(w), 7)} == \
@@ -691,11 +694,9 @@ def test_g2_tilting_atom_has_no_character():
 
 
 def test_g2_expression_characters():
-    # alternating cube of the 7-dimensional module: tilting, with the
-    # h1-positive factor 20 inside -- the prune is what kills it
-    cube = m_alt(m_simple((1, 0)), 3)
-    factors = module_comp_factors(cube, 7)
-    assert module_dim(cube, 7) == 35
-    assert factors[(2, 0)] == 1
-    assert module_is_tilting(cube, 7)
+    # alternating cube of the 7-dimensional module, with the h1-positive
+    # factor 20 inside (test_g2_prune_rule checks that it is pruned)
+    cube = alt_char(list(module_weights(m_simple((1, 0)), 7).elements()), 3)
+    assert sum(cube.values()) == 35
+    assert g2_comp_factors(cube)[(2, 0)] == 1
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcr.h1scan import scan_parabolic
 from gcr.parabolic import (
     component_type,
     decompose_level,
@@ -37,6 +38,19 @@ def test_levi_components_returns_a_new_list():
     rs = _rs("E6")
     levi_components(rs, (1, 3, 5, 6)).append((2,))
     assert levi_components(rs, (1, 3, 5, 6)) == [(1, 3), (5, 6)]
+
+
+@pytest.mark.parametrize("levi", [(7,), (-1,), (0, 1), (1, 3, 9)])
+def test_levi_outside_the_diagram_is_refused(levi):
+    """A node outside 1..rank is refused, naming the group and the Levi, by
+    every reader of the Levi's components, where (7,) and (-1,) came back
+    as components and the level readers then died in a bare IndexError."""
+    rs = _rs("E6")
+    for call in (levi_components, level_summands, verify_levels,
+                 lambda rs, levi: scan_parabolic("E6", levi, 5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Levi {levi} of E6 must list nodes 1..6")):
+            call(rs, levi)
 
 
 def test_component_d_type_ordering():
