@@ -24,8 +24,22 @@ such terms, and H^1 of each term can be computed exactly:
       p - 1 <= n <= 2p-3:  H^1 = 0
       n = 2p - 2:          H^1 = H^1(N)   (G_1-fixed points are trivial)
 
-  with the Hom- and invariant dimensions computed by the same kind of
-  recursion.
+  and a term with no untwisted factor has H^1(N^[1]) = H^1(N).
+
+The Hom dimensions come from one recursion, ``_hom(d, M)`` = dim Hom(T(d),
+M) for a term M, with L(1) = T(1) and the invariants Hom(T(0), M):
+
+* T(d) is self-dual, so it moves across an untwisted part: Hom(T(d),
+  T(n) (x) N^[1]) = Hom(k, T(d) (x) T(n) (x) N^[1]) is the sum of
+  Hom(T(e), N^[1]) over the summands T(e) of T(d) (x) T(n);
+* with nothing twisted, Hom(k, T(e)) pairs the Weyl filtration of k with
+  the good filtration of T(e) (Jantzen, Representations of Algebraic
+  Groups, II.4.16): it is the multiplicity of chi(0) in T(e);
+* with every factor twisted, a map T(d) -> N^[1] factors through the
+  largest quotient of T(d) with trivial G_1-action, which is k for d = 0
+  and d = 2p - 2, so Hom(T(d), N^[1]) = Hom(k, N) there, and 0 for the
+  other d <= 2p - 3; above that the Donkin split T(d) = T(a) (x) T(b)^[1]
+  moves T(b)^[1] onto M.
 
 The module also derives restrictions from characters: a character with one
 coordinate per tilting atom is peeled into products of tilting characters,
@@ -71,14 +85,6 @@ def tilting_product(ms: tuple, p: int) -> tuple:
     return tuple(sorted((n, mult) for (n,), mult in tilting_peel(char, p)))
 
 
-def _strip(factors) -> tuple:
-    out = tuple(sorted((m, t) for m, t in factors if m != 0))
-    if not out:
-        return ()
-    t0 = min(t for _, t in out)
-    return tuple((m, t - t0) for m, t in out)
-
-
 def _split_levels(factors):
     level0 = tuple(sorted(m for m, t in factors if t == 0))
     higher = tuple(sorted((m, t - 1) for m, t in factors if t >= 1))
@@ -88,74 +94,42 @@ def _split_levels(factors):
 @functools.lru_cache(maxsize=None)
 def h1_term(factors: tuple, p: int) -> int:
     """dim H^1 of one term, the product of the T(m)^[t] of its (m, t) pairs."""
-    factors = _strip(factors)
-    if not factors:
-        return 0
     level0, higher = _split_levels(factors)
-    tilts = tilting_product(level0, p)
     if not higher:
         return 0
+    if not level0:
+        return h1_term(higher, p)
     total = 0
-    for n, mult in tilts:
+    for n, mult in tilting_product(level0, p):
         if n == 0 or n == 2 * p - 2:
             total += mult * h1_term(higher, p)
         elif n == p - 2:
-            total += mult * _hom_l1(higher, p)
-        elif n <= 2 * p - 3:
-            continue
-        else:
+            total += mult * _hom(1, higher, p)
+        elif n > 2 * p - 2:
             a, b = donkin_split(n, p)
             rewritten = ((a, 0), (b, 1)) + tuple((m, t + 1) for m, t in higher)
-            total += mult * h1_term(rewritten, p)
+            total += mult * h1_term(tuple(sorted(rewritten)), p)
     return total
 
 
 @functools.lru_cache(maxsize=None)
-def _hom_l1(factors: tuple, p: int) -> int:
-    """dim Hom(L(1), M) for M the product of the twisted tilting factors."""
-    factors = tuple(sorted((m, t) for m, t in factors if m != 0))
-    if not factors:
-        return 0
-    if min(t for _, t in factors) >= 1:
-        return 0
+def _hom(d: int, factors: tuple, p: int) -> int:
+    """dim Hom(T(d), M) for M the product of the twisted tilting factors,
+    by the recursion of the module docstring."""
     level0, higher = _split_levels(factors)
-    total = 0
-    for n, mult in tilting_product(level0, p):
+    if level0 or not higher:
+        tilts = tilting_product(tuple(sorted((d,) + level0)), p)
         if not higher:
-            total += mult * chi_coeffs(a1_tilting_weights(n, p))[1]
-            continue
-        for d, md in tilting_product(tuple(sorted((1, n))), p):
-            total += mult * md * _hom_tilt_twisted(d, higher, p)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _inv(factors: tuple, p: int) -> int:
-    """dim of the fixed points of the product of the twisted tilting factors."""
-    factors = _strip(factors)
-    if not factors:
-        return 1
-    level0, higher = _split_levels(factors)
-    total = 0
-    for n, mult in tilting_product(level0, p):
-        if not higher:
-            total += mult * chi_coeffs(a1_tilting_weights(n, p))[0]
-        else:
-            total += mult * _hom_tilt_twisted(n, higher, p)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _hom_tilt_twisted(d: int, nfactors: tuple, p: int) -> int:
-    """dim Hom(T(d), N^[1]) with N the product of the given factors.  Any
-    such map factors through the largest quotient with trivial G_1-action,
-    which vanishes unless d = 0 or d = 2p - 2, where it is trivial."""
+            return sum(mult * chi_coeffs(a1_tilting_weights(e, p))[0]
+                       for e, mult in tilts)
+        twisted = tuple(f for f in factors if f[1])
+        return sum(mult * _hom(e, twisted, p) for e, mult in tilts)
     if d == 0 or d == 2 * p - 2:
-        return _inv(nfactors, p)
+        return _hom(0, higher, p)
     if d <= 2 * p - 3:
         return 0
     a, b = donkin_split(d, p)
-    return _hom_tilt_twisted(a, tuple(sorted(((b, 0),) + nfactors)), p)
+    return _hom(a, tuple(sorted(((b, 1),) + factors)), p)
 
 
 def _term_counts(terms):

@@ -513,34 +513,18 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[dict, dict]:
 def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
     """Conjugacy classes of the factor action: a candidate on a D-factor (or
     through a D6 subsystem) splits into a class per ordering of its two
-    half-spin restrictions.  Equal halves mean a single class; non-D factors
-    carry no choice.  Each half is read-only, as sorted (term or weight,
-    multiplicity) pairs, and the list is worked out once per (descriptor,
-    type, p): descriptors are distinct within a factor type.  The half-spin
-    classes are ``_spin_classes``', one tuple per orthogonal action and p."""
-    memo = _assignment_memo()
-    key = (cand.descriptor, type_name, p)
-    if key not in memo:
-        memo[key] = _assignments(cand, type_name, p)
-    return memo[key]
-
-
-@functools.cache
-def _assignment_memo() -> dict:
-    return {}
-
-
-def _assignments(cand: FactorCandidate, type_name: str, p: int):
+    half-spin restrictions, ``_spin_classes``'.  Equal halves mean a single
+    class; non-D factors carry no choice.  Each half is read-only, as
+    sorted (term or weight, multiplicity) pairs."""
     fam = type_name[0]
-    expr = cand.expr
     if (cand.kind == "module" and fam == "D") or cand.kind == "a1d6":
-        return _spin_classes(expr, p)
+        return _spin_classes(cand.expr, p)
     if cand.kind == "g2" and fam == "D":
         # one class: on D4 the triality-fixed subgroup, whose three
         # eight-dimensional nodes restrict alike; on D7 the classes differ
         # only in module structure, which the character-level scan does
         # not see
-        halves = spin_halves_from_char(module_weights(expr, p), int(type_name[1:]))
+        halves = spin_halves_from_char(module_weights(cand.expr, p), int(type_name[1:]))
         return (tuple(map(_char_fp, halves)),)
     return (None,)
 
@@ -587,9 +571,10 @@ def factor_restriction_g2(cand: FactorCandidate, type_name: str,
                           weight: tuple[int, ...], p: int, assignment):
     """(tilting?, character) of a G2 candidate's restriction.  The flag is
     the prune rule, read off the node: the natural module is tilting when
-    ``module_is_tilting`` says so, and Lambda^k of it also when k < p (a
-    summand of its k-th tensor power); a half-spin never is.  The scan
-    hands over live weights only, so a trivial one raises ValueError."""
+    ``module_is_tilting`` says so, and so is Lambda^k of it, a summand of
+    its k-th tensor power for k < p; a half-spin never is.  Lambda^k with
+    k >= p raises NotImplementedError naming k and p.  The scan hands over
+    live weights only, so a trivial one raises ValueError."""
     node = _node(type_name, weight)
     if node is None:
         raise ValueError(f"trivial {type_name} weight {weight} has no G2 restriction")
@@ -597,7 +582,9 @@ def factor_restriction_g2(cand: FactorCandidate, type_name: str,
         return module_is_tilting(cand.expr, p), module_weights(cand.expr, p)
     kind, i = node
     if kind == "alt":
-        return (i < p and module_is_tilting(cand.expr, p),
+        if i >= p:
+            raise NotImplementedError(f"alt^{i} at p={p}: exact only for k < p")
+        return (module_is_tilting(cand.expr, p),
                 alt_char(list(module_weights(cand.expr, p).elements()), i))
     return False, Counter(dict(assignment[i]))
 

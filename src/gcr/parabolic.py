@@ -35,12 +35,17 @@ def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ..
     return [nodes for _, nodes in _levi_components(rs, levi)]
 
 
-@functools.cache
 def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(type, ordered nodes) of each component, by least node; a node
-    outside 1..rank raises ValueError naming the group and the Levi."""
-    if not all(isinstance(i, int) and 1 <= i <= rs.rank for i in levi):
+    """(type, ordered nodes) of each component, by least node.  A node that
+    is no int in 1..rank raises ValueError naming the group and the Levi,
+    before the cache, whose keys take 2.0 and True for int nodes."""
+    if not all(type(i) is int and 1 <= i <= rs.rank for i in levi):
         raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}")
+    return _components(rs, levi)
+
+
+@functools.cache
+def _components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
     nodes = sorted(set(levi))
     adj = {i: [] for i in nodes}
     for i in nodes:

@@ -7,6 +7,8 @@ uses them, so they live with the tests.
   as a factor of the tensor-reference tests
 - the k-th alternating power of an explicit rank-one module, for the
   tests of ``a1coh.sum_power`` and ``modrep.alt_char`` against operators
+- the weight vectors of an explicit rank-one module killed by every
+  divided power E_a, for the test of the Hom recursion of ``a1coh``
 - the full root set, the simple roots and the simple reflections of a root
   system, for the Euclidean-model and Weyl-invariance tests, and the
   radical roots of a parabolic grouped by their outside coefficients, for
@@ -42,6 +44,7 @@ from gcr.modrep import (A1Module, ModExpr, _submodule_restriction,
                         a1_simple_weights, a1_top_weight, format_module,
                         g2_comp_factors, m_simple, m_sum, module_weights,
                         peel_characters, tensor)
+from gcr.rings import rank
 from gcr.rootsystem import Root, RootSystem
 from gcr.tables import diff_badx, diff_to_json, render_diff
 
@@ -103,6 +106,20 @@ def alt_power_module(base: A1Module, k: int) -> A1Module:
         raise NotImplementedError("power exponent must be below p")
     big = functools.reduce(tensor, [base] * k)
     return _submodule_restriction(big, _power_basis(base.dim, k, base.p))
+
+
+def highest_weight_vectors(mod: A1Module, lam: int) -> int:
+    """dim of the weight-lam vectors of mod killed by every E_a, a >= 1,
+    that is dim Hom(Delta(lam), mod) (Jantzen, Representations of
+    Algebraic Groups, II.2.13).  E_a lands in weight lam + 2a, so the
+    degrees fill disjoint rows of one matrix."""
+    w = np.array(mod.weights, dtype=np.int64)
+    cols = np.flatnonzero(w == lam)
+    r, c, v = mod.entries[0]
+    keep = w[c] == lam
+    mat = np.zeros((mod.dim, cols.size), dtype=np.int64)
+    mat[r[keep], np.searchsorted(cols, c[keep])] = v[keep]
+    return cols.size - rank(mat[mat.any(axis=1)], mod.p)
 
 
 # -- root systems -------------------------------------------------------------

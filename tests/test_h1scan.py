@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from gcr import h1scan, modrep
+from gcr import a1coh, h1scan, modrep
 from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
                        tilting_product)
 from gcr.modrep import (
@@ -58,8 +58,8 @@ from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
 from oracles import (a1_reports_by_product, action_descriptor, alt_power_module,
-                     actions_by_product, candidate_dump, level_dump,
-                     level_h1_dump, radical_shapes, restriction_dump,
+                     actions_by_product, candidate_dump, highest_weight_vectors,
+                     level_dump, level_h1_dump, radical_shapes, restriction_dump,
                      table_dump)
 
 
@@ -127,6 +127,27 @@ def test_h1_terms_match_matrix_cocycles(p):
             term = ((m1, 0), (m2, 1))
             expected = h1_module_a1(_term_module(term, p))
             assert h1_dim([term], p) == expected, term
+
+
+@pytest.mark.parametrize("p,factors,mmax,tmax,cases,nonzero", [
+    (5, 2, 14, 2, 1806, 101), (7, 2, 12, 2, 1332, 78), (5, 3, 4, 2, 728, 45)])
+def test_hom_matches_explicit_operators(p, factors, mmax, tmax, cases, nonzero):
+    """For lam in {0, 1}, T(lam) = Delta(lam), so dim Hom(T(lam), M) is the
+    dimension of the weight-lam vectors of M killed by every divided power
+    E_a, a >= 1.  Checked on every term of the given number of factors
+    (m, t), 1 <= m <= mmax and t <= tmax, built from explicit operators.
+    At p = 5, m up to 3p - 1 makes summands T(e), e >= 3p - 2, whose
+    Donkin split carries a nonzero Hom to the next twist."""
+    atoms = [(m, t) for m in range(1, mmax + 1) for t in range(tmax + 1)]
+    seen = positive = 0
+    for term in itertools.combinations_with_replacement(atoms, factors):
+        mod = _term_module(term, p)
+        for lam in (0, 1):
+            expected = highest_weight_vectors(mod, lam)
+            assert a1coh._hom(lam, term, p) == expected, (term, lam)
+            seen += 1
+            positive += expected > 0
+    assert (seen, positive) == (cases, nonzero)
 
 
 def test_h1_single_tiltings_vanish():
@@ -384,6 +405,16 @@ def test_g2_restriction_rejects_trivial_weight():
         factor_restriction_g2(cand, "D4", (0, 0, 0, 0), 7, None)
 
 
+def test_g2_restriction_refuses_alternating_power_at_or_above_p():
+    """Lambda^7 of A6's natural module through A13's node 7 at p = 7 has no
+    prune rule: the restriction fails loudly, naming k and p, where it
+    returned a trivial character and no flag."""
+    cand = g2_factor_candidate("A6")
+    weight = tuple(int(i == 6) for i in range(13))
+    with pytest.raises(NotImplementedError, match=re.escape("alt^7 at p=7")):
+        factor_restriction_g2(cand, "A13", weight, 7, None)
+
+
 # -- spin-half restriction rules ----------------------------------------------
 
 # actions outside the D tables whose halves the derivation also covers
@@ -617,7 +648,7 @@ def test_spin_classes_built_once_per_module(monkeypatch):
         return halves(*args)
 
     monkeypatch.setattr(h1scan, "spin_half_terms", spy)
-    for cached in (_level_h1_memo, h1scan._assignment_memo, h1scan._spin_classes):
+    for cached in (_level_h1_memo, h1scan._spin_classes):
         cached.cache_clear()
     scan_group("E8", 7)
     assert calls == 296

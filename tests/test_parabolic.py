@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcr import parabolic
 from gcr.h1scan import scan_parabolic
 from gcr.parabolic import (
     component_type,
@@ -38,6 +39,21 @@ def test_levi_components_returns_a_new_list():
     rs = _rs("E6")
     levi_components(rs, (1, 3, 5, 6)).append((2,))
     assert levi_components(rs, (1, 3, 5, 6)) == [(1, 3), (5, 6)]
+
+
+@pytest.mark.parametrize("ints_first", [False, True])
+def test_levi_node_check_does_not_depend_on_call_order(ints_first):
+    """A float or bool node equals its int as a cache key, yet is refused
+    whether or not the int Levi was asked first; (1, 2.0) came back from
+    the cache as [(1,), (2,)] after (1, 2)."""
+    rs = _rs("E6")
+    parabolic._components.cache_clear()
+    if ints_first:
+        assert levi_components(rs, (1, 2)) == [(1,), (2,)]
+    for levi in ((1, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"Levi {levi} of E6")):
+            levi_components(rs, levi)
+    assert levi_components(rs, (1, 2)) == [(1,), (2,)]
 
 
 @pytest.mark.parametrize("levi", [(7,), (-1,), (0, 1), (1, 3, 9)])
