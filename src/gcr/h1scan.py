@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -252,30 +253,38 @@ def _constraint(text: str, ref: str):
     """One row constraint as a predicate on the swept twist values.  It may
     use twist names, integers, +, *, one ==, != or < and calls of step;
     anything else raises ValueError naming the row."""
-    bad = ValueError(f"row {ref}: unsupported constraint {text!r}")
-
-    def value(node, params):
-        if isinstance(node, ast.Name) and node.id in params:
-            return params[node.id]
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return node.value
-        if isinstance(node, ast.BinOp) and type(node.op) in _CONSTRAINT_OPS:
-            return _CONSTRAINT_OPS[type(node.op)](value(node.left, params),
-                                                  value(node.right, params))
-        if (isinstance(node, ast.Compare) and len(node.ops) == 1
-                and type(node.ops[0]) in _CONSTRAINT_OPS):
-            return _CONSTRAINT_OPS[type(node.ops[0])](
-                value(node.left, params), value(node.comparators[0], params))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "step" and not node.keywords):
-            return _step(*(value(a, params) for a in node.args))
-        raise bad
-
     try:
         body = ast.parse(text, mode="eval").body
     except SyntaxError:
-        raise bad from None
-    return functools.partial(value, body)
+        raise _bad_constraint(text, ref) from None
+    return functools.partial(_constraint_value, body, text, ref)
+
+
+def _bad_constraint(text: str, ref: str) -> ValueError:
+    return ValueError(f"row {ref}: unsupported constraint {text!r}")
+
+
+def _constraint_value(node, text: str, ref: str, params):
+    """The value of one parsed node of the constraint text of row ref under
+    the twist values params.  A module-level function, not a closure over
+    itself, so that a predicate is freed by reference counting alone."""
+    if isinstance(node, ast.Name) and node.id in params:
+        return params[node.id]
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.BinOp) and type(node.op) in _CONSTRAINT_OPS:
+        return _CONSTRAINT_OPS[type(node.op)](
+            _constraint_value(node.left, text, ref, params),
+            _constraint_value(node.right, text, ref, params))
+    if (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and type(node.ops[0]) in _CONSTRAINT_OPS):
+        return _CONSTRAINT_OPS[type(node.ops[0])](
+            _constraint_value(node.left, text, ref, params),
+            _constraint_value(node.comparators[0], text, ref, params))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "step" and not node.keywords):
+        return _step(*(_constraint_value(a, text, ref, params) for a in node.args))
+    raise _bad_constraint(text, ref)
 
 
 def _chain_slots(text: str):
@@ -659,14 +668,17 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     are skipped (they repeat an untwisted candidate).  Returns the G2 report,
     flagged or not, since it may carry pruned terms, and the flagged A1
     reports only, in candidate order: an unflagged A1 report has neither
-    hits nor pruned terms, and ``scan_group`` keeps flagged rows only.  A p
-    not prime and good for the group as the paper assumes (at least 5; 7
-    for E8), or a tmax not an int >= 0, raises ValueError naming all three."""
+    hits nor pruned terms, and ``scan_group`` keeps flagged rows only.  A
+    group other than E6, E7 or E8 (the built-in candidates and the paper's
+    tables are theirs), a p not prime and good for the group as the paper
+    assumes (at least 5; 7 for E8), or a tmax not an int >= 0, raises
+    ValueError naming all three."""
     rs = build_root_system(name)
     least = 7 if rs.name == "E8" else 5
     good = _nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
-    if not good or not _nonnegative_int(tmax):
-        reason = (f"p must be a prime good for {rs.name}, at least {least}" if not good
+    if rs.kind != "E" or not good or not _nonnegative_int(tmax):
+        reason = ("the group must be E6, E7 or E8" if rs.kind != "E"
+                  else f"p must be a prime good for {rs.name}, at least {least}" if not good
                   else "tmax must be an int >= 0")
         raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
     types, distinct, summands = _summand_weights(name, levi)
@@ -891,23 +903,37 @@ class ScanResult:
 
 def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
     """Evaluate every built-in candidate on every standard parabolic.
-    ``scan_parabolic`` refuses p and tmax on the first, empty Levi, before
-    any work."""
-    rs = build_root_system(name)
-    nodes = list(range(1, rs.rank + 1))
-    rows: dict = {}
-    pruned: dict = {}
-    for k in range(rs.rank):
-        for levi in itertools.combinations(nodes, k):
-            for rep in scan_parabolic(name, tuple(levi), p, tmax):
-                key = (rep.levi_type, rep.x_type, rep.actions)
-                if rep.flagged:
-                    if key in rows:
-                        rows[key].parabolics.append(levi)
-                    else:
-                        rep.parabolics = [levi]
-                        rows[key] = rep
-                elif rep.pruned and key not in pruned:
-                    pruned[key] = rep.pruned
+    ``scan_parabolic`` refuses the group, p and tmax on the first, empty
+    Levi, before any work.
+
+    The cyclic garbage collector is paused for the scan, and left enabled
+    or disabled afterwards as it was on entry, also when the scan raises.
+    The scan builds no reference cycles, so reference counting alone frees
+    all it drops, and a collection would only traverse the caches it fills;
+    ``test_scan_and_diff_build_no_cycles`` backs this for the four golden
+    tables and their diffs.  Only the scan is paused: ``diff_badx`` pauses
+    the collector just for a scan it runs itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rs = build_root_system(name)
+        nodes = list(range(1, rs.rank + 1))
+        rows: dict = {}
+        pruned: dict = {}
+        for k in range(rs.rank):
+            for levi in itertools.combinations(nodes, k):
+                for rep in scan_parabolic(name, tuple(levi), p, tmax):
+                    key = (rep.levi_type, rep.x_type, rep.actions)
+                    if rep.flagged:
+                        if key in rows:
+                            rows[key].parabolics.append(levi)
+                        else:
+                            rep.parabolics = [levi]
+                            rows[key] = rep
+                    elif rep.pruned and key not in pruned:
+                        pruned[key] = rep.pruned
+    finally:
+        if enabled:
+            gc.enable()
     nonrows = [(k[0], k[1], k[2], v) for k, v in sorted(pruned.items())]
     return ScanResult(rows, nonrows, rs.name, p, tmax)

@@ -10,6 +10,7 @@ return plain tuples of ints.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -79,21 +80,24 @@ class RootSystem:
         # norms d_j are 1 or 1/3
         self._gram3 = [[int(3 * self._norms[j] * self.cartan[i][j])
                         for j in range(self.rank)] for i in range(self.rank)]
-        self.positive: list[Root] = self._closure()
-        self.index = {r: i for i, r in enumerate(self.positive)}
         # pairings[i][j] = <positive root i, alpha_{j+1}-check>
-        self.pairings = [tuple(self.pairing_index(r, j) for j in range(self.rank))
-                         for r in self.positive]
+        self.positive, self.pairings = self._closure()
+        self.index = {r: i for i, r in enumerate(self.positive)}
 
     # -- construction ------------------------------------------------------
 
-    def _closure(self) -> list[Root]:
+    def _closure(self) -> tuple[list[Root], list[tuple[int, ...]]]:
+        """The positive roots and, in the same order, their pairings with
+        the simple coroots.  The pairings of alpha_i are Cartan row i, and
+        those of r + alpha_i are those of r plus that row."""
+        rows = [tuple(row) for row in self.cartan]
         simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        roots = set(simples)
-        frontier = list(simples)
+        roots = dict(zip(simples, rows))
+        frontier = simples
         while frontier:
             nxt = []
             for r in frontier:
+                pairs = roots[r]
                 for i in range(self.rank):
                     # alpha_i-string through r: know how far down it goes,
                     # deduce how far up from the Cartan pairing.  Lower parts
@@ -103,14 +107,14 @@ class RootSystem:
                     while cur in roots:
                         down += 1
                         cur = self._sub_simple(cur, i)
-                    up = down - self.pairing_index(r, i)
-                    if up >= 1:
+                    if down > pairs[i]:
                         s = self._add_simple(r, i)
                         if s not in roots:
-                            roots.add(s)
+                            roots[s] = tuple(map(operator.add, pairs, rows[i]))
                             nxt.append(s)
             frontier = nxt
-        return sorted(roots, key=lambda r: (sum(r), r))
+        positive = sorted(roots, key=lambda r: (sum(r), r))
+        return positive, [roots[r] for r in positive]
 
     def _add_simple(self, r: Root, i: int) -> Root:
         return tuple(c + (j == i) for j, c in enumerate(r))

@@ -3,6 +3,7 @@ the spin-half restriction rules, and the full parabolic level scans against
 the golden classification tables."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -687,10 +688,12 @@ def test_negative_controls_flag_nothing():
 
 
 # (group, p, tmax) the scan refuses: p not a prime, below 5 or bad for E8
-# (5), and tmax negative or not an int
+# (5), tmax negative or not an int, and a group other than E6, E7 or E8
+# (A2/5, D4/5 and D5/7 returned no rows, and G2/7 died in the G2 prune)
 BAD_SCAN_INPUTS = [("E6", 1, 2), ("E6", 0, 2), ("E6", -5, 2), ("E6", 9, 2),
                    ("E7", 3, 2), ("E8", 4, 2), ("E8", 5, 2), ("E6", 5.0, 2),
-                   ("E6", True, 2), ("E6", 5, -1), ("E6", 5, 1.5), ("E6", 4, 2)]
+                   ("E6", True, 2), ("E6", 5, -1), ("E6", 5, 1.5), ("E6", 4, 2),
+                   ("A2", 5, 2), ("D4", 5, 2), ("D5", 7, 2), ("G2", 7, 2)]
 
 
 @pytest.mark.parametrize("group,p,tmax", BAD_SCAN_INPUTS)
@@ -978,6 +981,12 @@ def test_chain_templates_match_their_slots():
     assert (checked, derived) == (287, 167)
 
 
+def _clear_candidate_caches():
+    for cached in (parse_module, e6_factor_candidates, e7_factor_candidates,
+                   factor_candidates):
+        cached.cache_clear()
+
+
 def test_scan_and_diff_parse_each_text_once(monkeypatch):
     """From cold caches, scanning and diffing E8/7 builds one module parser
     per distinct text, 29 in all, where parsing each chain template once
@@ -990,11 +999,55 @@ def test_scan_and_diff_parse_each_text_once(monkeypatch):
             super().__init__(text)
 
     monkeypatch.setattr(modrep, "_Parser", Spy)
-    for cached in (parse_module, e6_factor_candidates, e7_factor_candidates,
-                   factor_candidates):
-        cached.cache_clear()
+    _clear_candidate_caches()
     diff_badx("E8", 7, scan=scan_group("E8", 7))
     assert len(texts) == len(set(texts)) == 29
+
+
+@pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)])
+def test_scan_and_diff_build_no_cycles(group, p):
+    """The premise of pausing the cyclic collector in scan_group: with it
+    off, a scan from cold candidate caches, and the diff of its table, leave
+    nothing that only a collection frees.  The chain constraints' closures
+    over themselves left 54 objects after the E8/7 scan and 18 after its
+    diff."""
+    _clear_candidate_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        scan = scan_group(group, p)
+        after_scan = gc.collect()
+        diff_badx(group, p, scan=scan)
+        after_diff = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_scan, after_diff) == (0, 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("p", [7, 4])
+def test_scan_group_pauses_the_collector_and_restores_it(monkeypatch, enabled, p):
+    """Each parabolic is scanned with the collector off, and scan_group
+    leaves it as it found it, also when it refuses p."""
+    seen = set()
+    per_parabolic = h1scan.scan_parabolic
+
+    def spy(*args):
+        seen.add(gc.isenabled())
+        return per_parabolic(*args)
+
+    monkeypatch.setattr(h1scan, "scan_parabolic", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if p == 7:
+            scan_group("E6", p)
+        else:
+            with pytest.raises(ValueError, match="cannot scan E6 at p=4"):
+                scan_group("E6", p)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == {False}
 
 
 EXPECTED_EXTRAS = {
