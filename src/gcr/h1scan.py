@@ -293,6 +293,10 @@ def _chain_slots(text: str):
     return (m[1], [s.strip() for s in m[2].split(",")]) if m else (None, [text])
 
 
+_CHAIN_NAMES = {_chain_slots(text)[0] for text, _, _ in _E6_CHAINS + _E7_CHAINS} | {"A1D6"}
+_G2_WEIGHT_RE = re.compile(r"^\(\d+,\d+\)$")
+
+
 def twist_choices(texts, constraints, tmax: int, ref: str):
     """Each choice of twists 0..tmax for the symbols r, s, t, u of the texts
     and constraints that all constraints admit, as a symbol -> twist dict;
@@ -310,12 +314,17 @@ def canon_factor(text: str, tmax: int,
                  subst: dict[str, int] | None = None) -> FactorCandidate | None:
     """Canonicalise one factor-action text, with its symbolic twists
     resolved by subst, into the scan's form of a factor action; None if a
-    twist leaves the window.  A module factor carries its expression; a
-    chain's twists are its slots' non-trivial ones, and a G2 factor has
-    none."""
-    if text == "max F4" or text.startswith("("):
+    twist leaves the window.  The text is a module expression, which the
+    factor carries, a chain the scan builds (E6 and E7 chains and A1D6),
+    whose twists are its slots' non-trivial ones, or a G2 factor, "max F4"
+    or a weight (a,b), with none.  Any other text raises ValueError naming
+    it."""
+    if text == "max F4" or _G2_WEIGHT_RE.match(text):
         return FactorCandidate(text, (), "g2")
     name, slots = _chain_slots(text)
+    if name is not None and name not in _CHAIN_NAMES:
+        raise ValueError(f"factor {text!r} names no chain the scan builds "
+                         f"({', '.join(sorted(_CHAIN_NAMES))})")
     exprs = [canonical_action(module_subst(parse_module(s), subst)) for s in slots]
     twists = tuple(t for e in exprs for t in module_twists(e))
     if any(t > tmax or t < 0 for t in twists):
@@ -520,31 +529,42 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[dict, dict]:
 
 
 def factor_assignments(cand: FactorCandidate, type_name: str, p: int):
-    """Conjugacy classes of the factor action: a candidate on a D-factor (or
-    through a D6 subsystem) splits into a class per ordering of its two
-    half-spin restrictions, ``_spin_classes``'.  Equal halves mean a single
-    class; non-D factors carry no choice.  Each half is read-only, as
-    sorted (term or weight, multiplicity) pairs."""
-    fam = type_name[0]
-    if (cand.kind == "module" and fam == "D") or cand.kind == "a1d6":
+    """Conjugacy classes of the factor action, one assignment per class:
+    an action on a D factor, or on the D6 of an A1D6 chain, has the one or
+    two classes of ``_spin_classes``, A1 and G2 candidates alike; an
+    action on another factor has one class and carries no choice."""
+    if type_name[0] == "D" or cand.kind == "a1d6":
         return _spin_classes(cand.expr, p)
-    if cand.kind == "g2" and fam == "D":
-        # one class: on D4 the triality-fixed subgroup, whose three
-        # eight-dimensional nodes restrict alike; on D7 the classes differ
-        # only in module structure, which the character-level scan does
-        # not see
-        halves = spin_halves_from_char(module_weights(cand.expr, p), int(type_name[1:]))
-        return (tuple(map(_char_fp, halves)),)
     return (None,)
 
 
 @functools.lru_cache(maxsize=None)
 def _spin_classes(expr: ModExpr, p: int) -> tuple:
-    """The classes of an orthogonal action, once per module and p: a D
-    candidate and every A1D6 candidate through the same D6 action share
-    them."""
-    h0, h1 = sorted(map(_char_fp, spin_half_terms(expr, p)))
-    return ((h0, h1),) if h0 == h1 else ((h0, h1), (h1, h0))
+    """The classes of the orthogonal action expr, once per module and p
+    (shared by a D candidate and every A1D6 candidate through its D6
+    action), each the pair of restrictions to the two half-spin nodes: term
+    sums for a rank-one action, characters for a G2 one, as sorted (term or
+    weight, multiplicity) pairs, the pair in sorted order.
+
+    X acts on V, the sum of its summands V_i: pairwise non-isomorphic,
+    non-degenerate and irreducible.  So C_{O(V)}(X) is generated by the -1
+    on each V_i, of determinant (-1)^{dim V_i}.  If some V_i has odd
+    dimension (the product of its tensor atoms'), the O(V)-class of X is
+    one SO(V)-class.  Otherwise it is two, exchanged by the graph
+    automorphism that swaps the half-spin nodes: the second class carries
+    the halves swapped, even where they are equal (G2 on D7 acts as 14)."""
+    atoms = [s.parts if s.kind == "tensor" else (s,)
+             for s in (expr.parts if expr.kind == "sum" else (expr,))]
+    dims = [math.prod(_atom_dim(a, p) for a in t) for t in atoms]
+    halves = (spin_halves_from_char(module_weights(expr, p), sum(dims) // 2)
+              if isinstance(atoms[0][0].weight, tuple) else spin_half_terms(expr, p))
+    halves = tuple(sorted(map(_char_fp, halves)))
+    return (halves,) if any(d % 2 for d in dims) else (halves, halves[::-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_dim(atom: ModExpr, p: int) -> int:
+    return sum(module_weights(atom, p).values())
 
 
 _UNIT_TERMS = (((), 1),)
@@ -607,16 +627,25 @@ def char_h1_factors(char: Counter, p: int) -> list:
 
 @dataclass
 class CandidateReport:
+    """One candidate product on one parabolic.  ``class_units`` holds one
+    ``class_unit`` per flagged class, so equal units stand for distinct
+    classes; the class count and the flag are read off them."""
     levi_type: str
     x_type: str
     actions: tuple[str, ...]
-    classes: int                                 # number of flagged classes
-    flagged: bool
     # (level, dim H^1) for A1, (level, H^1-positive G2 factors) for G2
     hits: list = field(default_factory=list)
     pruned: list = field(default_factory=list)
     parabolics: list = field(default_factory=list)
     class_units: list = field(default_factory=list)
+
+    @property
+    def classes(self) -> int:
+        return len(self.class_units)
+
+    @property
+    def flagged(self) -> bool:
+        return self.classes > 0
 
 
 def _char_fp(char: Counter):
@@ -657,7 +686,9 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     return [t for t, _ in typed], distinct, out
 
 
-def _nonnegative_int(n) -> bool:
+def nonnegative_int(n) -> bool:
+    """True for an int >= 0 and no other value, a bool included: the rule
+    for p and tmax in the scan and for tmax in ``tables.expand_rows``."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
@@ -668,19 +699,23 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     are skipped (they repeat an untwisted candidate).  Returns the G2 report,
     flagged or not, since it may carry pruned terms, and the flagged A1
     reports only, in candidate order: an unflagged A1 report has neither
-    hits nor pruned terms, and ``scan_group`` keeps flagged rows only.  A
-    group other than E6, E7 or E8 (the built-in candidates and the paper's
-    tables are theirs), a p not prime and good for the group as the paper
-    assumes (at least 5; 7 for E8), or a tmax not an int >= 0, raises
-    ValueError naming all three."""
+    hits nor pruned terms, and ``scan_group`` keeps flagged rows only.  Each
+    report's classes are those of ``factor_assignments``, one class unit per
+    flagged class.  A group other than E6, E7 or E8 (the built-in
+    candidates and the paper's tables are theirs), a p not prime and good
+    for the group as the paper assumes (at least 5; 7 for E8), or a tmax
+    not an int >= 0, raises ValueError naming all three; then a Levi that
+    is no tuple of distinct nodes 1..rank raises ValueError naming the
+    group and the Levi."""
     rs = build_root_system(name)
     least = 7 if rs.name == "E8" else 5
-    good = _nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
-    if rs.kind != "E" or not good or not _nonnegative_int(tmax):
+    good = nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
+    if rs.kind != "E" or not good or not nonnegative_int(tmax):
         reason = ("the group must be E6, E7 or E8" if rs.kind != "E"
                   else f"p must be a prime good for {rs.name}, at least {least}" if not good
                   else "tmax must be an int >= 0")
         raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
+    levi_components(rs, levi)           # refuses a bad Levi before the cache
     types, distinct, summands = _summand_weights(name, levi)
     if not types:
         return []
@@ -810,19 +845,6 @@ def _level_h1_memo() -> _LevelMemo:
     return _LevelMemo()
 
 
-def _g2_outcome(combo, types, weights, p, assign):
-    """(tilting?, H^1-positive composition factors) of one summand under a
-    G2 candidate, or None when no composition factor carries H^1.  The
-    Levi has one factor: ``scan_parabolic`` builds G2 candidates for no
-    other."""
-    (c,), (t,), (w,), (a,) = combo, types, weights, assign
-    tilting, char = factor_restriction_g2(c, t, w, p, a)
-    positives = char_h1_factors(char, p)
-    if not positives:
-        return None
-    return tilting, positives
-
-
 def _a1_outcome(p, parts, memo):
     """dim H^1 of one summand under one class of an A1 candidate: the
     tensor product of its restrictions to the live factors, given as one
@@ -846,44 +868,37 @@ def _restriction_memo() -> dict:
 
 
 def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
-    """Each class's outcome is worked out once per distinct summand weight;
-    the summands are walked in order only when some outcome is positive."""
-    rep = CandidateReport(
-        levi_type="+".join(types), x_type=x_type,
-        actions=tuple(c.descriptor for c in combo),
-        classes=0, flagged=False)
-    printed_classes = 2 if x_type == "G2" and "D7" in types else 1
-    assign_lists = [factor_assignments(c, t, p)
-                    for c, t in zip(combo, types)]
+    """The report of one candidate product, with one class unit per flagged
+    class.  Each class's outcome is worked out once per distinct summand
+    weight: dim H^1 for A1, the H^1-positive composition factors for G2.
+    The summands read them off in order, and a positive one is a hit,
+    unless it is a G2 outcome on a tilting summand, which is pruned."""
+    rep = CandidateReport("+".join(types), x_type, tuple(c.descriptor for c in combo))
+    assign_lists = [factor_assignments(c, t, p) for c, t in zip(combo, types)]
     memo = _level_h1_memo()
-    class_keys = itertools.product(*(range(len(a)) for a in assign_lists))
-    for assign, classes in zip(itertools.product(*assign_lists), class_keys):
+    for classes in itertools.product(*(range(len(a)) for a in assign_lists)):
+        assign = [a[j] for a, j in zip(assign_lists, classes)]
         if x_type == "G2":
-            outcomes = [_g2_outcome(combo, types, w, p, assign)
-                        for w, _ in distinct]
+            # scan_parabolic builds G2 candidates for one-factor Levis only
+            (c,), (t,), (a,) = combo, types, assign
+            g2 = [factor_restriction_g2(c, t, w, p, a) for (w,), _ in distinct]
+            tilting = [flag for flag, _ in g2]
+            outcomes = [char_h1_factors(char, p) for _, char in g2]
         else:
-            outcomes = []
-            for w, live in distinct:
-                parts = tuple(_live_options((combo[k],), types[k], w[k], p)[classes[k]]
-                              for k in live)
-                outcomes.append(_a1_outcome(p, parts, memo))
-        if not any(outcomes):
-            continue
-        class_flagged = False
+            tilting = [False] * len(distinct)
+            outcomes = [
+                _a1_outcome(p, tuple(_live_options((combo[k],), types[k], w[k], p)[classes[k]]
+                                     for k in live), memo)
+                for w, live in distinct]
+        flagged = False
         for lvl, k in summands:
-            outcome = outcomes[k]
-            if x_type == "G2" and outcome:
-                tilting, outcome = outcome
-                if tilting:
-                    rep.pruned.append((lvl, outcome))
-                    continue
-            if outcome:
-                class_flagged = True
-                if (lvl, outcome) not in rep.hits:
-                    rep.hits.append((lvl, outcome))
-        if class_flagged:
-            rep.flagged = True
-            rep.classes += printed_classes
+            if outcomes[k] and tilting[k]:
+                rep.pruned.append((lvl, outcomes[k]))
+            elif outcomes[k]:
+                flagged = True
+                if (lvl, outcomes[k]) not in rep.hits:
+                    rep.hits.append((lvl, outcomes[k]))
+        if flagged:
             rep.class_units.append(class_unit(combo, p, assign))
     return rep
 

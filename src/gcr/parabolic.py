@@ -36,11 +36,14 @@ def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ..
 
 
 def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(type, ordered nodes) of each component, by least node.  A node that
-    is no int in 1..rank raises ValueError naming the group and the Levi,
-    before the cache, whose keys take 2.0 and True for int nodes."""
-    if not all(type(i) is int and 1 <= i <= rs.rank for i in levi):
-        raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}")
+    """(type, ordered nodes) of each component, by least node.  A Levi that
+    is no tuple of distinct ints in 1..rank raises ValueError naming the
+    group and the Levi, before the cache, whose keys take 2.0 and True for
+    int nodes, would read (1, 1) as (1,) and cannot hash a list."""
+    if not (type(levi) is tuple and all(type(i) is int and 1 <= i <= rs.rank for i in levi)
+            and len(set(levi)) == len(levi)):
+        raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}, "
+                         "each once, as a tuple")
     return _components(rs, levi)
 
 

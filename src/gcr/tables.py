@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .h1scan import (FactorCandidate, ScanResult, scan_group, canon_factor,
-                     factor_assignments, twist_choices, class_unit)
+                     factor_assignments, nonnegative_int, twist_choices, class_unit)
 
 
 # -- golden data loading -------------------------------------------------------
@@ -95,11 +95,15 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
     """All in-window instances of the table's parametric rows, one per
     distinct canonical action tuple.  A malformed row, constraint or factor
     raises ValueError naming the row; a table with no str name or no list
-    of rows raises ValueError naming the table."""
+    of rows, or a tmax that is no int >= 0, raises ValueError naming the
+    table."""
     if not (isinstance(data, dict) and isinstance(data.get("table"), str)
             and isinstance(data.get("rows"), list)):
         table = data.get("table") if isinstance(data, dict) else data
         raise ValueError(f"table {table!r} needs a str name and a list of rows")
+    if not nonnegative_int(tmax):
+        raise ValueError(f"cannot expand table {data['table']!r} at tmax={tmax!r}: "
+                         "tmax must be an int >= 0")
     out: dict[tuple, GoldenInstance] = {}
     for row in data["rows"]:
         ref, x, constraints = _checked_row(row)
@@ -178,12 +182,9 @@ def _golden_units(inst: GoldenInstance, pos: int, p: int):
 
 
 def _engine_units(rep, pos: int):
-    out = []
-    for unit in rep.class_units:
-        triple = unit[pos]
-        others = rep.actions[:pos] + rep.actions[pos + 1:]
-        out.append((others, triple))
-    return out
+    """The scan's class signatures of one report, one per class unit."""
+    others = rep.actions[:pos] + rep.actions[pos + 1:]
+    return [(others, unit[pos]) for unit in rep.class_units]
 
 
 _S3 = list(itertools.permutations(range(3)))

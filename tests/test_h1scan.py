@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -660,6 +661,57 @@ def test_spin_classes_built_once_per_module(monkeypatch):
         assert factor_assignments(c, "E7", 7) is factor_assignments(d6[c.expr], "D6", 7)
 
 
+def test_class_rule_agrees_with_equal_halves():
+    """The class rule: an orthogonal action has one class when some summand
+    has odd dimension, and two otherwise.  On every D4-D7 candidate at p =
+    5, 7, 11 and tmax 2, 3 it gives one class exactly where the two
+    half-spin restrictions are equal, the test it replaced; the second
+    class carries the halves swapped."""
+    checked = one = 0
+    for p, tmax, rank in itertools.product((5, 7, 11), (2, 3), range(4, 8)):
+        for e in d_type_actions(rank, p, tmax):
+            summands = e.parts if e.kind == "sum" else (e,)
+            odd = any(sum(module_weights(s, p).values()) % 2 for s in summands)
+            halves = sorted(map(h1scan._char_fp, spin_half_terms(e, p)))
+            classes = factor_assignments(h1scan._module_candidate(e), f"D{rank}", p)
+            assert len(classes) == (1 if odd else 2), (rank, p, format_module(e))
+            assert (halves[0] == halves[1]) == odd, (rank, p, format_module(e))
+            assert classes == (tuple(halves), tuple(halves[::-1]))[:len(classes)]
+            checked += 1
+            one += odd
+    assert (checked, one) == (3801, 3279)
+
+
+def test_g2_classes_follow_the_class_rule():
+    """G2 acts on D4 as 7 + 1 and on D7 as its 14: one class on D4, two on
+    D7 with equal halves, and the scan counts both D7 classes, one unit
+    each, where a constant once gave the 2."""
+    d4 = factor_assignments(g2_factor_candidate("D4"), "D4", 7)
+    d7 = factor_assignments(g2_factor_candidate("D7"), "D7", 7)
+    assert len(d4) == 1 and len(d7) == 2
+    assert d7[0] == d7[1] and d7[0][0] == d7[0][1]
+    (rep,) = [r for r in scan_parabolic("E8", (2, 3, 4, 5), 7) if r.x_type == "G2"]
+    assert (rep.levi_type, rep.classes, rep.hits) == ("D4", 0, [])
+    rep = scan_group("E8", 7).rows["D7", "G2", ("(0,1)",)]
+    assert rep.classes == len(rep.class_units) == 2
+    assert rep.class_units[0] == rep.class_units[1]
+    assert rep.hits == [(1, [(2, 0)])]
+
+
+@pytest.mark.parametrize("tmax", [2, 3])
+@pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)])
+def test_class_count_and_flag_read_off_class_units(group, p, tmax):
+    """A report stores no class count and no flag: every row's classes is
+    its number of class units, and it is flagged exactly when it has one."""
+    names = {f.name for f in dataclasses.fields(h1scan.CandidateReport)}
+    assert not names & {"classes", "flagged"}
+    rows = scan_group(group, p, tmax).rows
+    assert rows
+    for key, rep in rows.items():
+        assert rep.classes == len(rep.class_units) > 0, key
+        assert rep.flagged == (rep.classes > 0), key
+
+
 def test_scan_group_results_frozen():
     assert len(scan_group("E6", 5).rows) == 8
     assert len(scan_group("E7", 7).rows) == 3
@@ -719,6 +771,18 @@ def test_scan_parabolic_refuses_what_scan_group_refuses(group, p, tmax):
             scan()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("levi", [(1, 1), [1, 3], (1, 7)])
+def test_scan_parabolic_refuses_a_bad_levi_before_its_cache(levi):
+    """A repeated node, a list or a node outside the diagram is refused
+    before the summand cache sees the Levi: (1, 1) was scanned as (1,),
+    and [1, 3] died unhashable in that cache."""
+    before = _summand_weights.cache_info()
+    with pytest.raises(ValueError, match=re.escape(
+            f"Levi {levi} of E6 must list nodes 1..6, each once, as a tuple")):
+        scan_parabolic("E6", levi, 5)
+    assert _summand_weights.cache_info() == before
 
 
 @pytest.mark.parametrize("group,p", [("E6", 7), ("E8", 5), ("E7", 11)])
@@ -893,6 +957,47 @@ def test_canon_factor_forms():
     assert canon_factor("T(8)", 2).kind == "module"  # not a chain
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(1,0", "cannot tokenize module expression '(1,0'"),
+    ("A1A6(1, 2 x 1[1])", "factor 'A1A6(1, 2 x 1[1])' names no chain the scan builds"),
+    ("(0, 1)", "cannot tokenize module expression '(0, 1)'")])
+def test_canon_factor_refuses_unknown_text(text, message):
+    """A factor text that is no module expression, no chain the scan
+    builds, no "max F4" and no G2 weight (a,b) raises ValueError naming
+    it: any text that began with "(" was read as a G2 factor, and any
+    chain name was accepted."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        canon_factor(text, 2)
+
+
+@pytest.mark.parametrize("group,p,ref,factor", [
+    ("E8", 7, "e8p7badX:D7-G2", "(1,0"),
+    ("E7", 5, "e7p5badX:E6", "A1A6(1, 2 x 1[1])")])
+def test_diff_refuses_a_broken_factor(group, p, ref, factor):
+    """A golden table whose factor text is broken fails the diff, naming
+    the row and the text: the E8/7 copy with "(1,0" diffed as 17 match, 6
+    extra and 1 missing, and the E7/5 copy with an A1A6 chain as 1 missing
+    and 1 extra."""
+    data = load_badx(group, p)
+    row = next(r for r in data["rows"] if r["ref"] == ref)
+    row["factors"] = [factor]
+    with pytest.raises(ValueError, match=re.escape(f"row {ref}: ") + ".*"
+                       + re.escape(repr(factor))):
+        diff_badx(group, p, data=data)
+
+
+@pytest.mark.parametrize("tmax", [2.5, -1, True, "2", None])
+def test_expand_rows_refuses_bad_tmax(tmax):
+    """expand_rows and the diff refuse a tmax that the scan refuses, with
+    the scan's rule: 2.5 died in a TypeError from range, -1 gave no
+    instances and True was read as 1."""
+    message = f"cannot expand table 'e6p5badX' at tmax={tmax!r}: tmax must be an int >= 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expand_rows(load_badx("E6", 5), tmax)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        diff_badx("E6", 5, tmax)
+
+
 def test_expand_window_counts():
     assert len(expand_rows(load_badx("E6", 5))) == 8
     assert len(expand_rows(load_badx("E7", 5))) == 47
@@ -981,10 +1086,18 @@ def test_chain_templates_match_their_slots():
     assert (checked, derived) == (287, 167)
 
 
-def _clear_candidate_caches():
-    for cached in (parse_module, e6_factor_candidates, e7_factor_candidates,
-                   factor_candidates):
-        cached.cache_clear()
+def _clear_every_cache() -> set[str]:
+    """Clear every functools cache defined in a module of the package, and
+    return their names."""
+    cleared = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "gcr":
+            continue
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == name:
+                value.cache_clear()
+                cleared.add(f"{name}.{attr}")
+    return cleared
 
 
 def test_scan_and_diff_parse_each_text_once(monkeypatch):
@@ -999,7 +1112,7 @@ def test_scan_and_diff_parse_each_text_once(monkeypatch):
             super().__init__(text)
 
     monkeypatch.setattr(modrep, "_Parser", Spy)
-    _clear_candidate_caches()
+    _clear_every_cache()
     diff_badx("E8", 7, scan=scan_group("E8", 7))
     assert len(texts) == len(set(texts)) == 29
 
@@ -1007,11 +1120,16 @@ def test_scan_and_diff_parse_each_text_once(monkeypatch):
 @pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)])
 def test_scan_and_diff_build_no_cycles(group, p):
     """The premise of pausing the cyclic collector in scan_group: with it
-    off, a scan from cold candidate caches, and the diff of its table, leave
+    off, a scan from fully cold caches, and the diff of its table, leave
     nothing that only a collection frees.  The chain constraints' closures
     over themselves left 54 objects after the E8/7 scan and 18 after its
-    diff."""
-    _clear_candidate_caches()
+    diff.  Every cache of the package is cleared, so what the test checks
+    does not depend on the tests that ran before it."""
+    cleared = _clear_every_cache()
+    assert {"gcr.h1scan._spin_classes", "gcr.h1scan._level_h1_memo",
+            "gcr.h1scan._restriction_memo", "gcr.h1scan._summand_weights",
+            "gcr.parabolic._components", "gcr.rootsystem.build_root_system",
+            "gcr.modrep.parse_module", "gcr.a1coh.h1_term"} <= cleared
     gc.collect()
     gc.disable()
     try:
@@ -1183,7 +1301,7 @@ TABLE_DUMP_SHA256 = {
     ("E6", 5): "40997d07e1588913b0bcdda0ab74a45d6e970ed485633f9cfb914f3c7398afb7",
     ("E7", 5): "0a45b247b708c484851906322992d56d4118d5c4d7c7f4d084aebe410c860517",
     ("E7", 7): "bcc3475045bf3fd37a097573448dcfba73d73bd7d906b17c115aef92071f6847",
-    ("E8", 7): "568bbecfdfab1de798442667e0c4786c9f81cf0051dc657944d65c38c9d2209b",
+    ("E8", 7): "8f8ac07653657c518d92b69993b2f1b9c03ef999e086c5633056e63cae6d6bbc",
 }
 
 
@@ -1199,7 +1317,7 @@ TABLE_DUMP3_SHA256 = {
     ("E6", 5): "003bcf628b9ec668c1476b57c5014c8c3d81d9c2ada2d67bc43af551fd55abef",
     ("E7", 5): "be5cdabcb73c2e01fc1ef493849c3dc2f282b8340bdd22eb080c5192f88ead61",
     ("E7", 7): "bcc3475045bf3fd37a097573448dcfba73d73bd7d906b17c115aef92071f6847",
-    ("E8", 7): "1f4109465ed94b0b821e77854d0ab7458b644def1e8956e47dd79851fc0f7418",
+    ("E8", 7): "5d1cf5178b3cc091d16d2bf15579bedddc6494f0971db68cd4602cf078996110",
 }
 
 

@@ -56,11 +56,13 @@ def test_levi_node_check_does_not_depend_on_call_order(ints_first):
     assert levi_components(rs, (1, 2)) == [(1,), (2,)]
 
 
-@pytest.mark.parametrize("levi", [(7,), (-1,), (0, 1), (1, 3, 9)])
+@pytest.mark.parametrize("levi", [(7,), (-1,), (0, 1), (1, 3, 9), (1, 1), [1, 3]])
 def test_levi_outside_the_diagram_is_refused(levi):
-    """A node outside 1..rank is refused, naming the group and the Levi, by
-    every reader of the Levi's components, where (7,) and (-1,) came back
-    as components and the level readers then died in a bare IndexError."""
+    """A node outside 1..rank, a repeated node or a Levi that is no tuple
+    is refused, naming the group and the Levi, by every reader of the
+    Levi's components, the scan included: (7,) and (-1,) came back as
+    components and the level readers then died in a bare IndexError, (1, 1)
+    was read as (1,), and [1, 3] died unhashable in a cache."""
     rs = _rs("E6")
     for call in (levi_components, level_summands, verify_levels,
                  lambda rs, levi: scan_parabolic("E6", levi, 5)):
