@@ -20,11 +20,13 @@ A term sum travels through the rank-one scan as read-only (term, count)
 pairs, each built once for what it depends on: the canonical terms of each
 candidate shape, the natural module's terms per action and p, the half-spin
 classes per orthogonal action and p, and each restriction per part of a
-level-H^1 key.  A walk over the candidate products of one summand weight
-resolves each live factor's options once: per candidate class, its index,
-whether it is untwisted, its key part and its restriction, the last built
-on first use.  A level-H^1 key is then the options' parts, and on a miss
-their pairs multiply into the one dict whose terms' H^1 is summed.
+level-H^1 key.  One walk per summand weight takes the product of its live
+factors' options, each built once per walk: per candidate class, its
+candidate and class indices, whether it is untwisted, its key part, the
+candidate and the class.  A level-H^1 key is the options' parts, and on a
+miss their restrictions, built on first use, multiply into the one dict
+whose terms' H^1 is summed.  The walk keeps each positive (candidate,
+class) choice with its H^1, and the reports read their outcomes there.
 """
 
 from __future__ import annotations
@@ -726,33 +728,23 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
             reports.append(_evaluate(types, (cand,), "G2", distinct, summands, p))
     per_factor = [factor_candidates(t, p, tmax) for t in types]
     if all(per_factor):
-        for idx in sorted(_flagging_products(types, per_factor, distinct, p, tmax)):
+        records = [_walk(types, per_factor, weights, live, p, tmax)
+                   for weights, live in distinct]
+        for idx in sorted(_flagging_products(per_factor, distinct, records)):
             combo = tuple(cands[i] for cands, i in zip(per_factor, idx))
-            reports.append(_evaluate(types, combo, "A1", distinct, summands, p))
+            reports.append(_evaluate(types, combo, "A1", distinct, summands, p,
+                                     (idx, records)))
     return reports
 
 
-def _flagging_products(types, per_factor, distinct, p, tmax) -> set:
+def _flagging_products(per_factor, distinct, records) -> set:
     """Index tuples of the candidate products, untwisted on some factor,
-    that some class flags.  A summand's H^1 depends only on the candidates
-    and classes of its live factors, so each summand weight walks the
-    product of those alone; a positive one flags every product that
-    extends it.  The walk's outcome depends only on its key in the walk
-    table, ``_level_h1_memo().walks``: (p, tmax, covers, ((factor type,
-    summand weight) per live factor)), where (type, p, tmax) fixes the
-    candidate list.  So each key is walked once, on its first lookup, and
-    every Levi that asks again expands the stored positive sub-assignments.
-    A walk resolves each live factor's options once, before it takes their
-    product (``_positive_subs``)."""
-    walks = _level_h1_memo().walks
+    that some class flags: each positive choice of a summand weight's walk
+    record flags every product that extends its candidates."""
     untwisted = [[0 in c.twists for c in cands] for cands in per_factor]
     flagged = set()
-    for weights, live in distinct:
-        covers = len(live) == len(types)
-        key = (p, tmax, covers, tuple((types[k], weights[k]) for k in live))
-        if key not in walks:
-            walks[key] = _positive_subs(types, per_factor, weights, live, p, covers)
-        for sub in walks[key]:
+    for (_, live), record in zip(distinct, records):
+        for sub in {tuple(i for i, _ in choice) for choice in record}:
             fixed = dict(zip(live, sub))
             ranges = [(fixed[k],) if k in fixed else range(len(cands))
                       for k, cands in enumerate(per_factor)]
@@ -761,39 +753,34 @@ def _flagging_products(types, per_factor, distinct, p, tmax) -> set:
     return flagged
 
 
-def _positive_subs(types, per_factor, weights, live, p, covers) -> tuple:
-    """Sorted candidate-index tuples on the live factors that give one
-    summand weight positive H^1 for some class.  Each live factor's options
-    are resolved once (``_live_options``), and the walk takes the product
-    of the options, one per live factor.  A walk that covers every factor
-    skips the choices twisted on all of them, which no product reaches, so
-    the memo gets the keys of the untwisted products and no others."""
+def _walk(types, per_factor, weights, live, p, tmax) -> dict:
+    """The record of one summand weight in ``_level_h1_memo().walks``:
+    {((candidate index, class index) per live factor): dim H^1} for its
+    positive choices.  The summand's H^1 depends only on the live factors'
+    candidates and classes, and (type, p, tmax) fixes the candidate list,
+    so each walk key is walked on its first lookup and read by every Levi
+    that asks again.  Each option is built once per walk: (candidate
+    index, class index, untwisted?, key part, candidate, assignment).  A
+    walk that covers every factor skips the choices twisted on all of
+    them, which no product reaches, so the memo gets the keys of the
+    untwisted products and no others."""
     memo = _level_h1_memo()
-    options = [_live_options(per_factor[k], types[k], weights[k], p) for k in live]
-    positive = set()
-    for sub in itertools.product(*options):
-        if covers and not any(option[1] for option in sub):
-            continue
-        if _a1_outcome(p, sub, memo):
-            positive.add(tuple(option[0] for option in sub))
-    return tuple(sorted(positive))
-
-
-def _live_options(cands, type_name: str, weight: tuple[int, ...], p: int) -> list:
-    """Each class of each candidate on one live factor, as the option
-    (candidate index, untwisted?, key part, restriction).  The key part is
-    (factor type, candidate descriptor, class index, summand weight), the
-    part of a level-H^1 key this factor gives; the restriction hands out
-    the part's read-only pairs from ``_restriction_memo``, building them on
-    first use, so no restriction is built for a key the scan never
-    misses."""
-    out = []
-    for i, c in enumerate(cands):
-        for j, a in enumerate(factor_assignments(c, type_name, p)):
-            part = (type_name, c.descriptor, j, weight)
-            out.append((i, 0 in c.twists, part,
-                        functools.partial(_restriction, p, part, c, a)))
-    return out
+    covers = len(live) == len(types)
+    key = (p, tmax, covers, tuple((types[k], weights[k]) for k in live))
+    record = memo.walks.get(key)
+    if record is None:
+        options = [[(i, j, 0 in c.twists, (types[k], c.descriptor, j, weights[k]), c, a)
+                    for i, c in enumerate(per_factor[k])
+                    for j, a in enumerate(factor_assignments(c, types[k], p))]
+                   for k in live]
+        record = memo.walks[key] = {}
+        for choice in itertools.product(*options):
+            if covers and not any(option[2] for option in choice):
+                continue
+            h1 = _a1_outcome(p, choice, memo)
+            if h1:
+                record[tuple(option[:2] for option in choice)] = h1
+    return record
 
 
 def _restriction(p: int, part: tuple, cand: FactorCandidate, assignment) -> tuple:
@@ -822,7 +809,7 @@ def class_unit(combo, p, assign):
 
 
 class _LevelMemo(dict):
-    """The level-H^1 table, carrying the live-factor walk table as
+    """The level-H^1 table, carrying the walk table of ``_walk`` as
     ``walks``."""
     def __init__(self):
         super().__init__()
@@ -834,30 +821,29 @@ def _level_h1_memo() -> _LevelMemo:
     """Level H^1 of A1 candidates, shared by every parabolic: maps (p,
     ((factor type, candidate descriptor, class index, summand weight) per
     live factor)) to dim H^1; trivial factors drop out of the product.
-    Each inner tuple is the key part of one ``_live_options`` option,
-    built once per walk and shared by every key that holds it.
-    Descriptors are distinct within a factor type, so they stand for the
-    candidates.  Its ``walks`` attribute is the table of
-    ``_flagging_products``: (p, tmax, covers, ((factor type, summand
-    weight) per live factor)) to the read-only positive live
-    sub-assignments.  ``len`` counts H^1 keys only, and one
-    ``_level_h1_memo.cache_clear()`` drops both tables."""
+    Each inner tuple is the key part of one ``_walk`` option, built once
+    per walk and shared by every key that holds it.  Descriptors are
+    distinct within a factor type, so they stand for the candidates.  Its
+    ``walks`` attribute maps each walk key (p, tmax, covers, ((factor type,
+    summand weight) per live factor)) to its ``_walk`` record, whose dims
+    are those of the H^1 keys its choices name.  ``len`` counts H^1 keys
+    only, and one ``_level_h1_memo.cache_clear()`` drops both tables."""
     return _LevelMemo()
 
 
 def _a1_outcome(p, parts, memo):
     """dim H^1 of one summand under one class of an A1 candidate: the
     tensor product of its restrictions to the live factors, given as one
-    ``_live_options`` option per live factor.  The key is p with the
-    options' key parts.  On a miss the options' read-only pairs multiply,
-    one ``terms_tensor`` per further factor, and each term's H^1, times its
-    count, is summed straight from the pairs."""
-    key = (p, tuple([option[2] for option in parts]))
+    ``_walk`` option per live factor.  The key is p with the options' key
+    parts.  On a miss the options' restrictions, from ``_restriction``,
+    multiply, one ``terms_tensor`` per further factor, and each term's
+    H^1, times its count, is summed straight from the pairs."""
+    key = (p, tuple([option[3] for option in parts]))
     h1 = memo.get(key)
     if h1 is None:
-        pairs = parts[0][3]()
+        pairs = _restriction(p, *parts[0][3:])
         for option in parts[1:]:
-            pairs = terms_tensor(pairs, option[3]()).items()
+            pairs = terms_tensor(pairs, _restriction(p, *option[3:])).items()
         h1 = memo[key] = sum(count * h1_term(term, p) for term, count in pairs)
     return h1
 
@@ -867,15 +853,17 @@ def _restriction_memo() -> dict:
     return {}
 
 
-def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
+def _evaluate(types, combo, x_type, distinct, summands, p,
+              walked=None) -> CandidateReport:
     """The report of one candidate product, with one class unit per flagged
     class.  Each class's outcome is worked out once per distinct summand
-    weight: dim H^1 for A1, the H^1-positive composition factors for G2.
-    The summands read them off in order, and a positive one is a hit,
+    weight: dim H^1 for A1, read from the walk records, the H^1-positive
+    composition factors for G2.  An A1 product comes with walked, its
+    candidate indices and the record of each distinct weight.  The
+    summands read the outcomes off in order, and a positive one is a hit,
     unless it is a G2 outcome on a tilting summand, which is pruned."""
     rep = CandidateReport("+".join(types), x_type, tuple(c.descriptor for c in combo))
     assign_lists = [factor_assignments(c, t, p) for c, t in zip(combo, types)]
-    memo = _level_h1_memo()
     for classes in itertools.product(*(range(len(a)) for a in assign_lists)):
         assign = [a[j] for a, j in zip(assign_lists, classes)]
         if x_type == "G2":
@@ -885,11 +873,10 @@ def _evaluate(types, combo, x_type, distinct, summands, p) -> CandidateReport:
             tilting = [flag for flag, _ in g2]
             outcomes = [char_h1_factors(char, p) for _, char in g2]
         else:
+            idx, records = walked
             tilting = [False] * len(distinct)
-            outcomes = [
-                _a1_outcome(p, tuple(_live_options((combo[k],), types[k], w[k], p)[classes[k]]
-                                     for k in live), memo)
-                for w, live in distinct]
+            outcomes = [record.get(tuple((idx[k], classes[k]) for k in live), 0)
+                        for (_, live), record in zip(distinct, records)]
         flagged = False
         for lvl, k in summands:
             if outcomes[k] and tilting[k]:

@@ -147,7 +147,9 @@ def split_weight(comps, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root]]:
-    """Roots of the unipotent radical of P_levi, grouped by level."""
+    """Roots of the unipotent radical of P_levi, grouped by level.  A Levi
+    that ``levi_components`` refuses is refused before it is read."""
+    levi_components(rs, levi)
     out: dict[int, list[Root]] = {}
     for r, key in zip(rs.positive, _shape_keys(rs, levi)):
         if any(key):
@@ -185,7 +187,9 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
     reports its level, its generator (least root in the total order), its
     highest weight keyed by component, and its root list.  A root outside
     the radical raises ``ValueError`` naming it; roots that are not a union
-    of whole shapes raise ``ArithmeticError``."""
+    of whole shapes raise ``ArithmeticError``; a Levi that
+    ``levi_components`` refuses is refused before the roots are read."""
+    comps = levi_components(rs, levi)
     keys = _shape_keys(rs, levi)
     groups: dict[tuple, list[int]] = {}
     for r in roots:
@@ -195,7 +199,6 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
                              f"the {rs.name} parabolic with Levi {levi}")
         groups.setdefault(keys[i], []).append(i)
     sizes = Counter(keys)
-    comps = levi_components(rs, levi)
     out = []
     for key, lvl, flat in level_summands(rs, levi):
         members = sorted(set(groups.get(key, ())))

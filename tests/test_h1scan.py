@@ -45,7 +45,6 @@ from gcr.h1scan import (
     factor_candidates,
     factor_restriction_g2,
     factor_restriction_terms,
-    _a1_outcome,
     _level_h1_memo,
     _ordered_components,
     _summand_weights,
@@ -602,8 +601,9 @@ def test_level_h1_values_pinned(group, p):
 
 def test_level_h1_lookups_pinned(monkeypatch):
     """Each live-factor walk runs once per walk key and is reused by every
-    Levi that asks again; losing the reuse multiplies the lookups (1,250,
-    5,000, 4,513 and 17,681 without it)."""
+    Levi that asks again, and the reports read its records, so the walks
+    make every lookup; losing the reuse multiplies them (1,161, 4,391,
+    4,508 and 17,431 without it)."""
     calls = 0
     outcome = h1scan._a1_outcome
 
@@ -619,7 +619,30 @@ def test_level_h1_lookups_pinned(monkeypatch):
         calls = 0
         scan_group(group, p)
         counts.append(calls)
-    assert counts == [415, 1796, 1295, 4015]
+    assert counts == [326, 1187, 1290, 3765]
+
+
+def test_walk_records_are_the_positive_memo_keys():
+    """Each walk record holds the positive choices of its walk key, each
+    with the H^1 of the level-H^1 key it names, and the records name
+    exactly the positive keys of the memo; a key walked with and without
+    covering every factor can name one memo key twice."""
+    sizes = []
+    for group, p in [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)]:
+        _level_h1_memo.cache_clear()
+        scan_group(group, p)
+        memo = _level_h1_memo()
+        named = set()
+        for (q, tmax, _, live), record in memo.walks.items():
+            assert (q, tmax) == (p, 2)
+            for choice, h1 in record.items():
+                key = (p, tuple((t, factor_candidates(t, p, tmax)[i].descriptor, j, w)
+                                for (t, w), (i, j) in zip(live, choice)))
+                assert h1 == memo[key] > 0, key
+                named.add(key)
+        assert named == {key for key, h1 in memo.items() if h1 > 0}
+        sizes.append((len(memo.walks), sum(map(len, memo.walks.values())), len(named)))
+    assert sizes == [(40, 15, 15), (81, 44, 36), (83, 2, 2), (149, 28, 27)]
 
 
 def test_restriction_memo_pinned():
@@ -899,10 +922,10 @@ def test_warm_scan_across_tmax_matches_cold():
 
 def test_level_h1_memo_is_sound_on_e6_p5():
     """After a full E6/p=5 scan, the memoised H^1 of every A1 candidate,
-    class and non-trivial level summand equals H^1 of the tensor product of
-    the restrictions to all Levi factors, trivial ones included, computed
-    without the memo; summands trivial on every factor, which the scan
-    drops, carry no H^1."""
+    class and non-trivial level summand, read by its key, equals H^1 of the
+    tensor product of the restrictions to all Levi factors, trivial ones
+    included, computed without the memo; summands trivial on every factor,
+    which the scan drops, carry no H^1."""
     p = 5
     _level_h1_memo.cache_clear()
     scan_group("E6", p)
@@ -936,9 +959,9 @@ def test_level_h1_memo_is_sound_on_e6_p5():
                         if weights not in live:
                             assert full == 0, (levi, weights)
                             continue
-                        scanned = _a1_outcome(p, tuple(h1scan._live_options(
-                            (combo[k],), types[k], weights[k], p)[classes[k]]
-                            for k in live[weights]), memo)
+                        scanned = memo[p, tuple(
+                            (types[k], combo[k].descriptor, classes[k], weights[k])
+                            for k in live[weights])]
                         assert scanned == full, (levi, combo, classes, weights)
                         checked += 1
                         positive += full > 0

@@ -60,11 +60,13 @@ def test_levi_node_check_does_not_depend_on_call_order(ints_first):
 def test_levi_outside_the_diagram_is_refused(levi):
     """A node outside 1..rank, a repeated node or a Levi that is no tuple
     is refused, naming the group and the Levi, by every reader of the
-    Levi's components, the scan included: (7,) and (-1,) came back as
-    components and the level readers then died in a bare IndexError, (1, 1)
-    was read as (1,), and [1, 3] died unhashable in a cache."""
+    Levi, the scan included: (7,) and (-1,) came back as components and
+    the level readers then died in a bare IndexError, (1, 1) was read as
+    (1,), and [1, 3] died unhashable in a cache; ``radical_levels`` read
+    (1, 1) as (1,) and took [1, 3]."""
     rs = _rs("E6")
-    for call in (levi_components, level_summands, verify_levels,
+    for call in (levi_components, level_summands, verify_levels, radical_levels,
+                 lambda rs, levi: decompose_level(rs, levi, []),
                  lambda rs, levi: scan_parabolic("E6", levi, 5)):
         with pytest.raises(ValueError, match=re.escape(
                 f"Levi {levi} of E6 must list nodes 1..6")):
