@@ -59,8 +59,8 @@ from .modrep import (
     parse_module,
     spin_halves_from_char,
 )
-from .parabolic import component_type, level_summands, levi_components
-from .rootsystem import RootSystem, build_root_system
+from .parabolic import level_summands, typed_components
+from .rootsystem import build_root_system
 
 
 # -- canonical form for action expressions ------------------------------------
@@ -655,13 +655,6 @@ def _char_fp(char: Counter):
     return tuple(sorted(char.items()))
 
 
-def _ordered_components(rs: RootSystem, levi):
-    comps = levi_components(rs, levi)
-    typed = [(component_type(rs, c), c) for c in comps]
-    typed.sort(key=lambda tc: (tc[0][0], int(tc[0][1:]), min(tc[1])))
-    return typed
-
-
 @functools.lru_cache(maxsize=None)
 def _summand_weights(name: str, levi: tuple[int, ...]):
     """Factor types; distinct summand weights with their live (non-trivial)
@@ -669,14 +662,15 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     least root, read from the radical's shape keys.  Trivial summands are
     dropped before any weight is split: X is reductive, so H^1(X, k) = 0,
     and a summand is trivial exactly when its flat weight is zero.  The
-    flat weight lists the nodes of each ``levi_components`` component in
+    flat weight lists the nodes of each ``typed_components`` component in
     turn, so each distinct one is cut into per-factor weights once, by
-    slices taken in type order."""
+    slices taken in factor order: by kind, rank and least node."""
     rs = build_root_system(name)
-    typed = _ordered_components(rs, levi)
-    comps = levi_components(rs, levi)
-    starts = list(itertools.accumulate(map(len, comps), initial=0))
-    cuts = [slice(starts[i], starts[i + 1]) for i in (comps.index(c) for _, c in typed)]
+    typed = typed_components(rs, levi)
+    starts = list(itertools.accumulate((len(c) for _, c in typed), initial=0))
+    order = sorted(range(len(typed)),
+                   key=lambda i: (typed[i][0][0], int(typed[i][0][1:]), min(typed[i][1])))
+    cuts = [slice(starts[i], starts[i + 1]) for i in order]
     ids: dict[tuple, int] = {}
     out = [(lvl, ids.setdefault(flat, len(ids)))
            for _, lvl, flat in sorted(level_summands(rs, levi), key=operator.itemgetter(1))
@@ -685,7 +679,7 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     for flat in ids:
         weights = tuple(flat[cut] for cut in cuts)
         distinct.append((weights, tuple(k for k, w in enumerate(weights) if any(w))))
-    return [t for t, _ in typed], distinct, out
+    return [typed[i][0] for i in order], distinct, out
 
 
 def nonnegative_int(n) -> bool:
@@ -717,7 +711,7 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
                   else f"p must be a prime good for {rs.name}, at least {least}" if not good
                   else "tmax must be an int >= 0")
         raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
-    levi_components(rs, levi)           # refuses a bad Levi before the cache
+    typed_components(rs, levi)          # refuses a bad Levi before the cache
     types, distinct, summands = _summand_weights(name, levi)
     if not types:
         return []
@@ -913,8 +907,17 @@ def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
     The scan builds no reference cycles, so reference counting alone frees
     all it drops, and a collection would only traverse the caches it fills;
     ``test_scan_and_diff_build_no_cycles`` backs this for the four golden
-    tables and their diffs.  Only the scan is paused: ``diff_badx`` pauses
-    the collector just for a scan it runs itself."""
+    tables and their diffs.  Before an enabled collector resumes, every
+    tracked object moves to the oldest generation (``gc.freeze`` then
+    ``gc.unfreeze``, which also zeroes the young count), so the first
+    allocation after the scan does not start a collection that traverses
+    the caches and frees nothing.  The caches live as long as the process,
+    so they gain nothing from the young generations; a cycle among the
+    caller's own young objects moves with them and waits for the next full
+    collection, and objects the caller froze with ``gc.freeze`` are
+    unfrozen into the oldest generation.  A collector disabled on entry is
+    left untouched.  Only the scan is paused: ``diff_badx`` pauses the
+    collector just for a scan it runs itself."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -936,6 +939,8 @@ def scan_group(name: str, p: int, tmax: int = 2) -> ScanResult:
                         pruned[key] = rep.pruned
     finally:
         if enabled:
+            gc.freeze()
+            gc.unfreeze()
             gc.enable()
     nonrows = [(k[0], k[1], k[2], v) for k, v in sorted(pruned.items())]
     return ScanResult(rows, nonrows, rs.name, p, tmax)

@@ -16,6 +16,13 @@ occurs, at its shape's least root, and keeps its last value, the index of
 the shape's highest root, which is unique.  ``level_summands`` reads the
 summands off that dict, and the scan, ``radical_levels``,
 ``decompose_level`` and ``verify_levels`` all read the same keys.
+
+``typed_components`` is the one checked reader of a Levi: it refuses a
+Levi that is no tuple of distinct nodes 1..rank, and gives the type and
+the standard-ordered nodes of each component, computed once per (root
+system, Levi).  ``levi_components`` and ``component_type`` are readers
+built on it; ``_summand_weights`` in the scan and ``verify_levels`` take
+a Levi's types and nodes from it in one read.
 """
 
 from __future__ import annotations
@@ -31,15 +38,16 @@ from .rootsystem import Root, RootSystem
 def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of the sub-Dynkin diagram on the 1-based nodes
     in levi, each ordered in the standard numbering of its type: a new list
-    on every call, computed once per (rs, levi)."""
-    return [nodes for _, nodes in _levi_components(rs, levi)]
+    on every call, read from ``typed_components``."""
+    return [nodes for _, nodes in typed_components(rs, levi)]
 
 
-def _levi_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(type, ordered nodes) of each component, by least node.  A Levi that
-    is no tuple of distinct ints in 1..rank raises ValueError naming the
-    group and the Levi, before the cache, whose keys take 2.0 and True for
-    int nodes, would read (1, 1) as (1,) and cannot hash a list."""
+def typed_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(type, ordered nodes) of each component of the Levi, computed once
+    per (rs, levi).  A Levi that is no tuple of distinct ints in 1..rank
+    raises ValueError naming the group and the Levi, before the cache,
+    whose keys take 2.0 and True for int nodes, would read (1, 1) as (1,)
+    and cannot hash a list."""
     if not (type(levi) is tuple and all(type(i) is int and 1 <= i <= rs.rank for i in levi)
             and len(set(levi)) == len(levi)):
         raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}, "
@@ -106,7 +114,7 @@ def _order_component(nodes: list[int], adj) -> tuple[str, tuple[int, ...]]:
 def component_type(rs: RootSystem, comp: tuple[int, ...]) -> str:
     """Dynkin type of one connected component, as ``levi_components``
     orders it; nodes that are not one component raise ValueError."""
-    comps = _levi_components(rs, comp)
+    comps = typed_components(rs, comp)
     if len(comps) != 1:
         raise ValueError(f"nodes {comp} of {rs.name} are not one component")
     return comps[0][0]
@@ -148,8 +156,8 @@ def split_weight(comps, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def radical_levels(rs: RootSystem, levi: tuple[int, ...]) -> dict[int, list[Root]]:
     """Roots of the unipotent radical of P_levi, grouped by level.  A Levi
-    that ``levi_components`` refuses is refused before it is read."""
-    levi_components(rs, levi)
+    that ``typed_components`` refuses is refused before it is read."""
+    typed_components(rs, levi)
     out: dict[int, list[Root]] = {}
     for r, key in zip(rs.positive, _shape_keys(rs, levi)):
         if any(key):
@@ -161,7 +169,7 @@ def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
     """The summands of the radical of P_levi, one per shape, in the order of
     their least roots: (shape key, level, flat weight).  The flat weight is
     the pairings of the shape's highest root against the nodes of the
-    ``levi_components`` components in turn, and ``split_weight`` gives one
+    ``typed_components`` components in turn, and ``split_weight`` gives one
     tuple per component (Azad, Barry and Seitz, "On the structure of
     parabolic subgroups", Comm. Algebra 18 (1990)).  A weight that is not
     dominant raises ``ArithmeticError`` naming the group, the Levi and the
@@ -169,7 +177,7 @@ def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
     keys = _shape_keys(rs, levi)
     tops = dict(zip(keys, range(len(keys))))
     tops.pop((0,) * len(keys[0]), None)         # the Levi's own roots
-    weight = _entries([i - 1 for nodes in levi_components(rs, levi) for i in nodes])
+    weight = _entries([i - 1 for _, nodes in typed_components(rs, levi) for i in nodes])
     flats = list(map(weight, map(rs.pairings.__getitem__, tops.values())))
     if min(itertools.chain.from_iterable(flats), default=0) < 0:
         flat, top = next((f, t) for f, t in zip(flats, tops.values()) if min(f) < 0)
@@ -230,8 +238,9 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
     mismatch."""
     from .modrep import freudenthal
 
-    comps = levi_components(rs, levi)
-    types = [component_type(rs, c) for c in comps]
+    typed = typed_components(rs, levi)
+    types = [t for t, _ in typed]
+    comps = [c for _, c in typed]
     weight = _entries([i - 1 for nodes in comps for i in nodes])
     members: dict[tuple, list[int]] = {}
     for i, key in enumerate(_shape_keys(rs, levi)):

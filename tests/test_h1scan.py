@@ -46,7 +46,6 @@ from gcr.h1scan import (
     factor_restriction_g2,
     factor_restriction_terms,
     _level_h1_memo,
-    _ordered_components,
     _summand_weights,
     g2_factor_candidate,
     scan_group,
@@ -54,7 +53,7 @@ from gcr.h1scan import (
     spin_half_terms,
 )
 from gcr.parabolic import (component_type, decompose_level, levi_components,
-                           radical_levels)
+                           radical_levels, typed_components)
 from gcr.rootsystem import build_root_system
 from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_json,
                         expand_rows, load_badx, render_diff)
@@ -820,6 +819,14 @@ def test_missing_golden_table_names_the_pair(group, p):
         diff_badx(group, p)
 
 
+def _factor_nodes(rs, levi):
+    """The nodes of each Levi factor in the scan's factor order, by kind,
+    rank and least node, read from the one checked read of the Levi."""
+    typed = sorted(typed_components(rs, levi),
+                   key=lambda tc: (tc[0][0], int(tc[0][1:]), min(tc[1])))
+    return [c for _, c in typed]
+
+
 def _factor_types():
     """Simple factor types of every Levi of E8 (which contain those of E6
     and E7)."""
@@ -935,7 +942,7 @@ def test_level_h1_memo_is_sound_on_e6_p5():
     for k in range(1, rs.rank):
         for levi in itertools.combinations(range(1, rs.rank + 1), k):
             types, distinct, _ = _summand_weights("E6", levi)
-            comps = [c for _, c in _ordered_components(rs, levi)]
+            comps = _factor_nodes(rs, levi)
             every = {tuple(s["high_weight"][c] for c in comps)
                      for roots in radical_levels(rs, levi).values()
                      for s in decompose_level(rs, levi, roots)}
@@ -1191,6 +1198,32 @@ def test_scan_group_pauses_the_collector_and_restores_it(monkeypatch, enabled, p
     assert seen == {False}
 
 
+def test_scan_group_leaves_no_collection_pending():
+    """A cold scan with the collector enabled runs no collection, and hands
+    back a young count below its threshold: what the scan allocated moves
+    to the oldest generation before the collector resumes.  Without the
+    move, the first allocation after the pause, still inside the call,
+    started a collection that traversed the scan's caches and freed
+    nothing."""
+    _clear_every_cache()
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        scan_group("E6", 5)
+        count = gc.get_count()
+    finally:
+        gc.callbacks.remove(hook)
+    assert started == []
+    assert count[0] < gc.get_threshold()[0]
+
+
 EXPECTED_EXTRAS = {
     ("E6", 5): set(),
     ("E7", 5): set(),
@@ -1382,7 +1415,7 @@ def test_level_dump_pinned():
     totals = {name: [0, 0] for name in LEVEL_SUMMANDS}
     for name, levi, _, distinct, summands in levis:
         rs = build_root_system(name)
-        comps = [c for _, c in h1scan._ordered_components(rs, tuple(levi))]
+        comps = _factor_nodes(rs, tuple(levi))
         expect = []
         for roots in radical_shapes(rs, levi).values():
             height = max(map(sum, roots))

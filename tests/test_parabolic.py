@@ -16,6 +16,7 @@ from gcr.parabolic import (
     level_summands,
     levi_components,
     radical_levels,
+    typed_components,
     verify_levels,
 )
 from gcr.rootsystem import RootSystem, build_root_system
@@ -65,7 +66,8 @@ def test_levi_outside_the_diagram_is_refused(levi):
     (1,), and [1, 3] died unhashable in a cache; ``radical_levels`` read
     (1, 1) as (1,) and took [1, 3]."""
     rs = _rs("E6")
-    for call in (levi_components, level_summands, verify_levels, radical_levels,
+    for call in (levi_components, typed_components, level_summands, verify_levels,
+                 radical_levels,
                  lambda rs, levi: decompose_level(rs, levi, []),
                  lambda rs, levi: scan_parabolic("E6", levi, 5)):
         with pytest.raises(ValueError, match=re.escape(
@@ -116,6 +118,21 @@ def test_component_types_over_every_levi(name):
                      for levi in itertools.combinations(range(1, rs.rank + 1), k)
                      for c in levi_components(rs, levi))
     assert counts == TYPE_COUNTS[name]
+
+
+def test_typed_components_agree_with_the_two_readers():
+    """On every proper Levi of E6, E7 and E8, the one checked read gives
+    each component's type and nodes as ``levi_components`` and
+    ``component_type`` give them, in the same order."""
+    levis = 0
+    for name in ("E6", "E7", "E8"):
+        rs = _rs(name)
+        for k in range(rs.rank):
+            for levi in itertools.combinations(range(1, rs.rank + 1), k):
+                levis += 1
+                assert list(typed_components(rs, levi)) == [
+                    (component_type(rs, c), c) for c in levi_components(rs, levi)]
+    assert levis == 445
 
 
 def test_component_type_rejects_disconnected_nodes():
