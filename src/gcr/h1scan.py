@@ -44,11 +44,13 @@ from dataclasses import dataclass, field, replace
 from .a1coh import (atom_char, h1_term, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
 from .modrep import (
+    TWIST_SYMBOLS,
     ModExpr,
     alt_char,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
+    is_prime,
     m_simple,
     m_sum,
     m_tensor,
@@ -59,7 +61,7 @@ from .modrep import (
     parse_module,
     spin_halves_from_char,
 )
-from .parabolic import level_summands, typed_components
+from .parabolic import level_summands, split_weight, typed_components
 from .rootsystem import build_root_system
 
 
@@ -236,7 +238,7 @@ def _module_candidate(e: ModExpr) -> FactorCandidate:
 # -- factor-action text: twist sweep and canonical form ----------------------
 
 _CHAIN_RE = re.compile(r"^((?:[A-G][1-9])+)\((.+)\)$")
-_VAR_RE = re.compile(r"\b([rstu])\b")
+_VAR_RE = re.compile(rf"\b([{TWIST_SYMBOLS}])\b")
 
 
 def _step(u, *vals):
@@ -300,7 +302,7 @@ _G2_WEIGHT_RE = re.compile(r"^\(\d+,\d+\)$")
 
 
 def twist_choices(texts, constraints, tmax: int, ref: str):
-    """Each choice of twists 0..tmax for the symbols r, s, t, u of the texts
+    """Each choice of twists 0..tmax for the ``TWIST_SYMBOLS`` of the texts
     and constraints that all constraints admit, as a symbol -> twist dict;
     the symbols in alphabetical order, the first varying slowest.  A
     constraint outside the grammar raises ValueError naming ref."""
@@ -662,24 +664,20 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     least root, read from the radical's shape keys.  Trivial summands are
     dropped before any weight is split: X is reductive, so H^1(X, k) = 0,
     and a summand is trivial exactly when its flat weight is zero.  The
-    flat weight lists the nodes of each ``typed_components`` component in
-    turn, so each distinct one is cut into per-factor weights once, by
-    slices taken in factor order: by kind, rank and least node."""
+    factors are the ``typed_components`` components in their order, and a
+    flat weight lists their nodes in turn, so ``split_weight`` cuts each
+    distinct one into per-factor weights once."""
     rs = build_root_system(name)
     typed = typed_components(rs, levi)
-    starts = list(itertools.accumulate((len(c) for _, c in typed), initial=0))
-    order = sorted(range(len(typed)),
-                   key=lambda i: (typed[i][0][0], int(typed[i][0][1:]), min(typed[i][1])))
-    cuts = [slice(starts[i], starts[i + 1]) for i in order]
     ids: dict[tuple, int] = {}
     out = [(lvl, ids.setdefault(flat, len(ids)))
            for _, lvl, flat in sorted(level_summands(rs, levi), key=operator.itemgetter(1))
            if any(flat)]
     distinct = []
     for flat in ids:
-        weights = tuple(flat[cut] for cut in cuts)
+        weights = split_weight([c for _, c in typed], flat)
         distinct.append((weights, tuple(k for k, w in enumerate(weights) if any(w))))
-    return [typed[i][0] for i in order], distinct, out
+    return [t for t, _ in typed], distinct, out
 
 
 def nonnegative_int(n) -> bool:
@@ -705,7 +703,7 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     group and the Levi."""
     rs = build_root_system(name)
     least = 7 if rs.name == "E8" else 5
-    good = nonnegative_int(p) and p >= least and all(p % d for d in range(2, math.isqrt(p) + 1))
+    good = is_prime(p) and p >= least
     if rs.kind != "E" or not good or not nonnegative_int(tmax):
         reason = ("the group must be E6, E7 or E8" if rs.kind != "E"
                   else f"p must be a prime good for {rs.name}, at least {least}" if not good

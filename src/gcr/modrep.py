@@ -2,10 +2,11 @@
 plus characteristic-zero weight multisets for arbitrary simply-laced and G2
 types via Freudenthal's formula.
 
-Rank-one modules carry explicit divided-power operator matrices over GF(p),
-so cocycle spaces can be computed by honest linear algebra; character-level
-routines (composition factors, tilting characters) are kept separate so the
-two can be played against each other in tests.
+Rank-one modules carry explicit divided-power operators over GF(p), kept
+as their nonzero entries, so cocycle spaces can be computed by honest
+linear algebra; character-level routines (composition factors, tilting
+characters) are kept separate so the two can be played against each other
+in tests.
 
 Module expressions (``ModExpr``) say only what the golden tables write:
 sums and tensor products of twisted simples and tiltings.  Alternating
@@ -49,7 +50,8 @@ def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     3((lam+rho)^2 - (mu+rho)^2) = sum c_i (lam_i+1) g[i][i] - 3(c, c).
     The term at mu + k alpha takes the multiplicity of its dominant conjugate,
     found earlier; root strings through weights are unbroken, so the terms
-    stop at the first one whose conjugate is not below lam."""
+    stop at the first one whose conjugate is not below lam.  A positive
+    root's weight is its row of ``rs.pairings``."""
     rs = build_root_system(name)
     n = rs.rank
     if len(lam) != n:
@@ -59,9 +61,8 @@ def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     half = [rs._gram3[i][i] // 2 for i in range(n)]
     # per positive root alpha: its weight, its root coordinates, the vector
     # 3(omega_j, alpha) and 3(alpha, alpha)
-    pos = [(tuple(rs.pairing_index(r, i) for i in range(n)), r,
-            tuple(h * c for h, c in zip(half, r)), rs._form3(r, r))
-           for r in rs.positive]
+    pos = [(omega, r, tuple(h * c for h, c in zip(half, r)), rs._form3(r, r))
+           for omega, r in zip(rs.pairings, rs.positive)]
     # (lam_i + 1) g[i][i], the first term of the scaled denominator
     lam_rho = [2 * h * (x + 1) for h, x in zip(half, lam)]
 
@@ -102,10 +103,6 @@ def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
                     out[v] = m
                     orbit.append(v)
     return out
-
-
-def weyl_dim(name: str, lam: tuple[int, ...]) -> int:
-    return sum(freudenthal(name, lam).values())
 
 
 # -- peeling characters -------------------------------------------------------
@@ -155,7 +152,10 @@ def a1_weyl_weights(m: int) -> list[int]:
 
 
 def _base_p_digits(m: int, p: int) -> list[int]:
-    """Base-p digits of m >= 0, least significant first."""
+    """Base-p digits of m >= 0, least significant first; a negative m or a
+    p below 2, which have no such digits, raises ValueError naming both."""
+    if m < 0 or p < 2:
+        raise ValueError(f"no base-{p} digits of {m}: needs m >= 0 and p >= 2")
     digits = []
     while True:
         m, d = divmod(m, p)
@@ -202,24 +202,31 @@ def a1_tilting_weights(m: int, p: int) -> tuple[int, ...]:
 
 # -- rank-one modules with explicit operators --------------------------------
 
+def is_prime(p) -> bool:
+    """True for a prime int and no other value, a bool included."""
+    return type(p) is int and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 class A1Module:
     """Module for the rank-one group: T-weights per basis vector plus the
-    divided-power operators E[a], F[a] over GF(p), so that
-    x_+(t) = sum_a t^a E[a] and x_-(t) = sum_a t^a F[a].
+    divided-power operators E_a, F_a over GF(p), p prime, so that
+    x_+(t) = sum_a t^a E_a and x_-(t) = sum_a t^a F_a.
 
-    E[a] raises a weight by 2a and F[a] lowers it by 2a, so few entries are
-    nonzero.  ``entries`` is the pair (E, F), each kind kept over all its
-    degrees as one triple (rows, cols, values mod p) of nonzero entries at
-    distinct positions; an entry's degree is half its weight shift.  The
-    constructor takes, per kind, such a triple as a tuple, and raises
-    ``TypeError`` on anything else.  It rejects entries outside the module,
-    reduces mod p, drops zeros and checks that every nonzero entry shifts
-    its weight by a positive even amount in the operator's direction.  ``E``
-    and ``F`` are dense dicts per degree, built on first use.  ``weights``
-    is a tuple and every array is read-only: ``tilting_module`` shares
-    modules."""
+    E_a raises a weight by 2a and F_a lowers it by 2a, so few entries are
+    nonzero, and the operators are kept as entries only: ``entries`` is the
+    pair (E, F), each kind kept over all its degrees as one triple (rows,
+    cols, values mod p) of nonzero entries at distinct positions; an
+    entry's degree is half its weight shift.  The constructor takes, per
+    kind, such a triple as a tuple, and raises ``TypeError`` on anything
+    else.  It refuses a p that is not a prime int, rejects entries outside
+    the module, reduces mod p, drops zeros and checks that every nonzero
+    entry shifts its weight by a positive even amount in the operator's
+    direction.  ``weights`` is a tuple and every array is read-only:
+    ``tilting_module`` shares modules."""
 
     def __init__(self, p: int, weights, E: tuple, F_: tuple):
+        if not is_prime(p):
+            raise ValueError(f"p={p!r} of a rank-one module must be a prime int")
         self.p = p
         self.weights = tuple(weights)
         self.dim = len(self.weights)
@@ -252,44 +259,18 @@ class A1Module:
             x.setflags(write=False)
         return r, c, v
 
-    def _dense(self, which: int) -> dict[int, np.ndarray]:
-        r, c, v = self.entries[which]
-        w = np.array(self.weights, dtype=np.int64)
-        deg = np.abs(w[r] - w[c]) // 2
-        out = {}
-        for a in sorted(set(deg.tolist())):
-            at = deg == a
-            out[a] = np.zeros((self.dim, self.dim), dtype=np.int64)
-            out[a][r[at], c[at]] = v[at]
-            out[a].setflags(write=False)
-        return out
-
-    @functools.cached_property
-    def E(self) -> dict[int, np.ndarray]:
-        return self._dense(0)
-
-    @functools.cached_property
-    def F(self) -> dict[int, np.ndarray]:
-        return self._dense(1)
-
 
 def weyl_module(m: int, p: int) -> A1Module:
     """W(m) on divided-power basis v_0 .. v_m, v_i of weight m - 2i:
-    E_k v_i = binom(m - i + k, k) v_{i-k} and F_k v_{i-k} = binom(i, k) v_i."""
+    E_k v_i = binom(m - i + k, k) v_{i-k} and F_k v_{i-k} = binom(i, k) v_i.
+    A negative m raises ValueError naming m and p."""
+    if m < 0:
+        raise ValueError(f"highest weight {m} of W(m) at p={p} must be dominant")
     lo, hi = np.triu_indices(m + 1, 1)
     pairs = list(zip(lo.tolist(), hi.tolist()))
     return A1Module(p, [m - 2 * i for i in range(m + 1)],
                     (lo, hi, [math.comb(m - j, i - j) % p for j, i in pairs]),
                     (hi, lo, [math.comb(i, i - j) % p for j, i in pairs]))
-
-
-def simple_module(m: int, p: int) -> A1Module:
-    """L(m) as a twisted tensor product over the base-p digits."""
-    out = None
-    for i, d in enumerate(_base_p_digits(m, p)):
-        piece = twist(weyl_module(d, p), i) if i else weyl_module(d, p)
-        out = piece if out is None else tensor(out, piece)
-    return out
 
 
 def _with_identity(entries: tuple, dim: int) -> tuple:
@@ -318,17 +299,6 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
 def twist(a: A1Module, r: int) -> A1Module:
     q = a.p ** r
     return A1Module(a.p, [w * q for w in a.weights], *a.entries)
-
-
-def direct_sum(*mods: A1Module) -> A1Module:
-    ops: tuple[list, list] = ([], [])
-    off = 0
-    for m in mods:
-        for store, (r, c, v) in zip(ops, m.entries):
-            store.append((r + off, c + off, v))
-        off += m.dim
-    return A1Module(mods[0].p, [w for m in mods for w in m.weights],
-                    *(tuple(map(np.concatenate, zip(*s))) for s in ops))
 
 
 def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
@@ -401,7 +371,11 @@ def tilting_module(m: int, p: int) -> A1Module:
         return tensor(twist(tilting_module(b, p), 1), tilting_module(a, p))
     big = tensor(weyl_module(p - 1, p), weyl_module(m - p + 1, p))
     h = np.array(big.weights, dtype=np.int64)
-    omega = np.diag(h * h + 2 * h) + 4 * (big.F[1] @ big.E[1])
+    e1, f1 = np.zeros((2, big.dim, big.dim), dtype=np.int64)
+    for one, (r, c, v) in zip((e1, f1), big.entries):
+        at = np.abs(h[r] - h[c]) == 2
+        one[r[at], c[at]] = v[at]
+    omega = np.diag(h * h + 2 * h) + 4 * (f1 @ e1)
     shifted = (omega - ((m + 1) ** 2 - 1) * np.eye(big.dim, dtype=np.int64)) % p
     sub = _submodule_restriction(
         big, nullspace(_mat_power_mod(shifted, big.dim, p), p).T)
@@ -413,16 +387,6 @@ def tilting_module(m: int, p: int) -> A1Module:
 
 
 # -- first cohomology from explicit operators --------------------------------
-
-def _binom_mod(n: np.ndarray, k: np.ndarray, p: int) -> np.ndarray:
-    """binom(n, k) mod p elementwise for 0 <= k <= n, by Lucas' theorem."""
-    digits = np.array([[math.comb(i, j) % p for j in range(p)] for i in range(p)])
-    out = np.ones_like(n)
-    while n.any():
-        out = out * digits[n % p, k % p] % p
-        n, k = n // p, k // p
-    return out
-
 
 def h1_module_a1(mod: A1Module) -> int:
     """dim H^1 of the rank-one group acting on mod.
@@ -443,8 +407,9 @@ def h1_module_a1(mod: A1Module) -> int:
     start = np.cumsum(s - 1) - (s - 1)
     own = np.repeat(np.arange(s.size), s - 1)
     mat = np.zeros((own.size, s.size), dtype=np.int64)
-    mat[np.arange(own.size), own] = _binom_mod(
-        s[own], np.arange(own.size) - start[own] + 1, p)
+    a = np.arange(own.size) - start[own] + 1
+    mat[np.arange(own.size), own] = [math.comb(n, k) % p
+                                     for n, k in zip(s[own].tolist(), a.tolist())]
     # all E entries at once: an entry's degree is half its weight shift
     r, c, v = mod.entries[0]
     keep = pos[r] & pos[c]
@@ -525,9 +490,10 @@ class ModExpr:
     of (possibly twisted) simples ("simple") and tiltings ("tilt").
 
     Weights are integers for the rank-one group or pairs for G2; twists are
-    nonnegative integers or symbols (r, s, ...) with an optional offset,
-    which ``module_subst`` resolves before evaluation.  Expressions key
-    caches, so each node hashes once, when built, from its parts' hashes."""
+    nonnegative integers or symbols of ``TWIST_SYMBOLS`` with an optional
+    offset, which ``module_subst`` resolves before evaluation.  Expressions
+    key caches, so each node hashes once, when built, from its parts'
+    hashes."""
 
     kind: str
     weight: int | tuple[int, int] | None = None
@@ -558,10 +524,10 @@ def m_sum(*parts) -> ModExpr:
     return ModExpr("sum", parts=parts)
 
 
-_TWIST_SYMBOLS = "rstuvw"
+TWIST_SYMBOLS = "rstu"     # for the parser and the twist sweep alike
 
 _TOKEN = re.compile(
-    r"(x|\+|\(|\)|\[|\]|T(?=\()|[0-9]+|[rstuvw](?:\+[0-9]+)?)")
+    rf"(x|\+|\(|\)|\[|\]|T(?=\()|[0-9]+|[{TWIST_SYMBOLS}](?:\+[0-9]+)?)")
 _MAX_DEPTH = 50     # deepest bracket nesting that parse_module accepts
 
 
@@ -643,7 +609,7 @@ class _Parser:
             t = self.take()
             if t.isdigit():
                 tw = int(t)
-            elif t[0] in _TWIST_SYMBOLS:
+            elif t[0] in TWIST_SYMBOLS:
                 sym, _, off = t.partition("+")
                 tw = (sym, int(off or 0))
             else:
@@ -655,9 +621,10 @@ class _Parser:
 @functools.lru_cache(maxsize=None)
 def parse_module(s: str) -> ModExpr:
     """Parse the module text grammar: "3 x 1[1] + T(8) + 0", "(2 + 0) x
-    1[s+1]" (x or the tensor sign both work; twists may be numbers or
-    symbols like r, s+1); other text raises ValueError quoting it.  Each
-    text is parsed once; the expression is frozen, so callers share it."""
+    1[s+1]" (x or the tensor sign both work; twists may be numbers or a
+    symbol of ``TWIST_SYMBOLS`` with an optional offset, like r or s+1);
+    other text raises ValueError quoting it.  Each text is parsed once; the
+    expression is frozen, so callers share it."""
     parser = _Parser(s)
     depths = itertools.accumulate((t == "(") - (t == ")") for t in parser.toks)
     if max(depths, default=0) > _MAX_DEPTH:
@@ -828,26 +795,6 @@ def module_weights(e: ModExpr, p: int) -> Counter:
         return functools.reduce(char_tensor, (module_weights(t, p)
                                               for t in e.parts))
     return _atom_char(e, p)
-
-
-def module_matrices(e: ModExpr, p: int) -> A1Module:
-    """Explicit operator realisation of a rank-one expression."""
-    if e.kind == "sum":
-        return direct_sum(*(module_matrices(t, p) for t in e.parts))
-    if e.kind == "tensor":
-        mods = [module_matrices(t, p) for t in e.parts]
-        out = mods[0]
-        for m in mods[1:]:
-            out = tensor(out, m)
-        return out
-    if isinstance(e.weight, tuple):
-        raise NotImplementedError("explicit operators are rank-one only")
-    tw = _twist_value(e.twist, None)
-    if e.kind == "simple":
-        base = simple_module(e.weight, p)
-    else:
-        base = tilting_module(e.weight, p)
-    return twist(base, tw) if tw else base
 
 
 def module_is_tilting(e: ModExpr, p: int) -> bool:

@@ -20,9 +20,12 @@ summands off that dict, and the scan, ``radical_levels``,
 ``typed_components`` is the one checked reader of a Levi: it refuses a
 Levi that is no tuple of distinct nodes 1..rank, and gives the type and
 the standard-ordered nodes of each component, computed once per (root
-system, Levi).  ``levi_components`` and ``component_type`` are readers
-built on it; ``_summand_weights`` in the scan and ``verify_levels`` take
-a Levi's types and nodes from it in one read.
+system, Levi).  It lists the components in the one factor order of the
+package, by kind, rank and least node, so a flat weight read against its
+nodes in turn is already in factor order.  ``levi_components`` and
+``component_type`` are readers built on it; ``_summand_weights`` in the
+scan and ``verify_levels`` take a Levi's types and nodes from it in one
+read.
 """
 
 from __future__ import annotations
@@ -37,17 +40,17 @@ from .rootsystem import Root, RootSystem
 
 def levi_components(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of the sub-Dynkin diagram on the 1-based nodes
-    in levi, each ordered in the standard numbering of its type: a new list
-    on every call, read from ``typed_components``."""
+    in levi, in ``typed_components``' order, each ordered in the standard
+    numbering of its type: a new list on every call."""
     return [nodes for _, nodes in typed_components(rs, levi)]
 
 
 def typed_components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(type, ordered nodes) of each component of the Levi, computed once
-    per (rs, levi).  A Levi that is no tuple of distinct ints in 1..rank
-    raises ValueError naming the group and the Levi, before the cache,
-    whose keys take 2.0 and True for int nodes, would read (1, 1) as (1,)
-    and cannot hash a list."""
+    """(type, ordered nodes) of each component of the Levi, by kind, rank
+    and least node, computed once per (rs, levi).  A Levi that is no tuple
+    of distinct ints in 1..rank raises ValueError naming the group and the
+    Levi, before the cache, whose keys take 2.0 and True for int nodes,
+    would read (1, 1) as (1,) and cannot hash a list."""
     if not (type(levi) is tuple and all(type(i) is int and 1 <= i <= rs.rank for i in levi)
             and len(set(levi)) == len(levi)):
         raise ValueError(f"Levi {levi} of {rs.name} must list nodes 1..{rs.rank}, "
@@ -79,7 +82,7 @@ def _components(rs: RootSystem, levi: tuple[int, ...]) -> tuple[tuple, ...]:
                     comp.append(nb)
             k += 1
         comps.append(_order_component(sorted(comp), adj))
-    comps.sort(key=lambda c: c[1][0])
+    comps.sort(key=lambda c: (c[0][0], int(c[0][1:]), min(c[1])))
     return tuple(comps)
 
 

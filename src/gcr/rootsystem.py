@@ -1,6 +1,7 @@
 """Root systems of the classical and exceptional types, with the combinatorics
 used everywhere else in this package: positive roots in a fixed total order
-by height, Cartan pairings, the invariant form, and parabolic levels.
+by height, their pairings with the simple coroots (one table, ``pairings``,
+that every reader shares), and the invariant form.
 
 Roots are coefficient tuples with respect to the simple roots, numbered
 1..rank in the standard (Bourbaki) ordering.  All public functions accept and
@@ -13,7 +14,6 @@ import functools
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable
 
 Root = tuple[int, ...]
 
@@ -124,10 +124,6 @@ class RootSystem:
 
     # -- basic queries ------------------------------------------------------
 
-    def pairing_index(self, r: Root, i: int) -> int:
-        """<r, alpha_{i+1}-check> for 0-based i."""
-        return sum(c * self.cartan[j][i] for j, c in enumerate(r))
-
     def pairing(self, r: Root, alpha: Root) -> int:
         """<r, alpha-check> for any root alpha, via the invariant form."""
         num = 2 * self._form3(r, alpha)
@@ -144,11 +140,6 @@ class RootSystem:
         """Three times the invariant form: an integer."""
         return sum(ci * cj * g for ci, row in zip(a, self._gram3) if ci
                    for cj, g in zip(b, row))
-
-    def level(self, r: Root, levi: Iterable[int]) -> int:
-        """Sum of coefficients outside the Levi subset (1-based indices)."""
-        inside = set(levi)
-        return sum(c for i, c in enumerate(r, start=1) if i not in inside)
 
     # -- formatting ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ terms mu + k alpha of the formula stop at the first non-weight.
 """
 
 from gcr.rootsystem import build_root_system
+from oracles import pairing_index
 
 
 def freudenthal_all_weights(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -21,7 +22,7 @@ def freudenthal_all_weights(name: str, lam: tuple[int, ...]) -> dict[tuple[int, 
     half = [rs._gram3[i][i] // 2 for i in range(n)]
     # per positive root alpha: its weight, the vector 3(omega_j, alpha) and
     # 3(alpha, alpha)
-    pos = [(tuple(rs.pairing_index(r, i) for i in range(n)),
+    pos = [(tuple(pairing_index(rs, r, i) for i in range(n)),
             tuple(h * c for h, c in zip(half, r)), rs._form3(r, r))
            for r in rs.positive]
     # (lam_i + 1) g[i][i], the first term of the scaled denominator

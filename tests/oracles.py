@@ -1,21 +1,30 @@
 """Helpers that exist only to check ``gcr``: no table result or cross-check
 uses them, so they live with the tests.
 
-- the one-parameter subgroups x_+(t) and x_-(t) of an explicit rank-one
-  module, for the group-law tests of its divided powers
+- the divided powers E_a and F_a of an explicit rank-one module as dense
+  matrices per degree, read off its entries, and the one-parameter
+  subgroups x_+(t) and x_-(t) built from them, for the operator tests
+- the simple module L(m), direct sums and the explicit module of a rank-one
+  expression, for the H^1 and alternating-power tests
 - the dual of an explicit rank-one module, for the H^1 test of W(8)* and
   as a factor of the tensor-reference tests
 - the k-th alternating power of an explicit rank-one module, for the
   tests of ``a1coh.sum_power`` and ``modrep.alt_char`` against operators
 - the weight vectors of an explicit rank-one module killed by every
   divided power E_a, for the test of the Hom recursion of ``a1coh``
-- the full root set, the simple roots and the simple reflections of a root
-  system, for the Euclidean-model and Weyl-invariance tests, and the
-  radical roots of a parabolic grouped by their outside coefficients, for
-  the level-summand tests
+- the full root set, the simple roots, the pairings with the simple
+  coroots summed from the Cartan matrix and the simple reflections of a
+  root system, for the Euclidean-model and Weyl-invariance tests, and a
+  root's level and the radical roots of a parabolic grouped by their
+  outside coefficients, for the level-summand tests
+- the dimension of a characteristic-zero irreducible, summed from
+  ``modrep.freudenthal``
 - the descriptor of any action expression, the composition factors of a
   module expression's character, and the H^1 criterion for a simple
   rank-one module
+- the Levi-irreducible actions on the natural module of A_n and D_n,
+  enumerated from the rule that defines them, for the test of the
+  hand-written candidate patterns
 - the candidate scan done the long way: every action a pattern gives, by
   the full product of its terms' choices with duplicates dropped, and the
   A1 report of every candidate product of a parabolic, class by class,
@@ -31,6 +40,7 @@ uses them, so they live with the tests.
 import functools
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -40,16 +50,34 @@ from gcr.h1scan import (class_unit, _level_h1_memo, _summand_weights,
                         _tensor_shapes, canonical_action, d_type_actions,
                         factor_assignments, factor_candidates,
                         factor_restriction_terms, scan_group, spin_half_terms)
-from gcr.modrep import (A1Module, ModExpr, _submodule_restriction,
-                        a1_simple_weights, a1_top_weight, format_module,
-                        g2_comp_factors, m_simple, m_sum, module_weights,
-                        peel_characters, tensor)
+from gcr.modrep import (A1Module, ModExpr, _base_p_digits, _submodule_restriction,
+                        _twist_value, a1_simple_weights, a1_top_weight,
+                        format_module, freudenthal, g2_comp_factors, m_simple,
+                        m_sum, m_tensor, module_weights, peel_characters, tensor,
+                        tilting_module, twist, weyl_module)
 from gcr.rings import rank
 from gcr.rootsystem import Root, RootSystem
 from gcr.tables import diff_badx, diff_to_json, render_diff
 
 
 # -- rank-one groups ---------------------------------------------------------
+
+def dense_ops(mod: A1Module) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """(E, F): each kind of divided power as {degree a: dense matrix of E_a
+    or F_a}, read off the module's entries, a degree being half the weight
+    shift; a degree with no nonzero entry is absent."""
+    w = np.array(mod.weights, dtype=np.int64)
+    out = []
+    for r, c, v in mod.entries:
+        deg = np.abs(w[r] - w[c]) // 2
+        ops = {}
+        for a in sorted(set(deg.tolist())):
+            at = deg == a
+            ops[a] = np.zeros((mod.dim, mod.dim), dtype=np.int64)
+            ops[a][r[at], c[at]] = v[at]
+        out.append(ops)
+    return tuple(out)
+
 
 def _exp(mod: A1Module, ops: dict[int, np.ndarray], t: int) -> np.ndarray:
     out = np.eye(mod.dim, dtype=np.int64)
@@ -59,13 +87,51 @@ def _exp(mod: A1Module, ops: dict[int, np.ndarray], t: int) -> np.ndarray:
 
 
 def x_plus(mod: A1Module, t: int) -> np.ndarray:
-    """x_+(t) = sum_a t^a E[a] over GF(p)."""
-    return _exp(mod, mod.E, t)
+    """x_+(t) = sum_a t^a E_a over GF(p)."""
+    return _exp(mod, dense_ops(mod)[0], t)
 
 
 def x_minus(mod: A1Module, t: int) -> np.ndarray:
-    """x_-(t) = sum_a t^a F[a] over GF(p)."""
-    return _exp(mod, mod.F, t)
+    """x_-(t) = sum_a t^a F_a over GF(p)."""
+    return _exp(mod, dense_ops(mod)[1], t)
+
+
+def simple_module(m: int, p: int) -> A1Module:
+    """L(m) as a twisted tensor product of Weyl modules over the base-p
+    digits of m (Steinberg's tensor product theorem)."""
+    out = None
+    for i, d in enumerate(_base_p_digits(m, p)):
+        piece = twist(weyl_module(d, p), i) if i else weyl_module(d, p)
+        out = piece if out is None else tensor(out, piece)
+    return out
+
+
+def direct_sum(*mods: A1Module) -> A1Module:
+    """The direct sum, on the modules' bases in turn."""
+    ops: tuple[list, list] = ([], [])
+    off = 0
+    for m in mods:
+        for store, (r, c, v) in zip(ops, m.entries):
+            store.append((r + off, c + off, v))
+        off += m.dim
+    return A1Module(mods[0].p, [w for m in mods for w in m.weights],
+                    *(tuple(map(np.concatenate, zip(*s))) for s in ops))
+
+
+def module_matrices(e: ModExpr, p: int) -> A1Module:
+    """Explicit operator realisation of a rank-one expression."""
+    if e.kind == "sum":
+        return direct_sum(*(module_matrices(t, p) for t in e.parts))
+    if e.kind == "tensor":
+        return functools.reduce(tensor, [module_matrices(t, p) for t in e.parts])
+    if isinstance(e.weight, tuple):
+        raise NotImplementedError("explicit operators are rank-one only")
+    tw = _twist_value(e.twist, None)
+    if e.kind == "simple":
+        base = simple_module(e.weight, p)
+    else:
+        base = tilting_module(e.weight, p)
+    return twist(base, tw) if tw else base
 
 
 def dual(a: A1Module) -> A1Module:
@@ -134,20 +200,36 @@ def simple(rs: RootSystem, i: int) -> Root:
     return tuple(int(j == i - 1) for j in range(rs.rank))
 
 
+def pairing_index(rs: RootSystem, r: Root, i: int) -> int:
+    """<r, alpha_{i+1}-check> for 0-based i, summed from the Cartan matrix."""
+    return sum(c * rs.cartan[j][i] for j, c in enumerate(r))
+
+
 def reflect(rs: RootSystem, r: Root, i: int) -> Root:
     """Simple reflection s_i (1-based) applied to r."""
-    k = rs.pairing_index(r, i - 1)
+    k = pairing_index(rs, r, i - 1)
     return tuple(c - k * (j == i - 1) for j, c in enumerate(r))
+
+
+def level(r: Root, levi) -> int:
+    """Sum of the coefficients of r outside the Levi (1-based nodes)."""
+    inside = set(levi)
+    return sum(c for i, c in enumerate(r, start=1) if i not in inside)
+
+
+def weyl_dim(name: str, lam: tuple[int, ...]) -> int:
+    """Dimension of the characteristic-zero irreducible of highest weight
+    lam: the sum of its Freudenthal multiplicities."""
+    return sum(freudenthal(name, lam).values())
 
 
 def radical_shapes(rs: RootSystem, levi) -> dict[tuple, list[Root]]:
     """The roots of the unipotent radical of P_levi, those of positive
-    ``RootSystem.level``, grouped by their coefficients outside the Levi,
-    each group in root order and the groups in the order of their least
-    roots."""
+    ``level``, grouped by their coefficients outside the Levi, each group
+    in root order and the groups in the order of their least roots."""
     shapes: dict[tuple, list[Root]] = {}
     for r in rs.positive:
-        if rs.level(r, levi):
+        if level(r, levi):
             outside = tuple(c for i, c in enumerate(r, 1) if i not in levi)
             shapes.setdefault(outside, []).append(r)
     return shapes
@@ -183,6 +265,73 @@ def module_comp_factors(e: ModExpr, p: int) -> Counter:
     if any(isinstance(w, tuple) for w in char):
         return g2_comp_factors(char, p)
     return a1_comp_factors(list(char.elements()), p)
+
+
+# -- Levi-irreducible actions on a natural module --------------------------------
+
+@functools.cache
+def _restricted_terms(p: int, tmax: int, maxdim: int) -> tuple:
+    """Every tensor product of restricted L(m), 1 <= m <= p - 1, at
+    pairwise distinct twists 0..tmax, of dimension at most maxdim, as
+    (shape, dim, expression), the shape its weights in decreasing order.
+    By Steinberg's tensor product theorem these are the distinct
+    non-trivial irreducibles with twists in the window."""
+    out = []
+    for k in range(1, tmax + 2):
+        for twists in itertools.combinations(range(tmax + 1), k):
+            for weights in itertools.product(range(1, p), repeat=k):
+                dim = math.prod(w + 1 for w in weights)
+                if dim <= maxdim:
+                    atoms = [m_simple(w, t) for w, t in zip(weights, twists)]
+                    out.append((tuple(sorted(weights, reverse=True)), dim,
+                                atoms[0] if k == 1 else m_tensor(*atoms)))
+    return tuple(out)
+
+
+def _pattern(shapes) -> tuple:
+    """A multiset of term shapes in one order: decreasing, so a trivial
+    term, shape (), comes last."""
+    return tuple(sorted(shapes, reverse=True))
+
+
+def natural_actions(kind: str, n: int, p: int, tmax: int) -> dict[tuple, set[str]]:
+    """The Levi-irreducible rank-one actions on the natural module of A_n
+    or D_n (kind "A" or "D"), with twists 0..tmax, by pattern:
+    {pattern: descriptors}.  On A_n they are the irreducibles of dimension
+    n + 1.  On D_n they are the sums of pairwise distinct orthogonal
+    irreducibles of total dimension 2n: a term is orthogonal when it has an
+    even number of odd weights (an odd weight carries a symplectic form),
+    and the trivial module occurs at most once."""
+    dim = n + 1 if kind == "A" else 2 * n
+    terms = _restricted_terms(p, tmax, dim)
+    if kind == "A":
+        sums = [[t] for t in terms if t[1] == dim]
+    else:
+        terms = [t for t in terms if sum(w % 2 for w in t[0]) % 2 == 0]
+        sums = []
+
+        def extend(start: int, left: int, chosen: list):
+            if left in (0, 1):
+                sums.append(chosen + [((), 1, m_simple(0))] * left)
+            for i in range(start, len(terms)):
+                if terms[i][1] <= left:
+                    extend(i + 1, left - terms[i][1], chosen + [terms[i]])
+
+        extend(0, dim, [])
+    out: dict[tuple, set[str]] = {}
+    for chosen in sums:
+        e = chosen[0][2] if len(chosen) == 1 else m_sum(*(t[2] for t in chosen))
+        out.setdefault(_pattern(t[0] for t in chosen), set()).add(action_descriptor(e))
+    return out
+
+
+def action_pattern(e: ModExpr) -> tuple:
+    """The pattern of an action on a natural module: the shape of each of
+    its terms, in ``natural_actions``' order."""
+    terms = e.parts if e.kind == "sum" else (e,)
+    atoms = [t.parts if t.kind == "tensor" else (t,) for t in terms]
+    return _pattern(tuple(sorted((a.weight for a in term if a.weight), reverse=True))
+                    for term in atoms)
 
 
 # -- the candidate scan --------------------------------------------------------

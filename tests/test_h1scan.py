@@ -24,14 +24,12 @@ from gcr.modrep import (
     g2_comp_factors,
     h1_module_a1,
     m_tensor,
-    module_matrices,
     module_weights,
     parse_module,
     spin_halves_from_char,
     tensor,
     tilting_module,
     twist,
-    weyl_dim,
 )
 from gcr.h1scan import (
     _A_PATTERNS,
@@ -59,8 +57,9 @@ from gcr.tables import (DiffRow, TableDiff, canon_factor, diff_badx, diff_to_jso
                         expand_rows, load_badx, render_diff)
 from oracles import (a1_reports_by_product, action_descriptor, alt_power_module,
                      actions_by_product, candidate_dump, highest_weight_vectors,
-                     level_dump, level_h1_dump, radical_shapes, restriction_dump,
-                     table_dump)
+                     action_pattern, level, level_dump, level_h1_dump,
+                     module_matrices, natural_actions, pairing_index,
+                     radical_shapes, restriction_dump, table_dump, weyl_dim)
 
 
 # -- twist-layer H^1 of tilting-product terms ---------------------------------
@@ -231,6 +230,52 @@ def test_actions_match_product_oracle(p, tmax):
         want = actions_by_product(patterns, p, tmax)
         assert [format_module(e) for e in got] == [format_module(e) for e in want]
         assert got == want
+
+
+_A7_TABLE = "_A_PATTERNS stops at rank 6"
+_NO_22 = "the hand patterns of this rank have no shape (2, 2)"
+_P11 = "a weight of 7 or more is restricted only from p = 11"
+# every Levi-irreducible action pattern that the independent enumeration
+# finds and the hand-written tables lack, by (type, pattern), with the least
+# p of {5, 7, 11} at which it occurs and why the tables lack it
+NATURAL_GAPS = {
+    ("A7", ((3, 1),)): (5, _A7_TABLE),
+    ("A7", ((1, 1, 1),)): (5, _A7_TABLE),
+    ("A7", ((7,),)): (11, _A7_TABLE),
+    ("D5", ((2, 2), ())): (5, _NO_22),
+    ("D7", ((4,), (2, 2))): (5, _NO_22),
+    ("D7", ((2, 2), (1, 1), ())): (5, _NO_22),
+    ("D5", ((8,), ())): (11, _P11),
+    ("D6", ((8,), (2,))): (11, _P11),
+    ("D6", ((10,), ())): (11, _P11),
+    ("D7", ((8,), (4,))): (11, _P11),
+    ("D7", ((8,), (1, 1), ())): (11, _P11),
+    ("D7", ((10,), (2,))): (11, _P11),
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("tmax", [2, 3])
+def test_hand_patterns_against_enumeration(p, tmax):
+    """The actions of ``_A_PATTERNS``/``_D_PATTERNS`` against the
+    independent enumeration of Levi-irreducible actions on the natural
+    module, pattern by pattern, for every A and D rank of an exceptional
+    Levi: a pattern of the tables gives exactly the actions the enumeration
+    gives it, and every pattern the tables lack is a pinned gap, so a new
+    gap, or one closed, fails by name."""
+    gaps = set()
+    for kind, ranks, actions in (("A", range(1, 8), a_type_actions),
+                                 ("D", range(4, 8), d_type_actions)):
+        for rank in ranks:
+            want = natural_actions(kind, rank, p, tmax)
+            got: dict[tuple, set] = {}
+            for e in actions(rank, p, tmax):
+                got.setdefault(action_pattern(e), set()).add(action_descriptor(e))
+            assert got.keys() <= want.keys(), (kind, rank, got.keys() - want.keys())
+            for pattern, descs in got.items():
+                assert descs == want[pattern], (kind, rank, pattern)
+            gaps.update((f"{kind}{rank}", pattern) for pattern in want.keys() - got.keys())
+    assert gaps == {gap for gap, (least, _) in NATURAL_GAPS.items() if p >= least}
 
 
 def test_a_type_action_contents():
@@ -819,14 +864,6 @@ def test_missing_golden_table_names_the_pair(group, p):
         diff_badx(group, p)
 
 
-def _factor_nodes(rs, levi):
-    """The nodes of each Levi factor in the scan's factor order, by kind,
-    rank and least node, read from the one checked read of the Levi."""
-    typed = sorted(typed_components(rs, levi),
-                   key=lambda tc: (tc[0][0], int(tc[0][1:]), min(tc[1])))
-    return [c for _, c in typed]
-
-
 def _factor_types():
     """Simple factor types of every Levi of E8 (which contain those of E6
     and E7)."""
@@ -942,7 +979,7 @@ def test_level_h1_memo_is_sound_on_e6_p5():
     for k in range(1, rs.rank):
         for levi in itertools.combinations(range(1, rs.rank + 1), k):
             types, distinct, _ = _summand_weights("E6", levi)
-            comps = _factor_nodes(rs, levi)
+            comps = [c for _, c in typed_components(rs, levi)]
             every = {tuple(s["high_weight"][c] for c in comps)
                      for roots in radical_levels(rs, levi).values()
                      for s in decompose_level(rs, levi, roots)}
@@ -1402,8 +1439,25 @@ LEVEL_DUMP_SHA256 = "ad067b83ed781ac44aa1d1b508ad78485511fdf03acd555c4807d5c63f6
 LEVEL_SUMMANDS = {"E6": (712, 273), "E7": (2400, 854), "E8": (8864, 2960)}
 
 
+def test_one_factor_order():
+    """Every proper Levi of E6, E7 and E8 lists its components by kind,
+    rank and least node, and the scan takes its factor types in that
+    order."""
+    levis = 0
+    for name in ("E6", "E7", "E8"):
+        rs = build_root_system(name)
+        for k in range(rs.rank):
+            for levi in itertools.combinations(range(1, rs.rank + 1), k):
+                typed = typed_components(rs, levi)
+                keys = [(t[0], int(t[1:]), min(nodes)) for t, nodes in typed]
+                assert keys == sorted(keys), (name, levi)
+                assert _summand_weights(name, levi)[0] == [t for t, _ in typed]
+                levis += 1
+    assert levis == 445
+
+
 def test_level_dump_pinned():
-    # each summand is rebuilt from RootSystem.level alone: the radical roots
+    # each summand is rebuilt from oracles.level alone: the radical roots
     # grouped by their coefficients outside the Levi, in the order of their
     # least roots, each weighted by its unique highest root; a summand is
     # one-dimensional exactly when its weight is zero, which is what lets the
@@ -1415,18 +1469,18 @@ def test_level_dump_pinned():
     totals = {name: [0, 0] for name in LEVEL_SUMMANDS}
     for name, levi, _, distinct, summands in levis:
         rs = build_root_system(name)
-        comps = _factor_nodes(rs, tuple(levi))
+        comps = [c for _, c in typed_components(rs, tuple(levi))]
         expect = []
         for roots in radical_shapes(rs, levi).values():
             height = max(map(sum, roots))
             (top,) = [r for r in roots if sum(r) == height]
-            weights = [[rs.pairing_index(top, i - 1) for i in c] for c in comps]
+            weights = [[pairing_index(rs, top, i - 1) for i in c] for c in comps]
             trivial = not any(map(any, weights))
             assert (len(roots) == 1) == trivial, (name, levi, roots)
             totals[name][0] += 1
             totals[name][1] += trivial
             if not trivial:
-                expect.append([rs.level(top, levi), weights])
+                expect.append([level(top, levi), weights])
         expect.sort(key=lambda e: e[0])
         assert [[lvl, distinct[k][0]] for lvl, k in summands] == expect, (name, levi)
     assert {name: tuple(t) for name, t in totals.items()} == LEVEL_SUMMANDS

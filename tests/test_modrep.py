@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freudenthal_reference import freudenthal_all_weights
-from oracles import (a1_comp_factors, alt_power_module, dual, h1_irreducible,
-                     module_comp_factors, x_minus, x_plus)
+from oracles import (a1_comp_factors, alt_power_module, dense_ops, direct_sum,
+                     dual, h1_irreducible, module_comp_factors, module_matrices,
+                     simple_module, weyl_dim, x_minus, x_plus)
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
@@ -24,7 +25,6 @@ from gcr.modrep import (
     a1_tilting_weights,
     a1_weyl_weights,
     alt_char,
-    direct_sum,
     freudenthal,
     g2_comp_factors,
     g2_h1_irreducible,
@@ -35,18 +35,15 @@ from gcr.modrep import (
     m_simple,
     m_tilt,
     module_is_tilting,
-    module_matrices,
     module_subst,
     module_twists,
     module_weights,
     parse_module,
     spin_halves_from_char,
-    simple_module,
     spin_weights,
     tensor,
     tilting_module,
     twist,
-    weyl_dim,
     weyl_module,
 )
 from gcr.rings import rank
@@ -112,6 +109,25 @@ def test_freudenthal_rejects_a_weight_of_the_wrong_rank(lam):
 ], ids=["freudenthal", "a1_simple_weights", "atom_char", "a1_weyl_weights",
         "a1_tilting_weights"])
 def test_nondominant_weight_errors_name_the_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: module_weights(parse_module("3"), 1), "no base-1 digits of 3"),
+    (lambda: a1_simple_weights(4, 0), "no base-0 digits of 4"),
+    (lambda: simple_module(-1, 5), "no base-5 digits of -1"),
+    (lambda: weyl_module(-1, 5), r"highest weight -1 of W\(m\) at p=5"),
+    (lambda: tilting_module(-1, 5), r"highest weight -1 of W\(m\) at p=5"),
+    (lambda: h1_module_a1(weyl_module(3, 4)), "p=4 of a rank-one module"),
+    (lambda: weyl_module(2, 1), "p=1 of a rank-one module"),
+    (lambda: A1Module(5.0, [0], ([], [], []), ([], [], [])), "p=5.0 of a rank-one"),
+], ids=["digits-p1", "digits-p0", "simple-negative", "weyl-negative",
+        "tilting-negative", "h1-p4", "weyl-p1", "float-p"])
+def test_bad_rank_one_input_raises_naming_it(call, match):
+    """The digit loop never returned for p < 2 and grew without end for
+    m < 0; W(-1) and the cached T(-1) were 0-dimensional modules; and
+    H^1 of W(3) at p = 4 came out 0, from inverses mod 4."""
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -230,7 +246,7 @@ def test_weyl_module_operators():
     assert w.dim == 5
     assert w.weights == (4, 2, 0, -2, -4)
     # E_1 on divided powers: v_i -> (4 - i + 1) v_{i-1}
-    e1 = w.E[1]
+    e1 = dense_ops(w)[0][1]
     assert e1[0, 1] == 4 and e1[1, 2] == 3 and e1[2, 3] == 2 and e1[3, 4] == 1
 
 
@@ -265,7 +281,7 @@ def test_tilting_module_extraction(m, p):
 def test_tilting_module_is_shared_and_read_only():
     t = tilting_module(12, 7)
     assert tilting_module(12, 7) is t
-    for x in (*t.entries[0], *t.entries[1], t.E[1]):
+    for x in (*t.entries[0], *t.entries[1]):
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 1
     # builders copy, so a module made from a shared one is its own
@@ -337,14 +353,15 @@ def test_module_rejects_entries_outside(E, entry):
 def test_module_rejects_wrong_weight_shift_in_entry_form():
     # the dense operators read back from (rows, cols, values) triples
     good = A1Module(5, [1, -1], ([0], [1], [1]), ([1], [0], [1]))
-    assert np.array_equal(good.E[1], [[0, 1], [0, 0]])
-    assert np.array_equal(good.F[1], [[0, 0], [1, 0]])
+    E, F = dense_ops(good)
+    assert np.array_equal(E[1], [[0, 1], [0, 0]])
+    assert np.array_equal(F[1], [[0, 0], [1, 0]])
     with pytest.raises(ArithmeticError):
         A1Module(5, [1, -1], ([1], [0], [1]), NO_ENTRIES)
     with pytest.raises(ArithmeticError):
         A1Module(5, [1, -1], NO_ENTRIES, ([0], [1], [1]))
     # an entry that vanishes mod p is dropped before the shift check
-    assert A1Module(5, [1, -1], ([1], [0], [5]), NO_ENTRIES).E == {}
+    assert dense_ops(A1Module(5, [1, -1], ([1], [0], [5]), NO_ENTRIES))[0] == {}
 
 
 @pytest.mark.parametrize("E,F,name", [
@@ -371,7 +388,7 @@ def test_flat_input_rejects_bad_shift(weights, E, F):
 
 def _same_module(x, y):
     assert x.weights == y.weights
-    for got, want in ((x.E, y.E), (x.F, y.F)):
+    for got, want in zip(dense_ops(x), dense_ops(y)):
         assert got.keys() == want.keys()
         for k in want:
             assert np.array_equal(got[k], want[k]), k
@@ -390,7 +407,7 @@ def _kron_tensor_ops(a, b):
     """The operators of a (x) b, degree by degree, as dense sums of np.kron
     of the factors' divided powers (degree 0 being the identity)."""
     out = []
-    for xa, xb in ((a.E, b.E), (a.F, b.F)):
+    for xa, xb in zip(dense_ops(a), dense_ops(b)):
         ops = {}
         for i, mi in (*xa.items(), (0, np.eye(a.dim, dtype=np.int64))):
             for j, mj in (*xb.items(), (0, np.eye(b.dim, dtype=np.int64))):
@@ -408,7 +425,7 @@ def test_tensor_matches_kron_reference(p):
         for b in factors:
             t = tensor(a, b)
             assert t.weights == tuple(wa + wb for wa in a.weights for wb in b.weights)
-            for got, want in zip((t.E, t.F), _kron_tensor_ops(a, b)):
+            for got, want in zip(dense_ops(t), _kron_tensor_ops(a, b)):
                 assert got.keys() == want.keys()
                 for k in want:
                     assert np.array_equal(got[k], want[k]), (a.weights, b.weights, k)
@@ -430,7 +447,7 @@ def test_dual_is_signed_transpose():
     a = tilting_module(6, p)
     d = dual(a)
     assert d.weights == tuple(-w for w in a.weights)
-    for ops, dops in ((a.E, d.E), (a.F, d.F)):
+    for ops, dops in zip(dense_ops(a), dense_ops(d)):
         assert ops.keys() == dops.keys()
         for k, m in ops.items():
             assert np.array_equal(dops[k], (-1) ** k * m.T % p), k

@@ -20,7 +20,7 @@ from gcr.parabolic import (
     verify_levels,
 )
 from gcr.rootsystem import RootSystem, build_root_system
-from oracles import radical_shapes, simple
+from oracles import level, pairing_index, radical_shapes, simple
 
 
 def _rs(name):
@@ -147,7 +147,7 @@ def test_radical_size_is_complementary():
         rs = _rs(name)
         levi = tuple(range(2, rs.rank + 1))
         levels = radical_levels(rs, levi)
-        levi_pos = sum(1 for r in rs.positive if rs.level(r, levi) == 0)
+        levi_pos = sum(1 for r in rs.positive if level(r, levi) == 0)
         assert sum(len(v) for v in levels.values()) == len(rs.positive) - levi_pos
 
 
@@ -165,7 +165,7 @@ def test_highest_level_matches_highest_root():
     levi = tuple(i for i in range(1, 9) if i != 4)
     levels = radical_levels(rs, levi)
     top = max(rs.index, key=rs.index.get)
-    assert max(levels) == rs.level(top, levi)
+    assert max(levels) == level(top, levi)
     assert max(levels) == 6
 
 
@@ -248,7 +248,7 @@ SHAPE_TOTALS = {"E6": (712, 273), "E7": (2400, 854), "E8": (8864, 2960)}
 @pytest.mark.parametrize("name", SHAPE_TOTALS)
 def test_every_summand_matches_its_roots(name):
     """Every summand, trivial ones included, against the radical roots
-    grouped by RootSystem.level: its shape key, its level, its least root
+    grouped by oracles.level: its shape key, its level, its least root
     (the generator ``decompose_level`` gives for the whole radical), its dim
     and its flat weight, the pairings of the group's unique highest root."""
     rs = _rs(name)
@@ -261,8 +261,8 @@ def test_every_summand_matches_its_roots(name):
             for key, roots in shapes.items():
                 height = max(map(sum, roots))
                 (top,) = [r for r in roots if sum(r) == height]
-                flat = tuple(rs.pairing_index(top, i - 1) for i in nodes)
-                expect.append((key, rs.level(top, levi), roots[0], len(roots), flat))
+                flat = tuple(pairing_index(rs, top, i - 1) for i in nodes)
+                expect.append((key, level(top, levi), roots[0], len(roots), flat))
                 trivial += not any(flat)
             summands = level_summands(rs, levi)
             whole = decompose_level(rs, levi, [r for roots in shapes.values() for r in roots])

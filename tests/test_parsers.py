@@ -2,11 +2,15 @@
 ``format_module``): valid input round-trips; any other text raises
 ``ValueError`` and nothing else."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcr import h1scan
 from gcr.modrep import (
+    TWIST_SYMBOLS,
     m_simple,
     m_sum,
     m_tensor,
@@ -19,7 +23,7 @@ from gcr.modrep import (
 
 _twists = st.one_of(
     st.integers(0, 12),
-    st.tuples(st.sampled_from("rstuvw"), st.integers(0, 3)),
+    st.tuples(st.sampled_from(TWIST_SYMBOLS), st.integers(0, 3)),
 )
 _atoms = st.builds(
     lambda ctor, w, tw: ctor(w, tw),
@@ -87,3 +91,22 @@ def test_module_parser_regressions(text, message):
     with pytest.raises(ValueError, match=message):
         parse_module(text)
 
+
+
+@pytest.mark.parametrize("text", ["1[v]", "T(4)[w+1]", "2 x 1[a]"])
+def test_twist_symbol_outside_the_alphabet_fails_in_the_parser(text):
+    """The parser took the symbols v and w, which the twist sweep never
+    substitutes, so "1[v]" parsed and failed only at substitution."""
+    with pytest.raises(ValueError, match="cannot tokenize module expression "
+                       + re.escape(repr(text))):
+        parse_module(text)
+
+
+def test_one_twist_alphabet():
+    """The parser and the twist sweep read one alphabet: every symbol of it
+    parses, and the sweep varies exactly the symbols of a text."""
+    text = " + ".join(f"1[{sym}]" for sym in TWIST_SYMBOLS)
+    assert format_module(parse_module(text)) == text
+    subs = list(h1scan.twist_choices([text], (), 1, "test"))
+    assert len(subs) == 2 ** len(TWIST_SYMBOLS)
+    assert all(sorted(sub) == sorted(TWIST_SYMBOLS) for sub in subs)

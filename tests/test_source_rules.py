@@ -7,8 +7,9 @@ or its tests, no module that the table diff cannot reach through relative
 imports, no module that imports another module's underscore name (a name
 one module shares with another is public), no function or method that no
 table result, cross-check or benchmark entry point reaches (helpers that
-only check the package live in ``tests/oracles.py``), and every console
-script declared in ``pyproject.toml`` resolves to a callable."""
+only check the package live in ``tests/oracles.py``, so no root names a
+function that only tests call), and every console script declared in
+``pyproject.toml`` resolves to a callable."""
 
 import ast
 import importlib
@@ -104,22 +105,18 @@ def test_private_import_rule_names_planted_imports():
 
 
 # the functions a table result, a cross-check or the benchmark starts from,
-# as (module, qualified name); every leaf of the tracer's TRACED joins them
+# as (module, qualified name); every leaf of the tracer's TRACED joins them.
+# A function that only tests call is no root: it lives in tests/oracles.py
 ROOTS = (
     ("h1scan", "scan_group"),
     ("tables", "diff_badx"),
     ("tables", "render_diff"),
     ("tables", "diff_to_json"),
     ("parabolic", "verify_levels"),
-    ("modrep", "module_matrices"),
     ("modrep", "tilting_module"),
     ("modrep", "twist"),
     ("modrep", "h1_module_a1"),
     ("modrep", "freudenthal"),
-    ("modrep", "weyl_dim"),
-    # the independent level computation that the level tests compare the
-    # parabolic layer's shape table against
-    ("rootsystem", "RootSystem.level"),
 )
 
 
