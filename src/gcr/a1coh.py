@@ -62,6 +62,7 @@ from .modrep import (
     a1_weyl_weights,
     alt_char,
     char_tensor,
+    check_prime,
     donkin_split,
     peel_characters,
 )
@@ -140,7 +141,9 @@ def _term_counts(terms):
 
 def h1_dim(terms, p: int) -> int:
     """dim H^1 of a direct sum of twisted-tilting-product terms.  The input
-    is an iterable of terms or any mapping from terms to counts."""
+    is an iterable of terms or any mapping from terms to counts, and p a
+    prime."""
+    check_prime(p)
     return sum(c * h1_term(tuple(t), p) for t, c in _term_counts(terms))
 
 

@@ -22,8 +22,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rings import nullspace, rank, rref
 from .rootsystem import build_root_system
 
@@ -179,8 +177,10 @@ def a1_simple_weights(m: int, p: int) -> tuple[int, ...]:
     digits of m."""
     if m < 0:
         raise ValueError(f"highest weight {m} of L(m) at p={p} must be dominant")
+    digits = _base_p_digits(m, p)
+    check_prime(p)
     weights = [0]
-    for i, d in enumerate(_base_p_digits(m, p)):
+    for i, d in enumerate(digits):
         weights = [w + (d - 2 * k) * p ** i for w in weights for k in range(d + 1)]
     return tuple(sorted(weights, reverse=True))
 
@@ -188,6 +188,7 @@ def a1_simple_weights(m: int, p: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def a1_tilting_weights(m: int, p: int) -> tuple[int, ...]:
     """Character of the indecomposable tilting module T(m)."""
+    check_prime(p)
     if m <= p - 1:
         return tuple(a1_weyl_weights(m))
     if m <= 2 * p - 2:
@@ -207,6 +208,12 @@ def is_prime(p) -> bool:
     return type(p) is int and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def check_prime(p) -> None:
+    """Refuse, naming it, a p that ``is_prime`` refuses."""
+    if not is_prime(p):
+        raise ValueError(f"p={p!r} of a rank-one module must be a prime int")
+
+
 class A1Module:
     """Module for the rank-one group: T-weights per basis vector plus the
     divided-power operators E_a, F_a over GF(p), p prime, so that
@@ -215,48 +222,51 @@ class A1Module:
     E_a raises a weight by 2a and F_a lowers it by 2a, so few entries are
     nonzero, and the operators are kept as entries only: ``entries`` is the
     pair (E, F), each kind kept over all its degrees as one triple (rows,
-    cols, values mod p) of nonzero entries at distinct positions; an
-    entry's degree is half its weight shift.  The constructor takes, per
-    kind, such a triple as a tuple, and raises ``TypeError`` on anything
-    else.  It refuses a p that is not a prime int, rejects entries outside
-    the module, reduces mod p, drops zeros and checks that every nonzero
-    entry shifts its weight by a positive even amount in the operator's
-    direction.  ``weights`` is a tuple and every array is read-only:
-    ``tilting_module`` shares modules."""
+    cols, values mod p) of tuples of Python ints, the nonzero entries at
+    distinct positions; an entry's degree is half its weight shift.  The
+    constructor takes, per kind, such a triple of int sequences as a tuple,
+    and raises ``TypeError`` on anything else.  It refuses a p that is not a
+    prime int, rejects entries outside the module, reduces mod p, drops
+    zeros and checks that every nonzero entry shifts its weight by a
+    positive even amount in the operator's direction.  ``weights`` and every
+    entry triple are tuples, so a module cannot change: ``tilting_module``
+    shares modules, and builders share their entries."""
 
     def __init__(self, p: int, weights, E: tuple, F_: tuple):
-        if not is_prime(p):
-            raise ValueError(f"p={p!r} of a rank-one module must be a prime int")
+        check_prime(p)
         self.p = p
         self.weights = tuple(weights)
         self.dim = len(self.weights)
-        w = np.array(self.weights, dtype=np.int64)
-        self.entries = tuple(self._flat(ops, w, sign, name)
-                             for ops, sign, name in ((E, 1, "E"), (F_, -1, "F")))
+        # by index, so that a negative index is outside too
+        w = dict(enumerate(self.weights))
+        self.entries = (self._flat(E, 1, "E", w), self._flat(F_, -1, "F", w))
 
-    def _flat(self, ops, w: np.ndarray, sign: int, name: str) -> tuple:
+    def _flat(self, ops, sign: int, name: str, w: dict) -> tuple:
         """One kind's nonzero entries mod p as a flat triple, shifts checked."""
         if not isinstance(ops, tuple):
             raise TypeError(f"{name} must be a (rows, cols, values) tuple, "
                             f"not {type(ops).__name__}")
-        r, c, v = (np.asarray(x, dtype=np.int64) for x in ops)
-        outside = (np.minimum(r, c) < 0) | (np.maximum(r, c) >= self.dim)
-        if outside.any():
-            i = np.flatnonzero(outside)[0]
+        r, c, v = map(tuple, ops)
+        p = self.p
+        try:
+            shifts = {w[i] - w[j] for i, j in zip(r, c)}
+        except KeyError:
+            i = next(i for i, rc in enumerate(zip(r, c)) if not set(rc) <= w.keys())
             raise ValueError(f"{name} entry ({r[i]}, {c[i]}) lies outside a "
-                             f"module of dim {self.dim}")
-        keep = v % self.p != 0
-        r, c, v = r[keep], c[keep], v[keep] % self.p
-        shift = sign * (w[r] - w[c])
-        bad = (shift <= 0) | (shift % 2 == 1)
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
+                             f"module of dim {self.dim}") from None
+        values = set(v)
+        if values and not 0 < min(values) <= max(values) < p:
+            keep = [k for k, x in enumerate(v) if x % p]
+            r, c = (tuple(x[k] for k in keep) for x in (r, c))
+            v = tuple(v[k] % p for k in keep)
+            shifts = {w[i] - w[j] for i, j in zip(r, c)}
+        bad = {d for d in shifts if sign * d <= 0 or d & 1}
+        if bad:
+            i = next(i for i, (x, y) in enumerate(zip(r, c)) if w[x] - w[y] in bad)
             raise ArithmeticError(
                 f"operator does not shift weights correctly: {name} entry "
                 f"({r[i]}, {c[i]}) maps weight {w[c[i]]} to {w[r[i]]}, "
                 f"expected a shift of {'+-'[sign < 0]}2a with a >= 1")
-        for x in (r, c, v):
-            x.setflags(write=False)
         return r, c, v
 
 
@@ -266,17 +276,11 @@ def weyl_module(m: int, p: int) -> A1Module:
     A negative m raises ValueError naming m and p."""
     if m < 0:
         raise ValueError(f"highest weight {m} of W(m) at p={p} must be dominant")
-    lo, hi = np.triu_indices(m + 1, 1)
-    pairs = list(zip(lo.tolist(), hi.tolist()))
+    pairs = [(j, i) for j in range(m + 1) for i in range(j + 1, m + 1)]
+    lo, hi = [j for j, _ in pairs], [i for _, i in pairs]
     return A1Module(p, [m - 2 * i for i in range(m + 1)],
                     (lo, hi, [math.comb(m - j, i - j) % p for j, i in pairs]),
                     (hi, lo, [math.comb(i, i - j) % p for j, i in pairs]))
-
-
-def _with_identity(entries: tuple, dim: int) -> tuple:
-    """An entry triple with the identity appended as degree 0."""
-    i = np.arange(dim)
-    return tuple(map(np.concatenate, zip(entries, (i, i, np.ones_like(i)))))
 
 
 def tensor(a: A1Module, b: A1Module) -> A1Module:
@@ -284,16 +288,19 @@ def tensor(a: A1Module, b: A1Module) -> A1Module:
     entries, with its identity appended as degree 0, are multiplied pairwise,
     and the identity (x) identity block is dropped.  An entry's weight shift
     fixes its degree in each factor, so the products never share a
-    position."""
-    weights = [wa + wb for wa in a.weights for wb in b.weights]
+    position, and a product of units mod p is a unit.  The products with
+    one entry of a are read off per index and per value of a."""
+    d, p, ids, flat = b.dim, a.p, tuple(range(b.dim)), itertools.chain.from_iterable
     ops = []
-    for xa, xb in zip(a.entries, b.entries):
-        (ra, ca, va), (rb, cb, vb) = _with_identity(xa, a.dim), _with_identity(xb, b.dim)
-        keep = np.ones((ra.size, rb.size), dtype=bool)
-        keep[xa[0].size:, xb[0].size:] = False
-        ops.append(((ra[:, None] * b.dim + rb)[keep],
-                    (ca[:, None] * b.dim + cb)[keep], np.outer(va, vb)[keep]))
-    return A1Module(a.p, weights, *ops)
+    for (ra, ca, va), (rb, cb, vb) in zip(a.entries, b.entries):
+        n = len(vb)
+        rows = [[i * d + y for y in rb + ids] for i in range(a.dim)]
+        cols = [[i * d + y for y in cb + ids] for i in range(a.dim)]
+        vals = {x: [x * y % p for y in vb + (1,) * d] for x in set(va)}
+        ops.append(([*flat(map(rows.__getitem__, ra)), *flat(x[:n] for x in rows)],
+                    [*flat(map(cols.__getitem__, ca)), *flat(x[:n] for x in cols)],
+                    [*flat(map(vals.__getitem__, va)), *vb * a.dim]))
+    return A1Module(p, [wa + wb for wa in a.weights for wb in b.weights], *ops)
 
 
 def twist(a: A1Module, r: int) -> A1Module:
@@ -301,54 +308,65 @@ def twist(a: A1Module, r: int) -> A1Module:
     return A1Module(a.p, [w * q for w in a.weights], *a.entries)
 
 
-def _submodule_restriction(mod: A1Module, basis: np.ndarray) -> A1Module:
-    """Restrict to the submodule spanned by the independent columns of basis.
+def _weight_spaces(weights) -> dict:
+    """weight -> the indices of that weight, in order."""
+    out: dict = {}
+    for i, x in enumerate(weights):
+        out.setdefault(x, []).append(i)
+    return out
 
-    The pivot rows S of rref(basis.T) form an invertible block B_S, so each
-    operator M restricts to X = B_S^-1 (M basis)_S if basis X = M basis."""
-    p = mod.p
-    basis = np.asarray(basis, dtype=np.int64) % p
-    cols = basis.shape[1]
-    w, nz = np.array(mod.weights, dtype=np.int64), basis != 0
-    weights = np.where(nz, w[:, None], w.min() - 1).max(axis=0)
-    mixed = np.flatnonzero(weights != np.where(nz, w[:, None], w.max() + 1).min(axis=0))
-    if mixed.size:
-        raise ArithmeticError(f"basis vector mixes weights: column {mixed[0]} has "
-                              f"weights {sorted(set(w[nz[:, mixed[0]]].tolist()))}")
-    keys, images = [], []
+
+def _submodule_restriction(mod: A1Module, basis) -> A1Module:
+    """Restrict to the submodule spanned by the columns of basis (a dim x n
+    matrix), weight vectors that must be independent.
+
+    The columns of one weight are replaced by the rref basis of their span,
+    which is the identity on its pivot coordinates S, so the basis stays one
+    of weight vectors.  An image M b then lies in the span exactly when
+    M b minus the basis times its coordinates (M b)_S is 0, which is checked
+    in full for every operator and column."""
+    p, w = mod.p, mod.weights
+    at, weights, space = _weight_spaces(w), [], {}    # space: weight -> columns
+    for j, col in enumerate(zip(*basis)):
+        seen = sorted({w[i] for i, x in enumerate(col) if x % p})
+        if len(seen) != 1:
+            raise ArithmeticError(f"basis vector mixes weights: column {j} has "
+                                  f"weights {seen}")
+        weights.append(seen[0])
+        space.setdefault(seen[0], []).append(j)
+    vec, lead = {}, {}    # per column: its new vector {coordinate: value}, its pivot
+    for mu, js in space.items():
+        r, piv = rref([[basis[i][j] for i in at[mu]] for j in js], p)
+        if len(piv) < len(js):
+            raise ArithmeticError("basis vectors are dependent")
+        for j, row, c in zip(js, r, piv):
+            vec[j], lead[j] = {i: x for i, x in zip(at[mu], row) if x}, at[mu][c]
+    moves = [[] for _ in w]    # per coordinate: (kind, row, value) of its entries
     for which, (r, c, v) in enumerate(mod.entries):
-        degs, at = np.unique(np.abs(w[r] - w[c]) // 2, return_inverse=True)
-        image = np.zeros((degs.size, mod.dim, cols), dtype=np.int64)
-        np.add.at(image, (at, r), v[:, None] * basis[c])
-        keys += [(which, a) for a in degs.tolist()]
-        images.append(image)
-    images = np.concatenate(images)
-    rows = rref(basis.T, p)[1]
-    if len(rows) < cols:
-        raise ArithmeticError("basis vectors are dependent")
-    solved = rref(np.concatenate([basis[rows], *images[:, rows]], axis=1), p)[0]
-    x = solved[:, cols:].reshape(cols, len(keys), cols).transpose(1, 0, 2)
-    bad = np.flatnonzero(((basis @ x - images) % p).any(axis=(1, 2)))
-    if bad.size:
-        which, a = keys[bad[0]]
+        for i, j, x in zip(r, c, v):
+            moves[j].append((which, i, x))
+    out, bad = (([], [], []), ([], [], [])), set()
+    for j, mu in enumerate(weights):
+        images = {}    # (kind, weight) -> the image, {coordinate: value}
+        for c, x in vec[j].items():
+            for which, i, y in moves[c]:
+                image = images.setdefault((which, w[i]), {})
+                image[i] = image.get(i, 0) + x * y
+        for (which, nu), image in images.items():
+            for i in space.get(nu, ()):
+                y = image.get(lead[i], 0) % p
+                if y:
+                    for row, value in zip(out[which], (i, j, y)):
+                        row.append(value)
+                    for k, z in vec[i].items():
+                        image[k] = image.get(k, 0) - y * z
+            if any(z % p for z in image.values()):
+                bad.add((which, abs(nu - mu) // 2))
+    if bad:
+        which, a = min(bad)
         raise ArithmeticError(
             f"not a submodule: {'EF'[which]}_{a} maps the span outside itself")
-    out = []
-    for sel in np.split(x, [sum(kind == 0 for kind, _ in keys)]):
-        at, i, j = np.nonzero(sel)
-        out.append((i, j, sel[at, i, j]))
-    return A1Module(p, weights.tolist(), *out)
-
-
-def _mat_power_mod(m: np.ndarray, n: int, p: int) -> np.ndarray:
-    out = np.eye(m.shape[0], dtype=np.int64)
-    base = m % p
-    while n:
-        if n & 1:
-            out = out @ base % p
-        base = base @ base % p
-        n >>= 1
-    return out
+    return A1Module(p, weights, *out)
 
 
 @functools.cache
@@ -363,22 +381,37 @@ def tilting_module(m: int, p: int) -> A1Module:
     Weyl sections W(p - 1 + k - 2j), j = 0..k, and p + k - 2j = +-k mod p
     only for j = 0 and j = k, the sections W(m) and W(2p - 2 - m).  So the
     generalised eigenspace of Omega for (m + 1)^2 - 1 is a tilting summand
-    with the character of T(m), hence T(m)."""
+    with the character of T(m), hence T(m).  Omega has weight 0, so that
+    eigenspace is the sum over the weight spaces V_mu of its eigenspaces on
+    each: the kernel of (Omega - (m + 1)^2 + 1)^n on V_mu, for any n at
+    least dim V_mu <= p, found by squaring a block of at most p x p."""
     if m <= p - 1:
         return weyl_module(m, p)
     if m > 2 * p - 2:
         a, b = donkin_split(m, p)
         return tensor(twist(tilting_module(b, p), 1), tilting_module(a, p))
     big = tensor(weyl_module(p - 1, p), weyl_module(m - p + 1, p))
-    h = np.array(big.weights, dtype=np.int64)
-    e1, f1 = np.zeros((2, big.dim, big.dim), dtype=np.int64)
+    w, lam = big.weights, (m + 1) ** 2 - 1
+    # the degree-one entries of E and F, as (row, value) by column
+    e1, f1 = ([[] for _ in w] for _ in range(2))
     for one, (r, c, v) in zip((e1, f1), big.entries):
-        at = np.abs(h[r] - h[c]) == 2
-        one[r[at], c[at]] = v[at]
-    omega = np.diag(h * h + 2 * h) + 4 * (f1 @ e1)
-    shifted = (omega - ((m + 1) ** 2 - 1) * np.eye(big.dim, dtype=np.int64)) % p
-    sub = _submodule_restriction(
-        big, nullspace(_mat_power_mod(shifted, big.dim, p), p).T)
+        for i, j, x in zip(r, c, v):
+            if abs(w[i] - w[j]) == 2:
+                one[j].append((i, x))
+    columns = []
+    for mu, coords in _weight_spaces(w).items():
+        block = [[0] * len(coords) for _ in coords]
+        for k, i in enumerate(coords):
+            block[k][k] = mu * mu + 2 * mu - lam
+            for up, x in e1[i]:
+                for down, y in f1[up]:
+                    block[coords.index(down)][k] += 4 * x * y
+        for _ in range((len(coords) - 1).bit_length()):
+            block = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*block)]
+                     for row in block]
+        columns += ([dict(zip(coords, v)).get(i, 0) for i in range(big.dim)]
+                    for v in nullspace(block, p))
+    sub = _submodule_restriction(big, list(zip(*columns)))
     if Counter(sub.weights) != Counter(a1_tilting_weights(m, p)):
         raise ArithmeticError(
             f"T({m}) at p={p}: the Casimir eigenspace of St (x) L({m - p + 1}) "
@@ -395,34 +428,46 @@ def h1_module_a1(mod: A1Module) -> int:
     by the torus has the shape gamma(x_+(t)) = sum_{d>=1} t^d v_d with v_d of
     weight 2d; the multiplication law forces
     binom(a+b, a) v_{a+b} = E_a v_b for all a, b >= 1.  Coboundaries come
-    from weight-zero vectors modulo invariants."""
-    p = mod.p
-    w = np.array(mod.weights, dtype=np.int64)
-    # one unknown per basis vector of weight 2s > 0, and one relation per such
-    # vector and 1 <= a < s: its coordinate in binom(s, a) v_s - E_a v_{s-a};
-    # an empty v_b still forces binom(a+b, a) v_{a+b} = 0
-    pos = (w > 0) & (w % 2 == 0)
-    var = np.cumsum(pos) - 1
-    s = w[pos] // 2
-    start = np.cumsum(s - 1) - (s - 1)
-    own = np.repeat(np.arange(s.size), s - 1)
-    mat = np.zeros((own.size, s.size), dtype=np.int64)
-    a = np.arange(own.size) - start[own] + 1
-    mat[np.arange(own.size), own] = [math.comb(n, k) % p
-                                     for n, k in zip(s[own].tolist(), a.tolist())]
-    # all E entries at once: an entry's degree is half its weight shift
-    r, c, v = mod.entries[0]
-    keep = pos[r] & pos[c]
-    rk, ck = r[keep], c[keep]
-    mat[start[var[rk]] + (w[rk] - w[ck]) // 2 - 1, var[ck]] -= v[keep]
-    z = s.size - rank(mat[(mat % p).any(axis=1)], p)
-    # coboundaries modulo invariants: the rank of E on the weight-zero
-    # vectors; E_a lands in weight 2a, so the degrees fill disjoint rows
-    zero = w == 0
-    smat = np.zeros((mod.dim, zero.sum()), dtype=np.int64)
-    keep = zero[c]
-    smat[r[keep], (np.cumsum(zero) - 1)[c[keep]]] = v[keep]
-    return z - rank(smat, p)
+    from weight-zero vectors modulo invariants.
+
+    The relations are solved in order of weight, s = 1, 2, ...: where some
+    binom(s, a) is a unit mod p, v_s = binom(s, a)^-1 E_a v_{s-a} is fixed
+    by the v_b of lower weight; where none is (by Lucas, exactly when s is a
+    power of p), the coordinates of v_s are free parameters.  Every other
+    relation is a linear constraint on the parameters.  So the cocycles are
+    the parameters the constraints allow, and a cocycle is fixed by its
+    parameters; hence a coboundary, the cocycle E_a u of a weight-zero u,
+    is too, and the coboundaries have the rank of u -> its parameters,
+    (E_s u)_r for the parameter coordinates r of weight 2s."""
+    p, w, spaces = mod.p, mod.weights, _weight_spaces(mod.weights)
+    at = {x // 2: c for x, c in spaces.items() if x > 0 and not x & 1}
+    binoms = {s: [math.comb(s, a) % p for a in range(s)] for s in at}
+    pick = {s: next((a for a in range(1, s) if b[a]), 0) for s, b in binoms.items()}
+    params = [i for s in sorted(at) if not pick[s] for i in at[s]]
+    if not params:
+        return 0
+    n, zeros = len(params), [0] * len(params)
+    col = {j: k for k, j in enumerate(spaces.get(0, ()))}
+    cob = {i: [0] * len(col) for i in params}    # E from weight 0 to the parameters
+    into = {}    # row -> (degree, column, value) of E from weight > 0
+    for i, j, x in zip(*mod.entries[0]):
+        if w[j] > 0:
+            into.setdefault(i, []).append(((w[i] - w[j]) // 2, j, x))
+        elif i in cob and j in col:
+            cob[i][col[j]] = x
+    form, rows = {i: [int(i == k) for k in params] for i in params}, []
+    for s in sorted(at):
+        b, a0 = binoms[s], pick[s]
+        for i in at[s]:
+            images = {}    # a -> the form of (E_a v_{s-a})_i
+            for a, j, x in into.get(i, ()):
+                images[a] = [y + x * z for y, z in zip(images.get(a, zeros), form[j])]
+            if a0:
+                form[i] = [y * pow(b[a0], p - 2, p) % p for y in images.get(a0, zeros)]
+            rows += ([(b[a] * y - z) % p for y, z in zip(form[i], images.get(a, zeros))]
+                     for a in range(1, s) if a != a0 and (b[a] or a in images))
+    return (n - rank([row for row in rows if any(row)], p)
+            - rank([row for row in cob.values() if any(row)], p))
 
 
 # -- G2 characters at p = 7 --------------------------------------------------

@@ -1,56 +1,51 @@
 """Dense linear algebra over the prime field GF(p).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Row reduction
-is the only elimination routine; rank and kernels are read off from it.
+A matrix is a nonempty rectangular sequence of rows, each a sequence of
+Python ints; results are lists of lists with entries reduced mod p.  Row
+reduction is the only elimination routine; rank and kernels are read off
+from it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-
-def rref(a: np.ndarray, p: int):
+def rref(a, p: int):
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    a = [[x % p for x in row] for row in a]
+    rows, piv = len(a), []
+    for c in range(len(a[0])):
+        r = len(piv)
+        i = next((i for i in range(r, rows) if a[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        top = a[r] = [x * inv % p for x in a[r]]
+        for k in range(rows):
+            f = a[k][c]
+            if f and k != r:
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], top)]
         piv.append(c)
-        r += 1
+        if len(piv) == rows:
+            break
     return a, piv
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+def rank(a, p: int) -> int:
+    """Rank mod p; a matrix with no rows has rank 0."""
+    return len(rref(a, p)[1]) if len(a) else 0
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel, one vector per row."""
-    a = np.atleast_2d(np.array(a, dtype=np.int64))
-    cols = a.shape[1]
-    if a.size == 0:
-        return np.eye(cols, dtype=np.int64)
+def nullspace(a, p: int) -> list:
+    """Basis of the right kernel, one vector per row: the vector of free
+    column c is 1 at c and 0 at the other free columns."""
     r, piv = rref(a, p)
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
+    cols = len(r[0])
+    basis = []
+    for c in (c for c in range(cols) if c not in piv):
+        v = [0] * cols
+        v[c] = 1
         for i, pc in enumerate(piv):
-            basis[k, pc] = (-int(r[i, c])) % p
+            v[pc] = -r[i][c] % p
+        basis.append(v)
     return basis

@@ -68,7 +68,7 @@ def dense_ops(mod: A1Module) -> tuple[dict[int, np.ndarray], dict[int, np.ndarra
     shift; a degree with no nonzero entry is absent."""
     w = np.array(mod.weights, dtype=np.int64)
     out = []
-    for r, c, v in mod.entries:
+    for r, c, v in ([np.array(x, dtype=np.int64) for x in kind] for kind in mod.entries):
         deg = np.abs(w[r] - w[c]) // 2
         ops = {}
         for a in sorted(set(deg.tolist())):
@@ -108,14 +108,15 @@ def simple_module(m: int, p: int) -> A1Module:
 
 def direct_sum(*mods: A1Module) -> A1Module:
     """The direct sum, on the modules' bases in turn."""
-    ops: tuple[list, list] = ([], [])
+    ops = (([], [], []), ([], [], []))
     off = 0
     for m in mods:
         for store, (r, c, v) in zip(ops, m.entries):
-            store.append((r + off, c + off, v))
+            store[0].extend(x + off for x in r)
+            store[1].extend(x + off for x in c)
+            store[2].extend(v)
         off += m.dim
-    return A1Module(mods[0].p, [w for m in mods for w in m.weights],
-                    *(tuple(map(np.concatenate, zip(*s))) for s in ops))
+    return A1Module(mods[0].p, [w for m in mods for w in m.weights], *ops)
 
 
 def module_matrices(e: ModExpr, p: int) -> A1Module:
@@ -136,9 +137,10 @@ def module_matrices(e: ModExpr, p: int) -> A1Module:
 
 def dual(a: A1Module) -> A1Module:
     """Negated weights; each entry transposed, with the sign (-1)^degree."""
-    w = np.array(a.weights, dtype=np.int64)
-    return A1Module(a.p, (-w).tolist(),
-                    *((c, r, np.where((w[r] - w[c]) // 2 % 2, -v, v))
+    w = a.weights
+    return A1Module(a.p, [-x for x in w],
+                    *((c, r, [x if (w[i] - w[j]) // 2 % 2 == 0 else -x
+                              for i, j, x in zip(r, c, v)])
                       for r, c, v in a.entries))
 
 
@@ -171,7 +173,7 @@ def alt_power_module(base: A1Module, k: int) -> A1Module:
     if k >= base.p:
         raise NotImplementedError("power exponent must be below p")
     big = functools.reduce(tensor, [base] * k)
-    return _submodule_restriction(big, _power_basis(base.dim, k, base.p))
+    return _submodule_restriction(big, _power_basis(base.dim, k, base.p).tolist())
 
 
 def highest_weight_vectors(mod: A1Module, lam: int) -> int:
@@ -179,13 +181,12 @@ def highest_weight_vectors(mod: A1Module, lam: int) -> int:
     that is dim Hom(Delta(lam), mod) (Jantzen, Representations of
     Algebraic Groups, II.2.13).  E_a lands in weight lam + 2a, so the
     degrees fill disjoint rows of one matrix."""
-    w = np.array(mod.weights, dtype=np.int64)
-    cols = np.flatnonzero(w == lam)
-    r, c, v = mod.entries[0]
-    keep = w[c] == lam
-    mat = np.zeros((mod.dim, cols.size), dtype=np.int64)
-    mat[r[keep], np.searchsorted(cols, c[keep])] = v[keep]
-    return cols.size - rank(mat[mat.any(axis=1)], mod.p)
+    cols = {j: k for k, j in enumerate(j for j, x in enumerate(mod.weights) if x == lam)}
+    rows: dict[int, list[int]] = {}
+    for i, j, x in zip(*mod.entries[0]):
+        if j in cols:
+            rows.setdefault(i, [0] * len(cols))[cols[j]] = x
+    return len(cols) - rank(list(rows.values()), mod.p)
 
 
 # -- root systems -------------------------------------------------------------

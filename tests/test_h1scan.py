@@ -98,6 +98,14 @@ def test_h1_term_values_p7(term, expected):
     assert h1_dim([term], 7) == expected
 
 
+@pytest.mark.parametrize("terms,p", [([((9, 0),)], 4), ([((3, 0),)], 1)],
+                         ids=["p4", "p1"])
+def test_h1_dim_refuses_a_p_that_is_not_prime(terms, p):
+    """Both sums came out 0, as if p were prime."""
+    with pytest.raises(ValueError, match=f"p={p} of a rank-one module"):
+        h1_dim(terms, p)
+
+
 def test_h1_counts_multiplicity():
     terms = Counter({((3, 0), (1, 1)): 4})
     assert h1_dim(terms, 5) == 4

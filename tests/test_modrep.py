@@ -17,6 +17,7 @@ from freudenthal_reference import freudenthal_all_weights
 from oracles import (a1_comp_factors, alt_power_module, dense_ops, direct_sum,
                      dual, h1_irreducible, module_comp_factors, module_matrices,
                      simple_module, weyl_dim, x_minus, x_plus)
+from gcr import modrep
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
@@ -122,12 +123,17 @@ def test_nondominant_weight_errors_name_the_input(call, match):
     (lambda: h1_module_a1(weyl_module(3, 4)), "p=4 of a rank-one module"),
     (lambda: weyl_module(2, 1), "p=1 of a rank-one module"),
     (lambda: A1Module(5.0, [0], ([], [], []), ([], [], [])), "p=5.0 of a rank-one"),
+    (lambda: a1_tilting_weights(5, 1), "p=1 of a rank-one module"),
+    (lambda: a1_simple_weights(5, 4), "p=4 of a rank-one module"),
 ], ids=["digits-p1", "digits-p0", "simple-negative", "weyl-negative",
-        "tilting-negative", "h1-p4", "weyl-p1", "float-p"])
+        "tilting-negative", "h1-p4", "weyl-p1", "float-p", "tilting-weights-p1",
+        "simple-weights-p4"])
 def test_bad_rank_one_input_raises_naming_it(call, match):
     """The digit loop never returned for p < 2 and grew without end for
-    m < 0; W(-1) and the cached T(-1) were 0-dimensional modules; and
-    H^1 of W(3) at p = 4 came out 0, from inverses mod 4."""
+    m < 0; W(-1) and the cached T(-1) were 0-dimensional modules; H^1 of
+    W(3) at p = 4 came out 0, from inverses mod 4; the character of T(5)
+    at p = 1 recursed without end, and L(5) at p = 4 had weights read off
+    base-4 digits."""
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -281,12 +287,25 @@ def test_tilting_module_extraction(m, p):
 def test_tilting_module_is_shared_and_read_only():
     t = tilting_module(12, 7)
     assert tilting_module(12, 7) is t
+    # every entry array is a tuple of Python ints, so no caller can write it
     for x in (*t.entries[0], *t.entries[1]):
-        with pytest.raises(ValueError, match="read-only"):
+        assert type(x) is tuple and all(type(y) is int for y in x)
+        with pytest.raises(TypeError, match="does not support item assignment"):
             x[0] = 1
-    # builders copy, so a module made from a shared one is its own
+    # so a module made from a shared one may share its entries
     u = twist(t, 1)
-    assert all(x is not y for x, y in zip(u.entries[0], t.entries[0]))
+    assert u.entries == t.entries and u.weights == tuple(7 * x for x in t.weights)
+
+
+def test_tilting_cut_refuses_a_wrong_character(monkeypatch):
+    # against a wrong expected character the Casimir cut of T(6) at p = 5
+    # fails by name; the uncached builder leaves the shared modules alone
+    monkeypatch.setattr(modrep, "a1_tilting_weights",
+                        lambda m, p: tuple(a1_weyl_weights(m)))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "T(6) at p=5: the Casimir eigenspace of St (x) L(2) does not have "
+            "the tilting character")):
+        tilting_module.__wrapped__(6, 5)
 
 
 def test_cached_module_weights_are_immutable():
@@ -297,8 +316,7 @@ def test_cached_module_weights_are_immutable():
 
 
 def test_explicit_operators_import_nothing_more():
-    # under numpy 2.4 a bare np.unique imports numpy.ma (0.04 s) on its first
-    # call; building and solving modules imports nothing beyond gcr.modrep
+    # building and solving modules imports nothing beyond gcr.modrep
     code = ("import sys\n"
             "from gcr.modrep import h1_module_a1, tensor, tilting_module, twist\n"
             "before = set(sys.modules)\n"
@@ -457,19 +475,19 @@ def test_submodule_restriction_errors():
     w2 = weyl_module(2, 5)
     # F_1 moves the top vector v_0 of W(2) to v_1
     with pytest.raises(ArithmeticError, match="not a submodule"):
-        _submodule_restriction(w2, np.array([[1], [0], [0]]))
+        _submodule_restriction(w2, [[1], [0], [0]])
     with pytest.raises(ArithmeticError, match="basis vector mixes weights"):
-        _submodule_restriction(w2, np.array([[1], [1], [0]]))
+        _submodule_restriction(w2, [[1], [1], [0]])
     # the errors name the operator and degree, or the mixed column
     with pytest.raises(ArithmeticError, match="not a submodule: F_1 "):
-        _submodule_restriction(w2, np.array([[1], [0], [0]]))
+        _submodule_restriction(w2, [[1], [0], [0]])
     with pytest.raises(ArithmeticError, match="not a submodule: E_1 "):
-        _submodule_restriction(w2, np.array([[0], [0], [1]]))
+        _submodule_restriction(w2, [[0], [0], [1]])
     with pytest.raises(ArithmeticError, match=re.escape(
             "column 1 has weights [-2, 2]")):
-        _submodule_restriction(w2, np.array([[0, 1], [1, 0], [0, 1]]))
+        _submodule_restriction(w2, [[0, 1], [1, 0], [0, 1]])
     with pytest.raises(ArithmeticError, match="basis vectors are dependent"):
-        _submodule_restriction(w2, np.array([[1, 2], [0, 0], [0, 0]]))
+        _submodule_restriction(w2, [[1, 2], [0, 0], [0, 0]])
 
 
 # -- H^1 from explicit operators ---------------------------------------------

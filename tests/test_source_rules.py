@@ -5,7 +5,8 @@ or seeded retries), no `eval` or `exec` (data strings are parsed against
 a grammar, never run as code), no unused top-level import in the package
 or its tests, no module that the table diff cannot reach through relative
 imports, no module that imports another module's underscore name (a name
-one module shares with another is public), no function or method that no
+one module shares with another is public), no module that imports numpy
+(nor does a cold scan, diff or cocycle run load it), no function or method that no
 table result, cross-check or benchmark entry point reaches (helpers that
 only check the package live in ``tests/oracles.py``, so no root names a
 function that only tests call), and every console script declared in
@@ -14,7 +15,10 @@ function that only tests call), and every console script declared in
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +106,42 @@ def test_private_import_rule_names_planted_imports():
                           "def late():\n    from gcr.a1coh import _strip\n",
                "fine": "from __future__ import annotations\nfrom .a1coh import h1_term\n"}
     assert private_imports(sources) == ["planted: _class_memo", "planted: _strip"]
+
+
+def numpy_imports(text: str) -> list[int]:
+    """Lines of every import of numpy or of a numpy submodule in text,
+    function-local imports included."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "numpy")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_numpy_import(path):
+    lines = numpy_imports(path.read_text())
+    assert not lines, f"{path.name}: numpy imported at lines {lines}"
+
+
+def test_numpy_rule_names_planted_imports():
+    planted = ("import numpy as np\nfrom numpy.linalg import matrix_rank\n"
+               "def late():\n    import numpy.random\n    from .rings import rank\n")
+    assert numpy_imports(planted) == [1, 2, 4]
+
+
+def test_cold_scan_diff_and_cocycle_load_no_numpy():
+    code = ("import sys\n"
+            "import gcr.tables\n"
+            "from gcr.h1scan import scan_group\n"
+            "from gcr.modrep import h1_module_a1, tensor, tilting_module, twist\n"
+            "diff = gcr.tables.diff_badx('E6', 5, scan=scan_group('E6', 5))\n"
+            "h1 = h1_module_a1(tensor(tilting_module(12, 7), twist(tilting_module(6, 7), 1)))\n"
+            "print(diff.ok, h1, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.split() == ["True", "0", "[]"]
 
 
 # the functions a table result, a cross-check or the benchmark starts from,
