@@ -64,6 +64,7 @@ from .modrep import (
     char_tensor,
     check_prime,
     donkin_split,
+    nonnegative_int,
     peel_characters,
 )
 
@@ -142,9 +143,19 @@ def _term_counts(terms):
 def h1_dim(terms, p: int) -> int:
     """dim H^1 of a direct sum of twisted-tilting-product terms.  The input
     is an iterable of terms or any mapping from terms to counts, and p a
-    prime."""
+    prime.  A term is a tuple or list of (m, t) tuples of ints >= 0, and
+    any other raises ValueError naming it: ``h1_term``, which the scan
+    calls on terms it built, checks nothing."""
     check_prime(p)
-    return sum(c * h1_term(tuple(t), p) for t, c in _term_counts(terms))
+    return sum(c * h1_term(_checked_term(t), p) for t, c in _term_counts(terms))
+
+
+def _checked_term(term) -> tuple:
+    if isinstance(term, (tuple, list)) and all(
+            type(f) is tuple and len(f) == 2 and all(map(nonnegative_int, f))
+            for f in term):
+        return tuple(term)
+    raise ValueError(f"term {term!r} of h1_dim is no tuple of (m, t) pairs of ints >= 0")
 
 
 def terms_tensor(a, b, out: dict | None = None) -> dict:

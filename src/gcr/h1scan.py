@@ -56,8 +56,10 @@ from .modrep import (
     m_tensor,
     module_is_tilting,
     module_subst,
+    module_terms,
     module_twists,
     module_weights,
+    nonnegative_int,
     parse_module,
     spin_halves_from_char,
 )
@@ -74,21 +76,15 @@ def _atom_key(e: ModExpr):
 def canonical_action(e: ModExpr) -> ModExpr:
     """Sort tensor factors and sum terms into the fixed display order:
     higher weights first, lower twists first."""
-    if e.kind == "sum":
-        parts = [canonical_action(t) for t in e.parts]
-        parts.sort(key=_term_key)
-        return m_sum(*parts)
-    if e.kind == "tensor":
-        parts = [canonical_action(t) for t in e.parts]
-        parts.sort(key=_atom_key)
-        return m_tensor(*parts)
-    return e
+    if not e.parts:
+        return e
+    parts = sorted(map(canonical_action, e.parts),
+                   key=_term_key if e.kind == "sum" else _atom_key)
+    return ModExpr(e.kind, parts=tuple(parts))
 
 
 def _term_key(e: ModExpr):
-    if e.kind == "tensor":
-        return tuple(_atom_key(t) for t in e.parts)
-    return (_atom_key(e),)
+    return tuple(map(_atom_key, e.parts or (e,)))
 
 
 # -- built-in irreducible actions per factor type ------------------------------
@@ -260,12 +256,11 @@ def _constraint(text: str, ref: str):
     try:
         body = ast.parse(text, mode="eval").body
     except SyntaxError:
-        raise _bad_constraint(text, ref) from None
+        raise ValueError(_BAD_CONSTRAINT.format(ref, text)) from None
     return functools.partial(_constraint_value, body, text, ref)
 
 
-def _bad_constraint(text: str, ref: str) -> ValueError:
-    return ValueError(f"row {ref}: unsupported constraint {text!r}")
+_BAD_CONSTRAINT = "row {}: unsupported constraint {!r}"
 
 
 def _constraint_value(node, text: str, ref: str, params):
@@ -288,7 +283,7 @@ def _constraint_value(node, text: str, ref: str, params):
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "step" and not node.keywords):
         return _step(*(_constraint_value(a, text, ref, params) for a in node.args))
-    raise _bad_constraint(text, ref)
+    raise ValueError(_BAD_CONSTRAINT.format(ref, text))
 
 
 def _chain_slots(text: str):
@@ -329,6 +324,9 @@ def canon_factor(text: str, tmax: int,
     if name is not None and name not in _CHAIN_NAMES:
         raise ValueError(f"factor {text!r} names no chain the scan builds "
                          f"({', '.join(sorted(_CHAIN_NAMES))})")
+    if name is not None and len(slots) != len(name) // 2:   # a type is two characters
+        raise ValueError(f"chain {name} has {len(name) // 2} factors, but factor "
+                         f"{text!r} gives it {len(slots)}")
     exprs = [canonical_action(module_subst(parse_module(s), subst)) for s in slots]
     twists = tuple(t for e in exprs for t in module_twists(e))
     if any(t > tmax or t < 0 for t in twists):
@@ -347,7 +345,7 @@ def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
     for text, constraints, template in chains:
         slots = [parse_module(s) for s in _chain_slots(text)[1]]
         if any(a.weight > p - 1 for e in slots
-               for a in (e.parts if e.kind == "tensor" else (e,))):
+               for a in e.parts or (e,)):
             continue
         for subst in twist_choices((text,), constraints, tmax, text):
             out.append(replace(canon_factor(text, tmax, subst),
@@ -396,17 +394,17 @@ def g2_factor_candidate(type_name: str) -> FactorCandidate | None:
 @functools.lru_cache(maxsize=None)
 def factor_candidates(type_name: str, p: int, tmax: int) -> tuple[FactorCandidate, ...]:
     """All built-in irreducible rank-one actions for one simple factor; the
-    candidates are frozen, so one tuple serves every call."""
+    candidates are frozen, so one tuple serves every call.  The factor is
+    of a type that a proper Levi of E6, E7 or E8 has, A, D, E6 or E7; any
+    other raises ValueError naming it."""
     fam, rank = type_name[0], int(type_name[1:])
     if fam == "A":
         return tuple(_module_candidate(e) for e in a_type_actions(rank, p, tmax))
     if fam == "D":
         return tuple(_module_candidate(e) for e in d_type_actions(rank, p, tmax))
-    if fam == "E" and rank == 6:
-        return e6_factor_candidates(p, tmax)
-    if fam == "E" and rank == 7:
-        return e7_factor_candidates(p, tmax)
-    return ()
+    if type_name in ("E6", "E7"):
+        return (e6_factor_candidates if rank == 6 else e7_factor_candidates)(p, tmax)
+    raise ValueError(f"no candidate table for a factor of type {type_name}")
 
 
 # -- restriction of a summand weight through a factor candidate ----------------
@@ -435,30 +433,21 @@ def _node(type_name: str, weight: tuple[int, ...]):
     raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
 
 
-def _expr_terms(e: ModExpr, p: int) -> dict:
-    """Twisted-tilting-product terms of an expression built from sums,
-    tensor products, twisted simples or tiltings, and trivials.  Restricted
+def _expr_terms(e: ModExpr, p: int) -> Counter:
+    """Twisted-tilting-product terms of an expression, a sum of tensor
+    products of twisted simples or tiltings, and trivials.  Restricted
     simples are tilting modules of the same highest weight, so the atoms
-    map directly onto (weight, twist) factors; a simple atom L(m) with
-    m > p - 1, which is no tilting module, raises ValueError naming it."""
-    if e.kind == "sum":
-        out: Counter = Counter()
-        for part in e.parts:
-            out.update(_expr_terms(part, p))
-        return out
-    if e.kind == "tensor":
-        out = {(): 1}
-        for part in e.parts:
-            out = terms_tensor(out.items(), _expr_terms(part, p).items())
-        return out
-    if e.kind in ("simple", "tilt"):
-        if e.kind == "simple" and e.weight > p - 1:
-            raise ValueError(f"simple atom {format_module(e)} at p={p} is not "
-                             "a tilting module: its weight exceeds p - 1")
-        if e.weight == 0:
-            return {(): 1}
-        return {((e.weight, e.twist),): 1}
-    raise NotImplementedError(f"no term form for {e.kind!r} expressions")
+    map directly onto (weight, twist) factors, and the trivial ones drop
+    out; a simple atom L(m) with m > p - 1, which is no tilting module,
+    raises ValueError naming it."""
+    out: Counter = Counter()
+    for atoms in module_terms(e):
+        for a in atoms:
+            if a.kind == "simple" and a.weight > p - 1:
+                raise ValueError(f"simple atom {format_module(a)} at p={p} is not "
+                                 "a tilting module: its weight exceeds p - 1")
+        out[tuple(sorted((a.weight, a.twist) for a in atoms if a.weight))] += 1
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -557,8 +546,7 @@ def _spin_classes(expr: ModExpr, p: int) -> tuple:
     one SO(V)-class.  Otherwise it is two, exchanged by the graph
     automorphism that swaps the half-spin nodes: the second class carries
     the halves swapped, even where they are equal (G2 on D7 acts as 14)."""
-    atoms = [s.parts if s.kind == "tensor" else (s,)
-             for s in (expr.parts if expr.kind == "sum" else (expr,))]
+    atoms = module_terms(expr)
     dims = [math.prod(_atom_dim(a, p) for a in t) for t in atoms]
     halves = (spin_halves_from_char(module_weights(expr, p), sum(dims) // 2)
               if isinstance(atoms[0][0].weight, tuple) else spin_half_terms(expr, p))
@@ -680,12 +668,6 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     return [t for t, _ in typed], distinct, out
 
 
-def nonnegative_int(n) -> bool:
-    """True for an int >= 0 and no other value, a bool included: the rule
-    for p and tmax in the scan and for tmax in ``tables.expand_rows``."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
 def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
                    tmax: int = 2) -> list[CandidateReport]:
     """Evaluate every built-in candidate subgroup against the levels of one
@@ -705,10 +687,10 @@ def scan_parabolic(name: str, levi: tuple[int, ...], p: int,
     least = 7 if rs.name == "E8" else 5
     good = is_prime(p) and p >= least
     if rs.kind != "E" or not good or not nonnegative_int(tmax):
-        reason = ("the group must be E6, E7 or E8" if rs.kind != "E"
-                  else f"p must be a prime good for {rs.name}, at least {least}" if not good
-                  else "tmax must be an int >= 0")
-        raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: {reason}")
+        raise ValueError(f"cannot scan {rs.name} at p={p!r}, tmax={tmax!r}: " + (
+            "the group must be E6, E7 or E8" if rs.kind != "E"
+            else f"p must be a prime good for {rs.name}, at least {least}" if not good
+            else "tmax must be an int >= 0"))
     typed_components(rs, levi)          # refuses a bad Levi before the cache
     types, distinct, summands = _summand_weights(name, levi)
     if not types:

@@ -8,9 +8,13 @@ linear algebra; character-level routines (composition factors, tilting
 characters) are kept separate so the two can be played against each other
 in tests.
 
-Module expressions (``ModExpr``) say only what the golden tables write:
-sums and tensor products of twisted simples and tiltings.  Alternating
-powers and half-spins are characters (``alt_char``, ``spin_halves_from_char``).
+Module expressions (``ModExpr``) say only what the golden tables write,
+in one flat shape: a "+"-sum of "x"-products of atoms m (a simple) or T(m)
+(a tilting), each with an optional twist [n] or [v+n] for a symbol v of
+``TWIST_SYMBOLS``, as in "3 x 1[1] + T(8) + 0".  ``parse_module`` reads
+that text, with no brackets since nothing nests, and ``format_module``
+writes it back.  Alternating powers and half-spins are characters
+(``alt_char``, ``spin_halves_from_char``).
 """
 
 from __future__ import annotations
@@ -208,6 +212,13 @@ def is_prime(p) -> bool:
     return type(p) is int and p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def nonnegative_int(n) -> bool:
+    """True for an int >= 0 and no other value, a bool included: the rule
+    for tmax in the scan and ``tables.expand_rows``, and for the (m, t)
+    pairs of ``a1coh.h1_dim``."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def check_prime(p) -> None:
     """Refuse, naming it, a p that ``is_prime`` refuses."""
     if not is_prime(p):
@@ -262,11 +273,11 @@ class A1Module:
             shifts = {w[i] - w[j] for i, j in zip(r, c)}
         bad = {d for d in shifts if sign * d <= 0 or d & 1}
         if bad:
-            i = next(i for i, (x, y) in enumerate(zip(r, c)) if w[x] - w[y] in bad)
-            raise ArithmeticError(
+            raise ArithmeticError(next(
                 f"operator does not shift weights correctly: {name} entry "
-                f"({r[i]}, {c[i]}) maps weight {w[c[i]]} to {w[r[i]]}, "
-                f"expected a shift of {'+-'[sign < 0]}2a with a >= 1")
+                f"({x}, {y}) maps weight {w[y]} to {w[x]}, "
+                f"expected a shift of {'+-'[sign < 0]}2a with a >= 1"
+                for x, y in zip(r, c) if w[x] - w[y] in bad))
         return r, c, v
 
 
@@ -363,9 +374,8 @@ def _submodule_restriction(mod: A1Module, basis) -> A1Module:
             if any(z % p for z in image.values()):
                 bad.add((which, abs(nu - mu) // 2))
     if bad:
-        which, a = min(bad)
-        raise ArithmeticError(
-            f"not a submodule: {'EF'[which]}_{a} maps the span outside itself")
+        raise ArithmeticError("not a submodule: {}_{} maps the span outside itself"
+                              .format(*min(("EF"[k], a) for k, a in bad)))
     return A1Module(p, weights, *out)
 
 
@@ -529,10 +539,20 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 
 # -- module expressions ------------------------------------------------------
 
+TWIST_SYMBOLS = "rstu"     # for the reader and the twist sweep alike
+
+# how deep each kind sits in the one shape: a sum of tensor products of atoms
+_LEVEL = {"simple": 0, "tilt": 0, "tensor": 1, "sum": 2}
+
+
 @dataclass(frozen=True)
 class ModExpr:
-    """Formal module expression: sums ("sum") of tensor products ("tensor")
-    of (possibly twisted) simples ("simple") and tiltings ("tilt").
+    """Formal module expression in the one shape the golden tables write: a
+    sum ("sum") of tensor products ("tensor") of (possibly twisted) simples
+    ("simple") and tiltings ("tilt").  A sum has two or more terms, each an
+    atom or a tensor product; a tensor product two or more atoms.  Any other
+    nesting raises ValueError, so ``parse_module`` reads back exactly what
+    ``format_module`` writes of a rank-one expression.
 
     Weights are integers for the rank-one group or pairs for G2; twists are
     nonnegative integers or symbols of ``TWIST_SYMBOLS`` with an optional
@@ -546,14 +566,18 @@ class ModExpr:
     parts: tuple[ModExpr, ...] = ()
 
     def __post_init__(self):
+        level = _LEVEL.get(self.kind)
+        if (self.parts or level != 0) and (
+                not level or len(self.parts) < 2
+                or any(_LEVEL[q.kind] >= level for q in self.parts)):
+            raise ValueError(f"a module expression is a sum of tensor products of "
+                             f"atoms, not a {self.kind!r} of "
+                             f"{[q.kind for q in self.parts]}")
         object.__setattr__(self, "_hash", hash((self.kind, self.weight,
                                                 self.twist, self.parts)))
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"ModExpr({format_module(self)!r})"
 
 
 def m_simple(a, r=0) -> ModExpr:
@@ -569,115 +593,36 @@ def m_sum(*parts) -> ModExpr:
     return ModExpr("sum", parts=parts)
 
 
-TWIST_SYMBOLS = "rstu"     # for the parser and the twist sweep alike
-
-_TOKEN = re.compile(
-    rf"(x|\+|\(|\)|\[|\]|T(?=\()|[0-9]+|[{TWIST_SYMBOLS}](?:\+[0-9]+)?)")
-_MAX_DEPTH = 50     # deepest bracket nesting that parse_module accepts
-
-
-def _tokenize(text: str) -> list[str]:
-    s = text.replace("⊗", "x").replace(" ", "")
-    toks = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            raise ValueError(f"cannot tokenize module expression {text!r} "
-                             f"at {s[pos:]!r}")
-        toks.append(m.group(0))
-        pos = m.end()
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, want=None):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of module expression {self.text!r}")
-        if want is not None and tok != want:
-            raise ValueError(f"expected {want!r}, found {tok!r} in {self.text!r}")
-        self.i += 1
-        return tok
-
-    def number(self) -> int:
-        tok = self.take()
-        if not tok.isdigit():
-            raise ValueError(f"expected a number, found {tok!r} in {self.text!r}")
-        return int(tok)
-
-    def expr(self) -> ModExpr:
-        terms = [self.term()]
-        while self.peek() == "+":
-            self.take()
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else m_sum(*terms)
-
-    def term(self) -> ModExpr:
-        factors = [self.primary()]
-        while self.peek() == "x":
-            self.take()
-            factors.append(self.primary())
-        return factors[0] if len(factors) == 1 else m_tensor(*factors)
-
-    def primary(self) -> ModExpr:
-        if self.peek() == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        return self.atom()
-
-    def atom(self) -> ModExpr:
-        tok = self.take()
-        if tok == "T":
-            self.take("(")
-            a = self.number()
-            self.take(")")
-            ctor = m_tilt
-        elif tok.isdigit():
-            a = int(tok)
-            ctor = m_simple
-        else:
-            raise ValueError(f"unexpected token {tok!r} in {self.text!r}")
-        tw = 0
-        if self.peek() == "[":
-            self.take()
-            t = self.take()
-            if t.isdigit():
-                tw = int(t)
-            elif t[0] in TWIST_SYMBOLS:
-                sym, _, off = t.partition("+")
-                tw = (sym, int(off or 0))
-            else:
-                raise ValueError(f"bad twist {t!r} in {self.text!r}")
-            self.take("]")
-        return ctor(a, tw)
+# a "+" outside a twist's brackets, and one atom with its optional twist
+_PLUS = re.compile(r"\+(?![0-9]*\])")
+_ATOM = re.compile(r"(?:([0-9]+)|T\(([0-9]+)\))"
+                   rf"(?:\[(?:([0-9]+)|([{TWIST_SYMBOLS}])(?:\+([0-9]+))?)\])?")
 
 
 @functools.lru_cache(maxsize=None)
 def parse_module(s: str) -> ModExpr:
-    """Parse the module text grammar: "3 x 1[1] + T(8) + 0", "(2 + 0) x
-    1[s+1]" (x or the tensor sign both work; twists may be numbers or a
-    symbol of ``TWIST_SYMBOLS`` with an optional offset, like r or s+1);
-    other text raises ValueError quoting it.  Each text is parsed once; the
+    """Read the module text grammar, a "+"-sum of "x"-products of atoms:
+    m or T(m), each with an optional twist [n] or [v+n], v a symbol of
+    ``TWIST_SYMBOLS`` and +n optional, as in "3 x 1[1] + T(8) + 0" or
+    "2[s] x 1[s+1]".  The tensor sign works for x, spaces are ignored and
+    digits are ASCII; there are no brackets, since no table nests.  Other
+    text raises ValueError quoting it.  Each text is read once; the
     expression is frozen, so callers share it."""
-    parser = _Parser(s)
-    depths = itertools.accumulate((t == "(") - (t == ")") for t in parser.toks)
-    if max(depths, default=0) > _MAX_DEPTH:
-        raise ValueError(f"module expression nested deeper than {_MAX_DEPTH}: {s!r}")
-    e = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in {s!r}: {parser.toks[parser.i:]}")
-    return e
+    terms = []
+    for term in _PLUS.split(s.replace("⊗", "x").replace(" ", "")):
+        atoms = []
+        for atom in term.split("x"):
+            m = _ATOM.fullmatch(atom)
+            if m is None:
+                raise ValueError(f"cannot tokenize module expression {s!r}: {atom!r} "
+                                 "is no atom m or T(m) with an optional twist "
+                                 f"[n] or [v+n], v in {TWIST_SYMBOLS!r}")
+            simple, tilt, n, sym, off = m.groups()
+            twist = (sym, int(off or 0)) if sym else int(n or 0)
+            atoms.append(m_simple(int(simple), twist) if simple
+                         else m_tilt(int(tilt), twist))
+        terms.append(atoms[0] if len(atoms) == 1 else m_tensor(*atoms))
+    return terms[0] if len(terms) == 1 else m_sum(*terms)
 
 
 def _format_twist(tw) -> str:
@@ -687,24 +632,13 @@ def _format_twist(tw) -> str:
     return f"[{tw}]" if tw else ""
 
 
-def _fmt(e: ModExpr, prec: int) -> str:
-    if e.kind == "sum":
-        s = " + ".join(_fmt(t, 1) for t in e.parts)
-        return f"({s})" if prec > 0 else s
-    if e.kind == "tensor":
-        s = " x ".join(_fmt(t, 2) for t in e.parts)
-        return f"({s})" if prec > 1 else s
+def format_module(e: ModExpr) -> str:
+    """The text of an expression, as ``parse_module`` reads it."""
+    if e.parts:
+        return (" + " if e.kind == "sum" else " x ").join(map(format_module, e.parts))
     w = e.weight if isinstance(e.weight, int) else f"({e.weight[0]},{e.weight[1]})"
     tw = _format_twist(e.twist)
-    if e.kind == "simple":
-        return f"{w}{tw}"
-    if e.kind == "tilt":
-        return f"T({w}){tw}"
-    raise ValueError(e.kind)
-
-
-def format_module(e: ModExpr) -> str:
-    return _fmt(e, 0)
+    return f"T({w}){tw}" if e.kind == "tilt" else f"{w}{tw}"
 
 
 def _twist_value(tw, subst) -> int:
@@ -739,12 +673,6 @@ def alt_char(elems, k: int) -> Counter:
                    for combo in itertools.combinations(elems, k))
 
 
-def _wneg(a):
-    if isinstance(a, tuple):
-        return tuple(-x for x in a)
-    return -a
-
-
 def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
     if e.kind in ("sum", "tensor"):
@@ -752,12 +680,16 @@ def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     return ModExpr(e.kind, weight=e.weight, twist=_twist_value(e.twist, subst))
 
 
+def module_terms(e: ModExpr) -> tuple[tuple[ModExpr, ...], ...]:
+    """The terms of the expression, each the tuple of its atoms."""
+    return tuple(t.parts or (t,) for t in (e.parts if e.kind == "sum" else (e,)))
+
+
 def module_twists(e: ModExpr) -> list[int]:
     """The twists of the non-trivial atoms in the expression: a trivial
     atom is insensitive to twisting.  Symbolic twists raise."""
-    if e.kind in ("sum", "tensor"):
-        return [t for part in e.parts for t in module_twists(part)]
-    return [] if e.weight in (0, (0, 0)) else [_twist_value(e.twist, None)]
+    return [_twist_value(a.twist, None) for atoms in module_terms(e) for a in atoms
+            if a.weight not in (0, (0, 0))]
 
 
 def _atom_char(e: ModExpr, p: int) -> Counter:
@@ -770,10 +702,7 @@ def _atom_char(e: ModExpr, p: int) -> Counter:
                         for w, c in g2_simple_char(e.weight, p).items()})
     if e.weight < 0:
         raise ValueError(f"highest weight {e.weight} at p={p} must be dominant")
-    if e.kind == "simple":
-        base = a1_simple_weights(e.weight, p)
-    else:
-        base = a1_tilting_weights(e.weight, p)
+    base = (a1_simple_weights if e.kind == "simple" else a1_tilting_weights)(e.weight, p)
     return Counter(w * q for w in base)
 
 
@@ -798,7 +727,7 @@ def _spin_half_list(char: Counter):
                 raise ArithmeticError("odd zero-weight multiplicity: not orthogonal")
             a.extend([w] * (c // 2))
         elif next(x for x in vec if x) > 0:
-            if char.get(_wneg(w), 0) != c:
+            if char.get(tuple(-x for x in w) if vec is w else -w, 0) != c:
                 raise ArithmeticError("character is not symmetric: not orthogonal")
             a.extend([w] * c)
     return a
@@ -831,15 +760,10 @@ def spin_weights(natural_half: list) -> tuple[Counter, Counter]:
 
 def module_weights(e: ModExpr, p: int) -> Counter:
     """Formal character of the expression: weight -> multiplicity."""
-    if e.kind == "sum":
-        out: Counter = Counter()
-        for t in e.parts:
-            out.update(module_weights(t, p))
-        return out
-    if e.kind == "tensor":
-        return functools.reduce(char_tensor, (module_weights(t, p)
-                                              for t in e.parts))
-    return _atom_char(e, p)
+    out: Counter = Counter()
+    for atoms in module_terms(e):
+        out.update(functools.reduce(char_tensor, (_atom_char(a, p) for a in atoms)))
+    return out
 
 
 def module_is_tilting(e: ModExpr, p: int) -> bool:

@@ -183,11 +183,11 @@ def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
     weight = _entries([i - 1 for _, nodes in typed_components(rs, levi) for i in nodes])
     flats = list(map(weight, map(rs.pairings.__getitem__, tops.values())))
     if min(itertools.chain.from_iterable(flats), default=0) < 0:
-        flat, top = next((f, t) for f, t in zip(flats, tops.values()) if min(f) < 0)
-        raise ArithmeticError(
+        raise ArithmeticError(next(
             f"{rs.name} parabolic with Levi {levi}: summand high weight "
             f"{flat} of highest root {rs.format_root(rs.positive[top])} "
-            f"is not dominant")
+            f"is not dominant"
+            for flat, top in zip(flats, tops.values()) if min(flat) < 0))
     return list(zip(tops, map(sum, tops), flats))
 
 

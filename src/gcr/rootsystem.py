@@ -144,9 +144,8 @@ class RootSystem:
     # -- formatting ---------------------------------------------------------
 
     def format_root(self, r: Root) -> str:
-        if all(c <= 0 for c in r) and any(r):
-            return "-" + "".join(str(-c) for c in r)
-        return "".join(str(c) for c in r)
+        """A positive root as its digits, as error messages name it."""
+        return "".join(map(str, r))
 
 
 @functools.cache

@@ -6,6 +6,16 @@ Levi type, the irreducible rank-one (or G2-type) actions whose restriction to
 some level of the unipotent radical has nonzero first cohomology, together
 with the number of conjugacy classes each row accounts for.
 
+A row's factor texts, one per Levi factor, take the forms that
+``h1scan.canon_factor`` reads:
+- a module text, the action on the factor's natural module, such as
+  ``3 x 1[1] + 2 + 2[1]`` (the flat grammar of ``modrep.parse_module``)
+- ``NAME(slot, ...)``, a chain the scanner builds (E6 and E7 chains, and
+  A1D6), with one module text per factor type of NAME, such as
+  ``A1A5(1[r], 5[s])``
+- ``(a,b)``, a G2 action by its highest weight
+- ``max F4``, the G2 of E6 through F4
+
 Rows may be twist-parametric: factor strings contain twist variables
 (``1[r]``, ``3[s] x 1[s+1]``) swept over a finite window, filtered by the
 row's constraints.  The sweep and canonical form are those the scanner
@@ -31,7 +41,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .h1scan import (FactorCandidate, ScanResult, scan_group, canon_factor,
-                     factor_assignments, nonnegative_int, twist_choices, class_unit)
+                     factor_assignments, twist_choices, class_unit)
+from .modrep import nonnegative_int
 
 
 # -- golden data loading -------------------------------------------------------
@@ -99,8 +110,8 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
     table."""
     if not (isinstance(data, dict) and isinstance(data.get("table"), str)
             and isinstance(data.get("rows"), list)):
-        table = data.get("table") if isinstance(data, dict) else data
-        raise ValueError(f"table {table!r} needs a str name and a list of rows")
+        raise ValueError(f"table {data.get('table') if isinstance(data, dict) else data!r} "
+                         "needs a str name and a list of rows")
     if not nonnegative_int(tmax):
         raise ValueError(f"cannot expand table {data['table']!r} at tmax={tmax!r}: "
                          "tmax must be an int >= 0")
@@ -199,8 +210,6 @@ def _frame_match(golden_insts, engine_reps, p, pos):
     which the golden instances and the engine rows of one D4-bearing Levi
     type carry the same multiset of class units.  Returns the permutation,
     or None."""
-    if not golden_insts or not engine_reps:
-        return None
     gsig = []
     for inst in golden_insts:
         units = _golden_units(inst, pos, p)

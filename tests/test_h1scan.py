@@ -23,7 +23,6 @@ from gcr.modrep import (
     format_module,
     g2_comp_factors,
     h1_module_a1,
-    m_tensor,
     module_weights,
     parse_module,
     spin_halves_from_char,
@@ -104,6 +103,20 @@ def test_h1_dim_refuses_a_p_that_is_not_prime(terms, p):
     """Both sums came out 0, as if p were prime."""
     with pytest.raises(ValueError, match=f"p={p} of a rank-one module"):
         h1_dim(terms, p)
+
+
+@pytest.mark.parametrize("terms", [
+    [((1, -1), (1, 0))], [((-1, 0),)], [((1,),)], [((1, 0, 2),)], [(1, 0)],
+    [((1, 0.0),)], [((True, 1),)], [[[1, 0]]], [5], {((1, 0), (2, -3)): 2}],
+    ids=["negative-twist", "negative-weight", "no-pair", "triple", "bare-pair",
+         "float", "bool", "list-pair", "int", "mapping"])
+def test_h1_dim_refuses_a_term_that_is_not_pairs(terms):
+    """A factor with a negative twist came out 0, since the layer split
+    keeps t < 0 in no level, and a factor that is no pair raised a bare
+    unpacking error that named no input."""
+    term = next(iter(terms))
+    with pytest.raises(ValueError, match=re.escape(f"term {term!r} of h1_dim")):
+        h1_dim(terms, 5)
 
 
 def test_h1_counts_multiplicity():
@@ -814,6 +827,57 @@ def test_negative_controls_flag_nothing():
     assert found == dict.fromkeys(found, (0, 0))
 
 
+def scan_terms(group: str, p: int) -> set:
+    """Every term whose H^1 a cold scan of group at p takes: the product of
+    each level-H^1 memo key's parts, rebuilt from the restrictions that
+    ``_restriction`` memoised for them, as ``_a1_outcome`` builds it."""
+    _level_h1_memo.cache_clear()
+    h1scan._restriction_memo.cache_clear()
+    scan_group(group, p)
+    restrictions, terms = h1scan._restriction_memo(), set()
+    for q, parts in _level_h1_memo():
+        pairs = restrictions[q, parts[0]]
+        for part in parts[1:]:
+            pairs = terms_tensor(pairs, restrictions[q, part]).items()
+        terms.update(term for term, _ in pairs)
+    return terms
+
+
+def layer_bound(terms) -> int:
+    """B: the largest weight sum of one twist layer of any of the terms."""
+    return max(sum(m for m, s in term if s == t) for term in terms for _, t in term)
+
+
+def test_no_a1_row_at_any_good_p_from_17_on():
+    """The A1 half of "every good p": no A1 row appears on E6, E7 or E8 at
+    any p >= 17, by the layer rule of ``a1coh``.
+
+    Take a term T(m_1)^[t_1] (x) ... (x) T(m_k)^[t_k] whose every twist
+    layer has weight sum B_t = sum_{t_i = t} m_i < p - 2.  The tilting
+    summands T(n) of the product of a layer's factors have n <= B_t, so
+    n <= p - 3: ``h1_term`` meets only n = 0, which recurses one layer up,
+    and 1 <= n <= p - 3, which gives H^1 = 0, and a term with no twisted
+    factor left has H^1 = 0.  So the term has H^1 = 0, and a level whose
+    terms all have B < p - 2 flags nothing.
+
+    From p = 13 on every weight in a candidate or a restriction is at most
+    12 <= p - 1, so each tilting character is a Weyl character, every
+    restriction's peel is p's Weyl decomposition, and the candidate tables
+    are those of every larger p.  So the terms a scan takes are the same
+    at every p >= 13, which the test checks at 13, 17 and 19.  B is 9 on
+    E6 and 12 on E7 and E8, so p - 2 > B from p = 17 on; the negative
+    controls cover p = 11 and 13.  G2 candidates are built at p = 7 only
+    (``g2_simple_char`` is tabulated there), so G2 above p = 7 is
+    unchecked.  The nine scans, each with cold level-H^1 and restriction
+    memos, take about 0.3 s."""
+    for group, bound in (("E6", 9), ("E7", 12), ("E8", 12)):
+        terms = {p: scan_terms(group, p) for p in (13, 17, 19)}
+        bounds = {p: layer_bound(t) for p, t in terms.items()}
+        assert bounds == dict.fromkeys(terms, bound), group
+        assert all(p - 2 > bounds[p] for p in (17, 19)), group
+        assert terms[13] == terms[17] == terms[19], group
+
+
 # (group, p, tmax) the scan refuses: p not a prime, below 5 or bad for E8
 # (5), tmax negative or not an int, and a group other than E6, E7 or E8
 # (A2/5, D4/5 and D5/7 returned no rows, and G2/7 died in the G2 prune)
@@ -1035,14 +1099,19 @@ def test_canon_factor_forms():
 @pytest.mark.parametrize("text,message", [
     ("(1,0", "cannot tokenize module expression '(1,0'"),
     ("A1A6(1, 2 x 1[1])", "factor 'A1A6(1, 2 x 1[1])' names no chain the scan builds"),
-    ("(0, 1)", "cannot tokenize module expression '(0, 1)'")])
+    ("(0, 1)", "cannot tokenize module expression '(0, 1)'"),
+    ("A1A5(1[r])", "chain A1A5 has 2 factors, but factor 'A1A5(1[r])' gives it 1"),
+    ("A2A2A2(2, 2[1], 2[2], 2)",
+     "chain A2A2A2 has 3 factors, but factor 'A2A2A2(2, 2[1], 2[2], 2)' gives it 4")])
 def test_canon_factor_refuses_unknown_text(text, message):
     """A factor text that is no module expression, no chain the scan
-    builds, no "max F4" and no G2 weight (a,b) raises ValueError naming
-    it: any text that began with "(" was read as a G2 factor, and any
-    chain name was accepted."""
+    builds with one slot per factor, no "max F4" and no G2 weight (a,b)
+    raises ValueError naming it: any text that began with "(" was read as
+    a G2 factor, any chain name was accepted, and "A1A5(1[r])" at r = 0
+    became the candidate "A1A5(1)", which a diff could only report as an
+    unexplained missing row."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        canon_factor(text, 2)
+        canon_factor(text, 2, {"r": 0})
 
 
 @pytest.mark.parametrize("group,p,ref,factor", [
@@ -1149,7 +1218,8 @@ def test_chain_templates_match_their_slots():
                 name, slots = c.descriptor[:-1].split("(", 1)
                 v = [parse_module(s) for s in slots.split(", ")]
                 if name == "A1A5":
-                    slot_sum = module_weights(m_tensor(v[0], v[1]), p) + alt(v[1], 4, p)
+                    slot_sum = (char_tensor(module_weights(v[0], p), module_weights(v[1], p))
+                                + alt(v[1], 4, p))
                 elif name == "A2A2A2":
                     slot_sum = sum((char_tensor(module_weights(v[i], p), alt(v[j], 2, p))
                                     for i, j in itertools.combinations(range(3), 2)),
@@ -1175,21 +1245,15 @@ def _clear_every_cache() -> set[str]:
     return cleared
 
 
-def test_scan_and_diff_parse_each_text_once(monkeypatch):
-    """From cold caches, scanning and diffing E8/7 builds one module parser
-    per distinct text, 29 in all, where parsing each chain template once
-    per twist choice and each row factor once per instance built 124."""
-    texts = []
-
-    class Spy(modrep._Parser):
-        def __init__(self, text):
-            texts.append(text)
-            super().__init__(text)
-
-    monkeypatch.setattr(modrep, "_Parser", Spy)
+def test_scan_and_diff_parse_each_text_once():
+    """From cold caches, scanning and diffing E8/7 reads each distinct
+    module text once, 29 in all, where parsing each chain template once
+    per twist choice and each row factor once per instance built 124: the
+    reader runs only on a miss of its cache."""
     _clear_every_cache()
     diff_badx("E8", 7, scan=scan_group("E8", 7))
-    assert len(texts) == len(set(texts)) == 29
+    info = modrep.parse_module.cache_info()
+    assert info.misses == info.currsize == 29
 
 
 @pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)])
@@ -1324,6 +1388,39 @@ def test_diff_detects_tampering():
     assert bad and all(r.expected_classes == 7 for r in bad)
     assert d.ok is False
     assert diff_badx("E6", 5).ok
+
+
+def test_diff_reports_missing_rows():
+    """A golden row that the scan does not give is reported missing, and
+    the diff is not ok.  On a D4-bearing Levi the relabelling pass gives up
+    when the class units cannot match: when a scan row is gone, the rows
+    are diffed directly, and E7/5's A1+D4 rows are then missing,
+    mismatched or extra; and when the table gives a row a class count its
+    action does not have (1 for E7/5's two-class A1+D4 actions)."""
+    scan = scan_group("E6", 5)
+    gone = next(iter(scan.rows))
+    rows = {k: r for k, r in scan.rows.items() if k != gone}
+    d = diff_badx("E6", 5, scan=dataclasses.replace(scan, rows=rows))
+    missing = [r for r in d.rows if r.status == "missing"]
+    assert [(r.levi, r.x, r.actions) for r in missing] == [gone]
+    assert missing[0].computed_classes is None and not missing[0].hits
+    assert d.counts() == {"match": 7, "missing": 1} and not d.ok
+
+    scan = scan_group("E7", 5)
+    a1d4 = sorted(k for k in scan.rows if k[0] == "A1+D4")
+    rows = {k: r for k, r in scan.rows.items() if k != a1d4[0]}
+    d = diff_badx("E7", 5, scan=dataclasses.replace(scan, rows=rows))
+    rows_d4 = [r for r in d.rows if r.levi == "A1+D4"]
+    assert not any("relabelling" in r.note for r in rows_d4) and not d.ok
+    assert Counter(r.status for r in rows_d4) == {"missing": 1, "mismatch": 3, "extra": 4}
+    d = diff_badx("E7", 5, scan=scan, data=_with_classes(load_badx("E7", 5), "A1+D4", 1))
+    assert not any("relabelling" in r.note for r in d.rows)
+
+
+def _with_classes(data: dict, levi: str, classes: int) -> dict:
+    """A copy of a golden table whose rows on the Levi type give classes."""
+    return dict(data, rows=[dict(row, classes=classes) if row["levi"] == levi else row
+                            for row in data["rows"]])
 
 
 @pytest.mark.parametrize("group,p,tmax,data", [

@@ -47,7 +47,6 @@ from gcr.modrep import (
     twist,
     weyl_module,
 )
-from gcr.rings import rank
 from gcr.rootsystem import build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -656,7 +655,7 @@ def test_simple_char_symmetric(m, p):
 
 def test_extended_parse_roundtrip():
     for s in ["4 + 4[r]", "2 x 1[s]", "1[s+1]", "T(8)[r] + 1[s] x 2",
-              "(2 + 0) x 1[1]", "6[r] + 2[s] + 2[t] + 0"]:
+              "2 x 1[1] + 0 x 1[1]", "6[r] + 2[s] + 2[t] + 0"]:
         assert format_module(parse_module(s)) == s
 
 

@@ -1,6 +1,7 @@
-"""Property tests of the module-expression parser (``parse_module``/
-``format_module``): valid input round-trips; any other text raises
-``ValueError`` and nothing else."""
+"""Property tests of the module-expression reader (``parse_module``/
+``format_module``): every expression, a sum of tensor products of atoms,
+round-trips; any other text raises ``ValueError`` and nothing else, and so
+does any other nesting of ``ModExpr``."""
 
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gcr import h1scan
 from gcr.modrep import (
     TWIST_SYMBOLS,
+    ModExpr,
     m_simple,
     m_sum,
     m_tensor,
@@ -30,15 +32,14 @@ _atoms = st.builds(
     st.sampled_from([m_simple, m_tilt]), st.integers(0, 40), _twists)
 
 
-def _compound(inner):
-    parts = st.lists(inner, min_size=2, max_size=3)
-    return st.one_of(
-        parts.map(lambda ps: m_tensor(*ps)),
-        parts.map(lambda ps: m_sum(*ps)),
-    )
+def _joined(ctor, max_size):
+    """One part alone, or ctor of two or more."""
+    return lambda inner: st.lists(inner, min_size=1, max_size=max_size).map(
+        lambda ps: ps[0] if len(ps) == 1 else ctor(*ps))
 
 
-_exprs = st.recursive(_atoms, _compound, max_leaves=12)
+# the one shape: a sum of tensor products of atoms
+_exprs = _joined(m_sum, 4)(_joined(m_tensor, 3)(_atoms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,7 +51,7 @@ def test_module_expressions_roundtrip(e):
     assert format_module(parse_module(text)) == text
 
 
-# pieces of the grammar, so that random text reaches deep into the parser;
+# pieces of the grammar, so that random text reaches deep into the reader;
 # "*", ";", "Alt", "Sym", "Spin", "W" and "D5" are not in it, so text that
 # uses them must be rejected
 _TOKENS = ["x", "+", "(", ")", "[", "]", ";", "*", "Alt", "Sym", "Spin", "T",
@@ -72,15 +73,15 @@ def test_module_parser_raises_only_value_error(text):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("(" * 400 + "1" + ")" * 400, "nested deeper"),
+    ("(" * 400 + "1" + ")" * 400, "cannot tokenize module expression '\\(\\(\\("),
     ("Alt(1;" * 400 + "1" + ")" * 400, "cannot tokenize module expression 'Alt\\(1;Alt"),
-    ("1[", "unexpected end of module expression '1\\['"),
-    ("T(", "unexpected end of module expression 'T\\('"),
-    ("", "unexpected end of module expression ''"),
+    ("1[", "cannot tokenize module expression '1\\[': '1\\[' is no atom"),
+    ("T(", "cannot tokenize module expression 'T\\(': 'T\\(' is no atom"),
+    ("", "cannot tokenize module expression '': '' is no atom"),
     ("१[२]", "cannot tokenize module expression '१\\[२\\]'"),
     ("Alt(2; 4)", "cannot tokenize module expression 'Alt\\(2; 4\\)'"),
     ("Spin(D5; 4 + 4)", "cannot tokenize module expression 'Spin\\(D5; 4 \\+ 4\\)'"),
-    ("T(r)", "expected a number, found 'r' in 'T\\(r\\)'"),
+    ("T(r)", "cannot tokenize module expression 'T\\(r\\)'"),
     ("W(5)", "cannot tokenize module expression 'W\\(5\\)'"),
     ("2*", "cannot tokenize module expression '2\\*'"),
     ("Sym(2; 1)", "cannot tokenize module expression 'Sym\\(2; 1\\)'"),
@@ -91,6 +92,22 @@ def test_module_parser_regressions(text, message):
     with pytest.raises(ValueError, match=message):
         parse_module(text)
 
+
+@pytest.mark.parametrize("build", [
+    lambda a: m_tensor(m_sum(a, a), a),
+    lambda a: m_sum(m_sum(a, a), a),
+    lambda a: m_tensor(m_tensor(a, a), a),
+    lambda a: m_sum(a),
+    lambda a: m_tensor(),
+    lambda a: ModExpr("alt", weight=2, parts=(a, a)),
+], ids=["sum-in-tensor", "sum-in-sum", "tensor-in-tensor", "one-term-sum",
+        "empty-tensor", "unknown-kind"])
+def test_module_expressions_refuse_nesting(build):
+    """An expression is a sum of tensor products of atoms, each compound of
+    two or more parts, so that text and expression are one to one: any
+    other shape, which the text could not write back, raises ValueError."""
+    with pytest.raises(ValueError, match="a sum of tensor products of atoms"):
+        build(m_simple(1, 1))
 
 
 @pytest.mark.parametrize("text", ["1[v]", "T(4)[w+1]", "2 x 1[a]"])
