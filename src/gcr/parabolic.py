@@ -15,7 +15,15 @@ height, so ``dict(zip(keys, range(N)))`` puts each key where it first
 occurs, at its shape's least root, and keeps its last value, the index of
 the shape's highest root, which is unique.  ``level_summands`` reads the
 summands off that dict, and the scan, ``radical_levels``,
-``decompose_level`` and ``verify_levels`` all read the same keys.
+``decompose_level`` and ``verify_levels`` all read the same keys; the last
+two read them once per call and take the summands from the same list.
+
+``verify_levels`` is the independent check of the summands: per Levi it
+compares one multiset, the (shape key, weight) pairs of the radical's
+roots, with the one the summands' characters give, each keyed by its
+shape.  A summand's character is the product of its components'
+Freudenthal characters, built once per (factor types, per-factor weights)
+for the process, since the same product recurs across Levis.
 
 ``typed_components`` is the one checked reader of a Levi: it refuses a
 Levi that is no tuple of distinct nodes 1..rank, and gives the type and
@@ -177,7 +185,11 @@ def level_summands(rs: RootSystem, levi: tuple[int, ...]) -> list[tuple]:
     parabolic subgroups", Comm. Algebra 18 (1990)).  A weight that is not
     dominant raises ``ArithmeticError`` naming the group, the Levi and the
     root.  ``verify_levels`` checks every summand against its character."""
-    keys = _shape_keys(rs, levi)
+    return _summands(rs, levi, _shape_keys(rs, levi))
+
+
+def _summands(rs: RootSystem, levi: tuple[int, ...], keys: list[tuple[int, ...]]) -> list[tuple]:
+    """``level_summands`` read off the Levi's shape keys."""
     tops = dict(zip(keys, range(len(keys))))
     tops.pop((0,) * len(keys[0]), None)         # the Levi's own roots
     weight = _entries([i - 1 for _, nodes in typed_components(rs, levi) for i in nodes])
@@ -211,7 +223,7 @@ def decompose_level(rs: RootSystem, levi: tuple[int, ...], roots: list[Root]) ->
         groups.setdefault(keys[i], []).append(i)
     sizes = Counter(keys)
     out = []
-    for key, lvl, flat in level_summands(rs, levi):
+    for key, lvl, flat in _summands(rs, levi, keys):
         members = sorted(set(groups.get(key, ())))
         if not members:
             continue
@@ -234,36 +246,46 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
     module it claims to be.
 
     The weight of a radical root under the derived Levi is its pairing
-    tuple against the Levi simple roots; summand by summand, the multiset
-    of these must equal the weight multiset of the characteristic-zero
-    irreducible with the summand's high weight, formed component by
-    component.  Returns the number of summands checked; raises on any
-    mismatch."""
+    tuple against the Levi simple roots.  One multiset of (shape key,
+    weight) over the radical's roots must equal the one that the summands
+    of ``level_summands`` give, each summand's character keyed by its shape
+    key.  The shapes partition the radical, so this is the summand-by-summand
+    comparison.  A summand's character is the product of the
+    characteristic-zero characters of its components' weights
+    (``_summand_character``).  Returns the number of summands checked; on a
+    mismatch raises ``ArithmeticError`` naming the level and the least root
+    of the first summand, in least-root order, that does not match."""
+    typed = typed_components(rs, levi)
+    types = tuple(t for t, _ in typed)
+    comps = [c for _, c in typed]
+    keys = _shape_keys(rs, levi)
+    weight = _entries([i - 1 for nodes in comps for i in nodes])
+    seen = Counter(itertools.compress(zip(keys, map(weight, rs.pairings)), map(any, keys)))
+    summands = _summands(rs, levi, keys)
+    chars = {flat: _summand_character(types, split_weight(comps, flat))
+             for flat in {flat for _, _, flat in summands}}
+    expect: dict[tuple, int] = {}
+    for key, _, flat in summands:
+        char = chars[flat]
+        expect.update(zip(zip(itertools.repeat(key), char), char.values()))
+    if seen != expect:
+        raise ArithmeticError(next(
+            f"level {lvl} summand at {rs.format_root(rs.positive[keys.index(key)])} "
+            f"does not match its character"
+            for key, lvl, flat in summands
+            if {w: m for (k, w), m in seen.items() if k == key} != chars[flat]))
+    return len(summands)
+
+
+@functools.cache
+def _summand_character(types: tuple[str, ...], weights: tuple[tuple[int, ...], ...]) -> dict:
+    """Flat weight -> multiplicity of the irreducible module of a Levi with
+    factor types ``types`` and per-factor highest weights ``weights``: the
+    product of the factors' Freudenthal characters, once per process."""
     from .modrep import freudenthal
 
-    typed = typed_components(rs, levi)
-    types = [t for t, _ in typed]
-    comps = [c for _, c in typed]
-    weight = _entries([i - 1 for nodes in comps for i in nodes])
-    members: dict[tuple, list[int]] = {}
-    for i, key in enumerate(_shape_keys(rs, levi)):
-        members.setdefault(key, []).append(i)
-    summands = [(key, lvl, split_weight(comps, flat))
-                for key, lvl, flat in level_summands(rs, levi)]
-    # each (type, weight) character once, however many summands share it
-    chars = {tw: freudenthal(*tw)
-             for tw in {tw for _, _, hw in summands for tw in zip(types, hw)}}
-    for key, lvl, hw in summands:
-        seen = Counter(weight(rs.pairings[i]) for i in members[key])
-        expect: dict[tuple, int] = {(): 1}
-        for tw in zip(types, hw):
-            expect = {
-                flat + w: m0 * m
-                for flat, m0 in expect.items()
-                for w, m in chars[tw].items()
-            }
-        if seen != expect:
-            raise ArithmeticError(
-                f"level {lvl} summand at {rs.format_root(rs.positive[members[key][0]])} "
-                f"does not match its character")
-    return len(summands)
+    char: dict[tuple, int] = {(): 1}
+    for tw in zip(types, weights):
+        char = {flat + w: m0 * m for flat, m0 in char.items()
+                for w, m in freudenthal(*tw).items()}
+    return char

@@ -28,7 +28,9 @@ not expected).  For Levi factors of type D4 the three 8-dimensional
 fundamental weights are permuted by graph automorphisms, and which of them a
 table names as "the" natural module is a frame choice; when direct matching
 leaves a remainder on such a Levi, a second pass matches class units up to a
-uniform relabelling of the three 8-dimensional nodes.
+uniform relabelling of the three 8-dimensional nodes.  When no relabelling
+matches and scan rows of the Levi type are left over, a direct match may
+pair different classes, so it is reported as a ``mismatch`` with a note.
 """
 
 from __future__ import annotations
@@ -284,6 +286,14 @@ def diff_badx(group: str, p: int, tmax: int = 2,
                         inst.classes, inst.classes, hits, note))
                 consumed.update(erows)
                 continue
+            if len(used) < len(erows):
+                # no relabelling holds and scan rows of this type are left
+                # over, so a direct match may pair different classes
+                note = (f"{len(erows) - len(used)} scan rows of this type unmatched "
+                        "and no D4 frame matches its class units")
+                for row in direct:
+                    if row.status == "match":
+                        row.status, row.note = "mismatch", note
         diff.rows.extend(direct)
         consumed.update(used)
         for inst in leftover:

@@ -827,13 +827,14 @@ def test_negative_controls_flag_nothing():
     assert found == dict.fromkeys(found, (0, 0))
 
 
-def scan_terms(group: str, p: int) -> set:
-    """Every term whose H^1 a cold scan of group at p takes: the product of
-    each level-H^1 memo key's parts, rebuilt from the restrictions that
-    ``_restriction`` memoised for them, as ``_a1_outcome`` builds it."""
+def scan_terms(group: str, p: int, tmax: int = 2) -> set:
+    """Every term whose H^1 a cold scan of group at p and tmax takes: the
+    product of each level-H^1 memo key's parts, rebuilt from the
+    restrictions that ``_restriction`` memoised for them, as
+    ``_a1_outcome`` builds it."""
     _level_h1_memo.cache_clear()
     h1scan._restriction_memo.cache_clear()
-    scan_group(group, p)
+    scan_group(group, p, tmax)
     restrictions, terms = h1scan._restriction_memo(), set()
     for q, parts in _level_h1_memo():
         pairs = restrictions[q, parts[0]]
@@ -868,14 +869,19 @@ def test_no_a1_row_at_any_good_p_from_17_on():
     E6 and 12 on E7 and E8, so p - 2 > B from p = 17 on; the negative
     controls cover p = 11 and 13.  G2 candidates are built at p = 7 only
     (``g2_simple_char`` is tabulated there), so G2 above p = 7 is
-    unchecked.  The nine scans, each with cold level-H^1 and restriction
-    memos, take about 0.3 s."""
+    unchecked.
+
+    The window of twists is measured, not argued: B at p = 17 is the same
+    at tmax 3 and 4 as at tmax 2, so a wider window gives no larger layer
+    weight sum.  The fifteen scans, each with cold level-H^1 and
+    restriction memos, take about 0.9 s."""
     for group, bound in (("E6", 9), ("E7", 12), ("E8", 12)):
         terms = {p: scan_terms(group, p) for p in (13, 17, 19)}
         bounds = {p: layer_bound(t) for p, t in terms.items()}
         assert bounds == dict.fromkeys(terms, bound), group
         assert all(p - 2 > bounds[p] for p in (17, 19)), group
         assert terms[13] == terms[17] == terms[19], group
+        assert [layer_bound(scan_terms(group, 17, tmax)) for tmax in (3, 4)] == [bound] * 2, group
 
 
 # (group, p, tmax) the scan refuses: p not a prime, below 5 or bad for E8
@@ -1396,7 +1402,11 @@ def test_diff_reports_missing_rows():
     when the class units cannot match: when a scan row is gone, the rows
     are diffed directly, and E7/5's A1+D4 rows are then missing,
     mismatched or extra; and when the table gives a row a class count its
-    action does not have (1 for E7/5's two-class A1+D4 actions)."""
+    action does not have (1 for E7/5's two-class A1+D4 actions).  In that
+    second case the four table rows find one-class scan rows of the same
+    key, but the four ``4 + 2[1]`` scan rows are left over, so no direct
+    match stands: the rows are mismatched, with a note, and the diff is
+    not ok."""
     scan = scan_group("E6", 5)
     gone = next(iter(scan.rows))
     rows = {k: r for k, r in scan.rows.items() if k != gone}
@@ -1414,7 +1424,11 @@ def test_diff_reports_missing_rows():
     assert not any("relabelling" in r.note for r in rows_d4) and not d.ok
     assert Counter(r.status for r in rows_d4) == {"missing": 1, "mismatch": 3, "extra": 4}
     d = diff_badx("E7", 5, scan=scan, data=_with_classes(load_badx("E7", 5), "A1+D4", 1))
-    assert not any("relabelling" in r.note for r in d.rows)
+    assert not any("relabelling" in r.note for r in d.rows) and not d.ok
+    rows_d4 = [r for r in d.rows if r.levi == "A1+D4"]
+    assert Counter(r.status for r in rows_d4) == {"mismatch": 4, "extra": 4}
+    assert all(r.note == "4 scan rows of this type unmatched and no D4 frame "
+               "matches its class units" for r in rows_d4 if r.status == "mismatch")
 
 
 def _with_classes(data: dict, levi: str, classes: int) -> dict:

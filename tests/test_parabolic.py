@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcr import parabolic
+from gcr import modrep, parabolic
 from gcr.h1scan import scan_parabolic
 from gcr.parabolic import (
     component_type,
@@ -290,17 +290,54 @@ def test_level_summands_name_a_weight_that_is_not_dominant():
 
 # level summands over all proper standard parabolics
 SUMMAND_TOTALS = {"E6": 712, "E7": 2400, "E8": 8864}
+# distinct (factor types, per-factor weights) among them: the summand
+# characters one pass over the proper parabolics builds
+SUMMAND_CHARACTERS = {"E6": 65, "E7": 158, "E8": 315}
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
 def test_every_summand_matches_its_character(name):
+    """Every summand of every proper parabolic matches its character, and
+    from a cleared cache the pass builds each distinct summand character
+    once, not once per Levi."""
     rs = _rs(name)
     nodes = list(range(1, rs.rank + 1))
     checked = 0
+    parabolic._summand_character.cache_clear()
     for k in range(rs.rank):
         for levi in itertools.combinations(nodes, k):
             checked += verify_levels(rs, levi)
     assert checked == SUMMAND_TOTALS[name]
+    built = parabolic._summand_character.cache_info()
+    assert built.misses == built.currsize == SUMMAND_CHARACTERS[name]
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_verify_levels_names_the_summand_a_wrong_character_fails(change, monkeypatch):
+    """A character of A2's natural module L(1, 0) with its weight (0, -1)
+    dropped, or a weight (0, 0) added, fails on E6's A2 Levi (1, 3) the
+    first summand in least-root order of that weight, the level-1 shape
+    whose least root is alpha_4, by name.  The summand character cache is
+    cleared before and after."""
+    true = modrep.freudenthal
+
+    def wrong(name, lam):
+        char = dict(true(name, lam))
+        if (name, lam) == ("A2", (1, 0)):
+            if change == "drop":
+                del char[0, -1]
+            else:
+                char[0, 0] = 1
+        return char
+
+    monkeypatch.setattr(modrep, "freudenthal", wrong)
+    parabolic._summand_character.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "level 1 summand at 000100 does not match its character")):
+            verify_levels(_rs("E6"), (1, 3))
+    finally:
+        parabolic._summand_character.cache_clear()
 
 
 def test_verify_counts_summands():
