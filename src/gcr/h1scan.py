@@ -45,18 +45,17 @@ from .a1coh import (atom_char, h1_term, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
 from .modrep import (
     TWIST_SYMBOLS,
+    Atom,
     ModExpr,
     alt_char,
+    atom_weights,
+    format_atom,
     g2_comp_factors,
     g2_h1_irreducible,
     format_module,
     is_prime,
-    m_simple,
-    m_sum,
-    m_tensor,
     module_is_tilting,
     module_subst,
-    module_terms,
     module_twists,
     module_weights,
     nonnegative_int,
@@ -69,32 +68,28 @@ from .rootsystem import build_root_system
 
 # -- canonical form for action expressions ------------------------------------
 
-def _atom_key(e: ModExpr):
-    return (-e.weight, e.twist)
+def _atom_key(a: Atom):
+    return (-a.weight, a.twist)
+
+
+def _term_key(term: tuple[Atom, ...]):
+    return tuple(map(_atom_key, term))
 
 
 def canonical_action(e: ModExpr) -> ModExpr:
-    """Sort tensor factors and sum terms into the fixed display order:
-    higher weights first, lower twists first."""
-    if not e.parts:
-        return e
-    parts = sorted(map(canonical_action, e.parts),
-                   key=_term_key if e.kind == "sum" else _atom_key)
-    return ModExpr(e.kind, parts=tuple(parts))
-
-
-def _term_key(e: ModExpr):
-    return tuple(map(_atom_key, e.parts or (e,)))
+    """Sort each term's atoms, then the terms, into the fixed display
+    order: higher weights first, lower twists first."""
+    return ModExpr(tuple(sorted((tuple(sorted(term, key=_atom_key)) for term in e.terms),
+                                key=_term_key)))
 
 
 # -- built-in irreducible actions per factor type ------------------------------
 
 def _tensor_shapes(weights: tuple[int, ...], tmax: int):
-    """All assignments of pairwise distinct twists to the tensor factors."""
-    k = len(weights)
-    for tw in itertools.permutations(range(tmax + 1), k):
-        yield m_tensor(*(m_simple(w, t) for w, t in zip(weights, tw))) if k > 1 \
-            else m_simple(weights[0], tw[0])
+    """All assignments of pairwise distinct twists to the tensor factors,
+    each a term of simple atoms."""
+    for tw in itertools.permutations(range(tmax + 1), len(weights)):
+        yield tuple(Atom("simple", w, t) for w, t in zip(weights, tw))
 
 
 # per rank, the patterns of an action on the natural module: the weights
@@ -132,12 +127,13 @@ def _shape_terms(shape: tuple[int, ...], tmax: int) -> tuple[tuple, ...]:
     descriptor, canonical term)."""
     out = []
     for t in _tensor_shapes(shape, tmax):
-        c = canonical_action(t)
-        out.append((_term_key(c), format_module(c), c))
+        c = canonical_action(ModExpr((t,)))
+        out.append((_term_key(c.terms[0]), format_module(c), c.terms[0]))
     return tuple(out)
 
 
-_TRIVIAL_TERM = (_term_key(m_simple(0)), format_module(m_simple(0)), m_simple(0))
+_TRIVIAL = (Atom("simple", 0, 0),)
+_TRIVIAL_TERM = (_term_key(_TRIVIAL), format_atom(*_TRIVIAL), _TRIVIAL)
 
 
 def _actions(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
@@ -163,8 +159,7 @@ def _actions(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
             terms = sorted(terms + trivial, key=operator.itemgetter(0))
             desc = " + ".join(desc for _, desc, _ in terms)
             if desc not in out:
-                out[desc] = terms[0][2] if len(terms) == 1 else \
-                    m_sum(*(c for _, _, c in terms))
+                out[desc] = ModExpr(tuple(c for _, _, c in terms))
     return tuple(out.values())
 
 
@@ -344,8 +339,7 @@ def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
     out = []
     for text, constraints, template in chains:
         slots = [parse_module(s) for s in _chain_slots(text)[1]]
-        if any(a.weight > p - 1 for e in slots
-               for a in e.parts or (e,)):
+        if any(a.weight > p - 1 for e in slots for term in e.terms for a in term):
             continue
         for subst in twist_choices((text,), constraints, tmax, text):
             out.append(replace(canon_factor(text, tmax, subst),
@@ -370,16 +364,15 @@ def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
           for m in d_type_actions(6, p, tmax)]
     for a in range(tmax + 1):
         for m, desc, twists in d6:
-            out.append(FactorCandidate(f"A1D6({format_module(m_simple(1, a))}, {desc})",
+            out.append(FactorCandidate(f"A1D6({format_atom(Atom('simple', 1, a))}, {desc})",
                                        (a, *twists), "a1d6", expr=m))
     return tuple(out)
 
 
 _G2_FACTOR_ACTIONS = {
-    "A6": m_simple((1, 0)),
-    "D4": m_sum(m_simple((1, 0)), m_simple((0, 0))),
-    "D7": m_simple((0, 1)),
-    "E6": m_sum(m_simple((2, 0)), m_simple((0, 0))),   # the 27 through F4
+    t: ModExpr(tuple((Atom("simple", w, 0),) for w in weights))
+    for t, weights in (("A6", [(1, 0)]), ("D4", [(1, 0), (0, 0)]), ("D7", [(0, 1)]),
+                       ("E6", [(2, 0), (0, 0)]))   # E6: the 27 through F4
 }
 
 
@@ -433,28 +426,25 @@ def _node(type_name: str, weight: tuple[int, ...]):
     raise NotImplementedError(f"no restriction rule for {type_name} weight {weight}")
 
 
-def _expr_terms(e: ModExpr, p: int) -> Counter:
-    """Twisted-tilting-product terms of an expression, a sum of tensor
-    products of twisted simples or tiltings, and trivials.  Restricted
-    simples are tilting modules of the same highest weight, so the atoms
-    map directly onto (weight, twist) factors, and the trivial ones drop
-    out; a simple atom L(m) with m > p - 1, which is no tilting module,
-    raises ValueError naming it."""
-    out: Counter = Counter()
-    for atoms in module_terms(e):
-        for a in atoms:
-            if a.kind == "simple" and a.weight > p - 1:
-                raise ValueError(f"simple atom {format_module(a)} at p={p} is not "
-                                 "a tilting module: its weight exceeds p - 1")
-        out[tuple(sorted((a.weight, a.twist) for a in atoms if a.weight))] += 1
-    return out
+def _tilting_term(term: tuple[Atom, ...], p: int) -> tuple:
+    """One term of an expression as a twisted-tilting-product term.
+    Restricted simples are tilting modules of the same highest weight, so
+    the atoms map directly onto (weight, twist) factors, and the trivial
+    ones drop out; a simple atom L(m) with m > p - 1, which is no tilting
+    module, raises ValueError naming it."""
+    for a in term:
+        if a.kind == "simple" and a.weight > p - 1:
+            raise ValueError(f"simple atom {format_atom(a)} at p={p} is not "
+                             "a tilting module: its weight exceeds p - 1")
+    return tuple(sorted((a.weight, a.twist) for a in term if a.weight))
 
 
 @functools.lru_cache(maxsize=None)
 def _frozen_terms(e: ModExpr, p: int) -> tuple:
-    """_expr_terms as (term, count) pairs, built once per expression and p;
-    a tuple, so no caller can change the shared value."""
-    return tuple(_expr_terms(e, p).items())
+    """The expression's twisted-tilting-product terms as (term, count)
+    pairs, built once per expression and p; a tuple, so no caller can
+    change the shared value."""
+    return tuple(Counter(_tilting_term(term, p) for term in e.terms).items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,15 +468,14 @@ def _shape_spinors(shape: tuple[int, ...], p: int) -> tuple[tuple, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _summand_spinors(e: ModExpr, p: int) -> tuple[tuple, ...]:
-    """Spin factors of one orthogonal summand as read-only (term,
-    multiplicity) pairs, with the tops placed on the twists of its
-    non-trivial atoms: one factor for an odd-dimensional summand, the two
-    halves for an even-dimensional one."""
-    (term, _), = _frozen_terms(e, p)
-    term = term[::-1]           # highest weight first, as errors name the shape
-    return tuple(tuple(place_tops(half, [t for _, t in term]).items())
-                 for half in _shape_spinors(tuple(m for m, _ in term), p))
+def _summand_spinors(term: tuple[Atom, ...], p: int) -> tuple[tuple, ...]:
+    """Spin factors of one orthogonal summand, a term of an expression, as
+    read-only (term, multiplicity) pairs, with the tops placed on the
+    twists of its non-trivial atoms: one factor for an odd-dimensional
+    summand, the two halves for an even-dimensional one."""
+    pairs = _tilting_term(term, p)[::-1]   # highest weight first, as errors name the shape
+    return tuple(tuple(place_tops(half, [t for _, t in pairs]).items())
+                 for half in _shape_spinors(tuple(m for m, _ in pairs), p))
 
 
 def spin_half_terms(expr: ModExpr, p: int) -> tuple[dict, dict]:
@@ -495,10 +484,9 @@ def spin_half_terms(expr: ModExpr, p: int) -> tuple[dict, dict]:
     the summands' spin factors.  With no odd-dimensional summands the
     half-spin pairs of the even summands split by sign parity; otherwise
     both restrictions agree and carry multiplicity 2^(odd/2 - 1)."""
-    summands = expr.parts if expr.kind == "sum" else [expr]
     odd, even = [], []
-    for s in summands:
-        factors = _summand_spinors(s, p)
+    for term in expr.terms:
+        factors = _summand_spinors(term, p)
         if len(factors) == 1:
             odd += factors
         else:
@@ -546,17 +534,16 @@ def _spin_classes(expr: ModExpr, p: int) -> tuple:
     one SO(V)-class.  Otherwise it is two, exchanged by the graph
     automorphism that swaps the half-spin nodes: the second class carries
     the halves swapped, even where they are equal (G2 on D7 acts as 14)."""
-    atoms = module_terms(expr)
-    dims = [math.prod(_atom_dim(a, p) for a in t) for t in atoms]
+    dims = [math.prod(_atom_dim(a, p) for a in term) for term in expr.terms]
     halves = (spin_halves_from_char(module_weights(expr, p), sum(dims) // 2)
-              if isinstance(atoms[0][0].weight, tuple) else spin_half_terms(expr, p))
+              if isinstance(expr.terms[0][0].weight, tuple) else spin_half_terms(expr, p))
     halves = tuple(sorted(map(_char_fp, halves)))
     return (halves,) if any(d % 2 for d in dims) else (halves, halves[::-1])
 
 
 @functools.lru_cache(maxsize=None)
-def _atom_dim(atom: ModExpr, p: int) -> int:
-    return sum(module_weights(atom, p).values())
+def _atom_dim(atom: Atom, p: int) -> int:
+    return sum(atom_weights(atom, p).values())
 
 
 _UNIT_TERMS = (((), 1),)
@@ -654,7 +641,8 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     and a summand is trivial exactly when its flat weight is zero.  The
     factors are the ``typed_components`` components in their order, and a
     flat weight lists their nodes in turn, so ``split_weight`` cuts each
-    distinct one into per-factor weights once."""
+    distinct one into per-factor weights once.  All three are tuples, since
+    every caller shares them."""
     rs = build_root_system(name)
     typed = typed_components(rs, levi)
     ids: dict[tuple, int] = {}
@@ -665,7 +653,7 @@ def _summand_weights(name: str, levi: tuple[int, ...]):
     for flat in ids:
         weights = split_weight([c for _, c in typed], flat)
         distinct.append((weights, tuple(k for k, w in enumerate(weights) if any(w))))
-    return [t for t, _ in typed], distinct, out
+    return tuple(t for t, _ in typed), tuple(distinct), tuple(out)
 
 
 def scan_parabolic(name: str, levi: tuple[int, ...], p: int,

@@ -11,10 +11,11 @@ in tests.
 Module expressions (``ModExpr``) say only what the golden tables write,
 in one flat shape: a "+"-sum of "x"-products of atoms m (a simple) or T(m)
 (a tilting), each with an optional twist [n] or [v+n] for a symbol v of
-``TWIST_SYMBOLS``, as in "3 x 1[1] + T(8) + 0".  ``parse_module`` reads
-that text, with no brackets since nothing nests, and ``format_module``
-writes it back.  Alternating powers and half-spins are characters
-(``alt_char``, ``spin_halves_from_char``).
+``TWIST_SYMBOLS``, as in "3 x 1[1] + T(8) + 0".  A ``ModExpr`` is
+exactly its ``terms``: one tuple per "+"-term of its ``Atom``s, the
+"x"-factors.  ``parse_module`` reads that text, with no brackets since
+nothing nests, and ``format_module`` writes it back.  Alternating powers
+and half-spins are characters (``alt_char``, ``spin_halves_from_char``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import functools
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .rings import nullspace, rank, rref
 from .rootsystem import build_root_system
@@ -32,16 +34,17 @@ from .rootsystem import build_root_system
 
 # -- Freudenthal weight multiplicities ---------------------------------------
 
-def freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def freudenthal(name: str, lam: tuple[int, ...]) -> MappingProxyType:
     """Weight multiplicities of the irreducible characteristic-zero module
     with highest weight lam (fundamental-weight coordinates), by Freudenthal's
     formula (Humphreys, §22.3), cached once per type and weight whatever the
-    spelling of the type name."""
+    spelling of the type name.  The value is read-only, since every caller
+    shares it."""
     return _freudenthal(build_root_system(name).name, tuple(lam))
 
 
 @functools.lru_cache(maxsize=None)
-def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _freudenthal(name: str, lam: tuple[int, ...]) -> MappingProxyType:
     """``freudenthal`` on a canonical type name.  The formula runs at the
     dominant weights only, in order of depth, and the W-orbits are filled in
     at the end (Moody and Patera, Bull. AMS 7, 1982); the dominant weights
@@ -104,7 +107,7 @@ def _freudenthal(name: str, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
                 if v not in out:
                     out[v] = m
                     orbit.append(v)
-    return out
+    return MappingProxyType(out)
 
 
 # -- peeling characters -------------------------------------------------------
@@ -486,14 +489,16 @@ G2_SIMPLE_DIMS = {(0, 0): 1, (1, 0): 7, (0, 1): 14, (2, 0): 26, (1, 1): 38, (3, 
 
 
 @functools.lru_cache(maxsize=None)
-def g2_weyl_char(lam: tuple[int, int]) -> Counter:
-    return Counter(dict(freudenthal("G2", lam)))
+def g2_weyl_char(lam: tuple[int, int]) -> MappingProxyType:
+    """The Weyl character of G2, read-only: every caller shares it."""
+    return MappingProxyType(Counter(freudenthal("G2", lam)))
 
 
 @functools.lru_cache(maxsize=None)
-def g2_simple_char(lam: tuple[int, int], p: int = 7) -> Counter:
-    """Characters of restricted simple G2-modules at p = 7; the only
-    corrections to the Weyl character in this range are at (2,0) and (1,1)."""
+def g2_simple_char(lam: tuple[int, int], p: int = 7) -> MappingProxyType:
+    """Characters of restricted simple G2-modules at p = 7, read-only since
+    every caller shares them; the only corrections to the Weyl character in
+    this range are at (2,0) and (1,1)."""
     if p != 7:
         raise NotImplementedError("G2 characters are tabulated for p = 7 only")
     if lam not in G2_SIMPLE_DIMS:
@@ -507,7 +512,7 @@ def g2_simple_char(lam: tuple[int, int], p: int = 7) -> Counter:
     out = Counter({w: c for w, c in ch.items() if c})
     if any(c < 0 for c in out.values()):
         raise ArithmeticError("negative multiplicity in tabulated character")
-    return out
+    return MappingProxyType(out)
 
 
 def _g2_root_coords(mu: tuple[int, int]) -> tuple[int, int]:
@@ -523,7 +528,7 @@ def _g2_top_weight(weights):
 def g2_comp_factors(char: Counter, p: int = 7) -> Counter:
     """Composition factors of a G2-module given by its character."""
     return peel_characters(char, _g2_top_weight,
-                           lambda lam: g2_simple_char(lam, p).elements())
+                           lambda lam: Counter(g2_simple_char(lam, p)).elements())
 
 
 def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
@@ -541,56 +546,38 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 
 TWIST_SYMBOLS = "rstu"     # for the reader and the twist sweep alike
 
-# how deep each kind sits in the one shape: a sum of tensor products of atoms
-_LEVEL = {"simple": 0, "tilt": 0, "tensor": 1, "sum": 2}
+Atom = namedtuple("Atom", "kind weight twist")
+Atom.__doc__ = """One factor of a term: a simple ("simple") or tilting ("tilt")
+module of highest weight ``weight`` with Frobenius twist ``twist``."""
 
 
 @dataclass(frozen=True)
 class ModExpr:
     """Formal module expression in the one shape the golden tables write: a
-    sum ("sum") of tensor products ("tensor") of (possibly twisted) simples
-    ("simple") and tiltings ("tilt").  A sum has two or more terms, each an
-    atom or a tensor product; a tensor product two or more atoms.  Any other
-    nesting raises ValueError, so ``parse_module`` reads back exactly what
-    ``format_module`` writes of a rank-one expression.
+    sum of tensor products of (possibly twisted) simples and tiltings, kept
+    as its ``terms``, a non-empty tuple of terms, each a non-empty tuple of
+    ``Atom``s.  Any other shape raises ValueError, so ``parse_module`` reads
+    back exactly what ``format_module`` writes of a rank-one expression.
 
     Weights are integers for the rank-one group or pairs for G2; twists are
     nonnegative integers or symbols of ``TWIST_SYMBOLS`` with an optional
     offset, which ``module_subst`` resolves before evaluation.  Expressions
-    key caches, so each node hashes once, when built, from its parts'
-    hashes."""
+    key caches, so each hashes once, when built."""
 
-    kind: str
-    weight: int | tuple[int, int] | None = None
-    twist: int | tuple[str, int] | None = None
-    parts: tuple[ModExpr, ...] = ()
+    terms: tuple[tuple[Atom, ...], ...]
 
     def __post_init__(self):
-        level = _LEVEL.get(self.kind)
-        if (self.parts or level != 0) and (
-                not level or len(self.parts) < 2
-                or any(_LEVEL[q.kind] >= level for q in self.parts)):
-            raise ValueError(f"a module expression is a sum of tensor products of "
-                             f"atoms, not a {self.kind!r} of "
-                             f"{[q.kind for q in self.parts]}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.weight,
-                                                self.twist, self.parts)))
+        terms = self.terms
+        if not (type(terms) is tuple and terms and all(
+                type(term) is tuple and term and all(
+                    type(a) is Atom and a.kind in ("simple", "tilt") for a in term)
+                for term in terms)):
+            raise ValueError("a module expression is a sum of tensor products of "
+                             f"atoms, not {terms!r}")
+        object.__setattr__(self, "_hash", hash(terms))
 
     def __hash__(self):
         return self._hash
-
-
-def m_simple(a, r=0) -> ModExpr:
-    return ModExpr("simple", weight=a, twist=r)
-
-def m_tilt(a, r=0) -> ModExpr:
-    return ModExpr("tilt", weight=a, twist=r)
-
-def m_tensor(*parts) -> ModExpr:
-    return ModExpr("tensor", parts=parts)
-
-def m_sum(*parts) -> ModExpr:
-    return ModExpr("sum", parts=parts)
 
 
 # a "+" outside a twist's brackets, and one atom with its optional twist
@@ -618,27 +605,26 @@ def parse_module(s: str) -> ModExpr:
                                  "is no atom m or T(m) with an optional twist "
                                  f"[n] or [v+n], v in {TWIST_SYMBOLS!r}")
             simple, tilt, n, sym, off = m.groups()
-            twist = (sym, int(off or 0)) if sym else int(n or 0)
-            atoms.append(m_simple(int(simple), twist) if simple
-                         else m_tilt(int(tilt), twist))
-        terms.append(atoms[0] if len(atoms) == 1 else m_tensor(*atoms))
-    return terms[0] if len(terms) == 1 else m_sum(*terms)
+            atoms.append(Atom("simple" if simple else "tilt", int(simple or tilt),
+                              (sym, int(off or 0)) if sym else int(n or 0)))
+        terms.append(tuple(atoms))
+    return ModExpr(tuple(terms))
 
 
-def _format_twist(tw) -> str:
-    if isinstance(tw, tuple):
-        sym, off = tw
-        return f"[{sym}+{off}]" if off else f"[{sym}]"
-    return f"[{tw}]" if tw else ""
+def format_atom(a: Atom) -> str:
+    """The text of one atom, as ``parse_module`` reads it."""
+    w = a.weight if isinstance(a.weight, int) else f"({a.weight[0]},{a.weight[1]})"
+    if isinstance(a.twist, tuple):
+        sym, off = a.twist
+        tw = f"[{sym}+{off}]" if off else f"[{sym}]"
+    else:
+        tw = f"[{a.twist}]" if a.twist else ""
+    return f"T({w}){tw}" if a.kind == "tilt" else f"{w}{tw}"
 
 
 def format_module(e: ModExpr) -> str:
     """The text of an expression, as ``parse_module`` reads it."""
-    if e.parts:
-        return (" + " if e.kind == "sum" else " x ").join(map(format_module, e.parts))
-    w = e.weight if isinstance(e.weight, int) else f"({e.weight[0]},{e.weight[1]})"
-    tw = _format_twist(e.twist)
-    return f"T({w}){tw}" if e.kind == "tilt" else f"{w}{tw}"
+    return " + ".join(" x ".join(map(format_atom, term)) for term in e.terms)
 
 
 def _twist_value(tw, subst) -> int:
@@ -675,34 +661,29 @@ def alt_char(elems, k: int) -> Counter:
 
 def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
     """Resolve symbolic twists to integers."""
-    if e.kind in ("sum", "tensor"):
-        return ModExpr(e.kind, parts=tuple(module_subst(t, subst) for t in e.parts))
-    return ModExpr(e.kind, weight=e.weight, twist=_twist_value(e.twist, subst))
-
-
-def module_terms(e: ModExpr) -> tuple[tuple[ModExpr, ...], ...]:
-    """The terms of the expression, each the tuple of its atoms."""
-    return tuple(t.parts or (t,) for t in (e.parts if e.kind == "sum" else (e,)))
+    return ModExpr(tuple(tuple(Atom(a.kind, a.weight, _twist_value(a.twist, subst))
+                               for a in term) for term in e.terms))
 
 
 def module_twists(e: ModExpr) -> list[int]:
     """The twists of the non-trivial atoms in the expression: a trivial
     atom is insensitive to twisting.  Symbolic twists raise."""
-    return [_twist_value(a.twist, None) for atoms in module_terms(e) for a in atoms
+    return [_twist_value(a.twist, None) for term in e.terms for a in term
             if a.weight not in (0, (0, 0))]
 
 
-def _atom_char(e: ModExpr, p: int) -> Counter:
-    q = p ** _twist_value(e.twist, None)
-    if isinstance(e.weight, tuple):
-        if e.kind != "simple":
-            raise NotImplementedError(f"no G2 character for {format_module(e)}: "
+def atom_weights(a: Atom, p: int) -> Counter:
+    """Formal character of one atom: weight -> multiplicity."""
+    q = p ** _twist_value(a.twist, None)
+    if isinstance(a.weight, tuple):
+        if a.kind != "simple":
+            raise NotImplementedError(f"no G2 character for {format_atom(a)}: "
                                       "only simple G2 atoms are tabulated")
         return Counter({tuple(x * q for x in w): c
-                        for w, c in g2_simple_char(e.weight, p).items()})
-    if e.weight < 0:
-        raise ValueError(f"highest weight {e.weight} at p={p} must be dominant")
-    base = (a1_simple_weights if e.kind == "simple" else a1_tilting_weights)(e.weight, p)
+                        for w, c in g2_simple_char(a.weight, p).items()})
+    if a.weight < 0:
+        raise ValueError(f"highest weight {a.weight} at p={p} must be dominant")
+    base = (a1_simple_weights if a.kind == "simple" else a1_tilting_weights)(a.weight, p)
     return Counter(w * q for w in base)
 
 
@@ -761,8 +742,8 @@ def spin_weights(natural_half: list) -> tuple[Counter, Counter]:
 def module_weights(e: ModExpr, p: int) -> Counter:
     """Formal character of the expression: weight -> multiplicity."""
     out: Counter = Counter()
-    for atoms in module_terms(e):
-        out.update(functools.reduce(char_tensor, (_atom_char(a, p) for a in atoms)))
+    for term in e.terms:
+        out.update(functools.reduce(char_tensor, (atom_weights(a, p) for a in term)))
     return out
 
 
@@ -770,15 +751,17 @@ def module_is_tilting(e: ModExpr, p: int) -> bool:
     """Structural sufficient condition for the expression to denote a tilting
     module (hence to have vanishing H^1): untwisted tiltings, and the simples
     that are their own Weyl modules, are closed under sums and tensor
-    products.  A Frobenius twist defeats the argument, so any twisted part
+    products.  A Frobenius twist defeats the argument, so any twisted atom
     returns False."""
-    if e.kind in ("sum", "tensor"):
-        return all(module_is_tilting(t, p) for t in e.parts)
-    if e.twist != 0:
+    return all(_atom_is_tilting(a, p) for term in e.terms for a in term)
+
+
+def _atom_is_tilting(a: Atom, p: int) -> bool:
+    if a.twist != 0:
         return False
-    if e.kind == "tilt":
+    if a.kind == "tilt":
         return True
-    if isinstance(e.weight, tuple):
+    if isinstance(a.weight, tuple):
         # a simple Weyl module is tilting; untabulated weights raise
-        return g2_simple_char(e.weight, p) == g2_weyl_char(e.weight)
-    return e.weight <= p - 1
+        return g2_simple_char(a.weight, p) == g2_weyl_char(a.weight)
+    return a.weight <= p - 1

@@ -42,6 +42,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from types import MappingProxyType
 
 from .rootsystem import Root, RootSystem
 
@@ -278,14 +279,16 @@ def verify_levels(rs: RootSystem, levi: tuple[int, ...]) -> int:
 
 
 @functools.cache
-def _summand_character(types: tuple[str, ...], weights: tuple[tuple[int, ...], ...]) -> dict:
+def _summand_character(types: tuple[str, ...],
+                       weights: tuple[tuple[int, ...], ...]) -> MappingProxyType:
     """Flat weight -> multiplicity of the irreducible module of a Levi with
     factor types ``types`` and per-factor highest weights ``weights``: the
-    product of the factors' Freudenthal characters, once per process."""
+    product of the factors' Freudenthal characters, once per process, and
+    read-only, since every caller shares it."""
     from .modrep import freudenthal
 
     char: dict[tuple, int] = {(): 1}
     for tw in zip(types, weights):
         char = {flat + w: m0 * m for flat, m0 in char.items()
                 for w, m in freudenthal(*tw).items()}
-    return char
+    return MappingProxyType(char)

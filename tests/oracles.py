@@ -50,11 +50,11 @@ from gcr.h1scan import (class_unit, _level_h1_memo, _summand_weights,
                         _tensor_shapes, canonical_action, d_type_actions,
                         factor_assignments, factor_candidates,
                         factor_restriction_terms, scan_group, spin_half_terms)
-from gcr.modrep import (A1Module, ModExpr, _base_p_digits, _submodule_restriction,
-                        _twist_value, a1_simple_weights, a1_top_weight,
-                        format_module, freudenthal, g2_comp_factors, m_simple,
-                        m_sum, m_tensor, module_weights, peel_characters, tensor,
-                        tilting_module, twist, weyl_module)
+from gcr.modrep import (A1Module, Atom, ModExpr, _base_p_digits,
+                        _submodule_restriction, _twist_value, a1_simple_weights,
+                        a1_top_weight, format_module, freudenthal, g2_comp_factors,
+                        module_weights, peel_characters, tensor, tilting_module,
+                        twist, weyl_module)
 from gcr.rings import rank
 from gcr.rootsystem import Root, RootSystem
 from gcr.tables import diff_badx, diff_to_json, render_diff
@@ -120,18 +120,18 @@ def direct_sum(*mods: A1Module) -> A1Module:
 
 
 def module_matrices(e: ModExpr, p: int) -> A1Module:
-    """Explicit operator realisation of a rank-one expression."""
-    if e.kind == "sum":
-        return direct_sum(*(module_matrices(t, p) for t in e.parts))
-    if e.kind == "tensor":
-        return functools.reduce(tensor, [module_matrices(t, p) for t in e.parts])
-    if isinstance(e.weight, tuple):
+    """Explicit operator realisation of a rank-one expression: the direct
+    sum of its terms, each the tensor product of its atoms."""
+    return direct_sum(*(functools.reduce(tensor, [atom_matrices(a, p) for a in term])
+                        for term in e.terms))
+
+
+def atom_matrices(a: Atom, p: int) -> A1Module:
+    """Explicit operator realisation of a rank-one atom."""
+    if isinstance(a.weight, tuple):
         raise NotImplementedError("explicit operators are rank-one only")
-    tw = _twist_value(e.twist, None)
-    if e.kind == "simple":
-        base = simple_module(e.weight, p)
-    else:
-        base = tilting_module(e.weight, p)
+    tw = _twist_value(a.twist, None)
+    base = (simple_module if a.kind == "simple" else tilting_module)(a.weight, p)
     return twist(base, tw) if tw else base
 
 
@@ -274,7 +274,7 @@ def module_comp_factors(e: ModExpr, p: int) -> Counter:
 def _restricted_terms(p: int, tmax: int, maxdim: int) -> tuple:
     """Every tensor product of restricted L(m), 1 <= m <= p - 1, at
     pairwise distinct twists 0..tmax, of dimension at most maxdim, as
-    (shape, dim, expression), the shape its weights in decreasing order.
+    (shape, dim, term), the shape its weights in decreasing order.
     By Steinberg's tensor product theorem these are the distinct
     non-trivial irreducibles with twists in the window."""
     out = []
@@ -283,9 +283,8 @@ def _restricted_terms(p: int, tmax: int, maxdim: int) -> tuple:
             for weights in itertools.product(range(1, p), repeat=k):
                 dim = math.prod(w + 1 for w in weights)
                 if dim <= maxdim:
-                    atoms = [m_simple(w, t) for w, t in zip(weights, twists)]
-                    out.append((tuple(sorted(weights, reverse=True)), dim,
-                                atoms[0] if k == 1 else m_tensor(*atoms)))
+                    term = tuple(Atom("simple", w, t) for w, t in zip(weights, twists))
+                    out.append((tuple(sorted(weights, reverse=True)), dim, term))
     return tuple(out)
 
 
@@ -313,7 +312,7 @@ def natural_actions(kind: str, n: int, p: int, tmax: int) -> dict[tuple, set[str
 
         def extend(start: int, left: int, chosen: list):
             if left in (0, 1):
-                sums.append(chosen + [((), 1, m_simple(0))] * left)
+                sums.append(chosen + [((), 1, (Atom("simple", 0, 0),))] * left)
             for i in range(start, len(terms)):
                 if terms[i][1] <= left:
                     extend(i + 1, left - terms[i][1], chosen + [terms[i]])
@@ -321,7 +320,7 @@ def natural_actions(kind: str, n: int, p: int, tmax: int) -> dict[tuple, set[str
         extend(0, dim, [])
     out: dict[tuple, set[str]] = {}
     for chosen in sums:
-        e = chosen[0][2] if len(chosen) == 1 else m_sum(*(t[2] for t in chosen))
+        e = ModExpr(tuple(t[2] for t in chosen))
         out.setdefault(_pattern(t[0] for t in chosen), set()).add(action_descriptor(e))
     return out
 
@@ -329,10 +328,8 @@ def natural_actions(kind: str, n: int, p: int, tmax: int) -> dict[tuple, set[str
 def action_pattern(e: ModExpr) -> tuple:
     """The pattern of an action on a natural module: the shape of each of
     its terms, in ``natural_actions``' order."""
-    terms = e.parts if e.kind == "sum" else (e,)
-    atoms = [t.parts if t.kind == "tensor" else (t,) for t in terms]
     return _pattern(tuple(sorted((a.weight for a in term if a.weight), reverse=True))
-                    for term in atoms)
+                    for term in e.terms)
 
 
 # -- the candidate scan --------------------------------------------------------
@@ -347,12 +344,11 @@ def actions_by_product(patterns, p: int, tmax: int) -> tuple[ModExpr, ...]:
         if any(w > p - 1 for shape in live for w in shape):
             continue
         for combo in itertools.product(*(_tensor_shapes(s, tmax) for s in live)):
-            terms = [canonical_action(t) for t in combo]
-            descs = [format_module(t) for t in terms]
-            if len(set(descs)) != len(descs):
+            if len({format_module(canonical_action(ModExpr((t,)))) for t in combo}) \
+                    != len(combo):
                 continue
-            full = list(terms) + ([m_simple(0)] if trivial else [])
-            c = canonical_action(full[0] if len(full) == 1 else m_sum(*full))
+            full = combo + (((Atom("simple", 0, 0),),) if trivial else ())
+            c = canonical_action(ModExpr(full))
             out.setdefault(format_module(c), c)
     return tuple(out.values())
 

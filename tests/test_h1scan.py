@@ -18,6 +18,7 @@ from gcr import a1coh, h1scan, modrep
 from gcr.a1coh import (h1_dim, sum_power, term_char, terms_char, terms_tensor,
                        tilting_product)
 from gcr.modrep import (
+    ModExpr,
     alt_char,
     char_tensor,
     format_module,
@@ -335,13 +336,13 @@ def test_actions_are_canonical():
 def test_cached_actions_are_immutable():
     """The enumerators are cached and hand out the same expressions to every
     caller, so no caller may change one."""
-    action = next(e for e in a_type_actions(3, 5, 2) if e.kind == "tensor")
+    action = next(e for e in a_type_actions(3, 5, 2) if len(e.terms[0]) > 1)
     before = action_descriptor(action)
-    assert isinstance(action.parts, tuple)
+    assert isinstance(action.terms, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        action.parts = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        action.parts[0].weight = 2
+        action.terms = ()
+    with pytest.raises(AttributeError):
+        action.terms[0][0].weight = 2
     assert action_descriptor(action) == before
 
 
@@ -533,9 +534,9 @@ def test_summand_spinors_pinned(text, p):
     if p == 5 and text in ("6", "5 x 1[1]"):
         atom = text.split(" ")[0]
         with pytest.raises(ValueError, match=re.escape(f"simple atom {atom} at p={p}")):
-            h1scan._summand_spinors(e, p)
+            h1scan._summand_spinors(e.terms[0], p)
         return
-    got = h1scan._summand_spinors(e, p)
+    got = h1scan._summand_spinors(e.terms[0], p)
     assert {frozenset(h) for h in got} == \
         {frozenset(h.items()) for h in SHAPE_SPINORS[text]}
     assert len(got) == len(SHAPE_SPINORS[text])
@@ -758,8 +759,7 @@ def test_class_rule_agrees_with_equal_halves():
     checked = one = 0
     for p, tmax, rank in itertools.product((5, 7, 11), (2, 3), range(4, 8)):
         for e in d_type_actions(rank, p, tmax):
-            summands = e.parts if e.kind == "sum" else (e,)
-            odd = any(sum(module_weights(s, p).values()) % 2 for s in summands)
+            odd = any(sum(module_weights(ModExpr((t,)), p).values()) % 2 for t in e.terms)
             halves = sorted(map(h1scan._char_fp, spin_half_terms(e, p)))
             classes = factor_assignments(h1scan._module_candidate(e), f"D{rank}", p)
             assert len(classes) == (1 if odd else 2), (rank, p, format_module(e))
@@ -978,22 +978,16 @@ def test_candidate_dump_pinned():
 
 def test_candidate_tables_canonicalise_each_shape_term_once(monkeypatch):
     """Building E8/7's A and D tables from cold caches canonicalises each
-    twisted tensor term of each pattern shape once (54 outer calls, 132
-    with the per-atom recursion), not every term of every pick afresh
-    (6,448 calls)."""
+    twisted tensor term of each pattern shape once (54 calls), not every
+    term of every pick afresh (6,448 calls)."""
     p, tmax = 7, 2
-    calls = outer = depth = 0
+    calls = 0
     canonical = h1scan.canonical_action
 
     def spy(e):
-        nonlocal calls, outer, depth
+        nonlocal calls
         calls += 1
-        outer += depth == 0
-        depth += 1
-        try:
-            return canonical(e)
-        finally:
-            depth -= 1
+        return canonical(e)
 
     monkeypatch.setattr(h1scan, "canonical_action", spy)
     for cached in (a_type_actions, d_type_actions, h1scan._shape_terms):
@@ -1007,8 +1001,7 @@ def test_candidate_tables_canonicalise_each_shape_term_once(monkeypatch):
               for r in ranks for pattern in table.get(r, ()) for shape in pattern
               if shape and max(shape) <= p - 1}
     shape_terms = sum(math.perm(tmax + 1, len(shape)) for shape in shapes)
-    assert outer <= shape_terms == 54
-    assert (outer, calls) == (54, 132)
+    assert calls == shape_terms == 54
 
 
 def _scan_fingerprint(result):
@@ -1570,7 +1563,7 @@ def test_one_factor_order():
                 typed = typed_components(rs, levi)
                 keys = [(t[0], int(t[1:]), min(nodes)) for t, nodes in typed]
                 assert keys == sorted(keys), (name, levi)
-                assert _summand_weights(name, levi)[0] == [t for t, _ in typed]
+                assert _summand_weights(name, levi)[0] == tuple(t for t, _ in typed)
                 levis += 1
     assert levis == 445
 

@@ -17,10 +17,12 @@ from freudenthal_reference import freudenthal_all_weights
 from oracles import (a1_comp_factors, alt_power_module, dense_ops, direct_sum,
                      dual, h1_irreducible, module_comp_factors, module_matrices,
                      simple_module, weyl_dim, x_minus, x_plus)
-from gcr import modrep
+from gcr import modrep, parabolic
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
+    Atom,
+    ModExpr,
     _submodule_restriction,
     a1_simple_weights,
     a1_tilting_weights,
@@ -33,8 +35,6 @@ from gcr.modrep import (
     g2_weyl_char,
     h1_module_a1,
     format_module,
-    m_simple,
-    m_tilt,
     module_is_tilting,
     module_subst,
     module_twists,
@@ -50,6 +50,11 @@ from gcr.modrep import (
 from gcr.rootsystem import build_root_system
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _atom_expr(kind: str, weight) -> ModExpr:
+    """The expression of one untwisted atom."""
+    return ModExpr(((Atom(kind, weight, 0),),))
 
 
 # -- characteristic-zero weight multiplicities --------------------------------
@@ -103,7 +108,7 @@ def test_freudenthal_rejects_a_weight_of_the_wrong_rank(lam):
 @pytest.mark.parametrize("call,match", [
     (lambda: freudenthal("E6", (0, 0, -2, 0, 0, 0)), r"\(0, 0, -2, 0, 0, 0\) of E6"),
     (lambda: a1_simple_weights(-3, 7), r"-3 of L\(m\) at p=7"),
-    (lambda: module_weights(m_simple(-4), 5), r"-4 at p=5"),
+    (lambda: module_weights(_atom_expr("simple", -4), 5), r"-4 at p=5"),
     (lambda: a1_weyl_weights(-2), r"weight -2 must"),
     (lambda: a1_tilting_weights(-3, 5), r"weight -3 must"),
 ], ids=["freudenthal", "a1_simple_weights", "atom_char", "a1_weyl_weights",
@@ -576,6 +581,24 @@ def test_g2_simple_dims():
         assert sum(g2_simple_char(lam).values()) == d
 
 
+def test_cached_characters_are_read_only():
+    """The cached characters are shared by every caller, so a write raises
+    TypeError and changes nothing.  A write into the A2 character once
+    corrupted every later A2 character and made verify_levels(E6, (1, 3))
+    raise; one into a G2 character persisted likewise."""
+    e6 = build_root_system("E6")
+    before = parabolic.verify_levels(e6, (1, 3)), dict(g2_simple_char((1, 0)))
+    shared = [(freudenthal("A2", (1, 0)), (0, 0)),
+              (g2_weyl_char((1, 0)), (9, 9)),
+              (g2_simple_char((1, 0)), (9, 9)),
+              (parabolic._summand_character(("A2",), ((1, 0),)), (0, 0))]
+    for char, weight in shared:
+        with pytest.raises(TypeError):
+            char[weight] = 1
+    assert freudenthal(" a2 ", (1, 0)) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+    assert (parabolic.verify_levels(e6, (1, 3)), dict(g2_simple_char((1, 0)))) == before
+
+
 def test_g2_weyl_factors():
     assert g2_comp_factors(g2_weyl_char((2, 0))) == Counter({(2, 0): 1, (0, 0): 1})
     assert g2_comp_factors(g2_weyl_char((1, 1))) == Counter({(1, 1): 1, (2, 0): 1})
@@ -715,22 +738,22 @@ def test_tilting_prune_closure():
     assert not module_is_tilting(parse_module("5"), 5)
     # a simple G2 module is tilting when it is its Weyl module; a weight
     # with no tabulated character raises
-    assert {w for w in G2_SIMPLE_DIMS if module_is_tilting(m_simple(w), 7)} == \
+    assert {w for w in G2_SIMPLE_DIMS if module_is_tilting(_atom_expr("simple", w), 7)} == \
         {(0, 0), (1, 0), (0, 1), (3, 0)}
     with pytest.raises(NotImplementedError, match=re.escape("(4, 0)")):
-        module_is_tilting(m_simple((4, 0)), 7)
+        module_is_tilting(_atom_expr("simple", (4, 0)), 7)
 
 
 def test_g2_tilting_atom_has_no_character():
     with pytest.raises(NotImplementedError, match=re.escape(
             "no G2 character for T((2,0))")):
-        module_weights(m_tilt((2, 0)), 7)
+        module_weights(_atom_expr("tilt", (2, 0)), 7)
 
 
 def test_g2_expression_characters():
     # alternating cube of the 7-dimensional module, with the h1-positive
     # factor 20 inside (test_g2_prune_rule checks that it is pruned)
-    cube = alt_char(list(module_weights(m_simple((1, 0)), 7).elements()), 3)
+    cube = alt_char(list(module_weights(_atom_expr("simple", (1, 0)), 7).elements()), 3)
     assert sum(cube.values()) == 35
     assert g2_comp_factors(cube)[(2, 0)] == 1
 

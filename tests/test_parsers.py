@@ -1,7 +1,8 @@
 """Property tests of the module-expression reader (``parse_module``/
 ``format_module``): every expression, a sum of tensor products of atoms,
 round-trips; any other text raises ``ValueError`` and nothing else, and so
-does any other nesting of ``ModExpr``."""
+does any other shape of ``ModExpr``.  The canonical form of an action keeps
+its character and its text."""
 
 import re
 
@@ -12,12 +13,10 @@ from hypothesis import strategies as st
 from gcr import h1scan
 from gcr.modrep import (
     TWIST_SYMBOLS,
+    Atom,
     ModExpr,
-    m_simple,
-    m_sum,
-    m_tensor,
-    m_tilt,
     format_module,
+    module_weights,
     parse_module,
 )
 
@@ -27,19 +26,19 @@ _twists = st.one_of(
     st.integers(0, 12),
     st.tuples(st.sampled_from(TWIST_SYMBOLS), st.integers(0, 3)),
 )
-_atoms = st.builds(
-    lambda ctor, w, tw: ctor(w, tw),
-    st.sampled_from([m_simple, m_tilt]), st.integers(0, 40), _twists)
 
 
-def _joined(ctor, max_size):
-    """One part alone, or ctor of two or more."""
-    return lambda inner: st.lists(inner, min_size=1, max_size=max_size).map(
-        lambda ps: ps[0] if len(ps) == 1 else ctor(*ps))
+def _shaped(weights, twists):
+    """The one shape: a sum of one to four tensor products, each of one to
+    three atoms with the given weights and twists."""
+    atoms = st.builds(Atom, st.sampled_from(["simple", "tilt"]), weights, twists)
+    terms = st.lists(atoms, min_size=1, max_size=3).map(tuple)
+    return st.lists(terms, min_size=1, max_size=4).map(lambda ts: ModExpr(tuple(ts)))
 
 
-# the one shape: a sum of tensor products of atoms
-_exprs = _joined(m_sum, 4)(_joined(m_tensor, 3)(_atoms))
+_exprs = _shaped(st.integers(0, 40), _twists)
+# int twists and small weights, so that characters stay small
+_small_exprs = _shaped(st.integers(0, 8), st.integers(0, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -49,6 +48,17 @@ def test_module_expressions_roundtrip(e):
     assert parse_module(text) == e
     assert hash(parse_module(text)) == hash(e)
     assert format_module(parse_module(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_exprs)
+def test_canonical_action_keeps_character_and_text(e):
+    """Sorting the atoms of each term and then the terms is idempotent,
+    keeps the character, and writes text that reads back as itself."""
+    c = h1scan.canonical_action(e)
+    assert h1scan.canonical_action(c) == c
+    assert module_weights(c, 7) == module_weights(e, 7)
+    assert parse_module(format_module(c)) == c
 
 
 # pieces of the grammar, so that random text reaches deep into the reader;
@@ -94,20 +104,25 @@ def test_module_parser_regressions(text, message):
 
 
 @pytest.mark.parametrize("build", [
-    lambda a: m_tensor(m_sum(a, a), a),
-    lambda a: m_sum(m_sum(a, a), a),
-    lambda a: m_tensor(m_tensor(a, a), a),
-    lambda a: m_sum(a),
-    lambda a: m_tensor(),
-    lambda a: ModExpr("alt", weight=2, parts=(a, a)),
-], ids=["sum-in-tensor", "sum-in-sum", "tensor-in-tensor", "one-term-sum",
-        "empty-tensor", "unknown-kind"])
+    lambda a: ModExpr(((a, ModExpr(((a,),))),)),
+    lambda a: ModExpr((ModExpr(((a,),)), (a,))),
+    lambda a: ModExpr(((a, (a, a)),)),
+    lambda a: ModExpr(()),
+    lambda a: ModExpr(((a,), ())),
+    lambda a: ModExpr(((a, tuple(a)),)),
+    lambda a: ModExpr((a,)),
+    lambda a: ModExpr([(a,)]),
+    lambda a: ModExpr(((a._replace(kind="alt"),),)),
+], ids=["sum-in-tensor", "sum-in-sum", "tensor-in-tensor", "empty-sum",
+        "empty-tensor", "tuple-as-atom", "atom-as-term", "list-of-terms",
+        "unknown-kind"])
 def test_module_expressions_refuse_nesting(build):
-    """An expression is a sum of tensor products of atoms, each compound of
-    two or more parts, so that text and expression are one to one: any
-    other shape, which the text could not write back, raises ValueError."""
+    """An expression is a non-empty tuple of terms, each a non-empty tuple
+    of atoms, so that text and expression are one to one: any other shape,
+    a nesting or an empty sum or product, which the text could not write
+    back, raises ValueError."""
     with pytest.raises(ValueError, match="a sum of tensor products of atoms"):
-        build(m_simple(1, 1))
+        build(Atom("simple", 1, 1))
 
 
 @pytest.mark.parametrize("text", ["1[v]", "T(4)[w+1]", "2 x 1[a]"])
