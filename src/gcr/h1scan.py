@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from .a1coh import (atom_char, h1_term, place_tops, sum_power, terms_char,
                     terms_tensor, tilting_peel)
 from .modrep import (
-    TWIST_SYMBOLS,
     Atom,
     ModExpr,
     alt_char,
@@ -55,7 +54,6 @@ from .modrep import (
     format_module,
     is_prime,
     module_is_tilting,
-    module_subst,
     module_twists,
     module_weights,
     nonnegative_int,
@@ -228,8 +226,10 @@ def _module_candidate(e: ModExpr) -> FactorCandidate:
 
 # -- factor-action text: twist sweep and canonical form ----------------------
 
-_CHAIN_RE = re.compile(r"^((?:[A-G][1-9])+)\((.+)\)$")
+_CHAIN_RE = re.compile(r"((?:[A-G][1-9])+)\((.+)\)")
+TWIST_SYMBOLS = "rstu"
 _VAR_RE = re.compile(rf"\b([{TWIST_SYMBOLS}])\b")
+_TWIST_RE = re.compile(rf"\[([{TWIST_SYMBOLS}])(?:\+([0-9]+))?\]")
 
 
 def _step(u, *vals):
@@ -283,37 +283,37 @@ def _constraint_value(node, text: str, ref: str, params):
 
 def _chain_slots(text: str):
     """(name, slot texts) of a chain text; (None, [text]) for another."""
-    m = _CHAIN_RE.match(text)
+    m = _CHAIN_RE.fullmatch(text)
     return (m[1], [s.strip() for s in m[2].split(",")]) if m else (None, [text])
 
 
 _CHAIN_NAMES = {_chain_slots(text)[0] for text, _, _ in _E6_CHAINS + _E7_CHAINS} | {"A1D6"}
-_G2_WEIGHT_RE = re.compile(r"^\(\d+,\d+\)$")
+_G2_WEIGHT_RE = re.compile(r"\([0-9]+,[0-9]+\)")
 
 
 def twist_choices(texts, constraints, tmax: int, ref: str):
     """Each choice of twists 0..tmax for the ``TWIST_SYMBOLS`` of the texts
-    and constraints that all constraints admit, as a symbol -> twist dict;
-    the symbols in alphabetical order, the first varying slowest.  A
-    constraint outside the grammar raises ValueError naming ref."""
+    and constraints that all constraints admit, as the texts with each [v]
+    or [v+n] written as its number; the symbols in alphabetical order, the
+    first varying slowest.  A constraint outside the grammar raises
+    ValueError naming ref."""
     symbols = sorted(set(_VAR_RE.findall(" ".join((*texts, *constraints)))))
     tests = [_constraint(c, ref) for c in constraints]
     for values in itertools.product(range(tmax + 1), repeat=len(symbols)):
         subst = dict(zip(symbols, values))
         if all(test(subst) for test in tests):
-            yield subst
+            yield tuple(_TWIST_RE.sub(lambda m: f"[{subst[m[1]] + int(m[2] or 0)}]", text)
+                        for text in texts)
 
 
-def canon_factor(text: str, tmax: int,
-                 subst: dict[str, int] | None = None) -> FactorCandidate | None:
-    """Canonicalise one factor-action text, with its symbolic twists
-    resolved by subst, into the scan's form of a factor action; None if a
-    twist leaves the window.  The text is a module expression, which the
-    factor carries, a chain the scan builds (E6 and E7 chains and A1D6),
-    whose twists are its slots' non-trivial ones, or a G2 factor, "max F4"
-    or a weight (a,b), with none.  Any other text raises ValueError naming
-    it."""
-    if text == "max F4" or _G2_WEIGHT_RE.match(text):
+def canon_factor(text: str, tmax: int) -> FactorCandidate | None:
+    """Canonicalise one factor-action text into the scan's form of a factor
+    action; None if a twist leaves the window.  The text is a module
+    expression, which the factor carries, a chain the scan builds (E6 and
+    E7 chains and A1D6), whose twists are its slots' non-trivial ones, or a
+    G2 factor, "max F4" or a weight (a,b), with none.  Any other text
+    raises ValueError naming it."""
+    if text == "max F4" or _G2_WEIGHT_RE.fullmatch(text):
         return FactorCandidate(text, (), "g2")
     name, slots = _chain_slots(text)
     if name is not None and name not in _CHAIN_NAMES:
@@ -322,9 +322,9 @@ def canon_factor(text: str, tmax: int,
     if name is not None and len(slots) != len(name) // 2:   # a type is two characters
         raise ValueError(f"chain {name} has {len(name) // 2} factors, but factor "
                          f"{text!r} gives it {len(slots)}")
-    exprs = [canonical_action(module_subst(parse_module(s), subst)) for s in slots]
+    exprs = [canonical_action(parse_module(s)) for s in slots]
     twists = tuple(t for e in exprs for t in module_twists(e))
-    if any(t > tmax or t < 0 for t in twists):
+    if any(t > tmax for t in twists):
         return None
     if name:
         return FactorCandidate(f"{name}({', '.join(map(format_module, exprs))})",
@@ -334,16 +334,15 @@ def canon_factor(text: str, tmax: int,
 
 def _candidates_from_chains(chains, p: int, tmax: int) -> list[FactorCandidate]:
     """One candidate per chain and admissible twist choice, its module the
-    chain's template with the slot twists substituted; a chain with a slot
-    weight above p - 1 has none."""
+    chain's template under the same choice; a chain with a slot weight
+    above p - 1 has none."""
     out = []
     for text, constraints, template in chains:
-        slots = [parse_module(s) for s in _chain_slots(text)[1]]
-        if any(a.weight > p - 1 for e in slots for term in e.terms for a in term):
-            continue
-        for subst in twist_choices((text,), constraints, tmax, text):
-            out.append(replace(canon_factor(text, tmax, subst),
-                               expr=module_subst(parse_module(template), subst)))
+        for factor, module in twist_choices((text, template), constraints, tmax, text):
+            if any(a.weight > p - 1 for s in _chain_slots(factor)[1]
+                   for term in parse_module(s).terms for a in term):
+                break                  # every choice has the same weights
+            out.append(replace(canon_factor(factor, tmax), expr=parse_module(module)))
     return out
 
 

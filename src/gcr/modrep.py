@@ -10,12 +10,12 @@ in tests.
 
 Module expressions (``ModExpr``) say only what the golden tables write,
 in one flat shape: a "+"-sum of "x"-products of atoms m (a simple) or T(m)
-(a tilting), each with an optional twist [n] or [v+n] for a symbol v of
-``TWIST_SYMBOLS``, as in "3 x 1[1] + T(8) + 0".  A ``ModExpr`` is
-exactly its ``terms``: one tuple per "+"-term of its ``Atom``s, the
-"x"-factors.  ``parse_module`` reads that text, with no brackets since
-nothing nests, and ``format_module`` writes it back.  Alternating powers
-and half-spins are characters (``alt_char``, ``spin_halves_from_char``).
+(a tilting), each with an optional Frobenius twist [n], a number, as in
+"3 x 1[1] + T(8) + 0".  A ``ModExpr`` is exactly its ``terms``: one tuple
+per "+"-term of its ``Atom``s, the "x"-factors.  ``parse_module`` reads
+that text, with no brackets since nothing nests, and ``format_module``
+writes it back.  Alternating powers and half-spins are characters
+(``alt_char``, ``spin_halves_from_char``).
 """
 
 from __future__ import annotations
@@ -544,8 +544,6 @@ def g2_h1_irreducible(lam: tuple[int, int], p: int = 7) -> bool:
 
 # -- module expressions ------------------------------------------------------
 
-TWIST_SYMBOLS = "rstu"     # for the reader and the twist sweep alike
-
 Atom = namedtuple("Atom", "kind weight twist")
 Atom.__doc__ = """One factor of a term: a simple ("simple") or tilting ("tilt")
 module of highest weight ``weight`` with Frobenius twist ``twist``."""
@@ -559,18 +557,17 @@ class ModExpr:
     ``Atom``s.  Any other shape raises ValueError, so ``parse_module`` reads
     back exactly what ``format_module`` writes of a rank-one expression.
 
-    Weights are integers for the rank-one group or pairs for G2; twists are
-    nonnegative integers or symbols of ``TWIST_SYMBOLS`` with an optional
-    offset, which ``module_subst`` resolves before evaluation.  Expressions
-    key caches, so each hashes once, when built."""
+    Weights are ints >= 0 for the rank-one group or pairs of them for G2,
+    and twists ints >= 0, which the twist sweep writes into the text; any
+    other atom raises ValueError naming it.  Expressions key caches, so
+    each hashes once, when built."""
 
     terms: tuple[tuple[Atom, ...], ...]
 
     def __post_init__(self):
         terms = self.terms
         if not (type(terms) is tuple and terms and all(
-                type(term) is tuple and term and all(
-                    type(a) is Atom and a.kind in ("simple", "tilt") for a in term)
+                type(term) is tuple and term and all(map(_written, term))
                 for term in terms)):
             raise ValueError("a module expression is a sum of tensor products of "
                              f"atoms, not {terms!r}")
@@ -580,33 +577,42 @@ class ModExpr:
         return self._hash
 
 
-# a "+" outside a twist's brackets, and one atom with its optional twist
-_PLUS = re.compile(r"\+(?![0-9]*\])")
-_ATOM = re.compile(r"(?:([0-9]+)|T\(([0-9]+)\))"
-                   rf"(?:\[(?:([0-9]+)|([{TWIST_SYMBOLS}])(?:\+([0-9]+))?)\])?")
+def _written(a) -> bool:
+    """Whether a is an ``Atom`` of a known kind; one whose weight or twist
+    the text cannot write, ints >= 0 (no bool) or a pair for a G2 weight,
+    raises ValueError naming it."""
+    known = type(a) is Atom and a.kind in ("simple", "tilt")
+    if known and not (type(a.twist) is int and a.twist >= 0 and (
+            type(w := a.weight) is int and w >= 0
+            or type(w) is tuple and len(w) == 2 and all(type(x) is int and x >= 0 for x in w))):
+        raise ValueError(f"atom {a!r} needs a weight that is an int >= 0 or a "
+                         "pair of them, and a twist that is an int >= 0")
+    return known
+
+
+# one atom with its optional twist
+_ATOM = re.compile(r"(?:([0-9]+)|T\(([0-9]+)\))(?:\[([0-9]+)\])?")
 
 
 @functools.lru_cache(maxsize=None)
 def parse_module(s: str) -> ModExpr:
     """Read the module text grammar, a "+"-sum of "x"-products of atoms:
-    m or T(m), each with an optional twist [n] or [v+n], v a symbol of
-    ``TWIST_SYMBOLS`` and +n optional, as in "3 x 1[1] + T(8) + 0" or
-    "2[s] x 1[s+1]".  The tensor sign works for x, spaces are ignored and
-    digits are ASCII; there are no brackets, since no table nests.  Other
-    text raises ValueError quoting it.  Each text is read once; the
-    expression is frozen, so callers share it."""
+    m or T(m), each with an optional twist [n], as in "3 x 1[1] + T(8) + 0".
+    The tensor sign works for x, spaces are ignored and digits are ASCII;
+    there are no brackets, since no table nests, and no twist symbols,
+    since the sweep writes its numbers into the text.  Other text raises
+    ValueError quoting it.  Each text is read once; the expression is
+    frozen, so callers share it."""
     terms = []
-    for term in _PLUS.split(s.replace("⊗", "x").replace(" ", "")):
+    for term in s.replace("⊗", "x").replace(" ", "").split("+"):
         atoms = []
         for atom in term.split("x"):
             m = _ATOM.fullmatch(atom)
             if m is None:
                 raise ValueError(f"cannot tokenize module expression {s!r}: {atom!r} "
-                                 "is no atom m or T(m) with an optional twist "
-                                 f"[n] or [v+n], v in {TWIST_SYMBOLS!r}")
-            simple, tilt, n, sym, off = m.groups()
-            atoms.append(Atom("simple" if simple else "tilt", int(simple or tilt),
-                              (sym, int(off or 0)) if sym else int(n or 0)))
+                                 "is no atom m or T(m) with an optional twist [n]")
+            simple, tilt, n = m.groups()
+            atoms.append(Atom("simple" if simple else "tilt", int(simple or tilt), int(n or 0)))
         terms.append(tuple(atoms))
     return ModExpr(tuple(terms))
 
@@ -614,26 +620,13 @@ def parse_module(s: str) -> ModExpr:
 def format_atom(a: Atom) -> str:
     """The text of one atom, as ``parse_module`` reads it."""
     w = a.weight if isinstance(a.weight, int) else f"({a.weight[0]},{a.weight[1]})"
-    if isinstance(a.twist, tuple):
-        sym, off = a.twist
-        tw = f"[{sym}+{off}]" if off else f"[{sym}]"
-    else:
-        tw = f"[{a.twist}]" if a.twist else ""
+    tw = f"[{a.twist}]" if a.twist else ""
     return f"T({w}){tw}" if a.kind == "tilt" else f"{w}{tw}"
 
 
 def format_module(e: ModExpr) -> str:
     """The text of an expression, as ``parse_module`` reads it."""
     return " + ".join(" x ".join(map(format_atom, term)) for term in e.terms)
-
-
-def _twist_value(tw, subst) -> int:
-    if isinstance(tw, int):
-        return tw
-    sym, off = tw
-    if not subst or sym not in subst:
-        raise ValueError(f"unresolved twist symbol {sym!r}")
-    return subst[sym] + off
 
 
 def _wadd(a, b):
@@ -659,30 +652,22 @@ def alt_char(elems, k: int) -> Counter:
                    for combo in itertools.combinations(elems, k))
 
 
-def module_subst(e: ModExpr, subst: dict[str, int]) -> ModExpr:
-    """Resolve symbolic twists to integers."""
-    return ModExpr(tuple(tuple(Atom(a.kind, a.weight, _twist_value(a.twist, subst))
-                               for a in term) for term in e.terms))
-
-
 def module_twists(e: ModExpr) -> list[int]:
     """The twists of the non-trivial atoms in the expression: a trivial
-    atom is insensitive to twisting.  Symbolic twists raise."""
-    return [_twist_value(a.twist, None) for term in e.terms for a in term
+    atom is insensitive to twisting."""
+    return [a.twist for term in e.terms for a in term
             if a.weight not in (0, (0, 0))]
 
 
 def atom_weights(a: Atom, p: int) -> Counter:
     """Formal character of one atom: weight -> multiplicity."""
-    q = p ** _twist_value(a.twist, None)
+    q = p ** a.twist
     if isinstance(a.weight, tuple):
         if a.kind != "simple":
             raise NotImplementedError(f"no G2 character for {format_atom(a)}: "
                                       "only simple G2 atoms are tabulated")
         return Counter({tuple(x * q for x in w): c
                         for w, c in g2_simple_char(a.weight, p).items()})
-    if a.weight < 0:
-        raise ValueError(f"highest weight {a.weight} at p={p} must be dominant")
     base = (a1_simple_weights if a.kind == "simple" else a1_tilting_weights)(a.weight, p)
     return Counter(w * q for w in base)
 

@@ -17,10 +17,10 @@ A row's factor texts, one per Levi factor, take the forms that
 - ``max F4``, the G2 of E6 through F4
 
 Rows may be twist-parametric: factor strings contain twist variables
-(``1[r]``, ``3[s] x 1[s+1]``) swept over a finite window, filtered by the
-row's constraints.  The sweep and canonical form are those the scanner
-builds its E6 and E7 chain candidates with (``h1scan.twist_choices`` and
-``h1scan.canon_factor``), so the diff compares like with like.
+(``1[r]``, ``3[s] x 1[s+1]``).  A sweep over a finite window, kept by the
+row's constraints, writes them as numbers (``1[r+1]`` at r = 1 is
+``1[2]``); it and the canonical form are the scanner's own for its E6 and
+E7 chains (``h1scan.twist_choices``, ``h1scan.canon_factor``).
 
 Diff statuses per row: ``match`` | ``mismatch`` (same action, different class
 count) | ``missing`` (expected but not computed) | ``extra`` (computed but
@@ -120,9 +120,9 @@ def expand_rows(data: dict, tmax: int = 2) -> list[GoldenInstance]:
     out: dict[tuple, GoldenInstance] = {}
     for row in data["rows"]:
         ref, x, constraints = _checked_row(row)
-        for subst in twist_choices(row["factors"], constraints, tmax, ref):
+        for texts in twist_choices(row["factors"], constraints, tmax, ref):
             try:
-                factors = [canon_factor(f, tmax, subst) for f in row["factors"]]
+                factors = [canon_factor(f, tmax) for f in texts]
             except ValueError as exc:
                 raise ValueError(f"row {ref}: {exc}") from None
             if None in factors or min((t for cf in factors for t in cf.twists),

@@ -51,7 +51,7 @@ from gcr.h1scan import (class_unit, _level_h1_memo, _summand_weights,
                         factor_assignments, factor_candidates,
                         factor_restriction_terms, scan_group, spin_half_terms)
 from gcr.modrep import (A1Module, Atom, ModExpr, _base_p_digits,
-                        _submodule_restriction, _twist_value, a1_simple_weights,
+                        _submodule_restriction, a1_simple_weights,
                         a1_top_weight, format_module, freudenthal, g2_comp_factors,
                         module_weights, peel_characters, tensor, tilting_module,
                         twist, weyl_module)
@@ -130,9 +130,8 @@ def atom_matrices(a: Atom, p: int) -> A1Module:
     """Explicit operator realisation of a rank-one atom."""
     if isinstance(a.weight, tuple):
         raise NotImplementedError("explicit operators are rank-one only")
-    tw = _twist_value(a.twist, None)
     base = (simple_module if a.kind == "simple" else tilting_module)(a.weight, p)
-    return twist(base, tw) if tw else base
+    return twist(base, a.twist) if a.twist else base
 
 
 def dual(a: A1Module) -> A1Module:

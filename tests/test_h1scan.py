@@ -1101,16 +1101,20 @@ def test_canon_factor_forms():
     ("(0, 1)", "cannot tokenize module expression '(0, 1)'"),
     ("A1A5(1[r])", "chain A1A5 has 2 factors, but factor 'A1A5(1[r])' gives it 1"),
     ("A2A2A2(2, 2[1], 2[2], 2)",
-     "chain A2A2A2 has 3 factors, but factor 'A2A2A2(2, 2[1], 2[2], 2)' gives it 4")])
+     "chain A2A2A2 has 3 factors, but factor 'A2A2A2(2, 2[1], 2[2], 2)' gives it 4"),
+    ("(١,٠)", "cannot tokenize module expression '(١,٠)'"),
+    ("(0,1)\n", "cannot tokenize module expression '(0,1)\\n'"),
+    ("A1A5(1, 5)\n", "cannot tokenize module expression 'A1A5(1, 5)\\n'")])
 def test_canon_factor_refuses_unknown_text(text, message):
     """A factor text that is no module expression, no chain the scan
     builds with one slot per factor, no "max F4" and no G2 weight (a,b)
-    raises ValueError naming it: any text that began with "(" was read as
-    a G2 factor, any chain name was accepted, and "A1A5(1[r])" at r = 0
-    became the candidate "A1A5(1)", which a diff could only report as an
-    unexplained missing row."""
+    in ASCII digits raises ValueError naming it: any text that began with
+    "(" was read as a G2 factor, any chain name was accepted, "A1A5(1[r])"
+    at r = 0 became the candidate "A1A5(1)", which a diff could only report
+    as an unexplained missing row, and a G2 weight in other digits or a
+    G2 weight or chain with a trailing newline was read as the factor."""
     with pytest.raises(ValueError, match=re.escape(message)):
-        canon_factor(text, 2, {"r": 0})
+        canon_factor(text, 2)
 
 
 @pytest.mark.parametrize("group,p,ref,factor", [
@@ -1246,13 +1250,14 @@ def _clear_every_cache() -> set[str]:
 
 def test_scan_and_diff_parse_each_text_once():
     """From cold caches, scanning and diffing E8/7 reads each distinct
-    module text once, 29 in all, where parsing each chain template once
-    per twist choice and each row factor once per instance built 124: the
-    reader runs only on a miss of its cache."""
+    module text once, 96 in all: the twist sweep writes its numbers into
+    each chain text, template and row factor, so each choice is a text of
+    its own (29 while the reader took symbols), and the reader runs only
+    on a miss of its cache."""
     _clear_every_cache()
     diff_badx("E8", 7, scan=scan_group("E8", 7))
     info = modrep.parse_module.cache_info()
-    assert info.misses == info.currsize == 29
+    assert info.misses == info.currsize == 96
 
 
 @pytest.mark.parametrize("group,p", [("E6", 5), ("E7", 5), ("E7", 7), ("E8", 7)])

@@ -62,8 +62,6 @@ ALLOWED = {
         "test_submodule_restriction_errors"),
     "modrep.tilting_module": (2, _DONKIN + " or the crosscheck's weights",
                               "test_h1_vanishes_on_tilting"),
-    "modrep.format_atom": (2, "symbolic twists: results format resolved "
-                             "expressions only", "test_module_expressions_roundtrip"),
     "modrep._atom_is_tilting": (
         3, "twisted, tilting and rank-one atoms: the scan asks only about "
         "untwisted simple G2 actions", "test_module_is_tilting"),
@@ -195,11 +193,11 @@ def test_every_line_runs_fails_loudly_or_is_allowed(reached):
 
 
 def test_allowed_lines_are_few_and_checked():
-    """Fewer than 71 lines are listed, and each entry names a reason and a
+    """Fewer than 69 lines are listed, and each entry names a reason and a
     test of the suite."""
     tests = {node.name for path in TESTS for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
-    assert sum(count for count, _, _ in ALLOWED.values()) < 71
+    assert sum(count for count, _, _ in ALLOWED.values()) < 69
     for name, (count, reason, test) in ALLOWED.items():
         assert count > 0 and reason and test in tests, name
 

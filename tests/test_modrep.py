@@ -18,6 +18,7 @@ from oracles import (a1_comp_factors, alt_power_module, dense_ops, direct_sum,
                      dual, h1_irreducible, module_comp_factors, module_matrices,
                      simple_module, weyl_dim, x_minus, x_plus)
 from gcr import modrep, parabolic
+from gcr.h1scan import twist_choices
 from gcr.modrep import (
     G2_SIMPLE_DIMS,
     A1Module,
@@ -36,7 +37,6 @@ from gcr.modrep import (
     h1_module_a1,
     format_module,
     module_is_tilting,
-    module_subst,
     module_twists,
     module_weights,
     parse_module,
@@ -108,7 +108,7 @@ def test_freudenthal_rejects_a_weight_of_the_wrong_rank(lam):
 @pytest.mark.parametrize("call,match", [
     (lambda: freudenthal("E6", (0, 0, -2, 0, 0, 0)), r"\(0, 0, -2, 0, 0, 0\) of E6"),
     (lambda: a1_simple_weights(-3, 7), r"-3 of L\(m\) at p=7"),
-    (lambda: module_weights(_atom_expr("simple", -4), 5), r"-4 at p=5"),
+    (lambda: module_weights(_atom_expr("simple", -4), 5), r"weight=-4, twist=0\) needs"),
     (lambda: a1_weyl_weights(-2), r"weight -2 must"),
     (lambda: a1_tilting_weights(-3, 5), r"weight -3 must"),
 ], ids=["freudenthal", "a1_simple_weights", "atom_char", "a1_weyl_weights",
@@ -677,39 +677,39 @@ def test_simple_char_symmetric(m, p):
 # -- extended expression grammar ----------------------------------------------
 
 def test_extended_parse_roundtrip():
-    for s in ["4 + 4[r]", "2 x 1[s]", "1[s+1]", "T(8)[r] + 1[s] x 2",
-              "2 x 1[1] + 0 x 1[1]", "6[r] + 2[s] + 2[t] + 0"]:
+    for s in ["4 + 4[1]", "2 x 1[2]", "1[3]", "T(8)[1] + 1[2] x 2",
+              "2 x 1[1] + 0 x 1[1]", "6[1] + 2[2] + 2[3] + 0"]:
         assert format_module(parse_module(s)) == s
 
 
 def test_symbolic_twist_resolution():
-    e = parse_module("2[s] x 1[s+1]")
-    with pytest.raises(ValueError):
-        module_weights(e, 5)
-    w = module_weights(module_subst(e, {"s": 0}), 5)
-    assert w == module_weights(parse_module("2 x 1[1]"), 5)
-    e2 = module_subst(e, {"s": 1})
-    assert format_module(e2) == "2[1] x 1[2]"
-    assert module_twists(e2) == [1, 2]
+    """The sweep writes a symbolic twist, offset included, as its number;
+    the reader refuses the symbol itself."""
+    with pytest.raises(ValueError, match="cannot tokenize module expression"):
+        parse_module("2[s] x 1[s+1]")
+    (t0,), (t1,) = twist_choices(("2[s] x 1[s+1]",), (), 1, "test")
+    assert t0 == "2[0] x 1[1]"
+    assert module_weights(parse_module(t0), 5) == module_weights(parse_module("2 x 1[1]"), 5)
+    e1 = parse_module(t1)
+    assert format_module(e1) == "2[1] x 1[2]"
+    assert module_twists(e1) == [1, 2]
 
 
 def test_alt_square_of_twisted_tensor():
-    # dimension 15 and the same character as 4 + 2 x 2[s] + 0
-    for s in (1, 2):
-        sub = {"s": s}
-        got = alt_char(list(module_weights(
-            module_subst(parse_module("2 x 1[s]"), sub), 5).elements()), 2)
-        want = module_weights(module_subst(parse_module("4 + 2 x 2[s] + 0"), sub), 5)
+    # dimension 15 and the same character as 4 + 2 x 2[s] + 0, for s = 1, 2
+    choices = list(twist_choices(("2 x 1[s]", "4 + 2 x 2[s] + 0"), ("0<s",), 2, "test"))
+    assert [want for _, want in choices] == ["4 + 2 x 2[1] + 0", "4 + 2 x 2[2] + 0"]
+    for natural, want in choices:
+        got = alt_char(list(module_weights(parse_module(natural), 5).elements()), 2)
         assert sum(got.values()) == 15
-        assert got == want
+        assert got == module_weights(parse_module(want), 5)
 
 
 def test_spin_d5_of_4_plus_twisted_4():
     for r in (1, 2):
-        sub = {"r": r}
-        natural = module_weights(module_subst(parse_module("4 + 4[r]"), sub), 5)
+        natural = module_weights(parse_module(f"4 + 4[{r}]"), 5)
         ev, od = spin_halves_from_char(natural, 5)
-        want = module_weights(module_subst(parse_module("3 x 3[r]"), sub), 5)
+        want = module_weights(parse_module(f"3 x 3[{r}]"), 5)
         assert sum(ev.values()) == 16
         # with a zero weight pair present the two halves agree
         assert ev == od == want

@@ -4,6 +4,7 @@ round-trips; any other text raises ``ValueError`` and nothing else, and so
 does any other shape of ``ModExpr``.  The canonical form of an action keeps
 its character and its text."""
 
+import itertools
 import re
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcr import h1scan
+from gcr.h1scan import TWIST_SYMBOLS
 from gcr.modrep import (
-    TWIST_SYMBOLS,
     Atom,
     ModExpr,
     format_module,
@@ -22,12 +23,6 @@ from gcr.modrep import (
 
 # -- module expressions -------------------------------------------------------
 
-_twists = st.one_of(
-    st.integers(0, 12),
-    st.tuples(st.sampled_from(TWIST_SYMBOLS), st.integers(0, 3)),
-)
-
-
 def _shaped(weights, twists):
     """The one shape: a sum of one to four tensor products, each of one to
     three atoms with the given weights and twists."""
@@ -36,7 +31,7 @@ def _shaped(weights, twists):
     return st.lists(terms, min_size=1, max_size=4).map(lambda ts: ModExpr(tuple(ts)))
 
 
-_exprs = _shaped(st.integers(0, 40), _twists)
+_exprs = _shaped(st.integers(0, 40), st.integers(0, 12))
 # int twists and small weights, so that characters stay small
 _small_exprs = _shaped(st.integers(0, 8), st.integers(0, 3))
 
@@ -103,42 +98,68 @@ def test_module_parser_regressions(text, message):
         parse_module(text)
 
 
-@pytest.mark.parametrize("build", [
-    lambda a: ModExpr(((a, ModExpr(((a,),))),)),
-    lambda a: ModExpr((ModExpr(((a,),)), (a,))),
-    lambda a: ModExpr(((a, (a, a)),)),
-    lambda a: ModExpr(()),
-    lambda a: ModExpr(((a,), ())),
-    lambda a: ModExpr(((a, tuple(a)),)),
-    lambda a: ModExpr((a,)),
-    lambda a: ModExpr([(a,)]),
-    lambda a: ModExpr(((a._replace(kind="alt"),),)),
+_SHAPE = "a sum of tensor products of atoms"
+
+
+def _bad_atom(**fields):
+    """A case whose one atom has the given fields, and the error naming it."""
+    atom = Atom("simple", 1, 1)._replace(**fields)
+    return (lambda a: ModExpr(((a, atom),)),
+            re.escape(f"atom {atom!r} needs a weight that is an int >= 0"))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda a: ModExpr(((a, ModExpr(((a,),))),)), _SHAPE),
+    (lambda a: ModExpr((ModExpr(((a,),)), (a,))), _SHAPE),
+    (lambda a: ModExpr(((a, (a, a)),)), _SHAPE),
+    (lambda a: ModExpr(()), _SHAPE),
+    (lambda a: ModExpr(((a,), ())), _SHAPE),
+    (lambda a: ModExpr(((a, tuple(a)),)), _SHAPE),
+    (lambda a: ModExpr((a,)), _SHAPE),
+    (lambda a: ModExpr([(a,)]), _SHAPE),
+    (lambda a: ModExpr(((a._replace(kind="alt"),),)), _SHAPE),
+    _bad_atom(twist=-1),
+    _bad_atom(twist=True),
+    _bad_atom(twist=("r", 0)),
+    _bad_atom(weight=-1),
+    _bad_atom(weight=True),
+    _bad_atom(weight=1.0),
+    _bad_atom(weight=(1, -1)),
+    _bad_atom(weight=(1, 0, 0)),
 ], ids=["sum-in-tensor", "sum-in-sum", "tensor-in-tensor", "empty-sum",
         "empty-tensor", "tuple-as-atom", "atom-as-term", "list-of-terms",
-        "unknown-kind"])
-def test_module_expressions_refuse_nesting(build):
+        "unknown-kind", "negative-twist", "bool-twist", "symbolic-twist",
+        "negative-weight", "bool-weight", "float-weight", "negative-pair-weight",
+        "triple-weight"])
+def test_module_expressions_refuse_nesting(build, message):
     """An expression is a non-empty tuple of terms, each a non-empty tuple
     of atoms, so that text and expression are one to one: any other shape,
     a nesting or an empty sum or product, which the text could not write
-    back, raises ValueError."""
-    with pytest.raises(ValueError, match="a sum of tensor products of atoms"):
+    back, raises ValueError, and so does an atom whose twist is no int
+    >= 0 or whose weight is neither an int >= 0 nor a pair of them, naming
+    it: "1[-1]" and "1[True]" were written, and a twist of -1 gave float
+    weights."""
+    with pytest.raises(ValueError, match=message):
         build(Atom("simple", 1, 1))
 
 
-@pytest.mark.parametrize("text", ["1[v]", "T(4)[w+1]", "2 x 1[a]"])
+@pytest.mark.parametrize("text", ["1[v]", "T(4)[w+1]", "2 x 1[a]", "1[r]", "T(4)[s+1]"])
 def test_twist_symbol_outside_the_alphabet_fails_in_the_parser(text):
-    """The parser took the symbols v and w, which the twist sweep never
-    substitutes, so "1[v]" parsed and failed only at substitution."""
+    """The parser reads numbered twists only: v and w, which the twist
+    sweep never substitutes, and r and s, which it writes as numbers before
+    any text is read, are all refused."""
     with pytest.raises(ValueError, match="cannot tokenize module expression "
                        + re.escape(repr(text))):
         parse_module(text)
 
 
 def test_one_twist_alphabet():
-    """The parser and the twist sweep read one alphabet: every symbol of it
-    parses, and the sweep varies exactly the symbols of a text."""
-    text = " + ".join(f"1[{sym}]" for sym in TWIST_SYMBOLS)
-    assert format_module(parse_module(text)) == text
-    subs = list(h1scan.twist_choices([text], (), 1, "test"))
-    assert len(subs) == 2 ** len(TWIST_SYMBOLS)
-    assert all(sorted(sub) == sorted(TWIST_SYMBOLS) for sub in subs)
+    """The sweep varies exactly the symbols of a text, the first slowest,
+    and writes every symbol of the alphabet, with or without an offset, as
+    its number, so that the reader reads each choice."""
+    text = " + ".join(f"1[{sym}] x 2[{sym}+{k}]" for k, sym in enumerate(TWIST_SYMBOLS, 1))
+    choices = list(h1scan.twist_choices([text], (), 1, "test"))
+    values = list(itertools.product((0, 1), repeat=len(TWIST_SYMBOLS)))
+    assert choices == [(" + ".join(f"1[{v}] x 2[{v + k}]" for k, v in enumerate(vs, 1)),)
+                       for vs in values]
+    assert all(parse_module(t) for (t,) in choices)
