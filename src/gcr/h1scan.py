@@ -353,6 +353,10 @@ def e6_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
 
 @functools.lru_cache(maxsize=None)
 def e7_factor_candidates(p: int, tmax: int) -> tuple[FactorCandidate, ...]:
+    """The E7 factor's candidates: the E7 chains and the A1 D6 sweep, at
+    p = 7 only.  There is no E7 candidate at any other p, so E8's E7 Levi
+    (nodes 1-7) is scanned with none at p = 11 and 13, and the negative
+    controls say nothing about it there."""
     if p != 7:
         return ()
     out = _candidates_from_chains(_E7_CHAINS, p, tmax)

@@ -29,9 +29,8 @@ def _edges(kind: str, rank: int) -> list[tuple[int, int]]:
     raise ValueError(f"unsupported type {kind}{rank}")
 
 
-def cartan_matrix(name: str) -> list[list[int]]:
+def cartan_matrix(kind: str, rank: int) -> list[list[int]]:
     """Cartan matrix A with A[i][j] = <alpha_i, alpha_j-check>, 0-based."""
-    kind, rank = parse_type(name)
     if kind == "G":
         # alpha1 short, alpha2 long; <a1,a2^> = -1, <a2,a1^> = -3.
         return [[2, -1], [-3, 2]]
@@ -59,68 +58,53 @@ def parse_type(name: str) -> tuple[str, int]:
     raise ValueError(f"unsupported type {name!r}")
 
 
-# Root lengths: d[i] = (alpha_i, alpha_i)/2 relative to long roots of norm 2.
-# Only G2 is non-simply-laced here.
-def _root_norms(kind: str, rank: int) -> list[Fraction]:
-    if kind == "G":
-        return [Fraction(1, 3), Fraction(1)]
-    return [Fraction(1)] * rank
-
-
 class RootSystem:
-    """Positive roots of a simple type, closed under the string-building
-    recursion, sorted by (height, coefficient tuple)."""
+    """Positive roots of a simple type, built by height, sorted by (height,
+    coefficient tuple)."""
 
-    def __init__(self, name: str):
-        self.kind, self.rank = parse_type(name)
-        self.name = f"{self.kind}{self.rank}"
-        self.cartan = cartan_matrix(name)
-        self._norms = _root_norms(self.kind, self.rank)
-        # 3 * (alpha_i, alpha_j) = 3 * d_j * A[i][j]: integral, since the
-        # norms d_j are 1 or 1/3
-        self._gram3 = [[int(3 * self._norms[j] * self.cartan[i][j])
-                        for j in range(self.rank)] for i in range(self.rank)]
+    def __init__(self, kind: str, rank: int):
+        self.kind, self.rank = kind, rank
+        self.name = f"{kind}{rank}"
+        self.cartan = cartan_matrix(kind, rank)
+        # 3 * (alpha_i, alpha_j) = 3 d_j A[i][j], long roots of norm 2: 3 d_j
+        # is 1 for G2's short root alpha_1 and 3 for every other simple root
+        d3 = [1 if kind == "G" and j == 0 else 3 for j in range(rank)]
+        self._gram3 = [[d * a for d, a in zip(d3, row)] for row in self.cartan]
         # pairings[i][j] = <positive root i, alpha_{j+1}-check>
         self.positive, self.pairings = self._closure()
         self.index = {r: i for i, r in enumerate(self.positive)}
 
-    # -- construction ------------------------------------------------------
-
     def _closure(self) -> tuple[list[Root], list[tuple[int, ...]]]:
         """The positive roots and, in the same order, their pairings with
-        the simple coroots.  The pairings of alpha_i are Cartan row i, and
-        those of r + alpha_i are those of r plus that row."""
+        the simple coroots, one height at a time.  Each root carries, per
+        simple root alpha_j, the length of the alpha_j-string below it: one
+        more than at r - alpha_j when that is a root, else 0.  Then
+        r + alpha_i is a root exactly when that length for alpha_i exceeds
+        <r, alpha_i-check> (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, 9.4), and its pairings are r's plus Cartan
+        row i.  A root s of the next height is built from every root
+        s - alpha_j, and that build records its length for j."""
+        n = self.rank
         rows = [tuple(row) for row in self.cartan]
-        simples = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        roots = dict(zip(simples, rows))
-        frontier = simples
-        while frontier:
-            nxt = []
-            for r in frontier:
-                pairs = roots[r]
-                for i in range(self.rank):
-                    # alpha_i-string through r: know how far down it goes,
-                    # deduce how far up from the Cartan pairing.  Lower parts
-                    # of the string are always already built.
-                    down = 0
-                    cur = self._sub_simple(r, i)
-                    while cur in roots:
-                        down += 1
-                        cur = self._sub_simple(cur, i)
-                    if down > pairs[i]:
-                        s = self._add_simple(r, i)
-                        if s not in roots:
-                            roots[s] = tuple(map(operator.add, pairs, rows[i]))
-                            nxt.append(s)
-            frontier = nxt
-        positive = sorted(roots, key=lambda r: (sum(r), r))
-        return positive, [roots[r] for r in positive]
-
-    def _add_simple(self, r: Root, i: int) -> Root:
-        return tuple(c + (j == i) for j, c in enumerate(r))
-
-    def _sub_simple(self, r: Root, i: int) -> Root:
-        return tuple(c - (j == i) for j, c in enumerate(r))
+        # root of the current height -> (pairings, string lengths below)
+        layer = {tuple(int(i == j) for j in range(n)): (rows[i], [0] * n)
+                 for i in range(n)}
+        positive, pairings = [], []
+        while layer:
+            order = sorted(layer)
+            positive += order
+            pairings += [layer[r][0] for r in order]
+            above = {}
+            for r in order:
+                pairs, down = layer[r]
+                for i in range(n):
+                    if down[i] > pairs[i]:
+                        s = r[:i] + (r[i] + 1,) + r[i + 1:]
+                        if s not in above:
+                            above[s] = (tuple(map(operator.add, pairs, rows[i])), [0] * n)
+                        above[s][1][i] = down[i] + 1
+            layer = above
+        return positive, pairings
 
     # -- basic queries ------------------------------------------------------
 
@@ -155,6 +139,4 @@ def build_root_system(name: str) -> RootSystem:
     return _root_system(*parse_type(name))
 
 
-@functools.cache
-def _root_system(kind: str, rank: int) -> RootSystem:
-    return RootSystem(f"{kind}{rank}")
+_root_system = functools.cache(RootSystem)

@@ -818,13 +818,18 @@ def test_negative_controls_flag_nothing():
     """At primes no golden table covers, the scan flags and prunes nothing.
     For p > 7 every connected reductive subgroup is G-cr (Liebeck and
     Seitz, Mem. AMS 580, 1996), and the paper lists E6 subgroups that are
-    not G-cr at p = 5 only."""
+    not G-cr at p = 5 only.
+
+    "No row" holds for the listed candidates only.  ``e7_factor_candidates``
+    has none at p other than 7, so E8's E7 Levi (nodes 1-7) is scanned with
+    no candidate at p = 11 and 13; the last assertion pins that gap."""
     found = {}
     for group, p in [("E6", 7), ("E6", 11), ("E7", 11), ("E8", 11),
                      ("E7", 13), ("E8", 13)]:
         result = scan_group(group, p)
         found[group, p] = (len(result.rows), len(result.pruned_nonrows))
     assert found == dict.fromkeys(found, (0, 0))
+    assert [e7_factor_candidates(p, 2) for p in (5, 11, 13)] == [()] * 3
 
 
 def scan_terms(group: str, p: int, tmax: int = 2) -> set:
@@ -870,6 +875,11 @@ def test_no_a1_row_at_any_good_p_from_17_on():
     controls cover p = 11 and 13.  G2 candidates are built at p = 7 only
     (``g2_simple_char`` is tabulated there), so G2 above p = 7 is
     unchecked.
+
+    "No row" holds for the listed candidates only: B is taken over the
+    terms the scan builds, and ``e7_factor_candidates`` has none at p other
+    than 7, so E8's E7 Levi (nodes 1-7) builds no term at p = 13, 17 and
+    19 and is outside the bound.
 
     The window of twists is measured, not argued: B at p = 17 is the same
     at tmax 3 and 4 as at tmax 2, so a wider window gives no larger layer

@@ -55,16 +55,21 @@ ALLOWED = {
         1, "the trivial factor's one term: the scan restricts live factors "
         "only", "test_level_h1_memo_is_sound_on_e6_p5"),
     "modrep.A1Module._flat": (
-        4, "entries to reduce mod p: every builder of the operator layer "
-        "hands over units", "test_dual_is_signed_transpose"),
+        4, "entries to reduce mod p, which the crosscheck's builders never "
+        "hand over: weyl_module(m, p) with m >= p, whose divided-power "
+        "coefficients vanish mod p (test_h1_weyl_module_w8, "
+        "test_dual_and_twist_compose, test_tensor_matches_kron_reference), "
+        "and the signed transpose of oracles.dual", "test_dual_is_signed_transpose"),
     "modrep._submodule_restriction": (
         1, "records a basis whose span is no submodule, for the error",
         "test_submodule_restriction_errors"),
     "modrep.tilting_module": (2, _DONKIN + " or the crosscheck's weights",
                               "test_h1_vanishes_on_tilting"),
     "modrep._atom_is_tilting": (
-        3, "twisted, tilting and rank-one atoms: the scan asks only about "
-        "untwisted simple G2 actions", "test_module_is_tilting"),
+        3, "twisted, tilting and rank-one atoms of module_is_tilting's rule: "
+        "the scan asks only about untwisted simple G2 actions, and only "
+        "test_module_is_tilting (all three) and test_tilting_prune_closure "
+        "(tilting and rank-one) ask about these", "test_module_is_tilting"),
     "parabolic.levi_components": (1, _TRACED, "test_components_split_and_order"),
     "parabolic.component_type": (3, _TRACED, "test_component_d4_inside_e6"),
     "parabolic.radical_levels": (6, _TRACED, "test_radical_size_is_complementary"),

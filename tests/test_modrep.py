@@ -162,10 +162,12 @@ def test_fundamental_characters_weyl_dimension_and_symmetry(name):
     for i in range(rs.rank):
         lam = tuple(int(i == j) for j in range(rs.rank))
         mults = freudenthal(name, lam)
+        # 6 d_j: d_j scaled alike in numerator and denominator
+        norms = [rs._gram3[j][j] for j in range(rs.rank)]
         dim = Fraction(1)
         for r in rs.positive:
-            dim *= Fraction(sum((x + 1) * c * d for x, c, d in zip(lam, r, rs._norms)),
-                            sum(c * d for c, d in zip(r, rs._norms)))
+            dim *= Fraction(sum((x + 1) * c * d for x, c, d in zip(lam, r, norms)),
+                            sum(c * d for c, d in zip(r, norms)))
         assert sum(mults.values()) == dim, lam
         for j, alpha in enumerate(rs.cartan):
             reflected = {tuple(a - mu[j] * b for a, b in zip(mu, alpha)): m

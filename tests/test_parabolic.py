@@ -277,7 +277,7 @@ def test_every_summand_matches_its_roots(name):
 def test_level_summands_name_a_weight_that_is_not_dominant():
     # a fresh root system with one pairings row doctored: the top of A3's
     # level one under the A1 x A1 Levi pairs (1, 0, 1) with the simple roots
-    rs = RootSystem("A3")
+    rs = RootSystem("A", 3)
     rs.pairings[rs.index[(1, 1, 1)]] = (-1, 0, 1)
     with pytest.raises(ArithmeticError, match=re.escape(
             "A3 parabolic with Levi (1, 3): summand high weight (-1, 1) of "
